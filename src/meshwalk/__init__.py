@@ -2,8 +2,7 @@
 
 Simulates single-walker transport through a staggered light cone of SU(2)
 cells under static and dynamic phase disorder: deterministic parallel
-disorder ensembles, transport metrics and fits, and an optional
-hardware-imperfection layer.
+disorder ensembles, and transport metrics and fits.
 """
 
 from .analysis import (
@@ -33,10 +32,7 @@ from .lattice import (
     Half,
     MeshSpec,
     RbsSetting,
-    apply_cell,
-    apply_phase_layer,
     cell_unitary,
-    full_unitary,
     intensities,
     propagate,
     wrap_angle,
@@ -78,15 +74,12 @@ __all__ = [
     "SweepPlan",
     "SymmetryPolicy",
     "WIRE",
-    "apply_cell",
     "apply_disorder",
-    "apply_phase_layer",
     "build_symmetric_qw",
     "build_tomography_program",
     "cell_unitary",
     "detect_enaqt",
     "fit_distribution",
-    "full_unitary",
     "intensities",
     "make_grid",
     "mode_signs",

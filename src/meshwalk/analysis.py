@@ -175,28 +175,29 @@ def fit_distribution(d, family: FitFamily, pin_location: float | None = None,
     return FitResult(family, float(loc), float(abs(scale)), float(abs(amp)), float(best_e))
 
 
+def width(distribution, name: str = "distribution") -> float:
+    """Intensity-weighted standard deviation of the 1-based mode index."""
+    d = _as_distribution(distribution, name)
+    p = d / d.sum()
+    x = np.arange(1, d.shape[0] + 1, dtype=float)
+    mu = (x * p).sum()
+    return math.sqrt(max(((x - mu) ** 2 * p).sum(), 0.0))
+
+
 def spread_exponent(means, times=None) -> float:
     """Log-log slope of the distribution width versus time step.
 
     ``means`` is one intensity distribution per time step; ``times`` defaults
-    to 1..len(means).  Width is the intensity-weighted standard deviation of
-    the mode index.
+    to 1..len(means).  Width is :func:`width`.
     """
-    dists = [_as_distribution(d, f"means[{i}]") for i, d in enumerate(means)]
-    if len(dists) < 3:
-        raise ValueError(f"need at least 3 layers, got {len(dists)}")
+    sigmas = np.array([width(d, f"means[{i}]") for i, d in enumerate(means)])
+    if sigmas.size < 3:
+        raise ValueError(f"need at least 3 layers, got {sigmas.size}")
     if times is None:
-        times = np.arange(1, len(dists) + 1, dtype=float)
+        times = np.arange(1, sigmas.size + 1, dtype=float)
     times = np.asarray(times, dtype=float)
-    if times.shape != (len(dists),) or (times <= 0).any():
+    if times.shape != sigmas.shape or (times <= 0).any():
         raise ValueError("times must be positive and match the number of layers")
-    sigmas = []
-    for d in dists:
-        p = d / d.sum()
-        x = np.arange(1, d.shape[0] + 1, dtype=float)
-        mu = (x * p).sum()
-        sigmas.append(math.sqrt(max(((x - mu) ** 2 * p).sum(), 0.0)))
-    sigmas = np.asarray(sigmas)
     if (sigmas == 0.0).all():
         raise DegenerateDistributionError("zero variance at all layers")
     if (sigmas == 0.0).any():

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -85,13 +86,6 @@ def _print_distribution(mean, std_error, header: str) -> None:
         print(f"{x + 1:4d}    {mean[x]:.6f}     {std_error[x]:.2e}")
 
 
-def _sigma(mean) -> float:
-    x = np.arange(1, mean.size + 1, dtype=float)
-    p = mean / mean.sum()
-    mu = float((x * p).sum())
-    return float(np.sqrt(((x - mu) ** 2 * p).sum()))
-
-
 def _ascii_heatmap(matrix: np.ndarray) -> str:
     top = matrix.max() or 1.0
     lines = []
@@ -120,7 +114,7 @@ def cmd_walk(args) -> int:
     _print_distribution(rec.mean, rec.std_error,
                         f"ensemble mean at c_tid={level.c_tid:g}, c_td={level.c_td:g}, "
                         f"N={args.n}, t_f={spec.depth}")
-    print(f"sigma(t_f) = {_sigma(rec.mean):.6f}")
+    print(f"sigma(t_f) = {analysis.width(rec.mean):.6f}")
     print(f"result document: {out}")
     print(f"flat table:      {out}.csv")
     return 0
@@ -369,7 +363,7 @@ def main(argv=None) -> int:
     except DegenerateDistributionError as exc:
         print(f"degenerate analysis input: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, BrokenExecutor, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

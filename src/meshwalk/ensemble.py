@@ -2,7 +2,11 @@
 
 A sweep evaluates a grid of disorder levels; each level propagates N
 independently-seeded realizations and reduces them to a per-mode ensemble
-mean and standard error.  Every realization's stream is derived from
+mean and standard error.  Realizations run in fixed-size chunks: their
+fields come from :func:`~meshwalk.programs.draw_fields`, their screens from
+:func:`~meshwalk.programs.compose_screens`, and the whole chunk goes through
+the one propagation kernel, :func:`~meshwalk.lattice.evolve`, at once.
+Every realization's stream is derived from
 ``(master_seed, level_index, realization_index)``, each level is reduced in
 fixed realization order with exact compensated summation, and records are
 assembled sorted by ``(level_index, read_layer)`` — so the result is
@@ -11,11 +15,14 @@ bit-identical no matter how many workers ran it.
 Persistence is one JSON document per sweep (plan echo, generator identity,
 one record per level and read layer) plus an optional flat CSV table.  A
 running sweep checkpoints each record to ``<out>.ckpt`` and can resume by
-skipping completed records after validating the plan hash.
+skipping completed records after validating the plan hash.  Documents and
+tables are written to a temporary sibling and renamed into place, so a crash
+leaves the old file or the new one, never half of one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -26,15 +33,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import MeshSpec, cell_unitary, wrap_angle
+from .lattice import MeshSpec, evolve
+from .lattice import layer_matrices as _layer_matrices
 from .programs import (
     GENERATOR_IDENTITY,
     DisorderSpec,
     MeshProgram,
     SeedProvenance,
     SymmetryPolicy,
-    mode_signs,
-    realization_rng,
+    compose_screens,
+    draw_fields,
 )
 
 DOCUMENT_FORMAT = "meshwalk-sweep-result/1"
@@ -43,6 +51,23 @@ CSV_HEADER = "c_tid,c_td,layer,mode,mean,std_error"
 # Realizations are processed in fixed-size chunks: bounded memory, and a
 # constant independent of worker count so reductions never reorder.
 _CHUNK = 8192
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Text file that replaces ``path`` only once it is completely written.
+
+    Writes go to a temporary sibling, renamed over ``path`` on success and
+    removed on failure, so a crash never leaves a half-written ``path``.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def make_grid(n_tid: int, n_td: int) -> list[DisorderSpec]:
@@ -156,7 +181,7 @@ class EnsembleResult:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w", newline="\n") as fh:
+        with _replacing(path) as fh:
             json.dump(self.to_document(), fh, indent=1, sort_keys=True)
             fh.write("\n")
 
@@ -164,15 +189,19 @@ class EnsembleResult:
     def load(cls, path: str) -> "EnsembleResult":
         with open(path) as fh:
             doc = json.load(fh)
-        if doc.get("format") != DOCUMENT_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != DOCUMENT_FORMAT:
             raise ValueError(f"{path}: not a {DOCUMENT_FORMAT} document")
-        plan = SweepPlan.from_dict(doc["plan"])
-        records = {}
-        for rec in doc["records"]:
-            record = LevelRecord.from_dict(rec)
-            records[(record.level_index, record.read_layer)] = record
-        return cls(plan, records, metadata={"plan_hash": doc["plan_hash"],
-                                            "generator": doc["generator"]})
+        try:
+            plan = SweepPlan.from_dict(doc["plan"])
+            records = {}
+            for rec in doc["records"]:
+                record = LevelRecord.from_dict(rec)
+                records[(record.level_index, record.read_layer)] = record
+            metadata = {"plan_hash": doc["plan_hash"], "generator": doc["generator"]}
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed {DOCUMENT_FORMAT} document "
+                             f"({type(exc).__name__}: {exc})") from None
+        return cls(plan, records, metadata=metadata)
 
     def to_rows(self) -> list[tuple[float, float, int, int, float, float]]:
         """Flat (c_tid, c_td, layer, mode, mean, std_error) rows, one per mode."""
@@ -187,71 +216,34 @@ class EnsembleResult:
         return rows
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="\n") as fh:
+        with _replacing(path) as fh:
             fh.write(CSV_HEADER + "\n")
             for c_tid, c_td, layer, mode, mean, se in self.to_rows():
                 fh.write(f"{c_tid!r},{c_td!r},{layer},{mode},{mean!r},{se!r}\n")
 
 
-def _layer_matrices(spec: MeshSpec, program: MeshProgram) -> list[np.ndarray]:
-    mats = []
-    for t in range(1, spec.depth + 1):
-        mats.append(np.stack([cell_unitary(program.cell_settings[c])
-                              for c in spec.layer_cells(t)]))
-    return mats
-
-
 def _sample_block(num_modes: int, depth: int, master_seed: int, level_index: int,
                   lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw uniform(-pi, pi) fields for realizations lo..hi-1, unscaled.
-
-    Each realization consumes num_modes static draws then num_modes*depth
-    dynamic draws from its own derived stream; a single uniform call
-    produces the identical values.
-    """
+    """Raw uniform(-pi, pi) fields for realizations lo..hi-1, unscaled."""
     count = hi - lo
     static = np.empty((count, num_modes))
     dynamic = np.empty((count, num_modes, depth))
-    size = num_modes * (depth + 1)
     for r in range(lo, hi):
-        rng = realization_rng(SeedProvenance(master_seed, level_index, r))
-        buf = rng.uniform(-np.pi, np.pi, size)
-        static[r - lo] = buf[:num_modes]
-        dynamic[r - lo] = buf[num_modes:].reshape(num_modes, depth)
+        static[r - lo], dynamic[r - lo] = draw_fields(
+            SeedProvenance(master_seed, level_index, r), num_modes, depth)
     return static, dynamic
 
 
 def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray,
                      read_layers: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """Vectorized propagation of one block of realizations.
+    """Per-realization intensity stacks of one block at every read layer.
 
     ``screens`` carries the total (program + disorder) phase per
-    (realization, mode, layer).  A mode-major state layout keeps each cell's
-    2x2 update contiguous across realizations.  Returns per-realization
-    intensity stacks for every requested read layer.
+    (realization, mode, layer); only the read layers' intensities are kept.
     """
-    m = spec.num_modes
-    count = screens.shape[0]
-    last = max(read_layers)
-    phases = np.ascontiguousarray(screens.transpose(2, 1, 0))  # (depth, m, count)
-    factors = np.empty_like(phases, dtype=complex)
-    np.cos(phases, out=factors.real)
-    np.sin(phases, out=factors.imag)
-
-    stacks = {t: None for t in read_layers}
-    state = np.zeros((m, count), dtype=complex)
-    state[spec.injection_mode - 1] = 1.0
-    for t in range(1, last + 1):
-        start = m // 2 - t  # 0-based top mode of the layer's first cell
-        cells = mats[t - 1]
-        for k in range(t):
-            i = start + 2 * k
-            u = cells[k]
-            top = u[0, 0] * state[i] + u[0, 1] * state[i + 1]
-            state[i + 1] = u[1, 0] * state[i] + u[1, 1] * state[i + 1]
-            state[i] = top
-        state *= factors[t - 1]
-        if t in stacks:
+    stacks = {}
+    for t, state in evolve(spec, mats, screens, max(read_layers)):
+        if t in read_layers:
             stacks[t] = (state.real**2 + state.imag**2).T
     return stacks
 
@@ -270,17 +262,13 @@ def _level_intensity_stacks(spec: MeshSpec, program: MeshProgram, level: Disorde
     if not program.covers(spec):
         raise ValueError("program does not cover the mesh spec")
     mats = _layer_matrices(spec, program)
-    signs = mode_signs(m, policy)
     stacks = {t: np.empty((n, m)) for t in read_layers}
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         static, dynamic = _sample_block(m, depth, master_seed, level_index, lo, hi)
-        screens = wrap_angle(
-            program.phase_screens[None, :, :]
-            + signs[None, :, None] * wrap_angle(level.c_tid * static[:, :, None]
-                                                + level.c_td * dynamic)
-        )
+        screens = compose_screens(program.phase_screens, level.c_tid * static,
+                                  level.c_td * dynamic, policy)
         for t, stack in _propagate_block(spec, mats, screens, read_layers).items():
             stacks[t][lo:hi] = stack
     return stacks
@@ -319,22 +307,44 @@ def _level_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
 
 
 def _read_checkpoint(path: str, plan_hash: str) -> dict[tuple[int, int], LevelRecord]:
-    records: dict[tuple[int, int], LevelRecord] = {}
+    """Records of a checkpoint file, whose torn final line is cut off.
+
+    A crash mid-append leaves the last line without its newline or not
+    parsing; that line is truncated from the file, so later appends start on
+    a fresh line, and its level is recomputed.  A bad line anywhere else is
+    corruption and raises ``ValueError``.
+    """
     if not os.path.exists(path):
-        return records
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("plan_hash") != plan_hash:
-            raise ValueError(
-                f"{path}: checkpoint belongs to a different plan "
-                f"({header.get('plan_hash')!r} != {plan_hash!r})"
-            )
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = LevelRecord.from_dict(json.loads(line))
-            records[(rec.level_index, rec.read_layer)] = rec
+        return {}
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    entries = []
+    torn = False
+    for number, line in enumerate(lines, start=1):
+        try:
+            if not line.endswith(b"\n"):
+                raise ValueError("no line end")
+            if line.strip():
+                entries.append(json.loads(line))
+        except ValueError as exc:
+            if number < len(lines):
+                raise ValueError(f"{path}: corrupt checkpoint line {number}: {exc}") from None
+            torn = True
+    if entries and entries[0].get("plan_hash") != plan_hash:
+        raise ValueError(
+            f"{path}: checkpoint belongs to a different plan "
+            f"({entries[0].get('plan_hash')!r} != {plan_hash!r})"
+        )
+    if torn:
+        os.truncate(path, len(b"".join(lines[:-1])))
+    records: dict[tuple[int, int], LevelRecord] = {}
+    for entry in entries[1:]:
+        try:
+            rec = LevelRecord.from_dict(entry)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint record "
+                             f"({type(exc).__name__}: {exc})") from None
+        records[(rec.level_index, rec.read_layer)] = rec
     return records
 
 
@@ -363,7 +373,7 @@ def run_sweep(plan: SweepPlan, program: MeshProgram | None = None,
     ckpt = None
     if ckpt_path:
         try:
-            mode = "a" if (resume and os.path.exists(ckpt_path)) else "w"
+            mode = "a" if done else "w"  # appends follow a valid header
             ckpt = open(ckpt_path, mode, newline="\n")
             if mode == "w":
                 ckpt.write(json.dumps({"plan_hash": plan_hash}) + "\n")

@@ -8,16 +8,21 @@ an SU(2) rotation parametrized by an internal differential phase ``theta``
 (splitting ratio) and an external differential phase ``phi``; between cell
 layers a per-mode phase screen acts on every waveguide.
 
-States are plain complex numpy vectors of length ``num_modes`` (unit norm in
-this lossless model); intensity distributions are the squared magnitudes.
-Mode and layer indices are 1-based throughout, matching the usual labeling
-of waveguides on chip schematics.
+:func:`evolve` is the one propagation kernel: it pushes a batch of walkers
+through the cone layer by layer, in a mode-major (num_modes, walkers)
+complex state.  :func:`propagate` is a batch of one; the disorder ensembles
+run the same kernel over thousands of realizations at once.
+
+A single walker's state is a complex vector of length ``num_modes`` (unit
+norm in this lossless model); intensity distributions are the squared
+magnitudes.  Mode and layer indices are 1-based throughout, matching the
+usual labeling of waveguides on chip schematics.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,33 +133,60 @@ def cell_unitary(setting: RbsSetting) -> np.ndarray:
     return np.array([[e * s, e * c], [c, -s]], dtype=complex)
 
 
-def apply_cell(state: np.ndarray, cell: CellCoord, setting: RbsSetting) -> np.ndarray:
-    """Apply one cell unitary to the coupled mode pair; identity elsewhere."""
-    state = np.asarray(state, dtype=complex)
-    if cell.top_mode < 1 or cell.bottom_mode > state.shape[0]:
-        raise IndexError(
-            f"cell (layer={cell.layer}, modes {cell.top_mode},{cell.bottom_mode}) "
-            f"outside state of length {state.shape[0]}"
-        )
-    out = state.copy()
-    i = cell.top_mode - 1
-    out[i : i + 2] = cell_unitary(setting) @ state[i : i + 2]
-    return out
-
-
-def apply_phase_layer(state: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Per-mode phase screen: a_x -> exp(i phi_x) a_x."""
-    state = np.asarray(state, dtype=complex)
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != state.shape:
-        raise ValueError(f"phase screen length {phases.shape} != state length {state.shape}")
-    return state * np.exp(1j * phases)
-
-
 def intensities(state: np.ndarray) -> np.ndarray:
     """Per-mode output intensities |a_x|^2."""
     state = np.asarray(state)
     return state.real**2 + state.imag**2
+
+
+def layer_matrices(spec: MeshSpec, program, last: int | None = None) -> list[np.ndarray]:
+    """Stacked cell unitaries of layers 1..``last`` (default: all), top to bottom."""
+    mats = []
+    for t in range(1, (spec.depth if last is None else last) + 1):
+        units = []
+        for cell in spec.layer_cells(t):
+            try:
+                setting = program.cell_settings[cell]
+            except KeyError:
+                raise KeyError(
+                    f"program has no setting for cell (layer={cell.layer}, "
+                    f"top_mode={cell.top_mode})"
+                ) from None
+            units.append(cell_unitary(setting))
+        mats.append(np.stack(units))
+    return mats
+
+
+def evolve(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray, last: int):
+    """Propagate a batch of walkers through layers 1..``last``.
+
+    Every walker starts in ``spec.injection_mode``.  ``mats`` holds each
+    layer's stacked cell unitaries (:func:`layer_matrices`) and ``screens``
+    the total phase per (walker, mode, layer).  Each layer applies its cells,
+    then its phase screen, and yields ``(t, state)``: ``state`` is the
+    mode-major (num_modes, walkers) amplitude array, which the next layer
+    updates in place, so read it before resuming.
+    """
+    m = spec.num_modes
+    count = screens.shape[0]
+    phases = np.ascontiguousarray(screens.transpose(2, 1, 0))  # (depth, m, count)
+    factors = np.empty_like(phases, dtype=complex)
+    np.cos(phases, out=factors.real)
+    np.sin(phases, out=factors.imag)
+
+    state = np.zeros((m, count), dtype=complex)
+    state[spec.injection_mode - 1] = 1.0
+    for t in range(1, last + 1):
+        start = m // 2 - t  # 0-based top mode of the layer's first cell
+        cells = mats[t - 1]
+        for k in range(t):
+            i = start + 2 * k
+            u = cells[k]
+            top = u[0, 0] * state[i] + u[0, 1] * state[i + 1]
+            state[i + 1] = u[1, 0] * state[i] + u[1, 1] * state[i + 1]
+            state[i] = top
+        state *= factors[t - 1]
+        yield t, state
 
 
 def propagate(spec: MeshSpec, program, input_mode: int | None = None,
@@ -178,46 +210,8 @@ def propagate(spec: MeshSpec, program, input_mode: int | None = None,
             f"phase screens shaped {screens.shape}, expected {(spec.num_modes, spec.depth)}"
         )
 
-    state = np.zeros(spec.num_modes, dtype=complex)
-    state[input_mode - 1] = 1.0
-    for t in range(1, last + 1):
-        for cell in spec.layer_cells(t):
-            try:
-                setting = program.cell_settings[cell]
-            except KeyError:
-                raise KeyError(
-                    f"program has no setting for cell (layer={cell.layer}, "
-                    f"top_mode={cell.top_mode})"
-                ) from None
-            state = apply_cell(state, cell, setting)
-        state = apply_phase_layer(state, screens[:, t - 1])
-    return state
-
-
-def full_unitary(spec: MeshSpec, program, up_to_layer: int | None = None) -> np.ndarray:
-    """Compose the whole mesh into one num_modes x num_modes unitary.
-
-    Test oracle: built by plain matrix multiplication of per-layer
-    block-diagonal cell matrices and diagonal phase screens, so it exercises
-    a different code path than :func:`propagate`.
-    """
-    last = spec.depth if up_to_layer is None else up_to_layer
-    if not 1 <= last <= spec.depth:
-        raise ValueError(f"up_to_layer {last} outside [1, {spec.depth}]")
-    screens = np.asarray(program.phase_screens, dtype=float)
-    n = spec.num_modes
-    total = np.eye(n, dtype=complex)
-    for t in range(1, last + 1):
-        layer = np.eye(n, dtype=complex)
-        for cell in spec.layer_cells(t):
-            try:
-                setting = program.cell_settings[cell]
-            except KeyError:
-                raise KeyError(
-                    f"program has no setting for cell (layer={cell.layer}, "
-                    f"top_mode={cell.top_mode})"
-                ) from None
-            i = cell.top_mode - 1
-            layer[i : i + 2, i : i + 2] = cell_unitary(setting)
-        total = np.diag(np.exp(1j * screens[:, t - 1])) @ layer @ total
-    return total
+    mats = layer_matrices(spec, program, last)
+    walker = replace(spec, injection_mode=input_mode)
+    for _, state in evolve(walker, mats, screens[None], last):
+        pass
+    return state[:, 0]

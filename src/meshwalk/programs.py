@@ -110,13 +110,36 @@ def realization_rng(provenance: SeedProvenance) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def draw_fields(provenance: SeedProvenance, num_modes: int,
+                depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled uniform(-pi, pi) fields of one realization: the stream layout.
+
+    The stream yields ``num_modes`` static draws, then ``num_modes * depth``
+    dynamic draws in (mode, layer) row-major order, as one uniform call.
+    Returns the static (num_modes,) and dynamic (num_modes, depth) fields.
+    """
+    buf = realization_rng(provenance).uniform(-np.pi, np.pi, num_modes * (depth + 1))
+    return buf[:num_modes], buf[num_modes:].reshape(num_modes, depth)
+
+
 def sample_realization(spec: MeshSpec, disorder: DisorderSpec,
                        provenance: SeedProvenance) -> DisorderRealization:
     """Draw one realization; identical provenance reproduces it bit-for-bit."""
-    rng = realization_rng(provenance)
-    static = disorder.c_tid * rng.uniform(-np.pi, np.pi, spec.num_modes)
-    dynamic = disorder.c_td * rng.uniform(-np.pi, np.pi, (spec.num_modes, spec.depth))
-    return DisorderRealization(static, dynamic, provenance)
+    static, dynamic = draw_fields(provenance, spec.num_modes, spec.depth)
+    return DisorderRealization(disorder.c_tid * static, disorder.c_td * dynamic, provenance)
+
+
+def compose_screens(screens: np.ndarray, static: np.ndarray, dynamic: np.ndarray,
+                    policy: SymmetryPolicy) -> np.ndarray:
+    """Phase screens with scaled disorder fields added: the disorder model.
+
+    The static (..., num_modes) and dynamic (..., num_modes, depth) fields add
+    on each waveguide; their wrapped sum enters with the policy's mode sign,
+    and the total is wrapped again.  Leading axes (one per realization)
+    broadcast against the (num_modes, depth) ``screens``.
+    """
+    signs = mode_signs(static.shape[-1], policy)
+    return wrap_angle(screens + signs[:, None] * wrap_angle(static[..., None] + dynamic))
 
 
 @dataclass(frozen=True)
@@ -184,11 +207,8 @@ def apply_disorder(program: MeshProgram, realization: DisorderRealization,
             f"{realization.dynamic_phases.shape} does not match screens "
             f"{program.phase_screens.shape}"
         )
-    signs = mode_signs(num_modes, policy)
-    extra = signs[:, None] * wrap_angle(
-        realization.static_phases[:, None] + realization.dynamic_phases
-    )
-    return replace(program, phase_screens=wrap_angle(program.phase_screens + extra))
+    return replace(program, phase_screens=compose_screens(
+        program.phase_screens, realization.static_phases, realization.dynamic_phases, policy))
 
 
 def build_tomography_program(program: MeshProgram, read_layer: int) -> MeshProgram:

@@ -1,14 +1,17 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the package's propagation code paths: the Markov
-oracle pushes probabilities (not amplitudes) through the cone, the analytic
-visibility is the closed form for two imperfect couplers, and the KS
-statistic is computed directly from its definition.
+oracle pushes probabilities (not amplitudes) through the cone, the dense
+unitary multiplies whole num_modes x num_modes layer matrices instead of
+running the batched kernel, and the KS statistic is computed directly from
+its definition.
 """
 
 import math
 
 import numpy as np
+
+from meshwalk import cell_unitary
 
 
 def galton_distribution(num_modes: int, upto: int, inject: int) -> np.ndarray:
@@ -37,19 +40,6 @@ def galton_sigma(num_modes: int, upto: int, inject: int) -> float:
     return math.sqrt(float(((x - mu) ** 2 * p).sum()))
 
 
-def analytic_visibility(delta1: float, delta2: float) -> float:
-    """Closed-form visibility of a two-coupler interferometer.
-
-    The bar-port transmission is |sqrt(r1 r2) e^{i theta} - sqrt((1-r1)(1-r2))|^2,
-    extremal at theta = pi and 0, giving V = 2 sqrt(ab) / (a + b) with
-    a = r1 r2 and b = (1-r1)(1-r2).
-    """
-    r1, r2 = 0.5 + delta1, 0.5 + delta2
-    a = r1 * r2
-    b = (1.0 - r1) * (1.0 - r2)
-    return 2.0 * math.sqrt(a * b) / (a + b)
-
-
 def ks_uniform_statistic(samples: np.ndarray, low: float, high: float) -> float:
     """Kolmogorov-Smirnov distance of samples from the uniform law on [low, high]."""
     s = np.sort(np.asarray(samples, dtype=float))
@@ -58,3 +48,25 @@ def ks_uniform_statistic(samples: np.ndarray, low: float, high: float) -> float:
     d_plus = float((np.arange(1, n + 1) / n - cdf).max())
     d_minus = float((cdf - np.arange(0, n) / n).max())
     return max(d_plus, d_minus)
+
+
+def full_unitary(spec, program, up_to_layer: int | None = None) -> np.ndarray:
+    """Compose the whole mesh into one num_modes x num_modes unitary.
+
+    Plain matrix multiplication of per-layer block-diagonal cell matrices and
+    diagonal phase screens, a different code path from ``propagate`` and the
+    batched ensemble kernel.
+    """
+    last = spec.depth if up_to_layer is None else up_to_layer
+    if not 1 <= last <= spec.depth:
+        raise ValueError(f"up_to_layer {last} outside [1, {spec.depth}]")
+    screens = np.asarray(program.phase_screens, dtype=float)
+    n = spec.num_modes
+    total = np.eye(n, dtype=complex)
+    for t in range(1, last + 1):
+        layer = np.eye(n, dtype=complex)
+        for cell in spec.layer_cells(t):
+            i = cell.top_mode - 1
+            layer[i : i + 2, i : i + 2] = cell_unitary(program.cell_settings[cell])
+        total = np.diag(np.exp(1j * screens[:, t - 1])) @ layer @ total
+    return total

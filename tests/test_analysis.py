@@ -17,7 +17,8 @@ from meshwalk import (
     spread_exponent,
     transport_efficiency,
 )
-from oracles import galton_distribution
+from meshwalk.analysis import width
+from oracles import galton_distribution, galton_sigma
 
 WEIGHTS = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=4, max_size=10)
 
@@ -135,6 +136,11 @@ class TestFitDistribution:
 
 
 class TestSpreadExponent:
+    def test_width_matches_markov_oracle(self):
+        for t in range(1, 8):
+            assert width(galton_distribution(14, t, 8)) == pytest.approx(
+                galton_sigma(14, t, 8), rel=1e-12)
+
     def test_ballistic_walk_near_one(self, spec14, qw_program):
         means = [intensities(propagate(spec14, qw_program, up_to_layer=t))
                  for t in range(1, 8)]

@@ -1,10 +1,12 @@
 import json
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from meshwalk import DisorderSpec, EnsembleResult, LevelRecord, MeshSpec, SweepPlan
+from meshwalk import ensemble
 from meshwalk.cli import main
 
 
@@ -47,6 +49,38 @@ def test_usage_errors_exit_one(outdir, capsys):
 
 def test_runtime_error_exits_two(outdir):
     assert main(["fit", "--in", str(outdir / "missing.json")]) == 2
+
+
+def test_malformed_document_exits_two(outdir, capsys):
+    plan = SweepPlan(MeshSpec(), (DisorderSpec(0, 0),), 1, 1)
+    doc = EnsembleResult(plan, {}).to_document()
+    del doc["plan"]["depth"]
+    path = outdir / "nodepth.json"
+    path.write_text(json.dumps(doc))
+    assert main(["fit", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed" in err and "depth" in err and err.count("\n") == 1
+
+
+def test_broken_worker_pool_exits_two(outdir, capsys, monkeypatch):
+    class CrashingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            raise BrokenProcessPool("a worker process terminated abruptly")
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", CrashingPool)
+    assert main(["sweep", "--grid", "2x2", "--n", "5", "--workers", "2",
+                 "--out", "crash.json"]) == 2
+    err = capsys.readouterr().err
+    assert "terminated abruptly" in err and err.count("\n") == 1
 
 
 def test_degenerate_fit_exits_three(outdir):

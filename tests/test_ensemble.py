@@ -7,17 +7,14 @@ import pytest
 from meshwalk import (
     DisorderSpec,
     EnsembleResult,
-    MeshSpec,
-    SeedProvenance,
+    MeshProgram,
     SweepPlan,
-    apply_disorder,
-    build_symmetric_qw,
+    SymmetryPolicy,
     intensities,
     make_grid,
     propagate,
     run_level,
     run_sweep,
-    sample_realization,
 )
 from meshwalk.ensemble import (
     CSV_HEADER,
@@ -26,7 +23,8 @@ from meshwalk.ensemble import (
     _propagate_block,
     _sample_block,
 )
-from oracles import galton_distribution
+from conftest import random_program
+from oracles import full_unitary, galton_distribution
 
 
 class TestRunLevel:
@@ -40,17 +38,32 @@ class TestRunLevel:
         mean, _ = run_level(spec14, qw_program, DisorderSpec(0.8, 0.2), 500, 99)
         assert abs(mean.sum() - 1.0) < 1e-9
 
-    def test_kernel_matches_single_realization_path(self, spec14, qw_program):
+    def test_kernel_matches_single_realization_path(self, spec14):
+        # Each stack row against the dense oracle's injection column, with
+        # the disorder model spelled out here from its documentation: the
+        # stream of GENERATOR_IDENTITY, scaled, summed per waveguide, and
+        # negated on modes 8..14 under MIRRORED_SIGN.  Wrapping by 2 pi
+        # changes no amplitude, so the oracle leaves it out.
+        program = random_program(spec14, np.random.default_rng(12))
         level = DisorderSpec(0.7, 0.4)
         n = 40
-        stacks = _level_intensity_stacks(spec14, qw_program, level, n, 555, 3,
-                                         (4, spec14.depth), qw_program_policy())
-        for r in range(n):
-            real = sample_realization(spec14, level, SeedProvenance(555, 3, r))
-            disordered = apply_disorder(qw_program, real)
-            for layer in (4, spec14.depth):
-                direct = intensities(propagate(spec14, disordered, up_to_layer=layer))
-                assert np.abs(stacks[layer][r] - direct).max() < 1e-12
+        layers = (4, spec14.depth)
+        for policy in SymmetryPolicy:
+            signs = np.ones(14)
+            if policy is SymmetryPolicy.MIRRORED_SIGN:
+                signs[7:] = -1.0
+            stacks = _level_intensity_stacks(spec14, program, level, n, 555, 3, layers,
+                                             policy)
+            for r in range(n):
+                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((555, 3, r))))
+                static = level.c_tid * rng.uniform(-np.pi, np.pi, 14)
+                dynamic = level.c_td * rng.uniform(-np.pi, np.pi, (14, 7))
+                applied = MeshProgram(program.cell_settings, program.phase_screens
+                                      + signs[:, None] * (static[:, None] + dynamic))
+                for layer in layers:
+                    column = full_unitary(spec14, applied, up_to_layer=layer)[
+                        :, spec14.injection_mode - 1]
+                    assert np.abs(stacks[layer][r] - intensities(column)).max() < 1e-12
 
     def test_fully_incoherent_matches_markov_oracle(self, spec14, qw_program):
         n = 4000
@@ -62,12 +75,6 @@ class TestRunLevel:
     def test_n_must_be_positive(self, spec14, qw_program):
         with pytest.raises(ValueError):
             run_level(spec14, qw_program, DisorderSpec(0, 0), 0, 1)
-
-
-def qw_program_policy():
-    from meshwalk import SymmetryPolicy
-
-    return SymmetryPolicy.MIRRORED_SIGN
 
 
 class TestSweepPlan:
@@ -132,6 +139,32 @@ class TestRunSweep:
         run_sweep(plan, out_path=str(resumed), workers=1, resume=True)
         assert fresh.read_bytes() == resumed.read_bytes()
 
+    def test_resume_drops_torn_final_line(self, spec14, tmp_path):
+        plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 30, 11)
+        fresh = tmp_path / "fresh.json"
+        run_sweep(plan, out_path=str(fresh), workers=1)
+
+        # A crash mid-append: the last record is cut short, without newline.
+        resumed = tmp_path / "resumed.json"
+        ckpt = tmp_path / "resumed.json.ckpt"
+        ckpt.write_bytes((tmp_path / "fresh.json.ckpt").read_bytes()[:-40])
+        run_sweep(plan, out_path=str(resumed), workers=1, resume=True)
+        assert fresh.read_bytes() == resumed.read_bytes()
+        # The torn line was cut, so the recomputed record starts a fresh line.
+        assert ckpt.read_bytes() == (tmp_path / "fresh.json.ckpt").read_bytes()
+
+    def test_resume_rejects_corruption_mid_file(self, spec14, tmp_path):
+        plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 11)
+        out = tmp_path / "a.json"
+        run_sweep(plan, out_path=str(out), workers=1)
+        ckpt = tmp_path / "a.json.ckpt"
+        lines = ckpt.read_text().splitlines(keepends=True)
+        for bad, message in ((lines[2][:30] + "\n", "corrupt checkpoint line 3"),
+                             ('{"n": 10}\n', "malformed checkpoint record")):
+            ckpt.write_text("".join(lines[:2] + [bad] + lines[3:]))
+            with pytest.raises(ValueError, match=message):
+                run_sweep(plan, out_path=str(out), workers=1, resume=True)
+
     def test_resume_rejects_foreign_checkpoint(self, spec14, tmp_path):
         plan_a = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 1)
         plan_b = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 2)
@@ -149,6 +182,24 @@ class TestRunSweep:
         for key, rec in result.records.items():
             assert np.array_equal(loaded.records[key].mean, rec.mean)
             assert np.array_equal(loaded.records[key].std_error, rec.std_error)
+
+    def test_failed_writes_leave_previous_files(self, spec14, tmp_path, monkeypatch):
+        plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 3)
+        out = tmp_path / "doc.json"
+        result = run_sweep(plan, out_path=str(out), workers=1)
+        result.write_csv(str(out) + ".csv")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", fail)
+        monkeypatch.setattr(EnsembleResult, "to_rows", fail)
+        with pytest.raises(OSError):
+            result.save(str(out))
+        with pytest.raises(OSError):
+            result.write_csv(str(out) + ".csv")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_flat_table_schema(self, spec14, tmp_path):
         plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 3)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from meshwalk import (
@@ -8,16 +8,14 @@ from meshwalk import (
     Half,
     MeshSpec,
     RbsSetting,
-    apply_cell,
-    apply_phase_layer,
     build_symmetric_qw,
     cell_unitary,
-    full_unitary,
     intensities,
     propagate,
     wrap_angle,
 )
 from conftest import random_program
+from oracles import full_unitary
 
 ANGLES = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -93,64 +91,6 @@ class TestCellUnitary:
         assert wrap_angle(np.pi) == pytest.approx(np.pi)
 
 
-class TestApplyCell:
-    def test_wire_preserves_magnitudes(self, spec14):
-        rng = np.random.default_rng(5)
-        state = rng.normal(size=14) + 1j * rng.normal(size=14)
-        state /= np.linalg.norm(state)
-        out = apply_cell(state, CellCoord(1, 7), RbsSetting(np.pi, 0.0))
-        assert np.abs(intensities(out) - intensities(state)).max() < 1e-12
-
-    def test_hadamard_splits_bottom_input(self):
-        state = np.zeros(4, dtype=complex)
-        state[2] = 1.0  # bottom mode of cell (2, 3)
-        out = apply_cell(state, CellCoord(1, 2), RbsSetting(np.pi / 2, 0.0))
-        assert abs(out[1] - 1 / np.sqrt(2)) < 1e-12
-        assert abs(out[2] + 1 / np.sqrt(2)) < 1e-12
-
-    def test_hadamard_is_involution_on_pair(self):
-        state = np.zeros(4, dtype=complex)
-        state[1] = state[2] = 1 / np.sqrt(2)
-        out = apply_cell(state, CellCoord(1, 2), RbsSetting(np.pi / 2, 0.0))
-        assert abs(out[1] - 1.0) < 1e-12
-        assert abs(out[2]) < 1e-12
-
-    def test_out_of_range_cell(self):
-        with pytest.raises(IndexError):
-            apply_cell(np.zeros(4, dtype=complex), CellCoord(1, 4), RbsSetting(0, 0))
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(6)
-        state = rng.normal(size=6) + 1j * rng.normal(size=6)
-        state /= np.linalg.norm(state)
-        out = apply_cell(state, CellCoord(1, 3),
-                         RbsSetting(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi)))
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-
-
-class TestApplyPhaseLayer:
-    def test_zero_is_identity(self):
-        state = np.arange(1, 5, dtype=complex) / np.sqrt(30)
-        out = apply_phase_layer(state, np.zeros(4))
-        assert np.array_equal(out, state)
-
-    def test_global_phase_leaves_intensities(self):
-        state = np.arange(1, 5, dtype=complex) / np.sqrt(30)
-        out = apply_phase_layer(state, np.full(4, 1.234))
-        assert np.abs(intensities(out) - intensities(state)).max() < 1e-12
-
-    @settings(max_examples=50)
-    @given(st.lists(ANGLES, min_size=4, max_size=4))
-    def test_never_changes_intensities(self, phases):
-        state = np.array([0.5, 0.5j, -0.5, 0.5]) * np.exp(0.3j)
-        out = apply_phase_layer(state, np.array(phases))
-        assert np.abs(intensities(out) - intensities(state)).max() < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_phase_layer(np.zeros(4, dtype=complex), np.zeros(3))
-
-
 class TestPropagate:
     def test_all_wires_route_straight(self, spec14):
         program = random_program(spec14, np.random.default_rng(0))
@@ -197,6 +137,8 @@ class TestPropagate:
             propagate(spec14, qw_program, up_to_layer=8)
         with pytest.raises(ValueError):
             propagate(spec14, qw_program, input_mode=0)
+        with pytest.raises(ValueError, match="phase screens"):
+            propagate(spec14, type(qw_program)(qw_program.cell_settings, np.zeros((14, 6))))
 
 
 class TestFullUnitary:
