@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshwalk import (
     CellCoord,
     Half,
+    MeshProgram,
     MeshSpec,
     RbsSetting,
     build_symmetric_qw,
@@ -28,6 +29,21 @@ def assert_up_to_global_phase(a, b, tol=1e-12):
     phase = a[k] / b[k]
     assert abs(abs(phase) - 1.0) < tol
     assert np.abs(a - phase * b).max() < tol
+
+
+def one_layer_transfer(num_modes, setting, screen=None):
+    """Transfer matrix of a depth-1 mesh, one propagation per input mode.
+
+    The single cell couples modes ``num_modes/2`` and ``num_modes/2 + 1``;
+    ``screen`` (default zeros) is the phase screen after it.
+    """
+    spec = MeshSpec(num_modes=num_modes, depth=1)
+    if screen is None:
+        screen = np.zeros(num_modes)
+    program = MeshProgram({CellCoord(1, num_modes // 2): setting},
+                          np.asarray(screen, dtype=float)[:, None])
+    return np.column_stack([propagate(spec, program, input_mode=j)
+                            for j in range(1, num_modes + 1)])
 
 
 class TestMeshSpec:
@@ -89,6 +105,69 @@ class TestCellUnitary:
         assert abs(s.theta - np.pi) < 1e-12
         assert abs(s.phi - np.pi) < 1e-12  # -pi wraps to the closed end
         assert wrap_angle(np.pi) == pytest.approx(np.pi)
+
+
+class TestApplyCell:
+    def test_wire_preserves_magnitudes(self, spec14):
+        rng = np.random.default_rng(5)
+        state = rng.normal(size=14) + 1j * rng.normal(size=14)
+        state /= np.linalg.norm(state)
+        out = one_layer_transfer(14, RbsSetting(np.pi, 0.0)) @ state
+        assert np.abs(intensities(out) - intensities(state)).max() < 1e-12
+
+    def test_hadamard_splits_bottom_input(self):
+        state = np.zeros(4, dtype=complex)
+        state[2] = 1.0  # bottom mode of cell (1, 2)
+        out = one_layer_transfer(4, RbsSetting(np.pi / 2, 0.0)) @ state
+        assert abs(out[1] - 1 / np.sqrt(2)) < 1e-12
+        assert abs(out[2] + 1 / np.sqrt(2)) < 1e-12
+
+    def test_hadamard_is_involution_on_pair(self):
+        state = np.zeros(4, dtype=complex)
+        state[1] = state[2] = 1 / np.sqrt(2)
+        out = one_layer_transfer(4, RbsSetting(np.pi / 2, 0.0)) @ state
+        assert abs(out[1] - 1.0) < 1e-12
+        assert abs(out[2]) < 1e-12
+
+    def test_norm_preserved(self):
+        rng = np.random.default_rng(6)
+        state = rng.normal(size=6) + 1j * rng.normal(size=6)
+        state /= np.linalg.norm(state)
+        setting = RbsSetting(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
+        out = one_layer_transfer(6, setting) @ state
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+class TestApplyPhaseLayer:
+    """The phase screen acts after the cells: compare against a zero screen."""
+
+    def test_zero_is_identity(self):
+        setting = RbsSetting(0.7, -1.9)
+        cell = np.eye(4, dtype=complex)
+        cell[1:3, 1:3] = cell_unitary(setting)
+        assert np.array_equal(one_layer_transfer(4, setting), cell)
+
+    def test_global_phase_leaves_intensities(self):
+        state = np.arange(1, 5, dtype=complex) / np.sqrt(30)
+        setting = RbsSetting(0.7, -1.9)
+        out = one_layer_transfer(4, setting, np.full(4, 1.234)) @ state
+        bare = one_layer_transfer(4, setting) @ state
+        assert np.abs(out - np.exp(1.234j) * bare).max() < 1e-12
+        assert np.abs(intensities(out) - intensities(bare)).max() < 1e-12
+
+    @settings(max_examples=50)
+    @given(st.lists(ANGLES, min_size=4, max_size=4))
+    def test_never_changes_intensities(self, phases):
+        state = np.array([0.5, 0.5j, -0.5, 0.5]) * np.exp(0.3j)
+        setting = RbsSetting(0.7, -1.9)
+        out = one_layer_transfer(4, setting, phases) @ state
+        bare = one_layer_transfer(4, setting) @ state
+        assert np.abs(intensities(out) - intensities(bare)).max() < 1e-12
+
+    def test_length_mismatch(self):
+        program = MeshProgram({CellCoord(1, 2): RbsSetting(0.0, 0.0)}, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="phase screens"):
+            propagate(MeshSpec(num_modes=4, depth=1), program)
 
 
 class TestPropagate:
