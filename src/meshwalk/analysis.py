@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ensemble import EnsembleResult
 
@@ -104,6 +103,9 @@ def fit_distribution(d, family: FitFamily, pin_location: float | None = None,
     the amplitude is free; ``unit_area=True`` instead constrains the model's
     discrete sum over the modes to 1.
     """
+    # Imported here: only fits need scipy, and every CLI command imports this module.
+    from scipy.optimize import minimize
+
     d = _as_distribution(d)
     m = d.shape[0]
     if m < 4:

@@ -79,6 +79,13 @@ def _mesh(args) -> MeshSpec:
         raise UsageError(str(exc))
 
 
+def _plan(spec: MeshSpec, grid, args, **kwargs) -> SweepPlan:
+    try:
+        return SweepPlan(spec, tuple(grid), args.n, args.seed, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 def _print_distribution(mean, std_error, header: str) -> None:
     print(header)
     print("mode    mean         std_error")
@@ -106,7 +113,7 @@ def _write_matrix(path: str, matrix: np.ndarray, row_labels, col_labels,
 def cmd_walk(args) -> int:
     spec = _mesh(args)
     level = _level(args.ctid, args.ctd)
-    plan = SweepPlan(spec, (level,), args.n, args.seed)
+    plan = _plan(spec, (level,), args)
     out = _out_path(f"walk_ctid{args.ctid:g}_ctd{args.ctd:g}_n{args.n}.json", args.out)
     result = run_sweep(plan, out_path=out, workers=args.workers)
     result.write_csv(out + ".csv")
@@ -124,7 +131,7 @@ def cmd_tomography(args) -> int:
     spec = _mesh(args)
     level = _level(args.ctid, args.ctd)
     layers = tuple(range(1, spec.depth + 1))
-    plan = SweepPlan(spec, (level,), args.n, args.seed, read_layers=layers)
+    plan = _plan(spec, (level,), args, read_layers=layers)
     out = _out_path(f"tomo_ctid{args.ctid:g}_ctd{args.ctd:g}_n{args.n}.json", args.out)
     result = run_sweep(plan, out_path=out, workers=args.workers)
     result.write_csv(out + ".csv")
@@ -146,7 +153,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"bad --grid {args.grid!r}; expected e.g. 20x20")
     if n_tid < 1 or n_td < 1:
         raise UsageError("grid dimensions must be >= 1")
-    plan = SweepPlan(spec, tuple(make_grid(n_tid, n_td)), args.n, args.seed)
+    plan = _plan(spec, make_grid(n_tid, n_td), args)
     out = _out_path(f"sweep_{n_tid}x{n_td}_n{args.n}.json", args.out)
     result = run_sweep(plan, out_path=out, workers=args.workers, resume=args.resume,
                        progress=(lambda done, total:
@@ -184,7 +191,7 @@ def _run_slice(args, spec: MeshSpec, enhance: list[int], deplete: list[int],
     rows = np.linspace(0.0, 1.0, args.points)
     used = float(rows[np.argmin(np.abs(rows - args.ctid))])
     grid = tuple(DisorderSpec(used, float(td)) for td in rows)
-    plan = SweepPlan(spec, grid, args.n, args.seed)
+    plan = _plan(spec, grid, args)
     out = _out_path(default_name, args.out)
     result = run_sweep(plan, out_path=out + ".result.json", workers=args.workers)
     report = analysis.detect_enaqt(result, args.ctid, enhance, deplete,

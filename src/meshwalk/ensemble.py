@@ -2,10 +2,11 @@
 
 A sweep evaluates a grid of disorder levels; each level propagates N
 independently-seeded realizations and reduces them to a per-mode ensemble
-mean and standard error.  Realizations run in fixed-size chunks: their
-fields come from :func:`~meshwalk.programs.draw_fields`, their screens from
-:func:`~meshwalk.programs.compose_screens`, and the whole chunk goes through
-the one propagation kernel, :func:`~meshwalk.lattice.evolve`, at once.
+mean and standard error.  Realizations run in fixed-size chunks: a chunk's
+fields come from one :func:`~meshwalk.programs.draw_block` call, its screens
+from :func:`~meshwalk.programs.compose_screens`, and the whole chunk goes
+through the one propagation kernel, :func:`~meshwalk.lattice.evolve`, at
+once, with layer matrices built once per run.
 Every realization's stream is derived from
 ``(master_seed, level_index, realization_index)``, each level is reduced in
 fixed realization order with exact compensated summation, and records are
@@ -39,10 +40,9 @@ from .programs import (
     GENERATOR_IDENTITY,
     DisorderSpec,
     MeshProgram,
-    SeedProvenance,
     SymmetryPolicy,
     compose_screens,
-    draw_fields,
+    draw_block,
 )
 
 DOCUMENT_FORMAT = "meshwalk-sweep-result/1"
@@ -89,6 +89,8 @@ class SweepPlan:
     def __post_init__(self):
         if self.realizations_per_level < 1:
             raise ValueError("realizations_per_level must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.grid:
             raise ValueError("grid must be non-empty")
         object.__setattr__(self, "grid", tuple(self.grid))
@@ -225,13 +227,7 @@ class EnsembleResult:
 def _sample_block(num_modes: int, depth: int, master_seed: int, level_index: int,
                   lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw uniform(-pi, pi) fields for realizations lo..hi-1, unscaled."""
-    count = hi - lo
-    static = np.empty((count, num_modes))
-    dynamic = np.empty((count, num_modes, depth))
-    for r in range(lo, hi):
-        static[r - lo], dynamic[r - lo] = draw_fields(
-            SeedProvenance(master_seed, level_index, r), num_modes, depth)
-    return static, dynamic
+    return draw_block(master_seed, level_index, lo, hi, num_modes, depth)
 
 
 def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray,
@@ -248,28 +244,32 @@ def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray
     return stacks
 
 
-def _level_intensity_stacks(spec: MeshSpec, program: MeshProgram, level: DisorderSpec,
-                            n: int, master_seed: int, level_index: int,
-                            read_layers: tuple[int, ...],
+def _program_matrices(spec: MeshSpec, program: MeshProgram) -> list[np.ndarray]:
+    """The program's layer matrices, built once for every level that runs it."""
+    if not program.covers(spec):
+        raise ValueError("program does not cover the mesh spec")
+    return _layer_matrices(spec, program)
+
+
+def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray,
+                            level: DisorderSpec, n: int, master_seed: int,
+                            level_index: int, read_layers: tuple[int, ...],
                             policy: SymmetryPolicy) -> dict[int, np.ndarray]:
     """Per-realization intensities of one level, in realization order.
 
-    Returns, for each requested read layer, an (n, num_modes) float array.
-    Realizations are processed in fixed-size chunks regardless of worker
-    count, so the stacking order never varies.
+    ``mats`` are the program's layer matrices and ``screens`` its phase
+    screens.  Returns, for each requested read layer, an (n, num_modes)
+    float array.  Realizations are processed in fixed-size chunks regardless
+    of worker count, so the stacking order never varies.
     """
     m, depth = spec.num_modes, spec.depth
-    if not program.covers(spec):
-        raise ValueError("program does not cover the mesh spec")
-    mats = _layer_matrices(spec, program)
     stacks = {t: np.empty((n, m)) for t in read_layers}
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         static, dynamic = _sample_block(m, depth, master_seed, level_index, lo, hi)
-        screens = compose_screens(program.phase_screens, level.c_tid * static,
-                                  level.c_td * dynamic, policy)
-        for t, stack in _propagate_block(spec, mats, screens, read_layers).items():
+        total = compose_screens(screens, level.c_tid * static, level.c_td * dynamic, policy)
+        for t, stack in _propagate_block(spec, mats, total, read_layers).items():
             stacks[t][lo:hi] = stack
     return stacks
 
@@ -294,14 +294,15 @@ def run_level(spec: MeshSpec, program: MeshProgram, level: DisorderSpec, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     layer = read_layer if read_layer is not None else spec.depth
-    stacks = _level_intensity_stacks(spec, program, level, n, master_seed,
+    stacks = _level_intensity_stacks(spec, _program_matrices(spec, program),
+                                     program.phase_screens, level, n, master_seed,
                                      level_index, (layer,), policy)
     return _reduce(stacks[layer])
 
 
 def _level_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    spec, program, level, level_index, n, master_seed, read_layers, policy = args
-    stacks = _level_intensity_stacks(spec, program, level, n, master_seed,
+    spec, mats, screens, level, level_index, n, master_seed, read_layers, policy = args
+    stacks = _level_intensity_stacks(spec, mats, screens, level, n, master_seed,
                                      level_index, read_layers, policy)
     return level_index, {t: _reduce(stack) for t, stack in stacks.items()}
 
@@ -362,6 +363,7 @@ def run_sweep(plan: SweepPlan, program: MeshProgram | None = None,
 
     if program is None:
         program = build_symmetric_qw(plan.spec)
+    mats = _program_matrices(plan.spec, program)
     plan_hash = plan.hash()
     io_errors: list[str] = []
 
@@ -383,7 +385,7 @@ def run_sweep(plan: SweepPlan, program: MeshProgram | None = None,
             ckpt = None
 
     pending = [
-        (plan.spec, program, level, idx, plan.realizations_per_level,
+        (plan.spec, mats, program.phase_screens, level, idx, plan.realizations_per_level,
          plan.master_seed, plan.read_layers, plan.policy)
         for idx, level in enumerate(plan.grid)
         if any((idx, t) not in done for t in plan.read_layers)

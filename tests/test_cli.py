@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meshwalk import DisorderSpec, EnsembleResult, LevelRecord, MeshSpec, SweepPlan
+import meshwalk
 from meshwalk import ensemble
 from meshwalk.cli import main
 
@@ -45,6 +49,25 @@ def test_usage_errors_exit_one(outdir, capsys):
     assert main(["slice", "--enhance", "5;10"]) == 1
     assert main(["walk", "--modes", "9"]) == 1
     assert main(["nonsense"]) == 1
+
+
+def test_negative_seed_exits_one(outdir, capsys):
+    commands = (["walk"], ["tomography"], ["sweep", "--grid", "2x2"], ["slice"],
+                ["deep", "--depth", "3"])
+    for command in commands:
+        assert main(command + ["--seed", "-1", "--n", "5"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(commands)
+    assert all(line.startswith("usage error:") and "master_seed" in line for line in lines)
+    assert not list(outdir.iterdir())
+
+
+def test_import_leaves_scipy_unloaded():
+    # Only the fit needs scipy; the other commands must not pay for importing it.
+    code = "import sys, meshwalk.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(meshwalk.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_runtime_error_exits_two(outdir):

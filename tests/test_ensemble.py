@@ -52,8 +52,9 @@ class TestRunLevel:
             signs = np.ones(14)
             if policy is SymmetryPolicy.MIRRORED_SIGN:
                 signs[7:] = -1.0
-            stacks = _level_intensity_stacks(spec14, program, level, n, 555, 3, layers,
-                                             policy)
+            stacks = _level_intensity_stacks(spec14, _layer_matrices(spec14, program),
+                                             program.phase_screens, level, n, 555, 3,
+                                             layers, policy)
             for r in range(n):
                 rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((555, 3, r))))
                 static = level.c_tid * rng.uniform(-np.pi, np.pi, 14)
@@ -85,6 +86,8 @@ class TestSweepPlan:
             SweepPlan(spec14, (DisorderSpec(0, 0),), 0, 1)
         with pytest.raises(ValueError):
             SweepPlan(spec14, (DisorderSpec(0, 0),), 5, 1, read_layers=(8,))
+        with pytest.raises(ValueError, match="master_seed"):
+            SweepPlan(spec14, (DisorderSpec(0, 0),), 5, -1)
 
     def test_default_read_layer_is_final(self, spec14):
         plan = SweepPlan(spec14, (DisorderSpec(0, 0),), 5, 1)
@@ -241,3 +244,16 @@ class TestThroughput:
         _propagate_block(spec14, mats, screens, (7,))
         per_prop = (time.perf_counter() - start) / n
         assert per_prop < 10e-6, f"{per_prop * 1e6:.2f} us per propagation"
+
+    def test_sample_block_under_ten_microseconds(self):
+        # Performance target for rebuilding the per-realization streams (the
+        # *sample* stage) on the default 14x7 cone, one full chunk, best of 3.
+        n = 8192
+        _sample_block(14, 7, 1, 0, 0, 100)  # warm up
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            _sample_block(14, 7, 1, 0, 0, n)
+            best = min(best, time.perf_counter() - start)
+        per_real = best / n
+        assert per_real < 10e-6, f"{per_real * 1e6:.2f} us per realization"

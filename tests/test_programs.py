@@ -18,6 +18,7 @@ from meshwalk import (
     propagate,
     sample_realization,
 )
+from meshwalk.programs import draw_block
 from oracles import ks_uniform_statistic
 
 
@@ -81,6 +82,48 @@ class TestSampleRealization:
             draws.append(real.static_phases)
         samples = np.concatenate(draws)[:need]
         assert ks_uniform_statistic(samples, -np.pi, np.pi) < 0.01
+
+
+def generator_fields(seed, level, r, num_modes, depth):
+    """The stream of GENERATOR_IDENTITY, built the documented way, one realization."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, level, r))))
+    buf = rng.uniform(-np.pi, np.pi, num_modes * (depth + 1))
+    return buf[:num_modes], buf[num_modes:].reshape(num_modes, depth)
+
+
+class TestDrawBlock:
+    # Seeds and levels of one to four SeedSequence words, including the
+    # word boundaries 2**32 - 1 / 2**32 and an entropy longer than the pool.
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 7, 10**30, 1_020_170_301)
+    LEVELS = (0, 1, 399, 2**33)
+
+    def assert_block_matches(self, seed, level, lo, hi, num_modes, depth):
+        static, dynamic = draw_block(seed, level, lo, hi, num_modes, depth)
+        assert static.shape == (hi - lo, num_modes)
+        assert dynamic.shape == (hi - lo, num_modes, depth)
+        for i, r in enumerate(range(lo, hi)):
+            want_static, want_dynamic = generator_fields(seed, level, r, num_modes, depth)
+            assert np.array_equal(static[i], want_static), (seed, level, r)
+            assert np.array_equal(dynamic[i], want_dynamic), (seed, level, r)
+
+    @pytest.mark.parametrize("num_modes, depth", [(14, 7), (30, 15)])
+    def test_bit_identical_to_generator(self, num_modes, depth):
+        for seed in self.SEEDS:
+            for level in self.LEVELS:
+                self.assert_block_matches(seed, level, 0, 3, num_modes, depth)
+                self.assert_block_matches(seed, level, 397, 399, num_modes, depth)
+
+    def test_chunk_straddling_two_word_realization_index(self):
+        # The realization index gains a SeedSequence word at 2**32.
+        for seed in (0, 10**30):
+            self.assert_block_matches(seed, 5, 2**32 - 3, 2**32 + 3, 14, 7)
+
+    def test_empty_and_invalid_ranges(self):
+        static, dynamic = draw_block(1, 0, 4, 4, 14, 7)
+        assert static.shape == (0, 14) and dynamic.shape == (0, 14, 7)
+        for args in ((-1, 0, 0, 1), (1, -1, 0, 1), (1, 0, -1, 1), (1, 0, 3, 2)):
+            with pytest.raises(ValueError):
+                draw_block(*args, 14, 7)
 
 
 class TestApplyDisorder:
