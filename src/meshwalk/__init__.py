@@ -29,7 +29,6 @@ from .lattice import (
     INPUT_SPLITTER,
     WIRE,
     CellCoord,
-    Half,
     MeshSpec,
     RbsSetting,
     cell_unitary,
@@ -39,16 +38,12 @@ from .lattice import (
 )
 from .programs import (
     GENERATOR_IDENTITY,
-    DisorderRealization,
     DisorderSpec,
     MeshProgram,
-    SeedProvenance,
     SymmetryPolicy,
-    apply_disorder,
     build_symmetric_qw,
     build_tomography_program,
     mode_signs,
-    sample_realization,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellCoord",
     "DegenerateDistributionError",
-    "DisorderRealization",
     "DisorderSpec",
     "EnaqtReport",
     "EnsembleResult",
@@ -64,17 +58,14 @@ __all__ = [
     "FitResult",
     "GENERATOR_IDENTITY",
     "HADAMARD",
-    "Half",
     "INPUT_SPLITTER",
     "LevelRecord",
     "MeshProgram",
     "MeshSpec",
     "RbsSetting",
-    "SeedProvenance",
     "SweepPlan",
     "SymmetryPolicy",
     "WIRE",
-    "apply_disorder",
     "build_symmetric_qw",
     "build_tomography_program",
     "cell_unitary",
@@ -86,7 +77,6 @@ __all__ = [
     "propagate",
     "run_level",
     "run_sweep",
-    "sample_realization",
     "similarity",
     "spread_exponent",
     "transport_efficiency",

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ensemble import EnsembleResult
+from .ensemble import EnsembleResult, LevelRecord
 
 
 class DegenerateDistributionError(ValueError):
@@ -218,6 +218,11 @@ def _check_modes(modes, num_modes: int) -> list[int]:
     return modes
 
 
+def _efficiency(record: LevelRecord, idx: list[int]) -> tuple[float, float]:
+    """Summed mean over the 0-based modes ``idx`` and its standard error."""
+    return float(record.mean[idx].sum()), float(np.sqrt((record.std_error[idx] ** 2).sum()))
+
+
 @dataclass(frozen=True)
 class TransportPoint:
     level_index: int
@@ -237,8 +242,7 @@ def transport_efficiency(result: EnsembleResult, modes,
     points = []
     for level_index in range(len(result.plan.grid)):
         rec = result.records[(level_index, layer)]
-        eta = float(rec.mean[idx].sum())
-        se = float(np.sqrt((rec.std_error[idx] ** 2).sum()))
+        eta, se = _efficiency(rec, idx)
         points.append(TransportPoint(level_index, rec.level.c_tid, rec.level.c_td,
                                      layer, eta, se))
     return points
@@ -260,49 +264,25 @@ class EnaqtReport:
     se_deplete: np.ndarray
     threshold: float
     # Optimum of the enhance curve over interior grid points:
-    best_index: int = 0
-    best_c_td: float = 0.0
-    rise: float = 0.0
-    rise_significance: float = 0.0
-    deplete_change: float = 0.0
-    deplete_significance: float = 0.0
+    best_index: int
+    best_c_td: float
+    rise: float
+    rise_significance: float
+    deplete_change: float
+    deplete_significance: float
     # Shape of the full curve:
-    argmax_index: int = 0
-    interior_maximum: bool = False
-    prominence: float = 0.0
-    prominence_significance: float = 0.0
-    downturn: float = 0.0
-    downturn_significance: float = 0.0
-    declared: bool = False
+    argmax_index: int
+    interior_maximum: bool
+    prominence: float
+    prominence_significance: float
+    downturn: float
+    downturn_significance: float
+    declared: bool
 
     def to_dict(self) -> dict:
-        out = {
-            "requested_c_tid": self.requested_c_tid,
-            "c_tid": self.c_tid,
-            "read_layer": self.read_layer,
-            "enhance_modes": self.enhance_modes,
-            "deplete_modes": self.deplete_modes,
-            "c_td": self.c_td.tolist(),
-            "eta_enhance": self.eta_enhance.tolist(),
-            "se_enhance": self.se_enhance.tolist(),
-            "eta_deplete": self.eta_deplete.tolist(),
-            "se_deplete": self.se_deplete.tolist(),
-            "threshold": self.threshold,
-            "best_index": self.best_index,
-            "best_c_td": self.best_c_td,
-            "rise": self.rise,
-            "rise_significance": self.rise_significance,
-            "deplete_change": self.deplete_change,
-            "deplete_significance": self.deplete_significance,
-            "argmax_index": self.argmax_index,
-            "interior_maximum": self.interior_maximum,
-            "prominence": self.prominence,
-            "prominence_significance": self.prominence_significance,
-            "downturn": self.downturn,
-            "downturn_significance": self.downturn_significance,
-            "declared": self.declared,
-        }
-        return out
+        """JSON-ready form: every field, arrays as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
     def to_rows(self) -> list[str]:
         """Flat CSV rows: the sweep schema plus the efficiency columns."""
@@ -355,11 +335,8 @@ def detect_enaqt(result: EnsembleResult, static_level: float, enhance_modes,
 
     c_td = np.array([grid[i].c_td for i in slice_levels])
     def curve(idx):
-        eta = np.array([float(result.records[(i, layer)].mean[idx].sum())
-                        for i in slice_levels])
-        se = np.array([float(np.sqrt((result.records[(i, layer)].std_error[idx] ** 2).sum()))
-                       for i in slice_levels])
-        return eta, se
+        eta, se = zip(*(_efficiency(result.records[(i, layer)], idx) for i in slice_levels))
+        return np.array(eta), np.array(se)
 
     eta_e, se_e = curve(eidx)
     eta_d, se_d = curve(didx)

@@ -65,25 +65,12 @@ def _parse_modes(text: str, num_modes: int) -> list[int]:
     return modes
 
 
-def _level(ctid: float, ctd: float) -> DisorderSpec:
+def _build(factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``, with its ``ValueError`` as a usage error."""
     try:
-        return DisorderSpec(ctid, ctd)
+        return factory(*args, **kwargs)
     except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _mesh(args) -> MeshSpec:
-    try:
-        return MeshSpec(args.modes, args.depth, args.inject)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _plan(spec: MeshSpec, grid, args, **kwargs) -> SweepPlan:
-    try:
-        return SweepPlan(spec, tuple(grid), args.n, args.seed, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(str(exc)) from None
 
 
 def _print_distribution(mean, std_error, header: str) -> None:
@@ -104,16 +91,16 @@ def _ascii_heatmap(matrix: np.ndarray) -> str:
 
 def _write_matrix(path: str, matrix: np.ndarray, row_labels, col_labels,
                   corner: str) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with ensemble._replacing(path) as fh:
         fh.write(corner + "," + ",".join(repr(float(c)) for c in col_labels) + "\n")
         for label, row in zip(row_labels, matrix):
             fh.write(repr(float(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def cmd_walk(args) -> int:
-    spec = _mesh(args)
-    level = _level(args.ctid, args.ctd)
-    plan = _plan(spec, (level,), args)
+    spec = _build(MeshSpec, args.modes, args.depth, args.inject)
+    level = _build(DisorderSpec, args.ctid, args.ctd)
+    plan = _build(SweepPlan, spec, (level,), args.n, args.seed)
     out = _out_path(f"walk_ctid{args.ctid:g}_ctd{args.ctd:g}_n{args.n}.json", args.out)
     result = run_sweep(plan, out_path=out, workers=args.workers)
     result.write_csv(out + ".csv")
@@ -128,10 +115,10 @@ def cmd_walk(args) -> int:
 
 
 def cmd_tomography(args) -> int:
-    spec = _mesh(args)
-    level = _level(args.ctid, args.ctd)
+    spec = _build(MeshSpec, args.modes, args.depth, args.inject)
+    level = _build(DisorderSpec, args.ctid, args.ctd)
     layers = tuple(range(1, spec.depth + 1))
-    plan = _plan(spec, (level,), args, read_layers=layers)
+    plan = _build(SweepPlan, spec, (level,), args.n, args.seed, read_layers=layers)
     out = _out_path(f"tomo_ctid{args.ctid:g}_ctd{args.ctd:g}_n{args.n}.json", args.out)
     result = run_sweep(plan, out_path=out, workers=args.workers)
     result.write_csv(out + ".csv")
@@ -146,14 +133,14 @@ def cmd_tomography(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = _mesh(args)
+    spec = _build(MeshSpec, args.modes, args.depth, args.inject)
     try:
         n_tid, n_td = (int(v) for v in args.grid.lower().split("x"))
     except ValueError:
         raise UsageError(f"bad --grid {args.grid!r}; expected e.g. 20x20")
     if n_tid < 1 or n_td < 1:
         raise UsageError("grid dimensions must be >= 1")
-    plan = _plan(spec, make_grid(n_tid, n_td), args)
+    plan = _build(SweepPlan, spec, make_grid(n_tid, n_td), args.n, args.seed)
     out = _out_path(f"sweep_{n_tid}x{n_td}_n{args.n}.json", args.out)
     result = run_sweep(plan, out_path=out, workers=args.workers, resume=args.resume,
                        progress=(lambda done, total:
@@ -186,20 +173,19 @@ def _run_slice(args, spec: MeshSpec, enhance: list[int], deplete: list[int],
                default_name: str) -> int:
     if args.points < 3:
         raise UsageError("--points must be >= 3")
-    if not 0.0 <= args.ctid <= 1.0:
-        raise UsageError(f"c_tid must lie in [0, 1], got {args.ctid}")
+    _build(DisorderSpec, args.ctid, 0.0)  # the requested row must be a valid c_tid
     rows = np.linspace(0.0, 1.0, args.points)
     used = float(rows[np.argmin(np.abs(rows - args.ctid))])
     grid = tuple(DisorderSpec(used, float(td)) for td in rows)
-    plan = _plan(spec, grid, args)
+    plan = _build(SweepPlan, spec, grid, args.n, args.seed)
     out = _out_path(default_name, args.out)
     result = run_sweep(plan, out_path=out + ".result.json", workers=args.workers)
     report = analysis.detect_enaqt(result, args.ctid, enhance, deplete,
                                    threshold=args.threshold)
-    with open(out, "w", newline="\n") as fh:
+    with ensemble._replacing(out) as fh:
         json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
         fh.write("\n")
-    with open(out + ".csv", "w", newline="\n") as fh:
+    with ensemble._replacing(out + ".csv") as fh:
         fh.write("\n".join(report.to_rows()) + "\n")
 
     print(f"slice at c_tid={report.c_tid:.6g} (requested {args.ctid:g}), "
@@ -226,7 +212,7 @@ def _run_slice(args, spec: MeshSpec, enhance: list[int], deplete: list[int],
 
 
 def cmd_slice(args) -> int:
-    spec = _mesh(args)
+    spec = _build(MeshSpec, args.modes, args.depth, args.inject)
     enhance = _parse_modes(args.enhance, spec.num_modes)
     deplete = _parse_modes(args.deplete, spec.num_modes)
     return _run_slice(args, spec, enhance, deplete,
@@ -237,10 +223,7 @@ def cmd_deep(args) -> int:
     if args.depth < 1:
         raise UsageError("--depth must be >= 1")
     modes = args.modes if args.modes else 2 * args.depth
-    try:
-        spec = MeshSpec(modes, args.depth, args.inject)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    spec = _build(MeshSpec, modes, args.depth, args.inject)
     offset = max(round(spec.depth / 3), 1)
     center_top = spec.num_modes // 2
     if args.enhance:

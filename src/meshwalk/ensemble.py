@@ -28,7 +28,6 @@ import hashlib
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -164,7 +163,6 @@ class LevelRecord:
 class EnsembleResult:
     plan: SweepPlan
     records: dict[tuple[int, int], LevelRecord]
-    metadata: dict = field(default_factory=dict)
     io_errors: list[str] = field(default_factory=list)
 
     def record(self, level_index: int, read_layer: int | None = None) -> LevelRecord:
@@ -199,11 +197,12 @@ class EnsembleResult:
             for rec in doc["records"]:
                 record = LevelRecord.from_dict(rec)
                 records[(record.level_index, record.read_layer)] = record
-            metadata = {"plan_hash": doc["plan_hash"], "generator": doc["generator"]}
-        except (KeyError, TypeError) as exc:
+            if doc["plan_hash"] != plan.hash():
+                raise ValueError(f"plan_hash {doc['plan_hash']!r} is not the plan's hash")
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed {DOCUMENT_FORMAT} document "
                              f"({type(exc).__name__}: {exc})") from None
-        return cls(plan, records, metadata=metadata)
+        return cls(plan, records)
 
     def to_rows(self) -> list[tuple[float, float, int, int, float, float]]:
         """Flat (c_tid, c_td, layer, mode, mean, std_error) rows, one per mode."""
@@ -244,13 +243,6 @@ def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray
     return stacks
 
 
-def _program_matrices(spec: MeshSpec, program: MeshProgram) -> list[np.ndarray]:
-    """The program's layer matrices, built once for every level that runs it."""
-    if not program.covers(spec):
-        raise ValueError("program does not cover the mesh spec")
-    return _layer_matrices(spec, program)
-
-
 def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray,
                             level: DisorderSpec, n: int, master_seed: int,
                             level_index: int, read_layers: tuple[int, ...],
@@ -268,7 +260,7 @@ def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], screens: np.
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         static, dynamic = _sample_block(m, depth, master_seed, level_index, lo, hi)
-        total = compose_screens(screens, level.c_tid * static, level.c_td * dynamic, policy)
+        total = compose_screens(screens, level, static, dynamic, policy)
         for t, stack in _propagate_block(spec, mats, total, read_layers).items():
             stacks[t][lo:hi] = stack
     return stacks
@@ -294,7 +286,7 @@ def run_level(spec: MeshSpec, program: MeshProgram, level: DisorderSpec, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     layer = read_layer if read_layer is not None else spec.depth
-    stacks = _level_intensity_stacks(spec, _program_matrices(spec, program),
+    stacks = _level_intensity_stacks(spec, _layer_matrices(spec, program),
                                      program.phase_screens, level, n, master_seed,
                                      level_index, (layer,), policy)
     return _reduce(stacks[layer])
@@ -363,7 +355,7 @@ def run_sweep(plan: SweepPlan, program: MeshProgram | None = None,
 
     if program is None:
         program = build_symmetric_qw(plan.spec)
-    mats = _program_matrices(plan.spec, program)
+    mats = _layer_matrices(plan.spec, program)
     plan_hash = plan.hash()
     io_errors: list[str] = []
 
@@ -420,18 +412,7 @@ def run_sweep(plan: SweepPlan, program: MeshProgram | None = None,
         if ckpt is not None:
             ckpt.close()
 
-    result = EnsembleResult(
-        plan,
-        records,
-        metadata={
-            "plan_hash": plan_hash,
-            "generator": GENERATOR_IDENTITY,
-            "numpy_version": np.__version__,
-            "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-            "n": plan.realizations_per_level,
-        },
-        io_errors=io_errors,
-    )
+    result = EnsembleResult(plan, records, io_errors=io_errors)
     if out_path:
         result.save(out_path)
     return result

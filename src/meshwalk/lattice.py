@@ -21,7 +21,6 @@ usual labeling of waveguides on chip schematics.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,14 +33,6 @@ def wrap_angle(x):
     return np.pi - np.mod(np.pi - np.asarray(x), TWO_PI)
 
 
-class Half(enum.Enum):
-    """Position of a cell relative to the cone's mirror axis."""
-
-    UPPER = "upper"
-    LOWER = "lower"
-    CENTER = "center"
-
-
 @dataclass(frozen=True, order=True)
 class CellCoord:
     """Location of one RBS cell: layer index and the coupled mode pair."""
@@ -52,13 +43,6 @@ class CellCoord:
     @property
     def bottom_mode(self) -> int:
         return self.top_mode + 1
-
-    def half(self, num_modes: int) -> Half:
-        if self.top_mode == num_modes // 2:
-            return Half.CENTER
-        if self.bottom_mode <= num_modes // 2:
-            return Half.UPPER
-        return Half.LOWER
 
 
 @dataclass(frozen=True)
@@ -140,7 +124,14 @@ def intensities(state: np.ndarray) -> np.ndarray:
 
 
 def layer_matrices(spec: MeshSpec, program, last: int | None = None) -> list[np.ndarray]:
-    """Stacked cell unitaries of layers 1..``last`` (default: all), top to bottom."""
+    """Stacked cell unitaries of layers 1..``last`` (default: all), top to bottom.
+
+    The one validity check of a program against ``spec``: its phase screens
+    must be (num_modes, depth) and it must set every cell of those layers.
+    """
+    shape = np.shape(program.phase_screens)
+    if shape != (spec.num_modes, spec.depth):
+        raise ValueError(f"phase screens shaped {shape}, expected {(spec.num_modes, spec.depth)}")
     mats = []
     for t in range(1, (spec.depth if last is None else last) + 1):
         units = []
@@ -204,13 +195,8 @@ def propagate(spec: MeshSpec, program, input_mode: int | None = None,
     last = spec.depth if up_to_layer is None else up_to_layer
     if not 1 <= last <= spec.depth:
         raise ValueError(f"up_to_layer {last} outside [1, {spec.depth}]")
-    screens = np.asarray(program.phase_screens, dtype=float)
-    if screens.shape != (spec.num_modes, spec.depth):
-        raise ValueError(
-            f"phase screens shaped {screens.shape}, expected {(spec.num_modes, spec.depth)}"
-        )
-
     mats = layer_matrices(spec, program, last)
+    screens = np.asarray(program.phase_screens, dtype=float)
     walker = replace(spec, injection_mode=input_mode)
     for _, state in evolve(walker, mats, screens[None], last):
         pass

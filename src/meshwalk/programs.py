@@ -26,14 +26,17 @@ bit-for-bit in any order, from any worker.  :func:`draw_block` rebuilds a
 whole chunk of those streams at once: it runs SeedSequence's pool hash and
 PCG64's seeding across the chunk (NEP 19; O'Neill 2014), then draws each
 realization through one reused PCG64, with no per-realization
-``SeedSequence`` or generator.  A realization alone is a chunk of one.
+``SeedSequence`` or generator.
+
+The disorder model is stated once: :func:`draw_block` is the stream layout,
+and :func:`compose_screens` the scaling, sign and wrapping that turn a
+chunk's drawn fields into its phase screens.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from .lattice import (
     wrap_angle,
 )
 
-#: How per-realization random streams are derived; recorded in result metadata.
+#: How per-realization random streams are derived; recorded in every result document.
 GENERATOR_IDENTITY = (
     "numpy.random.Generator(PCG64(SeedSequence((master_seed, level_index, "
     "realization_index)))): static uniform(-pi, pi, num_modes) then dynamic "
@@ -91,21 +94,6 @@ class DisorderSpec:
         for name, value in (("c_tid", self.c_tid), ("c_td", self.c_td)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
-class SeedProvenance(NamedTuple):
-    master_seed: int
-    level_index: int
-    realization_index: int
-
-
-@dataclass(frozen=True)
-class DisorderRealization:
-    """One sampled phase field: static per mode, dynamic per (mode, layer)."""
-
-    static_phases: np.ndarray   # (num_modes,)
-    dynamic_phases: np.ndarray  # (num_modes, depth)
-    seed_provenance: SeedProvenance
 
 
 # numpy.random.SeedSequence's pool hash (NEP 19), as in
@@ -222,32 +210,27 @@ def draw_block(master_seed: int, level_index: int, lo: int, hi: int, num_modes: 
     return buf[:, :num_modes], buf[:, num_modes:].reshape(hi - lo, num_modes, depth)
 
 
-def draw_fields(provenance: SeedProvenance, num_modes: int,
-                depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Static (num_modes,) and dynamic (num_modes, depth) fields of one realization."""
-    seed, level, r = provenance
-    static, dynamic = draw_block(seed, level, r, r + 1, num_modes, depth)
-    return static[0], dynamic[0]
+def compose_screens(screens: np.ndarray, level: DisorderSpec, static: np.ndarray,
+                    dynamic: np.ndarray, policy: SymmetryPolicy) -> np.ndarray:
+    """Phase screens with a level's disorder added: the disorder model.
 
+    ``static`` (..., num_modes) and ``dynamic`` (..., num_modes, depth) are
+    drawn fields (:func:`draw_block`), scaled here by the level's c_tid and
+    c_td.  They add on each waveguide; their wrapped sum enters with the
+    policy's mode sign, and the total is wrapped again.  Leading axes (one
+    per realization) broadcast against the (num_modes, depth) ``screens``.
 
-def sample_realization(spec: MeshSpec, disorder: DisorderSpec,
-                       provenance: SeedProvenance) -> DisorderRealization:
-    """Draw one realization; identical provenance reproduces it bit-for-bit."""
-    static, dynamic = draw_fields(provenance, spec.num_modes, spec.depth)
-    return DisorderRealization(disorder.c_tid * static, disorder.c_td * dynamic, provenance)
-
-
-def compose_screens(screens: np.ndarray, static: np.ndarray, dynamic: np.ndarray,
-                    policy: SymmetryPolicy) -> np.ndarray:
-    """Phase screens with scaled disorder fields added: the disorder model.
-
-    The static (..., num_modes) and dynamic (..., num_modes, depth) fields add
-    on each waveguide; their wrapped sum enters with the policy's mode sign,
-    and the total is wrapped again.  Leading axes (one per realization)
-    broadcast against the (num_modes, depth) ``screens``.
+    Reversing the applied screens mirrors the output exactly.  Under
+    MIRRORED_SIGN the antisymmetric signs mean that reversing only the drawn
+    fields does not: the mirrored realization has them reversed and negated.
     """
-    signs = mode_signs(static.shape[-1], policy)
-    return wrap_angle(screens + signs[:, None] * wrap_angle(static[..., None] + dynamic))
+    if static.shape[-1:] != screens.shape[:1] or dynamic.shape[-2:] != screens.shape:
+        raise ValueError(f"disorder fields shaped {static.shape}/{dynamic.shape} do not "
+                         f"match screens {screens.shape}")
+    signs = mode_signs(screens.shape[0], policy)
+    # One expression, so no name keeps the summed fields alive (peak memory).
+    return wrap_angle(screens + signs[:, None] * wrap_angle(
+        (level.c_tid * static)[..., None] + level.c_td * dynamic))
 
 
 @dataclass(frozen=True)
@@ -256,12 +239,6 @@ class MeshProgram:
 
     cell_settings: dict[CellCoord, RbsSetting]
     phase_screens: np.ndarray  # (num_modes, depth), radians
-
-    def covers(self, spec: MeshSpec) -> bool:
-        return all(c in self.cell_settings for c in spec.cells) and self.phase_screens.shape == (
-            spec.num_modes,
-            spec.depth,
-        )
 
     @property
     def depth(self) -> int:
@@ -292,31 +269,6 @@ def build_symmetric_qw(spec: MeshSpec) -> MeshProgram:
     for cell in spec.cells:
         settings[cell] = INPUT_SPLITTER if cell.layer == 1 else HADAMARD
     return MeshProgram(settings, np.zeros((spec.num_modes, spec.depth)))
-
-
-def apply_disorder(program: MeshProgram, realization: DisorderRealization,
-                   policy: SymmetryPolicy = SymmetryPolicy.MIRRORED_SIGN) -> MeshProgram:
-    """Add a disorder realization onto the program's phase screens.
-
-    The static and dynamic fields add on each waveguide; the wrapped sum is
-    applied with the policy's mode sign.  Cell settings are untouched.
-
-    Reversing the applied screens mirrors the output exactly.  Under
-    MIRRORED_SIGN the antisymmetric signs mean that reversing only the drawn
-    fields does not: the mirrored realization has them reversed and negated.
-    """
-    num_modes, depth = program.phase_screens.shape
-    if realization.static_phases.shape != (num_modes,) or realization.dynamic_phases.shape != (
-        num_modes,
-        depth,
-    ):
-        raise ValueError(
-            f"realization shaped {realization.static_phases.shape}/"
-            f"{realization.dynamic_phases.shape} does not match screens "
-            f"{program.phase_screens.shape}"
-        )
-    return replace(program, phase_screens=compose_screens(
-        program.phase_screens, realization.static_phases, realization.dynamic_phases, policy))
 
 
 def build_tomography_program(program: MeshProgram, read_layer: int) -> MeshProgram:

@@ -47,6 +47,7 @@ def test_usage_errors_exit_one(outdir, capsys):
     assert main(["walk", "--ctid", "1.5", "--n", "5"]) == 1
     assert main(["sweep", "--grid", "bogus"]) == 1
     assert main(["slice", "--enhance", "5;10"]) == 1
+    assert main(["slice", "--ctid", "1.5"]) == 1
     assert main(["walk", "--modes", "9"]) == 1
     assert main(["nonsense"]) == 1
 
@@ -83,6 +84,18 @@ def test_malformed_document_exits_two(outdir, capsys):
     assert main(["fit", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert "malformed" in err and "depth" in err and err.count("\n") == 1
+
+
+def test_document_of_another_plan_exits_two(outdir, capsys):
+    assert main(["walk", "--n", "3", "--out", "w.json", "--workers", "1"]) == 0
+    path = outdir / "w.json"
+    doc = json.loads(path.read_text())
+    doc["plan"]["master_seed"] += 1  # records no longer belong to the plan
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["fit", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed" in err and "plan_hash" in err and err.count("\n") == 1
 
 
 def test_broken_worker_pool_exits_two(outdir, capsys, monkeypatch):
@@ -157,6 +170,23 @@ def test_slice_declares_enaqt(outdir, capsys):
     assert (outdir / "sl.json.csv").read_text().startswith(
         "c_tid,c_td,layer,eta_enhance")
     assert "ENAQT declared: yes" in capsys.readouterr().out
+
+
+def test_failed_report_write_leaves_previous_report(outdir, capsys, monkeypatch):
+    args = ["slice", "--points", "3", "--n", "20", "--out", "r.json", "--workers", "1"]
+    assert main(args) == 0
+    before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    dump = json.dump
+
+    def dump_failing_on_report(obj, *rest, **kwargs):
+        if "declared" in obj:
+            raise OSError("disk full")
+        dump(obj, *rest, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump_failing_on_report)
+    assert main(args) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
 
 
 def test_slice_without_localization_not_declared(outdir, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from meshwalk import (
+    CellCoord,
     DisorderSpec,
     EnsembleResult,
     MeshProgram,
@@ -76,6 +77,22 @@ class TestRunLevel:
     def test_n_must_be_positive(self, spec14, qw_program):
         with pytest.raises(ValueError):
             run_level(spec14, qw_program, DisorderSpec(0, 0), 0, 1)
+
+    def test_invalid_program_rejected_by_layer_matrices(self, spec14, qw_program):
+        # run_level and run_sweep check a program where propagate does.
+        broken = dict(qw_program.cell_settings)
+        del broken[CellCoord(3, 7)]
+        missing = MeshProgram(broken, qw_program.phase_screens)
+        misshapen = MeshProgram(qw_program.cell_settings, np.zeros((14, 6)))
+        plan = SweepPlan(spec14, (DisorderSpec(0.5, 0.5),), 5, 1)
+        with pytest.raises(KeyError, match="layer=3"):
+            run_level(spec14, missing, DisorderSpec(0.5, 0.5), 5, 1)
+        with pytest.raises(KeyError, match="layer=3"):
+            run_sweep(plan, missing, workers=1)
+        with pytest.raises(ValueError, match="phase screens"):
+            run_level(spec14, misshapen, DisorderSpec(0.5, 0.5), 5, 1)
+        with pytest.raises(ValueError, match="phase screens"):
+            run_sweep(plan, misshapen, workers=1)
 
 
 class TestSweepPlan:

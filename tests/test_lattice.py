@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from meshwalk import (
     CellCoord,
-    Half,
     MeshProgram,
     MeshSpec,
     RbsSetting,
@@ -60,11 +59,6 @@ class TestMeshSpec:
                 assert cell.top_mode == 14 // 2 - t + 2 * k - 1
                 assert cell.bottom_mode == cell.top_mode + 1
                 assert 1 <= cell.top_mode and cell.bottom_mode <= 14
-
-    def test_half_classification(self, spec14):
-        assert CellCoord(1, 7).half(14) is Half.CENTER
-        assert CellCoord(2, 6).half(14) is Half.UPPER
-        assert CellCoord(2, 8).half(14) is Half.LOWER
 
     def test_cone_must_fit(self):
         with pytest.raises(ValueError):

@@ -5,21 +5,30 @@ from meshwalk import (
     HADAMARD,
     INPUT_SPLITTER,
     WIRE,
-    DisorderRealization,
     DisorderSpec,
+    MeshProgram,
     MeshSpec,
-    SeedProvenance,
     SymmetryPolicy,
-    apply_disorder,
     build_symmetric_qw,
     build_tomography_program,
     intensities,
     mode_signs,
     propagate,
-    sample_realization,
 )
-from meshwalk.programs import draw_block
+from meshwalk.programs import compose_screens, draw_block
 from oracles import ks_uniform_statistic
+
+
+def one_realization(seed, level_index, r, num_modes=14, depth=7):
+    """Drawn static (num_modes,) and dynamic (num_modes, depth) fields of realization r."""
+    static, dynamic = draw_block(seed, level_index, r, r + 1, num_modes, depth)
+    return static[0], dynamic[0]
+
+
+def disordered(program, level, static, dynamic, policy=SymmetryPolicy.MIRRORED_SIGN):
+    """The program with one realization's disorder added to its screens."""
+    screens = compose_screens(program.phase_screens, level, static, dynamic, policy)
+    return MeshProgram(program.cell_settings, screens)
 
 
 class TestBuildSymmetricQw:
@@ -50,38 +59,41 @@ class TestDisorderSpec:
 
 
 class TestSampleRealization:
+    """A realization's drawn fields, and their scaling by the level."""
+
     def test_deterministic_bit_identical(self, spec14):
-        level = DisorderSpec(0.7, 0.3)
-        prov = SeedProvenance(123456789, 4, 71)
-        a = sample_realization(spec14, level, prov)
-        b = sample_realization(spec14, level, prov)
-        assert np.array_equal(a.static_phases, b.static_phases)
-        assert np.array_equal(a.dynamic_phases, b.dynamic_phases)
+        a = one_realization(123456789, 4, 71)
+        b = one_realization(123456789, 4, 71)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
+        # The same realization drawn inside a larger chunk.
+        static, dynamic = draw_block(123456789, 4, 60, 80, 14, 7)
+        assert np.array_equal(static[11], a[0])
+        assert np.array_equal(dynamic[11], a[1])
 
     def test_different_indices_differ(self, spec14):
-        level = DisorderSpec(1.0, 1.0)
-        a = sample_realization(spec14, level, SeedProvenance(1, 0, 0))
-        b = sample_realization(spec14, level, SeedProvenance(1, 0, 1))
-        assert not np.array_equal(a.static_phases, b.static_phases)
+        static, _ = draw_block(1, 0, 0, 2, 14, 7)
+        assert not np.array_equal(static[0], static[1])
 
     def test_scaling_by_coefficients(self, spec14):
-        prov = SeedProvenance(9, 0, 0)
-        full = sample_realization(spec14, DisorderSpec(1.0, 1.0), prov)
-        half = sample_realization(spec14, DisorderSpec(0.5, 0.25), prov)
-        assert np.abs(half.static_phases - 0.5 * full.static_phases).max() < 1e-15
-        assert np.abs(half.dynamic_phases - 0.25 * full.dynamic_phases).max() < 1e-15
+        # Each field alone, applied with zero screens and no sign flip.
+        static, dynamic = one_realization(9, 0, 0)
+        zeros = np.zeros((14, 7))
+
+        def applied(level, s, d):
+            return compose_screens(zeros, level, s, d, SymmetryPolicy.UNIFORM_SIGN)
+
+        full, half = DisorderSpec(1.0, 1.0), DisorderSpec(0.5, 0.25)
+        s_full, s_half = (applied(l, static, 0 * dynamic) for l in (full, half))
+        d_full, d_half = (applied(l, 0 * static, dynamic) for l in (full, half))
+        assert np.abs(s_half - 0.5 * s_full).max() < 1e-15
+        assert np.abs(d_half - 0.25 * d_full).max() < 1e-15
 
     def test_marginal_is_uniform(self, spec14):
         # 1e5 pooled static draws at full strength vs U[-pi, pi].
-        draws = []
         need = 100_000
-        per = spec14.num_modes
-        for r in range(need // per + 1):
-            real = sample_realization(spec14, DisorderSpec(1.0, 0.0),
-                                      SeedProvenance(2024, 0, r))
-            draws.append(real.static_phases)
-        samples = np.concatenate(draws)[:need]
-        assert ks_uniform_statistic(samples, -np.pi, np.pi) < 0.01
+        static, _ = draw_block(2024, 0, 0, need // spec14.num_modes + 1, 14, 7)
+        assert ks_uniform_statistic(static.ravel()[:need], -np.pi, np.pi) < 0.01
 
 
 def generator_fields(seed, level, r, num_modes, depth):
@@ -127,32 +139,33 @@ class TestDrawBlock:
 
 
 class TestApplyDisorder:
+    """The disorder model of compose_screens, applied to the program's screens."""
+
     def test_zero_disorder_is_identity(self, spec14, qw_program):
-        real = sample_realization(spec14, DisorderSpec(0.0, 0.0), SeedProvenance(5, 0, 0))
-        out = apply_disorder(qw_program, real)
+        out = disordered(qw_program, DisorderSpec(0.0, 0.0), *one_realization(5, 0, 0))
         assert np.array_equal(out.phase_screens, qw_program.phase_screens)
         assert out.cell_settings == qw_program.cell_settings
 
     def test_static_only_constant_across_layers(self, spec14, qw_program):
-        real = sample_realization(spec14, DisorderSpec(1.0, 0.0), SeedProvenance(6, 0, 0))
-        screens = apply_disorder(qw_program, real).phase_screens
+        screens = disordered(qw_program, DisorderSpec(1.0, 0.0),
+                             *one_realization(6, 0, 0)).phase_screens
         assert np.abs(screens - screens[:, :1]).max() < 1e-15
 
     def test_mirrored_sign_pattern(self, spec14, qw_program):
         signs = mode_signs(14, SymmetryPolicy.MIRRORED_SIGN)
         assert np.array_equal(signs, np.concatenate([np.ones(7), -np.ones(7)]))
-        real = sample_realization(spec14, DisorderSpec(0.4, 0.0), SeedProvenance(7, 0, 0))
-        mirrored = apply_disorder(qw_program, real).phase_screens
-        uniform = apply_disorder(qw_program, real,
-                                 policy=SymmetryPolicy.UNIFORM_SIGN).phase_screens
+        level, fields = DisorderSpec(0.4, 0.0), one_realization(7, 0, 0)
+        mirrored = disordered(qw_program, level, *fields).phase_screens
+        uniform = disordered(qw_program, level, *fields,
+                             policy=SymmetryPolicy.UNIFORM_SIGN).phase_screens
         assert np.abs(mirrored[:7] - uniform[:7]).max() < 1e-15
         assert np.abs(mirrored[7:] + uniform[7:]).max() < 1e-15
 
     def test_dimension_mismatch(self, qw_program):
-        bad = DisorderRealization(np.zeros(10), np.zeros((10, 7)),
-                                  SeedProvenance(0, 0, 0))
         with pytest.raises(ValueError):
-            apply_disorder(qw_program, bad)
+            disordered(qw_program, DisorderSpec(0.5, 0.5), np.zeros(10), np.zeros((10, 7)))
+        with pytest.raises(ValueError):
+            disordered(qw_program, DisorderSpec(0.5, 0.5), np.zeros(14), np.zeros((14, 6)))
 
     def test_mirrored_realization_mirrors_output(self, spec14, qw_program):
         # Reflecting the *applied* phase field about the cone axis reflects
@@ -162,19 +175,16 @@ class TestApplyDisorder:
         # is the drawn fields reversed and negated, under UNIFORM_SIGN just
         # reversed.
         level = DisorderSpec(0.8, 0.6)
+        static, dynamic = draw_block(33, 0, 0, 10, 14, 7)
         for policy in SymmetryPolicy:
             signs = mode_signs(14, policy)
             for r in range(10):
-                real = sample_realization(spec14, level, SeedProvenance(33, 0, r))
-                flipped = DisorderRealization(
-                    signs * (signs * real.static_phases)[::-1],
-                    signs[:, None] * (signs[:, None] * real.dynamic_phases)[::-1],
-                    real.seed_provenance,
-                )
-                dist = intensities(propagate(spec14, apply_disorder(qw_program, real, policy)))
-                dist_flipped = intensities(
-                    propagate(spec14, apply_disorder(qw_program, flipped, policy))
-                )
+                flipped = (signs * (signs * static[r])[::-1],
+                           signs[:, None] * (signs[:, None] * dynamic[r])[::-1])
+                dist = intensities(propagate(
+                    spec14, disordered(qw_program, level, static[r], dynamic[r], policy)))
+                dist_flipped = intensities(propagate(
+                    spec14, disordered(qw_program, level, *flipped, policy)))
                 # Each realization is itself asymmetric, so the check has teeth.
                 assert np.abs(dist - dist[::-1]).max() > 0.01
                 assert np.abs(dist_flipped - dist[::-1]).max() < 1e-12
@@ -216,13 +226,13 @@ class TestTomographyProgram:
 
     def test_matches_direct_intermediate_readout(self, spec14, qw_program):
         level = DisorderSpec(0.9, 0.7)
+        static, dynamic = draw_block(44, 0, 0, 5, 14, 7)
         for r in range(5):
-            real = sample_realization(spec14, level, SeedProvenance(44, 0, r))
-            disordered = apply_disorder(qw_program, real)
+            program = disordered(qw_program, level, static[r], dynamic[r])
             for layer in range(1, spec14.depth + 1):
-                routed = build_tomography_program(disordered, layer)
+                routed = build_tomography_program(program, layer)
                 via_wires = intensities(propagate(spec14, routed))
-                direct = intensities(propagate(spec14, disordered, up_to_layer=layer))
+                direct = intensities(propagate(spec14, program, up_to_layer=layer))
                 assert np.abs(via_wires - direct).max() < 1e-12
 
     def test_read_layer_out_of_range(self, qw_program):
