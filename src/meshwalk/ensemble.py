@@ -16,7 +16,8 @@ bit-identical no matter how many workers ran it.
 Persistence is one JSON document per sweep (plan echo, generator identity,
 one record per level and read layer) plus an optional flat CSV table.  A
 running sweep checkpoints each record to ``<out>.ckpt`` and can resume by
-skipping completed records after validating the plan hash.  Documents and
+skipping completed records after validating the plan hash; loading a
+document or a checkpoint checks every record against the plan.  Documents and
 tables are written to a temporary sibling and renamed into place, so a crash
 leaves the old file or the new one, never half of one.
 """
@@ -193,12 +194,13 @@ class EnsembleResult:
             raise ValueError(f"{path}: not a {DOCUMENT_FORMAT} document")
         try:
             plan = SweepPlan.from_dict(doc["plan"])
+            if doc["plan_hash"] != plan.hash():
+                raise ValueError(f"plan_hash {doc['plan_hash']!r} is not the plan's hash")
             records = {}
             for rec in doc["records"]:
                 record = LevelRecord.from_dict(rec)
+                _check_record(plan, record)
                 records[(record.level_index, record.read_layer)] = record
-            if doc["plan_hash"] != plan.hash():
-                raise ValueError(f"plan_hash {doc['plan_hash']!r} is not the plan's hash")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed {DOCUMENT_FORMAT} document "
                              f"({type(exc).__name__}: {exc})") from None
@@ -221,6 +223,22 @@ class EnsembleResult:
             fh.write(CSV_HEADER + "\n")
             for c_tid, c_td, layer, mode, mean, se in self.to_rows():
                 fh.write(f"{c_tid!r},{c_td!r},{layer},{mode},{mean!r},{se!r}\n")
+
+
+def _check_record(plan: SweepPlan, rec: LevelRecord) -> None:
+    """Raise ``ValueError`` unless ``rec`` is a record that ``plan`` produces."""
+    if rec.level_index not in range(len(plan.grid)):
+        raise ValueError(f"record level_index {rec.level_index!r} is not in the plan's "
+                         f"{len(plan.grid)} levels")
+    modes = (plan.spec.num_modes,)
+    for name, ok in (("(c_tid, c_td)", rec.level == plan.grid[rec.level_index]),
+                     ("n", rec.n == plan.realizations_per_level),
+                     ("read_layer", rec.read_layer in plan.read_layers),
+                     ("mean length", rec.mean.shape == modes),
+                     ("std_error length", rec.std_error.shape == modes)):
+        if not ok:
+            raise ValueError(f"record of level {rec.level_index}: {name} does not match "
+                             f"the plan")
 
 
 def _sample_block(num_modes: int, depth: int, master_seed: int, level_index: int,
@@ -299,13 +317,14 @@ def _level_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
     return level_index, {t: _reduce(stack) for t, stack in stacks.items()}
 
 
-def _read_checkpoint(path: str, plan_hash: str) -> dict[tuple[int, int], LevelRecord]:
-    """Records of a checkpoint file, whose torn final line is cut off.
+def _read_checkpoint(path: str, plan: SweepPlan) -> dict[tuple[int, int], LevelRecord]:
+    """Records of ``plan``'s checkpoint file, whose torn final line is cut off.
 
     A crash mid-append leaves the last line without its newline or not
     parsing; that line is truncated from the file, so later appends start on
-    a fresh line, and its level is recomputed.  A bad line anywhere else is
-    corruption and raises ``ValueError``.
+    a fresh line, and its level is recomputed.  A bad line anywhere else, or
+    a record that is not one of the plan's, is corruption and raises
+    ``ValueError``.
     """
     if not os.path.exists(path):
         return {}
@@ -323,6 +342,7 @@ def _read_checkpoint(path: str, plan_hash: str) -> dict[tuple[int, int], LevelRe
             if number < len(lines):
                 raise ValueError(f"{path}: corrupt checkpoint line {number}: {exc}") from None
             torn = True
+    plan_hash = plan.hash()
     if entries and entries[0].get("plan_hash") != plan_hash:
         raise ValueError(
             f"{path}: checkpoint belongs to a different plan "
@@ -334,7 +354,8 @@ def _read_checkpoint(path: str, plan_hash: str) -> dict[tuple[int, int], LevelRe
     for entry in entries[1:]:
         try:
             rec = LevelRecord.from_dict(entry)
-        except (KeyError, TypeError) as exc:
+            _check_record(plan, rec)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed checkpoint record "
                              f"({type(exc).__name__}: {exc})") from None
         records[(rec.level_index, rec.read_layer)] = rec
@@ -362,7 +383,7 @@ def run_sweep(plan: SweepPlan, program: MeshProgram | None = None,
     done: dict[tuple[int, int], LevelRecord] = {}
     ckpt_path = out_path + ".ckpt" if out_path else None
     if resume and ckpt_path:
-        done = _read_checkpoint(ckpt_path, plan_hash)
+        done = _read_checkpoint(ckpt_path, plan)
 
     ckpt = None
     if ckpt_path:

@@ -10,8 +10,11 @@ layers a per-mode phase screen acts on every waveguide.
 
 :func:`evolve` is the one propagation kernel: it pushes a batch of walkers
 through the cone layer by layer, in a mode-major (num_modes, walkers)
-complex state.  :func:`propagate` is a batch of one; the disorder ensembles
-run the same kernel over thousands of realizations at once.
+complex state.  At layer ``t`` only the live rows, the cone's ``2t`` modes
+plus the injection mode, can carry amplitude, so the phase screen's factors
+are computed and applied there alone; the rows outside stay exactly zero.
+:func:`propagate` is a batch of one; the disorder ensembles run the same
+kernel over thousands of realizations at once.
 
 A single walker's state is a complex vector of length ``num_modes`` (unit
 norm in this lossless model); intensity distributions are the squared
@@ -28,9 +31,25 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def wrap_angle(x):
-    """Wrap an angle (scalar or array) to the interval (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(x), TWO_PI)
+def wrap_angle(x, out=None):
+    """Wrap an angle (scalar or array) to the interval (-pi, pi].
+
+    The value is ``pi - mod(pi - x, 2 pi)`` bit for bit; ``out`` (which may
+    be ``x`` itself) receives an array result.  When every ``y = pi - x``
+    lies in [-pi, 3 pi], the mod is one conditional step of 2 pi: ``y - 2 pi``
+    is exact there (Sterbenz), and numpy's mod of a negative ``y`` is
+    ``y + 2 pi``.  A zero ``y`` may keep its sign where the mod gives +0, which
+    ``pi - y`` does not see.  Other arrays, and scalars, take ``np.mod``.
+    """
+    y = np.subtract(np.pi, x, out=out)
+    if not isinstance(y, np.ndarray):
+        return np.pi - np.mod(y, TWO_PI)
+    if y.size and -np.pi <= y.min() and y.max() <= 3 * np.pi:
+        np.subtract(y, TWO_PI, out=y, where=y >= TWO_PI)
+        np.add(y, TWO_PI, out=y, where=y < 0)
+    else:
+        np.mod(y, TWO_PI, out=y)
+    return np.subtract(np.pi, y, out=y)
 
 
 @dataclass(frozen=True, order=True)
@@ -157,16 +176,22 @@ def evolve(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray, last: in
     then its phase screen, and yields ``(t, state)``: ``state`` is the
     mode-major (num_modes, walkers) amplitude array, which the next layer
     updates in place, so read it before resuming.
+
+    Only the live rows of layer ``t`` can hold amplitude: its cells' modes
+    plus the injection mode, as one 0-based range ``[min(m/2 - t, inj),
+    max(m/2 + t, inj + 1))``.  Phase factors are computed and applied there
+    alone; every other row stays exactly +0.  Screens laid out (depth, mode,
+    walker) in memory, as :func:`~meshwalk.programs.compose_screens` returns
+    them, are read without a copy.
     """
     m = spec.num_modes
     count = screens.shape[0]
     phases = np.ascontiguousarray(screens.transpose(2, 1, 0))  # (depth, m, count)
-    factors = np.empty_like(phases, dtype=complex)
-    np.cos(phases, out=factors.real)
-    np.sin(phases, out=factors.imag)
+    factor = np.empty((m, count), dtype=complex)
 
+    inject = spec.injection_mode - 1
     state = np.zeros((m, count), dtype=complex)
-    state[spec.injection_mode - 1] = 1.0
+    state[inject] = 1.0
     for t in range(1, last + 1):
         start = m // 2 - t  # 0-based top mode of the layer's first cell
         cells = mats[t - 1]
@@ -176,7 +201,10 @@ def evolve(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray, last: in
             top = u[0, 0] * state[i] + u[0, 1] * state[i + 1]
             state[i + 1] = u[1, 0] * state[i] + u[1, 1] * state[i + 1]
             state[i] = top
-        state *= factors[t - 1]
+        live = slice(min(start, inject), max(m // 2 + t, inject + 1))
+        np.cos(phases[t - 1, live], out=factor.real[live])
+        np.sin(phases[t - 1, live], out=factor.imag[live])
+        state[live] *= factor[live]
         yield t, state
 
 

@@ -108,6 +108,8 @@ _XSHIFT = 16
 # PCG64's 128-bit LCG multiplier (O'Neill 2014; numpy/random/src/pcg64).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+# Realizations per step of compose_screens' transposing read.
+_TRANSPOSE_BLOCK = 256
 
 
 def _words(value: int) -> list[int]:
@@ -217,20 +219,37 @@ def compose_screens(screens: np.ndarray, level: DisorderSpec, static: np.ndarray
     ``static`` (..., num_modes) and ``dynamic`` (..., num_modes, depth) are
     drawn fields (:func:`draw_block`), scaled here by the level's c_tid and
     c_td.  They add on each waveguide; their wrapped sum enters with the
-    policy's mode sign, and the total is wrapped again.  Leading axes (one
-    per realization) broadcast against the (num_modes, depth) ``screens``.
+    policy's mode sign, and the total is wrapped again.  The fields share
+    their leading axes (one per realization), which broadcast against the
+    (num_modes, depth) ``screens``.
 
     Reversing the applied screens mirrors the output exactly.  Under
     MIRRORED_SIGN the antisymmetric signs mean that reversing only the drawn
     fields does not: the mirrored realization has them reversed and negated.
+
+    The composition runs in place in one new buffer laid out (depth, mode,
+    realization), the order :func:`~meshwalk.lattice.evolve` reads, and the
+    result is a (..., num_modes, depth) view of it.  Every element takes the
+    float steps of ``wrap(screens + sign * wrap(c_tid * static + c_td *
+    dynamic))`` in that order, so the bits do not depend on the layout.
     """
-    if static.shape[-1:] != screens.shape[:1] or dynamic.shape[-2:] != screens.shape:
+    if static.shape != dynamic.shape[:-1] or dynamic.shape[-2:] != screens.shape:
         raise ValueError(f"disorder fields shaped {static.shape}/{dynamic.shape} do not "
                          f"match screens {screens.shape}")
-    signs = mode_signs(screens.shape[0], policy)
-    # One expression, so no name keeps the summed fields alive (peak memory).
-    return wrap_angle(screens + signs[:, None] * wrap_angle(
-        (level.c_tid * static)[..., None] + level.c_td * dynamic))
+    m, depth = screens.shape
+    fields = dynamic.reshape(-1, m, depth)
+    count = len(fields)
+    total = np.empty((depth, m, count))
+    # The transposing read goes a block of realizations at a time, so the
+    # rows it reads stay cached while every (layer, mode) column is written.
+    for lo in range(0, count, _TRANSPOSE_BLOCK):
+        hi = lo + _TRANSPOSE_BLOCK
+        np.multiply(fields[lo:hi].T, level.c_td, out=total[:, :, lo:hi])
+    total += (level.c_tid * static.reshape(count, m)).T
+    wrap_angle(total, out=total)
+    total *= mode_signs(m, policy)[:, None]
+    total += screens.T[:, :, None]
+    return wrap_angle(total, out=total).T.reshape(dynamic.shape)
 
 
 @dataclass(frozen=True)
@@ -243,24 +262,6 @@ class MeshProgram:
     @property
     def depth(self) -> int:
         return self.phase_screens.shape[1]
-
-    def to_dict(self) -> dict:
-        """JSON-ready form used by the result store."""
-        return {
-            "cells": [
-                {"layer": c.layer, "top_mode": c.top_mode, "theta": s.theta, "phi": s.phi}
-                for c, s in sorted(self.cell_settings.items())
-            ],
-            "phase_screens": self.phase_screens.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MeshProgram":
-        settings = {
-            CellCoord(c["layer"], c["top_mode"]): RbsSetting(c["theta"], c["phi"])
-            for c in data["cells"]
-        }
-        return cls(settings, np.asarray(data["phase_screens"], dtype=float))
 
 
 def build_symmetric_qw(spec: MeshSpec) -> MeshProgram:

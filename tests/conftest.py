@@ -27,3 +27,13 @@ def random_program(spec: MeshSpec, rng: np.random.Generator) -> MeshProgram:
     }
     screens = rng.uniform(-np.pi, np.pi, (spec.num_modes, spec.depth))
     return MeshProgram(settings, screens)
+
+
+def mod_wrap(x):
+    """The angle wrap written out with numpy's mod on every element."""
+    return np.pi - np.mod(np.pi - x, 2 * np.pi)
+
+
+def bits(values) -> np.ndarray:
+    """Float64 values as their bit patterns, so -0.0 and +0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64)

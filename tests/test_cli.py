@@ -98,6 +98,18 @@ def test_document_of_another_plan_exits_two(outdir, capsys):
     assert "malformed" in err and "plan_hash" in err and err.count("\n") == 1
 
 
+def test_document_with_a_record_of_another_plan_exits_two(outdir, capsys):
+    assert main(["walk", "--ctid", "1", "--n", "200", "--out", "w.json", "--workers", "1"]) == 0
+    path = outdir / "w.json"
+    doc = json.loads(path.read_text())
+    doc["records"][0].update(level_index=5, c_tid=0.3, n=7)  # the plan hash still holds
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["fit", "--in", str(path), "--level-index", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "malformed" in err and "level_index 5" in err and err.count("\n") == 1
+
+
 def test_broken_worker_pool_exits_two(outdir, capsys, monkeypatch):
     class CrashingPool:
         def __init__(self, max_workers):

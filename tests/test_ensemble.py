@@ -9,10 +9,14 @@ from meshwalk import (
     DisorderSpec,
     EnsembleResult,
     MeshProgram,
+    MeshSpec,
     SweepPlan,
     SymmetryPolicy,
+    build_symmetric_qw,
+    cell_unitary,
     intensities,
     make_grid,
+    mode_signs,
     propagate,
     run_level,
     run_sweep,
@@ -24,8 +28,109 @@ from meshwalk.ensemble import (
     _propagate_block,
     _sample_block,
 )
-from conftest import random_program
+from meshwalk.programs import compose_screens
+from conftest import bits, mod_wrap, random_program
 from oracles import full_unitary, galton_distribution
+
+
+def full_array_stacks(spec, program, screens, read_layers):
+    """Intensity stacks of the kernel written out over the whole array.
+
+    ``screens`` is (walkers, num_modes, depth).  Every mode takes its phase
+    factor, cos and sin of every (mode, layer) cell, after each layer.
+    """
+    m = spec.num_modes
+    phases = np.ascontiguousarray(np.transpose(screens, (2, 1, 0)))
+    factors = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=factors.real)
+    np.sin(phases, out=factors.imag)
+    state = np.zeros((m, len(screens)), dtype=complex)
+    state[spec.injection_mode - 1] = 1.0
+    stacks = {}
+    for t in range(1, max(read_layers) + 1):
+        for cell in spec.layer_cells(t):
+            i, u = cell.top_mode - 1, cell_unitary(program.cell_settings[cell])
+            top = u[0, 0] * state[i] + u[0, 1] * state[i + 1]
+            state[i + 1] = u[1, 0] * state[i] + u[1, 1] * state[i + 1]
+            state[i] = top
+        state *= factors[t - 1]
+        if t in read_layers:
+            stacks[t] = (state.real**2 + state.imag**2).T
+    return stacks
+
+
+def full_array_screens(program, level, static, dynamic, policy):
+    """The disorder model with numpy's mod in both wraps."""
+    signs = mode_signs(program.phase_screens.shape[0], policy)
+    return mod_wrap(program.phase_screens + signs[:, None]
+                    * mod_wrap((level.c_tid * static)[..., None] + level.c_td * dynamic))
+
+
+class TestConeKernel:
+    """The light-cone kernel against the full-array one, bit for bit."""
+
+    # Default injection, modes 1 and num_modes, a mode outside the layer-1
+    # cell, and a mesh wider than its cone ever gets.
+    SPECS = (MeshSpec(), MeshSpec(14, 7, 1), MeshSpec(14, 7, 14), MeshSpec(14, 7, 3),
+             MeshSpec(20, 4, 2), MeshSpec(30, 15))
+
+    @staticmethod
+    def programs(spec, rng):
+        """The walk program, and random programs with screens in +-pi and +-50 rad.
+
+        Screens beyond +-pi send the outer wrap to its np.mod fallback.
+        """
+        walk = build_symmetric_qw(spec)
+        near, far = random_program(spec, rng), random_program(spec, rng)
+        far = MeshProgram(far.cell_settings,
+                          rng.uniform(-50.0, 50.0, (spec.num_modes, spec.depth)))
+        return walk, near, far
+
+    def test_level_stacks(self):
+        rng = np.random.default_rng(31)
+        level, n = DisorderSpec(0.842, 0.5), 300
+        for spec in self.SPECS:
+            layers = tuple(range(1, spec.depth + 1))
+            static, dynamic = _sample_block(spec.num_modes, spec.depth, 17, 2, 0, n)
+            for program in self.programs(spec, rng):
+                for policy in SymmetryPolicy:
+                    stacks = _level_intensity_stacks(
+                        spec, _layer_matrices(spec, program), program.phase_screens,
+                        level, n, 17, 2, layers, policy)
+                    screens = full_array_screens(program, level, static, dynamic, policy)
+                    expected = full_array_stacks(spec, program, screens, layers)
+                    for t in layers:
+                        assert np.array_equal(bits(stacks[t]), bits(expected[t])), (spec, t)
+
+    def test_propagate(self):
+        rng = np.random.default_rng(32)
+        for spec in self.SPECS:
+            for program in self.programs(spec, rng):
+                screens = program.phase_screens[None]
+                for mode in sorted({1, 3, spec.num_modes, spec.injection_mode}):
+                    walker = MeshSpec(spec.num_modes, spec.depth, mode)
+                    expected = full_array_stacks(walker, program, screens,
+                                                 range(1, spec.depth + 1))
+                    for t, stack in expected.items():
+                        out = intensities(propagate(spec, program, mode, up_to_layer=t))
+                        assert np.array_equal(bits(out), bits(stack[0])), (spec, mode, t)
+
+    def test_compose_screens_layout(self):
+        # The (realization, mode, layer) result is a view of one buffer laid
+        # out (layer, mode, realization), with the full-array model's bits.
+        static, dynamic = _sample_block(14, 7, 4, 0, 0, 600)
+        drawn = static.copy(), dynamic.copy()
+        program = random_program(MeshSpec(), np.random.default_rng(33))
+        level = DisorderSpec(0.3, 0.9)
+        for policy in SymmetryPolicy:
+            total = compose_screens(program.phase_screens, level, static, dynamic, policy)
+            assert total.shape == (600, 14, 7)
+            assert total.transpose(2, 1, 0).flags.c_contiguous
+            expected = full_array_screens(program, level, *drawn, policy)
+            assert np.array_equal(bits(total), bits(expected))
+        # The drawn fields are read, never written.
+        assert np.array_equal(bits(static), bits(drawn[0]))
+        assert np.array_equal(bits(dynamic), bits(drawn[1]))
 
 
 class TestRunLevel:
@@ -193,6 +298,29 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="different plan"):
             run_sweep(plan_b, out_path=str(out), workers=1, resume=True)
 
+    @pytest.mark.parametrize("edit", [
+        {"level_index": 5}, {"c_tid": 0.3}, {"n": 7}, {"read_layer": 3},
+        {"mean": [0.5, 0.5]}, {"std_error": [0.0] * 15},
+    ])
+    def test_records_checked_against_plan(self, spec14, tmp_path, edit):
+        # A record the plan does not produce is rejected on load and on resume.
+        plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 3)
+        out = tmp_path / "doc.json"
+        run_sweep(plan, out_path=str(out), workers=1)
+        doc = json.loads(out.read_text())
+        doc["records"][1].update(edit)
+        out.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed .* document"):
+            EnsembleResult.load(str(out))
+
+        ckpt = tmp_path / "doc.json.ckpt"
+        lines = ckpt.read_text().splitlines(keepends=True)
+        entry = json.loads(lines[2])
+        entry.update(edit)
+        ckpt.write_text("".join(lines[:2] + [json.dumps(entry) + "\n"] + lines[3:]))
+        with pytest.raises(ValueError, match="malformed checkpoint record"):
+            run_sweep(plan, out_path=str(out), workers=1, resume=True)
+
     def test_document_roundtrip(self, spec14, tmp_path):
         plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 25, 3, read_layers=(2, 7))
         out = tmp_path / "doc.json"
@@ -274,3 +402,27 @@ class TestThroughput:
             best = min(best, time.perf_counter() - start)
         per_real = best / n
         assert per_real < 10e-6, f"{per_real * 1e6:.2f} us per realization"
+
+    def test_deep_screens_and_propagate_under_thirty_microseconds(self):
+        # Performance target for the two stages that dominate a 30x15 level:
+        # composing one chunk's screens and propagating it, n = 2000, best of 3.
+        spec = MeshSpec(30, 15)
+        program = build_symmetric_qw(spec)
+        mats = _layer_matrices(spec, program)
+        level, policy = DisorderSpec(0.842, 0.5), SymmetryPolicy.MIRRORED_SIGN
+        n = 2000
+        static, dynamic = _sample_block(30, 15, 1, 0, 0, n)
+
+        def screens_and_propagate(count):
+            total = compose_screens(program.phase_screens, level, static[:count],
+                                    dynamic[:count], policy)
+            _propagate_block(spec, mats, total, (15,))
+
+        screens_and_propagate(100)  # warm up
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            screens_and_propagate(n)
+            best = min(best, time.perf_counter() - start)
+        per_real = best / n
+        assert per_real < 30e-6, f"{per_real * 1e6:.2f} us per realization"

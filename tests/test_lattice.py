@@ -14,7 +14,7 @@ from meshwalk import (
     propagate,
     wrap_angle,
 )
-from conftest import random_program
+from conftest import bits, mod_wrap, random_program
 from oracles import full_unitary
 
 ANGLES = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -43,6 +43,44 @@ def one_layer_transfer(num_modes, setting, screen=None):
                           np.asarray(screen, dtype=float)[:, None])
     return np.column_stack([propagate(spec, program, input_mode=j)
                             for j in range(1, num_modes + 1)])
+
+
+class TestWrapAngle:
+    # Multiples of pi up to 3 pi, both signs (0 gives +0 and -0), with their
+    # neighbouring floats; those beyond +-2 pi lie outside the branch range.
+    EDGES = np.array([s * k * np.pi for k in range(4) for s in (1.0, -1.0)])
+    EDGES = np.concatenate([EDGES, np.nextafter(EDGES, np.inf), np.nextafter(EDGES, -np.inf)])
+    OUTSIDE = np.array([7.0, -7.0, 50.0, -50.0, 1e6, -1e6, 1e300, -1e300])
+
+    def test_branch_form_is_mod_bit_for_bit(self, monkeypatch):
+        # x in [-2 pi, 2 pi] puts pi - x in the branch range [-pi, 3 pi].
+        rng = np.random.default_rng(5)
+        edges = self.EDGES[np.abs(self.EDGES) <= 2 * np.pi]
+        dense = np.concatenate([edges, rng.uniform(-2 * np.pi, 2 * np.pi, 100_000)])
+        expected_edges, expected_dense = mod_wrap(edges), mod_wrap(dense)
+        # The branch form must not fall back to np.mod on these values.
+        monkeypatch.setattr(np, "mod", None)
+        assert np.array_equal(bits(wrap_angle(dense)), bits(expected_dense))
+        for value, want in zip(edges, expected_edges):
+            assert bits(wrap_angle(np.array([value]))) == bits(want)
+
+    def test_every_value_matches_mod_bit_for_bit(self):
+        values = np.concatenate([self.EDGES, self.OUTSIDE])
+        expected = mod_wrap(values)
+        assert np.array_equal(bits(wrap_angle(values)), bits(expected))
+        for value, want in zip(values, expected):
+            assert bits(wrap_angle(value)) == bits(want)  # scalar
+            assert bits(wrap_angle(np.array([value]))) == bits(want)
+
+    def test_writes_into_its_input(self):
+        values = np.concatenate([self.EDGES, self.OUTSIDE])
+        inside = values[np.abs(values) <= 2 * np.pi]
+        # Contiguous in range, two-dimensional with a fallback, and strided.
+        for x in (inside.copy(), values.reshape(4, -1).copy(), np.repeat(values, 2)[::2]):
+            expected = mod_wrap(x)
+            result = wrap_angle(x, out=x)
+            assert result is x
+            assert np.array_equal(bits(x), bits(expected))
 
 
 class TestMeshSpec:
