@@ -21,7 +21,6 @@ from .ensemble import (
     LevelRecord,
     SweepPlan,
     make_grid,
-    run_level,
     run_sweep,
 )
 from .lattice import (
@@ -75,7 +74,6 @@ __all__ = [
     "make_grid",
     "mode_signs",
     "propagate",
-    "run_level",
     "run_sweep",
     "similarity",
     "spread_exponent",

@@ -36,22 +36,17 @@ def _as_distribution(d, name: str = "distribution") -> np.ndarray:
     return d
 
 
-def similarity(d1, d2, squared: bool = True) -> float:
+def similarity(d1, d2) -> float:
     """Overlap of two intensity distributions.
 
-    Default: both inputs are normalized to unit sum and the squared
-    Bhattacharyya coefficient ``(sum_i sqrt(p_i q_i))**2`` is returned,
-    bounded in [0, 1] with equality iff the normalized distributions match.
-    ``squared=False`` evaluates the raw literal form
-    ``sum sqrt(d1 d2) / (sum d1 * sum d2)`` instead, which coincides with
-    the unsquared coefficient for unit-sum inputs.
+    Both inputs are normalized to unit sum and the squared Bhattacharyya
+    coefficient ``(sum_i sqrt(p_i q_i))**2`` is returned, bounded in [0, 1]
+    with equality iff the normalized distributions match.
     """
     a = _as_distribution(d1, "d1")
     b = _as_distribution(d2, "d2")
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    if not squared:
-        return float(np.sqrt(a * b).sum() / (a.sum() * b.sum()))
     bc = float(np.sqrt((a / a.sum()) * (b / b.sum())).sum())
     return min(bc * bc, 1.0)
 
@@ -68,12 +63,6 @@ class FitResult:
     scale: float
     amplitude: float
     residual: float  # E = sum of squared residuals
-
-    def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.family is FitFamily.GAUSSIAN:
-            return self.amplitude * np.exp(-((x - self.location) ** 2) / (2 * self.scale**2))
-        return self.amplitude * np.exp(-np.abs(x - self.location) / self.scale)
 
 
 def _fit_model(family: FitFamily, x: np.ndarray, params: np.ndarray,

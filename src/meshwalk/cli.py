@@ -57,12 +57,9 @@ def _parse_modes(text: str, num_modes: int) -> list[int]:
     if text.strip().lower() == "all":
         return list(range(1, num_modes + 1))
     try:
-        modes = [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"bad mode list {text!r}; expected comma-separated integers")
-    if not modes:
-        raise UsageError(f"bad mode list {text!r}: empty")
-    return modes
 
 
 def _build(factory, *args, **kwargs):
@@ -71,6 +68,20 @@ def _build(factory, *args, **kwargs):
         return factory(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _run(plan: SweepPlan, out: str, workers: int | None, resume: bool = False,
+         progress: bool = False) -> EnsembleResult:
+    """``run_sweep`` to ``out``, with progress and persistence warnings on stderr."""
+    result = run_sweep(plan, out_path=out, workers=workers, resume=resume,
+                       progress=(lambda done, total:
+                                 print(f"\r{done}/{total} levels", end="", file=sys.stderr))
+                       if progress else None)
+    if progress:
+        print(file=sys.stderr)
+    for err in result.io_errors:
+        print(f"persistence warning: {err}", file=sys.stderr)
+    return result
 
 
 def _print_distribution(mean, std_error, header: str) -> None:
@@ -102,7 +113,7 @@ def cmd_walk(args) -> int:
     level = _build(DisorderSpec, args.ctid, args.ctd)
     plan = _build(SweepPlan, spec, (level,), args.n, args.seed)
     out = _out_path(f"walk_ctid{args.ctid:g}_ctd{args.ctd:g}_n{args.n}.json", args.out)
-    result = run_sweep(plan, out_path=out, workers=args.workers)
+    result = _run(plan, out, args.workers)
     result.write_csv(out + ".csv")
     rec = result.record(0)
     _print_distribution(rec.mean, rec.std_error,
@@ -120,7 +131,7 @@ def cmd_tomography(args) -> int:
     layers = tuple(range(1, spec.depth + 1))
     plan = _build(SweepPlan, spec, (level,), args.n, args.seed, read_layers=layers)
     out = _out_path(f"tomo_ctid{args.ctid:g}_ctd{args.ctd:g}_n{args.n}.json", args.out)
-    result = run_sweep(plan, out_path=out, workers=args.workers)
+    result = _run(plan, out, args.workers)
     result.write_csv(out + ".csv")
     matrix = np.stack([result.record(0, t).mean for t in layers])
     print(f"mean intensity, rows = layers 1..{spec.depth}, cols = modes 1..{spec.num_modes}")
@@ -142,12 +153,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("grid dimensions must be >= 1")
     plan = _build(SweepPlan, spec, make_grid(n_tid, n_td), args.n, args.seed)
     out = _out_path(f"sweep_{n_tid}x{n_td}_n{args.n}.json", args.out)
-    result = run_sweep(plan, out_path=out, workers=args.workers, resume=args.resume,
-                       progress=(lambda done, total:
-                                 print(f"\r{done}/{total} levels", end="", file=sys.stderr))
-                       if args.progress else None)
-    if args.progress:
-        print(file=sys.stderr)
+    result = _run(plan, out, args.workers, resume=args.resume, progress=args.progress)
     result.write_csv(out + ".csv")
     tids = sorted(set(l.c_tid for l in plan.grid))
     tds = sorted(set(l.c_td for l in plan.grid))
@@ -163,9 +169,6 @@ def cmd_sweep(args) -> int:
             print(f"mode {mode} (rows c_tid 0->1, cols c_td 0->1):")
             print(_ascii_heatmap(matrix))
     print(f"{len(result.records)} records; result document: {out}")
-    if result.io_errors:
-        for err in result.io_errors:
-            print(f"persistence warning: {err}", file=sys.stderr)
     return 0
 
 
@@ -173,13 +176,15 @@ def _run_slice(args, spec: MeshSpec, enhance: list[int], deplete: list[int],
                default_name: str) -> int:
     if args.points < 3:
         raise UsageError("--points must be >= 3")
+    enhance = _build(analysis._check_modes, enhance, spec.num_modes)
+    deplete = _build(analysis._check_modes, deplete, spec.num_modes)
     _build(DisorderSpec, args.ctid, 0.0)  # the requested row must be a valid c_tid
     rows = np.linspace(0.0, 1.0, args.points)
     used = float(rows[np.argmin(np.abs(rows - args.ctid))])
     grid = tuple(DisorderSpec(used, float(td)) for td in rows)
     plan = _build(SweepPlan, spec, grid, args.n, args.seed)
     out = _out_path(default_name, args.out)
-    result = run_sweep(plan, out_path=out + ".result.json", workers=args.workers)
+    result = _run(plan, out + ".result.json", args.workers)
     report = analysis.detect_enaqt(result, args.ctid, enhance, deplete,
                                    threshold=args.threshold)
     with ensemble._replacing(out) as fh:

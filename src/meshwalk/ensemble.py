@@ -13,6 +13,9 @@ fixed realization order with exact compensated summation, and records are
 assembled sorted by ``(level_index, read_layer)`` — so the result is
 bit-identical no matter how many workers ran it.
 
+:func:`run_sweep` is the one way to run levels: a single level is a plan
+whose grid holds one entry.
+
 Persistence is one JSON document per sweep (plan echo, generator identity,
 one record per level and read layer) plus an optional flat CSV table.  A
 running sweep checkpoints each record to ``<out>.ckpt`` and can resume by
@@ -41,6 +44,7 @@ from .programs import (
     DisorderSpec,
     MeshProgram,
     SymmetryPolicy,
+    build_symmetric_qw,
     compose_screens,
     draw_block,
 )
@@ -192,19 +196,11 @@ class EnsembleResult:
             doc = json.load(fh)
         if not isinstance(doc, dict) or doc.get("format") != DOCUMENT_FORMAT:
             raise ValueError(f"{path}: not a {DOCUMENT_FORMAT} document")
-        try:
+        with _malformed(f"{path}: malformed {DOCUMENT_FORMAT} document"):
             plan = SweepPlan.from_dict(doc["plan"])
             if doc["plan_hash"] != plan.hash():
                 raise ValueError(f"plan_hash {doc['plan_hash']!r} is not the plan's hash")
-            records = {}
-            for rec in doc["records"]:
-                record = LevelRecord.from_dict(rec)
-                _check_record(plan, record)
-                records[(record.level_index, record.read_layer)] = record
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed {DOCUMENT_FORMAT} document "
-                             f"({type(exc).__name__}: {exc})") from None
-        return cls(plan, records)
+            return cls(plan, _records(plan, doc["records"]))
 
     def to_rows(self) -> list[tuple[float, float, int, int, float, float]]:
         """Flat (c_tid, c_td, layer, mode, mean, std_error) rows, one per mode."""
@@ -225,20 +221,46 @@ class EnsembleResult:
                 fh.write(f"{c_tid!r},{c_td!r},{layer},{mode},{mean!r},{se!r}\n")
 
 
+@contextlib.contextmanager
+def _malformed(what: str):
+    """Re-raise a ``KeyError``, ``TypeError`` or ``ValueError`` as one ``ValueError``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{what} ({type(exc).__name__}: {exc})") from None
+
+
 def _check_record(plan: SweepPlan, rec: LevelRecord) -> None:
-    """Raise ``ValueError`` unless ``rec`` is a record that ``plan`` produces."""
-    if rec.level_index not in range(len(plan.grid)):
+    """Raise ``ValueError`` unless ``rec`` is a record that ``plan`` produces.
+
+    Its fields must also have the types a fresh run writes, so a resumed
+    document is byte for byte the fresh one: ``true`` and ``10.0`` are not
+    the integers ``1`` and ``10``, nor ``1`` the float ``1.0``.
+    """
+    if type(rec.level_index) is not int or rec.level_index not in range(len(plan.grid)):
         raise ValueError(f"record level_index {rec.level_index!r} is not in the plan's "
                          f"{len(plan.grid)} levels")
-    modes = (plan.spec.num_modes,)
-    for name, ok in (("(c_tid, c_td)", rec.level == plan.grid[rec.level_index]),
-                     ("n", rec.n == plan.realizations_per_level),
-                     ("read_layer", rec.read_layer in plan.read_layers),
+    level, modes = plan.grid[rec.level_index], (plan.spec.num_modes,)
+    for name, ok in (("(c_tid, c_td)", json.dumps([rec.level.c_tid, rec.level.c_td])
+                      == json.dumps([level.c_tid, level.c_td])),
+                     ("n", type(rec.n) is int and rec.n == plan.realizations_per_level),
+                     ("read_layer", type(rec.read_layer) is int
+                      and rec.read_layer in plan.read_layers),
                      ("mean length", rec.mean.shape == modes),
                      ("std_error length", rec.std_error.shape == modes)):
         if not ok:
             raise ValueError(f"record of level {rec.level_index}: {name} does not match "
                              f"the plan")
+
+
+def _records(plan: SweepPlan, entries) -> dict[tuple[int, int], LevelRecord]:
+    """``plan``'s records parsed from their dict forms, each checked against it."""
+    records = {}
+    for entry in entries:
+        rec = LevelRecord.from_dict(entry)
+        _check_record(plan, rec)
+        records[(rec.level_index, rec.read_layer)] = rec
+    return records
 
 
 def _sample_block(num_modes: int, depth: int, master_seed: int, level_index: int,
@@ -296,20 +318,6 @@ def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(var / n)
 
 
-def run_level(spec: MeshSpec, program: MeshProgram, level: DisorderSpec, n: int,
-              master_seed: int, level_index: int = 0, read_layer: int | None = None,
-              policy: SymmetryPolicy = SymmetryPolicy.MIRRORED_SIGN,
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Ensemble mean and standard error of one disorder level."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    layer = read_layer if read_layer is not None else spec.depth
-    stacks = _level_intensity_stacks(spec, _layer_matrices(spec, program),
-                                     program.phase_screens, level, n, master_seed,
-                                     level_index, (layer,), policy)
-    return _reduce(stacks[layer])
-
-
 def _level_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
     spec, mats, screens, level, level_index, n, master_seed, read_layers, policy = args
     stacks = _level_intensity_stacks(spec, mats, screens, level, n, master_seed,
@@ -343,23 +351,14 @@ def _read_checkpoint(path: str, plan: SweepPlan) -> dict[tuple[int, int], LevelR
                 raise ValueError(f"{path}: corrupt checkpoint line {number}: {exc}") from None
             torn = True
     plan_hash = plan.hash()
-    if entries and entries[0].get("plan_hash") != plan_hash:
-        raise ValueError(
-            f"{path}: checkpoint belongs to a different plan "
-            f"({entries[0].get('plan_hash')!r} != {plan_hash!r})"
-        )
+    if entries and not (isinstance(entries[0], dict)
+                        and entries[0].get("plan_hash") == plan_hash):
+        raise ValueError(f"{path}: checkpoint belongs to a different plan "
+                         f"(header {entries[0]!r}, plan_hash {plan_hash!r})")
     if torn:
         os.truncate(path, len(b"".join(lines[:-1])))
-    records: dict[tuple[int, int], LevelRecord] = {}
-    for entry in entries[1:]:
-        try:
-            rec = LevelRecord.from_dict(entry)
-            _check_record(plan, rec)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed checkpoint record "
-                             f"({type(exc).__name__}: {exc})") from None
-        records[(rec.level_index, rec.read_layer)] = rec
-    return records
+    with _malformed(f"{path}: malformed checkpoint record"):
+        return _records(plan, entries[1:])
 
 
 def run_sweep(plan: SweepPlan, program: MeshProgram | None = None,
@@ -372,8 +371,6 @@ def run_sweep(plan: SweepPlan, program: MeshProgram | None = None,
     worker count.  With ``out_path`` set, each finished record is appended to
     ``<out_path>.ckpt``; ``resume=True`` skips records already present there.
     """
-    from .programs import build_symmetric_qw
-
     if program is None:
         program = build_symmetric_qw(plan.spec)
     mats = _layer_matrices(plan.spec, program)

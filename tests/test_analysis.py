@@ -38,13 +38,6 @@ class TestSimilarity:
         b = np.array([1.0, 0.0, 0.0, 0.0])
         assert abs(similarity(a, b) - 0.5) < 1e-12
 
-    def test_literal_form(self):
-        a = np.array([0.5, 0.5, 0.0])
-        assert abs(similarity(a, a, squared=False) - 1.0) < 1e-12
-        # for normalized inputs the literal form is the unsquared coefficient
-        b = np.array([1.0, 0.0, 0.0])
-        assert abs(similarity(a, b, squared=False) - np.sqrt(0.5)) < 1e-12
-
     @settings(max_examples=100)
     @given(WEIGHTS, WEIGHTS)
     def test_symmetric_and_bounded(self, a, b):
@@ -197,10 +190,11 @@ class TestTransportEfficiency:
             assert abs(a.eta + b.eta - c.eta) < 1e-12
 
     def test_localized_beats_ordered_at_center(self, spec14, qw_program):
-        from meshwalk import run_level
+        def mean(level, n):
+            plan = SweepPlan(spec14, (level,), n, 5)
+            return run_sweep(plan, qw_program, workers=1).record(0).mean
 
-        loc_mean, _ = run_level(spec14, qw_program, DisorderSpec(1, 0), 2000, 5)
-        ord_mean, _ = run_level(spec14, qw_program, DisorderSpec(0, 0), 1, 5)
+        loc_mean, ord_mean = mean(DisorderSpec(1, 0), 2000), mean(DisorderSpec(0, 0), 1)
         assert loc_mean[6] + loc_mean[7] > ord_mean[6] + ord_mean[7]
 
     def test_invalid_modes(self, slice_result):

@@ -50,6 +50,24 @@ def test_usage_errors_exit_one(outdir, capsys):
     assert main(["slice", "--ctid", "1.5"]) == 1
     assert main(["walk", "--modes", "9"]) == 1
     assert main(["nonsense"]) == 1
+    # Mode sets are range-checked before any realization runs.
+    assert main(["deep", "--depth", "4", "--enhance", "99"]) == 1
+    assert main(["slice", "--modes", "8", "--depth", "4"]) == 1  # default enhance 5,10
+    assert not list(outdir.iterdir())
+
+
+def test_persistence_warning_from_every_run_command(outdir, capsys):
+    # A directory where the result document's checkpoint goes: the run
+    # completes without a checkpoint and says so.
+    commands = ((["walk"], "walk.json"), (["tomography"], "tomography.json"),
+                (["sweep", "--grid", "2x2"], "sweep.json"),
+                (["slice", "--points", "3"], "slice.json.result.json"),
+                (["deep", "--depth", "3", "--points", "3"], "deep.json.result.json"))
+    for command, document in commands:
+        (outdir / f"{document}.ckpt").mkdir()
+        out = f"{command[0]}.json"
+        assert main(command + ["--n", "5", "--workers", "1", "--out", out]) == 0
+        assert "persistence warning: checkpoint open failed" in capsys.readouterr().err
 
 
 def test_negative_seed_exits_one(outdir, capsys):

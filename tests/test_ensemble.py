@@ -18,7 +18,6 @@ from meshwalk import (
     make_grid,
     mode_signs,
     propagate,
-    run_level,
     run_sweep,
 )
 from meshwalk.ensemble import (
@@ -134,15 +133,19 @@ class TestConeKernel:
 
 
 class TestRunLevel:
+    """One disorder level, run as a one-level plan."""
+
     def test_zero_level_has_no_spread(self, spec14, qw_program):
-        mean, se = run_level(spec14, qw_program, DisorderSpec(0, 0), 7, 99)
-        assert np.abs(se).max() == 0.0
+        plan = SweepPlan(spec14, (DisorderSpec(0, 0),), 7, 99)
+        rec = run_sweep(plan, qw_program, workers=1).record(0)
+        assert np.abs(rec.std_error).max() == 0.0
         ordered = intensities(propagate(spec14, qw_program))
-        assert np.abs(mean - ordered).max() < 1e-15
+        assert np.abs(rec.mean - ordered).max() < 1e-15
 
     def test_mean_sums_to_one(self, spec14, qw_program):
-        mean, _ = run_level(spec14, qw_program, DisorderSpec(0.8, 0.2), 500, 99)
-        assert abs(mean.sum() - 1.0) < 1e-9
+        plan = SweepPlan(spec14, (DisorderSpec(0.8, 0.2),), 500, 99)
+        rec = run_sweep(plan, qw_program, workers=1).record(0)
+        assert abs(rec.mean.sum() - 1.0) < 1e-9
 
     def test_kernel_matches_single_realization_path(self, spec14):
         # Each stack row against the dense oracle's injection column, with
@@ -173,29 +176,21 @@ class TestRunLevel:
                     assert np.abs(stacks[layer][r] - intensities(column)).max() < 1e-12
 
     def test_fully_incoherent_matches_markov_oracle(self, spec14, qw_program):
-        n = 4000
-        mean, se = run_level(spec14, qw_program, DisorderSpec(1, 1), n, 77)
+        plan = SweepPlan(spec14, (DisorderSpec(1, 1),), 4000, 77)
+        rec = run_sweep(plan, qw_program, workers=1).record(0)
         oracle = galton_distribution(14, 7, 8)
-        guard = np.maximum(5.0 * se, 1e-12)  # edge modes have zero variance
-        assert (np.abs(mean - oracle) <= guard).all()
-
-    def test_n_must_be_positive(self, spec14, qw_program):
-        with pytest.raises(ValueError):
-            run_level(spec14, qw_program, DisorderSpec(0, 0), 0, 1)
+        guard = np.maximum(5.0 * rec.std_error, 1e-12)  # edge modes have zero variance
+        assert (np.abs(rec.mean - oracle) <= guard).all()
 
     def test_invalid_program_rejected_by_layer_matrices(self, spec14, qw_program):
-        # run_level and run_sweep check a program where propagate does.
+        # run_sweep checks a program where propagate does.
         broken = dict(qw_program.cell_settings)
         del broken[CellCoord(3, 7)]
         missing = MeshProgram(broken, qw_program.phase_screens)
         misshapen = MeshProgram(qw_program.cell_settings, np.zeros((14, 6)))
         plan = SweepPlan(spec14, (DisorderSpec(0.5, 0.5),), 5, 1)
         with pytest.raises(KeyError, match="layer=3"):
-            run_level(spec14, missing, DisorderSpec(0.5, 0.5), 5, 1)
-        with pytest.raises(KeyError, match="layer=3"):
             run_sweep(plan, missing, workers=1)
-        with pytest.raises(ValueError, match="phase screens"):
-            run_level(spec14, misshapen, DisorderSpec(0.5, 0.5), 5, 1)
         with pytest.raises(ValueError, match="phase screens"):
             run_sweep(plan, misshapen, workers=1)
 
@@ -297,10 +292,19 @@ class TestRunSweep:
         run_sweep(plan_a, out_path=str(out), workers=1)
         with pytest.raises(ValueError, match="different plan"):
             run_sweep(plan_b, out_path=str(out), workers=1, resume=True)
+        # A header that parses but is not an object belongs to no plan.
+        ckpt = tmp_path / "a.json.ckpt"
+        records = ckpt.read_text().splitlines(keepends=True)[1:]
+        for header in ("5\n", "[1, 2]\n"):
+            ckpt.write_text(header + "".join(records))
+            with pytest.raises(ValueError, match="different plan"):
+                run_sweep(plan_a, out_path=str(out), workers=1, resume=True)
 
     @pytest.mark.parametrize("edit", [
         {"level_index": 5}, {"c_tid": 0.3}, {"n": 7}, {"read_layer": 3},
         {"mean": [0.5, 0.5]}, {"std_error": [0.0] * 15},
+        # Equal values of another type would change a resumed document's bytes.
+        {"level_index": True}, {"n": 10.0}, {"c_td": 1},
     ])
     def test_records_checked_against_plan(self, spec14, tmp_path, edit):
         # A record the plan does not produce is rejected on load and on resume.
@@ -365,13 +369,14 @@ class TestRunSweep:
         # Per-mode agreement between N and 4N within 3 std errors for >= 95%
         # of modes over 50 random levels.
         rng = np.random.default_rng(8)
+        grid = tuple(DisorderSpec(*rng.uniform(0, 1, 2)) for _ in range(50))
+        small = run_sweep(SweepPlan(spec14, grid, 200, 900), qw_program, workers=1)
+        large = run_sweep(SweepPlan(spec14, grid, 800, 901), qw_program, workers=1)
         good = total = 0
         for i in range(50):
-            level = DisorderSpec(*rng.uniform(0, 1, 2))
-            m1, s1 = run_level(spec14, qw_program, level, 200, 900, level_index=i)
-            m2, _ = run_level(spec14, qw_program, level, 800, 901, level_index=i)
-            guard = np.maximum(3.0 * s1, 1e-12)
-            good += int((np.abs(m1 - m2) <= guard).sum())
+            s1, s2 = small.record(i), large.record(i)
+            guard = np.maximum(3.0 * s1.std_error, 1e-12)
+            good += int((np.abs(s1.mean - s2.mean) <= guard).sum())
             total += 14
         assert good / total >= 0.95
 

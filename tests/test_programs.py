@@ -8,12 +8,14 @@ from meshwalk import (
     DisorderSpec,
     MeshProgram,
     MeshSpec,
+    SweepPlan,
     SymmetryPolicy,
     build_symmetric_qw,
     build_tomography_program,
     intensities,
     mode_signs,
     propagate,
+    run_sweep,
 )
 from meshwalk.programs import compose_screens, draw_block
 from oracles import ks_uniform_statistic
@@ -193,11 +195,10 @@ class TestApplyDisorder:
         # The drawn law is i.i.d. per mode and symmetric under negation, so
         # the ensemble mean is mirror symmetric within Monte-Carlo error
         # under either sign policy.
-        from meshwalk import run_level
-
         for policy in SymmetryPolicy:
-            mean, se = run_level(spec14, qw_program, DisorderSpec(0.6, 0.4), 2000, 2211,
-                                 policy=policy)
+            plan = SweepPlan(spec14, (DisorderSpec(0.6, 0.4),), 2000, 2211, policy=policy)
+            rec = run_sweep(plan, qw_program, workers=1).record(0)
+            mean, se = rec.mean, rec.std_error
             diff = np.abs(mean - mean[::-1])
             combined = np.hypot(se, se[::-1])
             assert (diff <= 4.0 * combined + 1e-12).all()
