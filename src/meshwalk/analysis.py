@@ -207,6 +207,11 @@ def _check_modes(modes, num_modes: int) -> list[int]:
     return modes
 
 
+def _nearest_row(c_tids, static_level: float) -> float:
+    """The static-disorder row nearest ``static_level``; the lower one on a tie."""
+    return float(min(c_tids, key=lambda v: (abs(v - static_level), v)))
+
+
 def _efficiency(record: LevelRecord, idx: list[int]) -> tuple[float, float]:
     """Summed mean over the 0-based modes ``idx`` and its standard error."""
     return float(record.mean[idx].sum()), float(np.sqrt((record.std_error[idx] ** 2).sum()))
@@ -229,11 +234,9 @@ def transport_efficiency(result: EnsembleResult, modes,
     layer = read_layer if read_layer is not None else spec.depth
     idx = [m - 1 for m in _check_modes(modes, spec.num_modes)]
     points = []
-    for level_index in range(len(result.plan.grid)):
-        rec = result.records[(level_index, layer)]
-        eta, se = _efficiency(rec, idx)
-        points.append(TransportPoint(level_index, rec.level.c_tid, rec.level.c_td,
-                                     layer, eta, se))
+    for level_index, level in enumerate(result.plan.grid):
+        eta, se = _efficiency(result.records[(level_index, layer)], idx)
+        points.append(TransportPoint(level_index, level.c_tid, level.c_td, layer, eta, se))
     return points
 
 
@@ -301,10 +304,7 @@ def detect_enaqt(result: EnsembleResult, static_level: float, enhance_modes,
     spec = result.plan.spec
     layer = read_layer if read_layer is not None else spec.depth
     grid = result.plan.grid
-    rows = sorted(set(level.c_tid for level in grid))
-    if not rows:
-        raise ValueError("result contains no levels")
-    used = min(rows, key=lambda v: (abs(v - static_level), v))
+    used = _nearest_row(set(level.c_tid for level in grid), static_level)
     slice_levels = sorted(
         (i for i, level in enumerate(grid) if level.c_tid == used),
         key=lambda i: grid[i].c_td,

@@ -62,6 +62,14 @@ def _parse_modes(text: str, num_modes: int) -> list[int]:
         raise UsageError(f"bad mode list {text!r}; expected comma-separated integers")
 
 
+def positive_int(text: str) -> int:
+    """An integer of at least 1, as an argparse type."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build(factory, *args, **kwargs):
     """``factory(*args, **kwargs)``, with its ``ValueError`` as a usage error."""
     try:
@@ -139,6 +147,12 @@ def cmd_tomography(args) -> int:
         print(f"t={t}: " + " ".join(f"{v:.4f}" for v in row))
     print("heatmap:")
     print(_ascii_heatmap(matrix))
+    if spec.depth >= 3:  # a log-log slope needs three layers
+        try:
+            exponent = f"{analysis.spread_exponent(matrix):.6f}"
+        except DegenerateDistributionError as exc:  # a walker that never splits
+            exponent = f"undefined ({exc})"
+        print(f"spread exponent = {exponent}")
     print(f"result document: {out}")
     return 0
 
@@ -180,7 +194,7 @@ def _run_slice(args, spec: MeshSpec, enhance: list[int], deplete: list[int],
     deplete = _build(analysis._check_modes, deplete, spec.num_modes)
     _build(DisorderSpec, args.ctid, 0.0)  # the requested row must be a valid c_tid
     rows = np.linspace(0.0, 1.0, args.points)
-    used = float(rows[np.argmin(np.abs(rows - args.ctid))])
+    used = analysis._nearest_row(rows, args.ctid)
     grid = tuple(DisorderSpec(used, float(td)) for td in rows)
     plan = _build(SweepPlan, spec, grid, args.n, args.seed)
     out = _out_path(default_name, args.out)
@@ -281,7 +295,7 @@ def build_parser() -> _Parser:
         p.add_argument("--n", type=int, default=n_default, help="realizations per level")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
         p.add_argument("--out", help="output path (default under $MESHWALK_OUT_DIR)")
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=positive_int, default=None,
                        help="process count (default: all cores); results do not depend on it")
 
     p = sub.add_parser("walk", help="single disorder level, final-layer ensemble")

@@ -14,15 +14,17 @@ assembled sorted by ``(level_index, read_layer)`` — so the result is
 bit-identical no matter how many workers ran it.
 
 :func:`run_sweep` is the one way to run levels: a single level is a plan
-whose grid holds one entry.
+whose grid holds one entry, and the program is always the symmetric walk.
 
-Persistence is one JSON document per sweep (plan echo, generator identity,
-one record per level and read layer) plus an optional flat CSV table.  A
-running sweep checkpoints each record to ``<out>.ckpt`` and can resume by
-skipping completed records after validating the plan hash; loading a
-document or a checkpoint checks every record against the plan.  Documents and
-tables are written to a temporary sibling and renamed into place, so a crash
-leaves the old file or the new one, never half of one.
+A record is a measured per-mode mean and standard error, keyed by
+``(level_index, read_layer)``; the plan writes every other field of its stored
+form.  Persistence is one JSON document per sweep (plan echo, generator
+identity, one record per level and read layer) plus an optional flat CSV
+table.  A running sweep checkpoints each record to ``<out>.ckpt`` and can
+resume by skipping completed records after validating the plan hash; loading
+a document or a checkpoint checks every record against what the plan writes.
+Documents and tables are written to a temporary sibling and renamed into
+place, so a crash leaves the old file or the new one, never half of one.
 """
 
 from __future__ import annotations
@@ -37,12 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import MeshSpec, evolve
+from .lattice import MeshSpec, evolve, intensities
 from .lattice import layer_matrices as _layer_matrices
 from .programs import (
     GENERATOR_IDENTITY,
     DisorderSpec,
-    MeshProgram,
     SymmetryPolicy,
     build_symmetric_qw,
     compose_screens,
@@ -134,34 +135,23 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    level_index: int
-    read_layer: int
-    level: DisorderSpec
+    """One (level, read layer)'s measurement: per-mode ensemble mean and standard error."""
+
     mean: np.ndarray
     std_error: np.ndarray
-    n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "level_index": self.level_index,
-            "read_layer": self.read_layer,
-            "c_tid": self.level.c_tid,
-            "c_td": self.level.c_td,
-            "n": self.n,
-            "mean": self.mean.tolist(),
-            "std_error": self.std_error.tolist(),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LevelRecord":
-        return cls(
-            level_index=data["level_index"],
-            read_layer=data["read_layer"],
-            level=DisorderSpec(data["c_tid"], data["c_td"]),
-            mean=np.asarray(data["mean"], dtype=float),
-            std_error=np.asarray(data["std_error"], dtype=float),
-            n=data["n"],
-        )
+def _entry(plan: SweepPlan, key: tuple[int, int], mean, std_error) -> dict:
+    """The document and checkpoint form of ``key``'s record.
+
+    The plan names every field but the measured ``mean`` and ``std_error``.
+    The checkpoint is dumped without ``sort_keys``, so its lines keep this order.
+    """
+    level_index, read_layer = key
+    level = plan.grid[level_index]
+    return {"level_index": level_index, "read_layer": read_layer, "c_tid": level.c_tid,
+            "c_td": level.c_td, "n": plan.realizations_per_level, "mean": mean,
+            "std_error": std_error}
 
 
 @dataclass
@@ -182,7 +172,8 @@ class EnsembleResult:
             "plan": self.plan.to_dict(),
             "plan_hash": self.plan.hash(),
             "generator": GENERATOR_IDENTITY,
-            "records": [self.records[key].to_dict() for key in sorted(self.records)],
+            "records": [_entry(self.plan, key, rec.mean.tolist(), rec.std_error.tolist())
+                        for key, rec in sorted(self.records.items())],
         }
 
     def save(self, path: str) -> None:
@@ -200,18 +191,18 @@ class EnsembleResult:
             plan = SweepPlan.from_dict(doc["plan"])
             if doc["plan_hash"] != plan.hash():
                 raise ValueError(f"plan_hash {doc['plan_hash']!r} is not the plan's hash")
+            if doc["generator"] != GENERATOR_IDENTITY:
+                raise ValueError(f"generator {doc['generator']!r} is not {GENERATOR_IDENTITY!r}")
             return cls(plan, _records(plan, doc["records"]))
 
     def to_rows(self) -> list[tuple[float, float, int, int, float, float]]:
         """Flat (c_tid, c_td, layer, mode, mean, std_error) rows, one per mode."""
         rows = []
-        for key in sorted(self.records):
-            rec = self.records[key]
-            for mode in range(1, self.plan.spec.num_modes + 1):
-                rows.append(
-                    (rec.level.c_tid, rec.level.c_td, rec.read_layer, mode,
-                     float(rec.mean[mode - 1]), float(rec.std_error[mode - 1]))
-                )
+        for (level_index, layer), rec in sorted(self.records.items()):
+            level = self.plan.grid[level_index]
+            rows += [(level.c_tid, level.c_td, layer, x + 1,
+                      float(rec.mean[x]), float(rec.std_error[x]))
+                     for x in range(self.plan.spec.num_modes)]
         return rows
 
     def write_csv(self, path: str) -> None:
@@ -230,36 +221,30 @@ def _malformed(what: str):
         raise ValueError(f"{what} ({type(exc).__name__}: {exc})") from None
 
 
-def _check_record(plan: SweepPlan, rec: LevelRecord) -> None:
-    """Raise ``ValueError`` unless ``rec`` is a record that ``plan`` produces.
+def _records(plan: SweepPlan, entries) -> dict[tuple[int, int], LevelRecord]:
+    """``plan``'s records parsed from their dict forms, each checked against it.
 
-    Its fields must also have the types a fresh run writes, so a resumed
+    An entry's key is checked before it indexes the plan; its other fields
+    must then encode exactly as :func:`_entry` writes them, so a resumed
     document is byte for byte the fresh one: ``true`` and ``10.0`` are not
     the integers ``1`` and ``10``, nor ``1`` the float ``1.0``.
     """
-    if type(rec.level_index) is not int or rec.level_index not in range(len(plan.grid)):
-        raise ValueError(f"record level_index {rec.level_index!r} is not in the plan's "
-                         f"{len(plan.grid)} levels")
-    level, modes = plan.grid[rec.level_index], (plan.spec.num_modes,)
-    for name, ok in (("(c_tid, c_td)", json.dumps([rec.level.c_tid, rec.level.c_td])
-                      == json.dumps([level.c_tid, level.c_td])),
-                     ("n", type(rec.n) is int and rec.n == plan.realizations_per_level),
-                     ("read_layer", type(rec.read_layer) is int
-                      and rec.read_layer in plan.read_layers),
-                     ("mean length", rec.mean.shape == modes),
-                     ("std_error length", rec.std_error.shape == modes)):
-        if not ok:
-            raise ValueError(f"record of level {rec.level_index}: {name} does not match "
-                             f"the plan")
-
-
-def _records(plan: SweepPlan, entries) -> dict[tuple[int, int], LevelRecord]:
-    """``plan``'s records parsed from their dict forms, each checked against it."""
     records = {}
     for entry in entries:
-        rec = LevelRecord.from_dict(entry)
-        _check_record(plan, rec)
-        records[(rec.level_index, rec.read_layer)] = rec
+        level_index, read_layer = key = entry["level_index"], entry["read_layer"]
+        if not (type(level_index) is int and level_index in range(len(plan.grid))
+                and type(read_layer) is int and read_layer in plan.read_layers):
+            raise ValueError(f"record level_index {level_index!r}, read_layer {read_layer!r} "
+                             f"is not in the plan's {len(plan.grid)} levels x read layers "
+                             f"{plan.read_layers}")
+        fields = json.dumps({**entry, "mean": None, "std_error": None}, sort_keys=True)
+        planned = json.dumps(_entry(plan, key, None, None), sort_keys=True)
+        if fields != planned:
+            raise ValueError(f"record fields {fields} are not the plan's {planned}")
+        rec = LevelRecord(*(np.asarray(entry[k], dtype=float) for k in ("mean", "std_error")))
+        if rec.mean.shape != (plan.spec.num_modes,) or rec.std_error.shape != rec.mean.shape:
+            raise ValueError(f"record {key}: arrays are not {plan.spec.num_modes} modes long")
+        records[key] = rec
     return records
 
 
@@ -279,7 +264,7 @@ def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray
     stacks = {}
     for t, state in evolve(spec, mats, screens, max(read_layers)):
         if t in read_layers:
-            stacks[t] = (state.real**2 + state.imag**2).T
+            stacks[t] = intensities(state).T
     return stacks
 
 
@@ -361,18 +346,16 @@ def _read_checkpoint(path: str, plan: SweepPlan) -> dict[tuple[int, int], LevelR
         return _records(plan, entries[1:])
 
 
-def run_sweep(plan: SweepPlan, program: MeshProgram | None = None,
-              out_path: str | None = None, workers: int | None = None,
+def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None = None,
               resume: bool = False, progress=None) -> EnsembleResult:
-    """Run every (level, read_layer) of the plan and persist the result.
+    """Run every (level, read_layer) of the plan's symmetric walk and persist the result.
 
     ``workers`` > 1 distributes levels over processes; the reduction happens
     inside each level in fixed order, so the outcome does not depend on the
     worker count.  With ``out_path`` set, each finished record is appended to
     ``<out_path>.ckpt``; ``resume=True`` skips records already present there.
     """
-    if program is None:
-        program = build_symmetric_qw(plan.spec)
+    program = build_symmetric_qw(plan.spec)
     mats = _layer_matrices(plan.spec, program)
     plan_hash = plan.hash()
     io_errors: list[str] = []
@@ -405,12 +388,11 @@ def run_sweep(plan: SweepPlan, program: MeshProgram | None = None,
 
     def _absorb(level_index: int, per_layer: dict) -> None:
         for t, (mean, se) in per_layer.items():
-            rec = LevelRecord(level_index, t, plan.grid[level_index], mean, se,
-                              plan.realizations_per_level)
-            records[(level_index, t)] = rec
+            records[(level_index, t)] = LevelRecord(mean, se)
             if ckpt is not None:
                 try:
-                    ckpt.write(json.dumps(rec.to_dict()) + "\n")
+                    entry = _entry(plan, (level_index, t), mean.tolist(), se.tolist())
+                    ckpt.write(json.dumps(entry) + "\n")
                     ckpt.flush()
                 except OSError as exc:
                     io_errors.append(f"level {level_index}: checkpoint write failed: {exc}")

@@ -189,10 +189,10 @@ class TestTransportEfficiency:
         for a, b, c in zip(left, right, both):
             assert abs(a.eta + b.eta - c.eta) < 1e-12
 
-    def test_localized_beats_ordered_at_center(self, spec14, qw_program):
+    def test_localized_beats_ordered_at_center(self, spec14):
         def mean(level, n):
             plan = SweepPlan(spec14, (level,), n, 5)
-            return run_sweep(plan, qw_program, workers=1).record(0).mean
+            return run_sweep(plan, workers=1).record(0).mean
 
         loc_mean, ord_mean = mean(DisorderSpec(1, 0), 2000), mean(DisorderSpec(0, 0), 1)
         assert loc_mean[6] + loc_mean[7] > ord_mean[6] + ord_mean[7]

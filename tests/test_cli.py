@@ -53,6 +53,7 @@ def test_usage_errors_exit_one(outdir, capsys):
     # Mode sets are range-checked before any realization runs.
     assert main(["deep", "--depth", "4", "--enhance", "99"]) == 1
     assert main(["slice", "--modes", "8", "--depth", "4"]) == 1  # default enhance 5,10
+    assert main(["walk", "--workers", "-3"]) == 1
     assert not list(outdir.iterdir())
 
 
@@ -107,13 +108,17 @@ def test_malformed_document_exits_two(outdir, capsys):
 def test_document_of_another_plan_exits_two(outdir, capsys):
     assert main(["walk", "--n", "3", "--out", "w.json", "--workers", "1"]) == 0
     path = outdir / "w.json"
-    doc = json.loads(path.read_text())
-    doc["plan"]["master_seed"] += 1  # records no longer belong to the plan
-    path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["fit", "--in", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "malformed" in err and "plan_hash" in err and err.count("\n") == 1
+    original = json.loads(path.read_text())
+    # Records no longer belong to the plan, or were drawn by another generator.
+    for key, edit in (("plan_hash", lambda doc: doc["plan"].update(master_seed=4)),
+                      ("generator", lambda doc: doc.update(generator="another"))):
+        doc = json.loads(json.dumps(original))
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["fit", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed" in err and key in err and err.count("\n") == 1
 
 
 def test_document_with_a_record_of_another_plan_exits_two(outdir, capsys):
@@ -154,8 +159,7 @@ def test_degenerate_fit_exits_three(outdir):
     plan = SweepPlan(spec, (DisorderSpec(0, 0),), 1, 1)
     delta = np.zeros(14)
     delta[5] = 1.0
-    rec = LevelRecord(0, 7, plan.grid[0], delta, np.zeros(14), 1)
-    result = EnsembleResult(plan, {(0, 7): rec})
+    result = EnsembleResult(plan, {(0, 7): LevelRecord(delta, np.zeros(14))})
     path = outdir / "delta.json"
     result.save(str(path))
     assert main(["fit", "--in", str(path)]) == 3
@@ -172,6 +176,16 @@ def test_tomography_layers_and_heatmap(outdir, capsys):
         assert len(support) == 2 * rec["read_layer"]
     out = capsys.readouterr().out
     assert "heatmap" in out
+    # zero disorder spreads ballistically: width grows about linearly in t
+    exponent = float(out.split("spread exponent = ")[1].split()[0])
+    assert 0.95 < exponent < 1.0
+    # Two layers give no slope, and a walker that never splits no exponent.
+    assert main(["tomography", "--depth", "2", "--modes", "4", "--n", "2",
+                 "--out", "t2.json", "--workers", "1"]) == 0
+    assert "spread exponent" not in capsys.readouterr().out
+    assert main(["tomography", "--inject", "1", "--n", "2", "--out", "t1.json",
+                 "--workers", "1"]) == 0
+    assert "spread exponent = undefined" in capsys.readouterr().out
 
 
 def test_sweep_resume_and_heatmaps(outdir):

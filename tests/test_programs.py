@@ -191,13 +191,13 @@ class TestApplyDisorder:
                 assert np.abs(dist - dist[::-1]).max() > 0.01
                 assert np.abs(dist_flipped - dist[::-1]).max() < 1e-12
 
-    def test_ensemble_mirror_symmetry(self, spec14, qw_program):
+    def test_ensemble_mirror_symmetry(self, spec14):
         # The drawn law is i.i.d. per mode and symmetric under negation, so
         # the ensemble mean is mirror symmetric within Monte-Carlo error
         # under either sign policy.
         for policy in SymmetryPolicy:
             plan = SweepPlan(spec14, (DisorderSpec(0.6, 0.4),), 2000, 2211, policy=policy)
-            rec = run_sweep(plan, qw_program, workers=1).record(0)
+            rec = run_sweep(plan, workers=1).record(0)
             mean, se = rec.mean, rec.std_error
             diff = np.abs(mean - mean[::-1])
             combined = np.hypot(se, se[::-1])
