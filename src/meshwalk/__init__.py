@@ -39,7 +39,6 @@ from .programs import (
     GENERATOR_IDENTITY,
     DisorderSpec,
     MeshProgram,
-    SymmetryPolicy,
     build_symmetric_qw,
     build_tomography_program,
     mode_signs,
@@ -63,7 +62,6 @@ __all__ = [
     "MeshSpec",
     "RbsSetting",
     "SweepPlan",
-    "SymmetryPolicy",
     "WIRE",
     "build_symmetric_qw",
     "build_tomography_program",

@@ -115,12 +115,13 @@ def fit_distribution(d, family: FitFamily, pin_location: float | None = None,
     else:
         params = np.array([float(d.max()), mu0, scale0])
 
-    pinned = pin_location is not None and not unit_area
+    pinned = pin_location is not None
+    loc_index = 0 if unit_area else 1  # params are (loc, scale) under unit_area
 
     def objective(q):
         q = q.copy()
         if pinned:
-            q[1] = mu0
+            q[loc_index] = mu0
         r = _fit_model(family, x, q, unit_area) - d
         return float((r * r).sum())
 
@@ -141,7 +142,7 @@ def fit_distribution(d, family: FitFamily, pin_location: float | None = None,
     for _ in range(20):
         improved = None
         for i in range(best.size):
-            if pinned and i == 1:
+            if pinned and i == loc_index:
                 continue
             step = 0.01 * abs(best[i]) or 1e-3
             for sign in (1.0, -1.0):
@@ -156,13 +157,13 @@ def fit_distribution(d, family: FitFamily, pin_location: float | None = None,
             break
         best, best_e = refine(improved)
 
+    if pinned:
+        best[loc_index] = mu0
     if unit_area:
         loc, scale = best
         amp = float(_fit_model(family, x, best, True).max())
     else:
         amp, loc, scale = best
-    if pinned:
-        loc = mu0
     return FitResult(family, float(loc), float(abs(scale)), float(abs(amp)), float(best_e))
 
 

@@ -8,16 +8,8 @@ uses the input splitter ``(pi/2, pi/2)`` on the layer-1 cell and Hadamards
 Disorder enters only through the phase screens.  A realization draws one
 uniform phase per mode (static, constant across layers) and one per
 (mode, layer) (dynamic, uncorrelated in space-time), each scaled by its
-strength coefficient in [0, 1].  The wrapped sum is applied with a per-mode
-sign set by a :class:`SymmetryPolicy`.
-
-The mesh is exactly mirror symmetric on the *applied* screens: reversing
-every screen column mirrors the output, realization by realization.  Under
-``MIRRORED_SIGN`` the mirror of a drawn realization is therefore its drawn
-fields reversed *and negated*; under ``UNIFORM_SIGN`` it is the drawn fields
-reversed.  The drawn law is i.i.d. per mode and symmetric under negation, so
-disorder-averaged distributions are mirror symmetric about the injection
-pair under either policy; the sign flip is not what makes them so.
+strength coefficient in [0, 1].  The wrapped sum is applied with the per-mode
+sign of :func:`mode_signs`.
 
 Every realization is a pure function of ``(master_seed, level_index,
 realization_index)``: the stream is a PCG64 generator keyed by that triple
@@ -35,7 +27,6 @@ chunk's drawn fields into its phase screens.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,28 +49,22 @@ GENERATOR_IDENTITY = (
 )
 
 
-class SymmetryPolicy(enum.Enum):
-    """Sign pattern used when adding disorder phases to the screens.
+def mode_signs(num_modes: int) -> np.ndarray:
+    """Sign of each mode's applied disorder: -1 on the lower half of the array.
 
-    MIRRORED_SIGN flips the sign on the lower half of the array (modes above
-    ``num_modes/2``), mimicking hardware that modulates the opposite arm
-    there; a center mode of an odd-width array would take the upper sign.
-    UNIFORM_SIGN applies every phase as drawn.
+    Modes above ``num_modes/2`` take -1, mimicking hardware that modulates
+    the opposite arm there; a center mode of an odd-width array takes +1.
 
-    Either policy gives a mirror-symmetric ensemble mean.  Per realization,
-    the mirror image of the applied screens comes from drawn fields
-    ``signs * (signs * field)[::-1]``: reversed and negated under
-    MIRRORED_SIGN, only reversed under UNIFORM_SIGN.
+    The mesh is exactly mirror symmetric on the *applied* screens: reversing
+    every screen column mirrors the output, realization by realization.  With
+    these antisymmetric signs the mirror of a drawn realization is therefore
+    its drawn fields reversed *and negated*.  The drawn law is i.i.d. per mode
+    and symmetric under negation, so disorder-averaged distributions are
+    mirror symmetric about the injection pair; the sign flip is not what
+    makes them so.
     """
-
-    MIRRORED_SIGN = "mirrored-sign"
-    UNIFORM_SIGN = "uniform-sign"
-
-
-def mode_signs(num_modes: int, policy: SymmetryPolicy) -> np.ndarray:
     signs = np.ones(num_modes)
-    if policy is SymmetryPolicy.MIRRORED_SIGN:
-        signs[(num_modes + 1) // 2 :] = -1.0
+    signs[(num_modes + 1) // 2 :] = -1.0
     return signs
 
 
@@ -213,19 +198,15 @@ def draw_block(master_seed: int, level_index: int, lo: int, hi: int, num_modes: 
 
 
 def compose_screens(screens: np.ndarray, level: DisorderSpec, static: np.ndarray,
-                    dynamic: np.ndarray, policy: SymmetryPolicy) -> np.ndarray:
+                    dynamic: np.ndarray) -> np.ndarray:
     """Phase screens with a level's disorder added: the disorder model.
 
     ``static`` (..., num_modes) and ``dynamic`` (..., num_modes, depth) are
     drawn fields (:func:`draw_block`), scaled here by the level's c_tid and
     c_td.  They add on each waveguide; their wrapped sum enters with the
-    policy's mode sign, and the total is wrapped again.  The fields share
+    :func:`mode_signs` sign, and the total is wrapped again.  The fields share
     their leading axes (one per realization), which broadcast against the
     (num_modes, depth) ``screens``.
-
-    Reversing the applied screens mirrors the output exactly.  Under
-    MIRRORED_SIGN the antisymmetric signs mean that reversing only the drawn
-    fields does not: the mirrored realization has them reversed and negated.
 
     The composition runs in place in one new buffer laid out (depth, mode,
     realization), the order :func:`~meshwalk.lattice.evolve` reads, and the
@@ -247,7 +228,7 @@ def compose_screens(screens: np.ndarray, level: DisorderSpec, static: np.ndarray
         np.multiply(fields[lo:hi].T, level.c_td, out=total[:, :, lo:hi])
     total += (level.c_tid * static.reshape(count, m)).T
     wrap_angle(total, out=total)
-    total *= mode_signs(m, policy)[:, None]
+    total *= mode_signs(m)[:, None]
     total += screens.T[:, :, None]
     return wrap_angle(total, out=total).T.reshape(dynamic.shape)
 

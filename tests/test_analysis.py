@@ -116,6 +116,16 @@ class TestFitDistribution:
         d = self.sampled(FitFamily.GAUSSIAN, 7.1, 1.5)
         fit = fit_distribution(d, FitFamily.GAUSSIAN, pin_location=7.5)
         assert fit.location == 7.5
+        # Under unit_area the location is the first parameter, not the second.
+        d = self.sampled(FitFamily.GAUSSIAN, 6.3, 2.2) + np.linspace(0.0, 0.02, 14)
+        fit = fit_distribution(d, FitFamily.GAUSSIAN, pin_location=7.5, unit_area=True)
+        assert fit.location == 7.5
+        x = np.arange(1, 15, dtype=float)
+        shape = np.exp(-((x - 7.5) ** 2) / (2 * fit.scale**2))
+        model = shape / shape.sum()
+        assert abs(model.sum() - 1.0) < 1e-12
+        assert abs(model.max() - fit.amplitude) < 1e-12
+        assert abs(((model - d) ** 2).sum() - fit.residual) < 1e-12
 
     def test_rejects_delta(self):
         d = np.zeros(14)

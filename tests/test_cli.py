@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -109,9 +110,18 @@ def test_document_of_another_plan_exits_two(outdir, capsys):
     assert main(["walk", "--n", "3", "--out", "w.json", "--workers", "1"]) == 0
     path = outdir / "w.json"
     original = json.loads(path.read_text())
-    # Records no longer belong to the plan, or were drawn by another generator.
+
+    def other_signs(doc):
+        # The hash is recomputed, so only the sign pattern's name is foreign.
+        doc["plan"]["policy"] = "uniform-sign"
+        blob = json.dumps(doc["plan"], sort_keys=True, separators=(",", ":"))
+        doc["plan_hash"] = hashlib.sha256(blob.encode()).hexdigest()
+
+    # Records no longer belong to the plan, or were drawn by another generator
+    # or with other signs.
     for key, edit in (("plan_hash", lambda doc: doc["plan"].update(master_seed=4)),
-                      ("generator", lambda doc: doc.update(generator="another"))):
+                      ("generator", lambda doc: doc.update(generator="another")),
+                      ("policy", other_signs)):
         doc = json.loads(json.dumps(original))
         edit(doc)
         path.write_text(json.dumps(doc))

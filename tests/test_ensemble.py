@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import numpy as np
@@ -10,7 +11,6 @@ from meshwalk import (
     MeshProgram,
     MeshSpec,
     SweepPlan,
-    SymmetryPolicy,
     build_symmetric_qw,
     cell_unitary,
     intensities,
@@ -19,6 +19,7 @@ from meshwalk import (
     propagate,
     run_sweep,
 )
+from meshwalk import ensemble
 from meshwalk.ensemble import (
     CSV_HEADER,
     _layer_matrices,
@@ -57,9 +58,9 @@ def full_array_stacks(spec, program, screens, read_layers):
     return stacks
 
 
-def full_array_screens(program, level, static, dynamic, policy):
+def full_array_screens(program, level, static, dynamic):
     """The disorder model with numpy's mod in both wraps."""
-    signs = mode_signs(program.phase_screens.shape[0], policy)
+    signs = mode_signs(program.phase_screens.shape[0])
     return mod_wrap(program.phase_screens + signs[:, None]
                     * mod_wrap((level.c_tid * static)[..., None] + level.c_td * dynamic))
 
@@ -91,14 +92,13 @@ class TestConeKernel:
             layers = tuple(range(1, spec.depth + 1))
             static, dynamic = _sample_block(spec.num_modes, spec.depth, 17, 2, 0, n)
             for program in self.programs(spec, rng):
-                for policy in SymmetryPolicy:
-                    stacks = _level_intensity_stacks(
-                        spec, _layer_matrices(spec, program), program.phase_screens,
-                        level, n, 17, 2, layers, policy)
-                    screens = full_array_screens(program, level, static, dynamic, policy)
-                    expected = full_array_stacks(spec, program, screens, layers)
-                    for t in layers:
-                        assert np.array_equal(bits(stacks[t]), bits(expected[t])), (spec, t)
+                stacks = _level_intensity_stacks(
+                    spec, _layer_matrices(spec, program), program.phase_screens,
+                    level, n, 17, 2, layers)
+                screens = full_array_screens(program, level, static, dynamic)
+                expected = full_array_stacks(spec, program, screens, layers)
+                for t in layers:
+                    assert np.array_equal(bits(stacks[t]), bits(expected[t])), (spec, t)
 
     def test_propagate(self):
         rng = np.random.default_rng(32)
@@ -120,12 +120,11 @@ class TestConeKernel:
         drawn = static.copy(), dynamic.copy()
         program = random_program(MeshSpec(), np.random.default_rng(33))
         level = DisorderSpec(0.3, 0.9)
-        for policy in SymmetryPolicy:
-            total = compose_screens(program.phase_screens, level, static, dynamic, policy)
-            assert total.shape == (600, 14, 7)
-            assert total.transpose(2, 1, 0).flags.c_contiguous
-            expected = full_array_screens(program, level, *drawn, policy)
-            assert np.array_equal(bits(total), bits(expected))
+        total = compose_screens(program.phase_screens, level, static, dynamic)
+        assert total.shape == (600, 14, 7)
+        assert total.transpose(2, 1, 0).flags.c_contiguous
+        expected = full_array_screens(program, level, *drawn)
+        assert np.array_equal(bits(total), bits(expected))
         # The drawn fields are read, never written.
         assert np.array_equal(bits(static), bits(drawn[0]))
         assert np.array_equal(bits(dynamic), bits(drawn[1]))
@@ -150,29 +149,26 @@ class TestRunLevel:
         # Each stack row against the dense oracle's injection column, with
         # the disorder model spelled out here from its documentation: the
         # stream of GENERATOR_IDENTITY, scaled, summed per waveguide, and
-        # negated on modes 8..14 under MIRRORED_SIGN.  Wrapping by 2 pi
-        # changes no amplitude, so the oracle leaves it out.
+        # negated on modes 8..14.  Wrapping by 2 pi changes no amplitude, so
+        # the oracle leaves it out.
         program = random_program(spec14, np.random.default_rng(12))
         level = DisorderSpec(0.7, 0.4)
         n = 40
         layers = (4, spec14.depth)
-        for policy in SymmetryPolicy:
-            signs = np.ones(14)
-            if policy is SymmetryPolicy.MIRRORED_SIGN:
-                signs[7:] = -1.0
-            stacks = _level_intensity_stacks(spec14, _layer_matrices(spec14, program),
-                                             program.phase_screens, level, n, 555, 3,
-                                             layers, policy)
-            for r in range(n):
-                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((555, 3, r))))
-                static = level.c_tid * rng.uniform(-np.pi, np.pi, 14)
-                dynamic = level.c_td * rng.uniform(-np.pi, np.pi, (14, 7))
-                applied = MeshProgram(program.cell_settings, program.phase_screens
-                                      + signs[:, None] * (static[:, None] + dynamic))
-                for layer in layers:
-                    column = full_unitary(spec14, applied, up_to_layer=layer)[
-                        :, spec14.injection_mode - 1]
-                    assert np.abs(stacks[layer][r] - intensities(column)).max() < 1e-12
+        signs = np.ones(14)
+        signs[7:] = -1.0
+        stacks = _level_intensity_stacks(spec14, _layer_matrices(spec14, program),
+                                         program.phase_screens, level, n, 555, 3, layers)
+        for r in range(n):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((555, 3, r))))
+            static = level.c_tid * rng.uniform(-np.pi, np.pi, 14)
+            dynamic = level.c_td * rng.uniform(-np.pi, np.pi, (14, 7))
+            applied = MeshProgram(program.cell_settings, program.phase_screens
+                                  + signs[:, None] * (static[:, None] + dynamic))
+            for layer in layers:
+                column = full_unitary(spec14, applied, up_to_layer=layer)[
+                    :, spec14.injection_mode - 1]
+                assert np.abs(stacks[layer][r] - intensities(column)).max() < 1e-12
 
     def test_fully_incoherent_matches_markov_oracle(self, spec14):
         plan = SweepPlan(spec14, (DisorderSpec(1, 1),), 4000, 77)
@@ -221,6 +217,31 @@ class TestRunSweep:
         run_sweep(plan, out_path=str(p1), workers=1)
         run_sweep(plan, out_path=str(p2), workers=2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_pool_never_larger_than_pending_levels(self, spec14, monkeypatch):
+        # Every worker of a pool is started at its first submit, so 64
+        # workers for 4 levels would start 60 idle processes.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5)
+        serial = run_sweep(plan, workers=1)
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InProcessPool)
+        pooled = run_sweep(plan, workers=64)
+        assert sizes == [4]
+        assert pooled.to_document() == serial.to_document()
 
     def test_normalization_of_all_records(self, spec14, tmp_path):
         plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 40, 7,
@@ -345,6 +366,29 @@ class TestRunSweep:
             result.write_csv(str(out) + ".csv")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_writes_are_synced_before_rename(self, spec14, tmp_path, monkeypatch):
+        # A machine crash after the rename must find the whole file on disk:
+        # the temporary file is flushed and fsynced before it replaces ``path``.
+        result = run_sweep(SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 3), workers=1)
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            calls.append(("replace", os.path.getsize(src)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        for write, name in ((result.save, "doc.json"), (result.write_csv, "doc.csv")):
+            calls.clear()
+            write(str(tmp_path / name))
+            size = (tmp_path / name).stat().st_size
+            assert calls == [("fsync", size), ("replace", size)], name
+
     def test_flat_table_schema(self, spec14, tmp_path):
         plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 3)
         out = tmp_path / "doc.json"
@@ -406,13 +450,13 @@ class TestThroughput:
         spec = MeshSpec(30, 15)
         program = build_symmetric_qw(spec)
         mats = _layer_matrices(spec, program)
-        level, policy = DisorderSpec(0.842, 0.5), SymmetryPolicy.MIRRORED_SIGN
+        level = DisorderSpec(0.842, 0.5)
         n = 2000
         static, dynamic = _sample_block(30, 15, 1, 0, 0, n)
 
         def screens_and_propagate(count):
             total = compose_screens(program.phase_screens, level, static[:count],
-                                    dynamic[:count], policy)
+                                    dynamic[:count])
             _propagate_block(spec, mats, total, (15,))
 
         screens_and_propagate(100)  # warm up

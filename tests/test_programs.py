@@ -9,7 +9,6 @@ from meshwalk import (
     MeshProgram,
     MeshSpec,
     SweepPlan,
-    SymmetryPolicy,
     build_symmetric_qw,
     build_tomography_program,
     intensities,
@@ -27,9 +26,9 @@ def one_realization(seed, level_index, r, num_modes=14, depth=7):
     return static[0], dynamic[0]
 
 
-def disordered(program, level, static, dynamic, policy=SymmetryPolicy.MIRRORED_SIGN):
+def disordered(program, level, static, dynamic):
     """The program with one realization's disorder added to its screens."""
-    screens = compose_screens(program.phase_screens, level, static, dynamic, policy)
+    screens = compose_screens(program.phase_screens, level, static, dynamic)
     return MeshProgram(program.cell_settings, screens)
 
 
@@ -78,12 +77,12 @@ class TestSampleRealization:
         assert not np.array_equal(static[0], static[1])
 
     def test_scaling_by_coefficients(self, spec14):
-        # Each field alone, applied with zero screens and no sign flip.
+        # Each field alone, applied with zero screens.
         static, dynamic = one_realization(9, 0, 0)
         zeros = np.zeros((14, 7))
 
         def applied(level, s, d):
-            return compose_screens(zeros, level, s, d, SymmetryPolicy.UNIFORM_SIGN)
+            return compose_screens(zeros, level, s, d)
 
         full, half = DisorderSpec(1.0, 1.0), DisorderSpec(0.5, 0.25)
         s_full, s_half = (applied(l, static, 0 * dynamic) for l in (full, half))
@@ -154,14 +153,13 @@ class TestApplyDisorder:
         assert np.abs(screens - screens[:, :1]).max() < 1e-15
 
     def test_mirrored_sign_pattern(self, spec14, qw_program):
-        signs = mode_signs(14, SymmetryPolicy.MIRRORED_SIGN)
+        signs = mode_signs(14)
         assert np.array_equal(signs, np.concatenate([np.ones(7), -np.ones(7)]))
-        level, fields = DisorderSpec(0.4, 0.0), one_realization(7, 0, 0)
-        mirrored = disordered(qw_program, level, *fields).phase_screens
-        uniform = disordered(qw_program, level, *fields,
-                             policy=SymmetryPolicy.UNIFORM_SIGN).phase_screens
-        assert np.abs(mirrored[:7] - uniform[:7]).max() < 1e-15
-        assert np.abs(mirrored[7:] + uniform[7:]).max() < 1e-15
+        level, (static, dynamic) = DisorderSpec(0.4, 0.0), one_realization(7, 0, 0)
+        # The applied static screen: +c_tid * static on modes 1..7, - on 8..14.
+        applied = disordered(qw_program, level, static, dynamic).phase_screens
+        assert np.abs(applied[:7] - 0.4 * static[:7, None]).max() < 1e-15
+        assert np.abs(applied[7:] + 0.4 * static[7:, None]).max() < 1e-15
 
     def test_dimension_mismatch(self, qw_program):
         with pytest.raises(ValueError):
@@ -173,35 +171,29 @@ class TestApplyDisorder:
         # Reflecting the *applied* phase field about the cone axis reflects
         # the output distribution exactly, realization by realization.  The
         # applied screen is signs * wrap(static + dynamic), so its mirror is
-        # drawn from signs * (signs * field)[::-1]: under MIRRORED_SIGN that
-        # is the drawn fields reversed and negated, under UNIFORM_SIGN just
-        # reversed.
+        # drawn from signs * (signs * field)[::-1]; the signs are
+        # antisymmetric, so that is the drawn fields reversed and negated.
         level = DisorderSpec(0.8, 0.6)
         static, dynamic = draw_block(33, 0, 0, 10, 14, 7)
-        for policy in SymmetryPolicy:
-            signs = mode_signs(14, policy)
-            for r in range(10):
-                flipped = (signs * (signs * static[r])[::-1],
-                           signs[:, None] * (signs[:, None] * dynamic[r])[::-1])
-                dist = intensities(propagate(
-                    spec14, disordered(qw_program, level, static[r], dynamic[r], policy)))
-                dist_flipped = intensities(propagate(
-                    spec14, disordered(qw_program, level, *flipped, policy)))
-                # Each realization is itself asymmetric, so the check has teeth.
-                assert np.abs(dist - dist[::-1]).max() > 0.01
-                assert np.abs(dist_flipped - dist[::-1]).max() < 1e-12
+        for r in range(10):
+            flipped = (-static[r, ::-1], -dynamic[r, ::-1])
+            dist = intensities(propagate(
+                spec14, disordered(qw_program, level, static[r], dynamic[r])))
+            dist_flipped = intensities(propagate(
+                spec14, disordered(qw_program, level, *flipped)))
+            # Each realization is itself asymmetric, so the check has teeth.
+            assert np.abs(dist - dist[::-1]).max() > 0.01
+            assert np.abs(dist_flipped - dist[::-1]).max() < 1e-12
 
     def test_ensemble_mirror_symmetry(self, spec14):
         # The drawn law is i.i.d. per mode and symmetric under negation, so
-        # the ensemble mean is mirror symmetric within Monte-Carlo error
-        # under either sign policy.
-        for policy in SymmetryPolicy:
-            plan = SweepPlan(spec14, (DisorderSpec(0.6, 0.4),), 2000, 2211, policy=policy)
-            rec = run_sweep(plan, workers=1).record(0)
-            mean, se = rec.mean, rec.std_error
-            diff = np.abs(mean - mean[::-1])
-            combined = np.hypot(se, se[::-1])
-            assert (diff <= 4.0 * combined + 1e-12).all()
+        # the ensemble mean is mirror symmetric within Monte-Carlo error.
+        plan = SweepPlan(spec14, (DisorderSpec(0.6, 0.4),), 2000, 2211)
+        rec = run_sweep(plan, workers=1).record(0)
+        mean, se = rec.mean, rec.std_error
+        diff = np.abs(mean - mean[::-1])
+        combined = np.hypot(se, se[::-1])
+        assert (diff <= 4.0 * combined + 1e-12).all()
 
 
 class TestTomographyProgram:
