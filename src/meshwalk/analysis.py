@@ -301,7 +301,11 @@ def detect_enaqt(result: EnsembleResult, static_level: float, enhance_modes,
     moves the opposite way, also beyond ``threshold``.  The report further
     characterizes the curve's maximum: whether it is interior, its
     prominence over the curve minimum, and the downturn toward full noise.
+    A plan of fewer than 2 realizations per level has no standard errors to
+    weigh the rise against, and raises :class:`DegenerateDistributionError`.
     """
+    if result.plan.realizations_per_level < 2:
+        raise DegenerateDistributionError("one realization per level has no standard error")
     spec = result.plan.spec
     layer = read_layer if read_layer is not None else spec.depth
     grid = result.plan.grid

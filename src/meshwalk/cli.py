@@ -186,10 +186,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _run_slice(args, spec: MeshSpec, enhance: list[int], deplete: list[int],
-               default_name: str) -> int:
+def cmd_slice(args) -> int:
+    if args.depth < 1:
+        raise UsageError("--depth must be >= 1")
+    spec = _build(MeshSpec, args.modes or 2 * args.depth, args.depth, args.inject)
+    top, offset = spec.num_modes // 2, max(round(spec.depth / 3), 1)
+    enhance = (_parse_modes(args.enhance, spec.num_modes) if args.enhance
+               else [top - offset, top + 1 + offset])
+    deplete = _parse_modes(args.deplete, spec.num_modes) if args.deplete else [top, top + 1]
     if args.points < 3:
         raise UsageError("--points must be >= 3")
+    if args.n < 2:
+        raise UsageError("--n must be >= 2: one realization per level has no standard error")
     enhance = _build(analysis._check_modes, enhance, spec.num_modes)
     deplete = _build(analysis._check_modes, deplete, spec.num_modes)
     _build(DisorderSpec, args.ctid, 0.0)  # the requested row must be a valid c_tid
@@ -197,7 +205,7 @@ def _run_slice(args, spec: MeshSpec, enhance: list[int], deplete: list[int],
     used = analysis._nearest_row(rows, args.ctid)
     grid = tuple(DisorderSpec(used, float(td)) for td in rows)
     plan = _build(SweepPlan, spec, grid, args.n, args.seed)
-    out = _out_path(default_name, args.out)
+    out = _out_path(args.name.format(ctid=args.ctid, n=args.n, depth=args.depth), args.out)
     result = _run(plan, out + ".result.json", args.workers)
     report = analysis.detect_enaqt(result, args.ctid, enhance, deplete,
                                    threshold=args.threshold)
@@ -228,33 +236,6 @@ def _run_slice(args, spec: MeshSpec, enhance: list[int], deplete: list[int],
     print(f"ENAQT declared: {'yes' if report.declared else 'no'}")
     print(f"report: {out}")
     return 0
-
-
-def cmd_slice(args) -> int:
-    spec = _build(MeshSpec, args.modes, args.depth, args.inject)
-    enhance = _parse_modes(args.enhance, spec.num_modes)
-    deplete = _parse_modes(args.deplete, spec.num_modes)
-    return _run_slice(args, spec, enhance, deplete,
-                      f"slice_ctid{args.ctid:g}_n{args.n}.json")
-
-
-def cmd_deep(args) -> int:
-    if args.depth < 1:
-        raise UsageError("--depth must be >= 1")
-    modes = args.modes if args.modes else 2 * args.depth
-    spec = _build(MeshSpec, modes, args.depth, args.inject)
-    offset = max(round(spec.depth / 3), 1)
-    center_top = spec.num_modes // 2
-    if args.enhance:
-        enhance = _parse_modes(args.enhance, spec.num_modes)
-    else:
-        enhance = [center_top - offset, center_top + 1 + offset]
-    if args.deplete:
-        deplete = _parse_modes(args.deplete, spec.num_modes)
-    else:
-        deplete = [center_top, center_top + 1]
-    return _run_slice(args, spec, enhance, deplete,
-                      f"deep_depth{args.depth}_ctid{args.ctid:g}_n{args.n}.json")
 
 
 def cmd_fit(args) -> int:
@@ -296,7 +277,8 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
         p.add_argument("--out", help="output path (default under $MESHWALK_OUT_DIR)")
         p.add_argument("--workers", type=positive_int, default=None,
-                       help="process count (default: all cores); results do not depend on it")
+                       help="process count, at most the cores and the levels to run "
+                            "(default: all cores); results do not depend on it")
 
     p = sub.add_parser("walk", help="single disorder level, final-layer ensemble")
     add_mesh(p)
@@ -322,31 +304,29 @@ def build_parser() -> _Parser:
     p.add_argument("--progress", action="store_true", help="report progress on stderr")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("slice", help="ENAQT test along one static-disorder row")
-    add_mesh(p)
-    p.add_argument("--ctid", type=float, default=0.842, help="static row (nearest grid point)")
-    p.add_argument("--enhance", dest="enhance", default="5,10", metavar="MODES",
-                   help="modes expected to gain efficiency, or 'all'")
-    p.add_argument("--deplete", default="7,8", metavar="MODES",
-                   help="modes expected to lose efficiency")
-    p.add_argument("--points", type=int, default=20, help="dynamic-disorder grid points")
-    p.add_argument("--threshold", type=float, default=3.0, help="significance threshold")
-    add_run(p, 20000)
-    p.set_defaults(func=cmd_slice)
-
-    p = sub.add_parser("deep", help="slice pipeline at extended depth (default 15 steps)")
-    p.add_argument("--depth", type=int, default=15)
-    p.add_argument("--modes", type=int, default=0, help="default: 2 * depth")
-    p.add_argument("--inject", type=int, default=0)
-    p.add_argument("--ctid", type=float, default=0.842)
-    p.add_argument("--enhance", default="", metavar="MODES",
-                   help="default: injection pair offset by round(depth/3)")
-    p.add_argument("--deplete", default="", metavar="MODES",
-                   help="default: the injection pair")
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--threshold", type=float, default=3.0)
-    add_run(p, 20000)
-    p.set_defaults(func=cmd_deep)
+    # slice and deep differ only in their mesh defaults and output name.
+    for command, modes, depth, name, summary in (
+            ("slice", 14, 7, "slice_ctid{ctid:g}_n{n}.json",
+             "ENAQT test along one static-disorder row"),
+            ("deep", 0, 15, "deep_depth{depth}_ctid{ctid:g}_n{n}.json",
+             "slice pipeline at extended depth (default 15 steps)")):
+        p = sub.add_parser(command, help=summary, description=(
+            f"{summary}. --modes 0 means 2 * depth modes. By default the deplete set is "
+            "the center pair (modes/2, modes/2 + 1) and the enhance set is that pair "
+            "offset outward by max(round(depth/3), 1): 7,8 and 5,10 on 14 modes at "
+            "depth 5 to 7."))
+        add_mesh(p, modes, depth)
+        p.add_argument("--ctid", type=float, default=0.842,
+                       help="static row (nearest grid point)")
+        p.add_argument("--enhance", default="", metavar="MODES",
+                       help="modes expected to gain efficiency, or 'all' "
+                            "(default: the center pair offset outward)")
+        p.add_argument("--deplete", default="", metavar="MODES",
+                       help="modes expected to lose efficiency (default: the center pair)")
+        p.add_argument("--points", type=int, default=20, help="dynamic-disorder grid points")
+        p.add_argument("--threshold", type=float, default=3.0, help="significance threshold")
+        add_run(p, 20000)
+        p.set_defaults(func=cmd_slice, name=name)
 
     p = sub.add_parser("fit", help="fit Laplace/Gaussian profiles to a stored mean")
     p.add_argument("--in", dest="infile", required=True, help="result document path")

@@ -109,6 +109,8 @@ class SweepPlan:
         for t in layers:
             if not 1 <= t <= self.spec.depth:
                 raise ValueError(f"read layer {t} outside [1, {self.spec.depth}]")
+        if len(set(layers)) < len(layers):
+            raise ValueError(f"read layers {layers} repeat a layer")
         object.__setattr__(self, "read_layers", layers)
 
     def to_dict(self) -> dict:
@@ -234,7 +236,9 @@ def _records(plan: SweepPlan, entries) -> dict[tuple[int, int], LevelRecord]:
     An entry's key is checked before it indexes the plan; its other fields
     must then encode exactly as :func:`_entry` writes them, so a resumed
     document is byte for byte the fresh one: ``true`` and ``10.0`` are not
-    the integers ``1`` and ``10``, nor ``1`` the float ``1.0``.
+    the integers ``1`` and ``10``, nor ``1`` the float ``1.0``.  Means and
+    standard errors must be finite and standard errors non-negative, as every
+    run writes them.
     """
     records = {}
     for entry in entries:
@@ -251,6 +255,10 @@ def _records(plan: SweepPlan, entries) -> dict[tuple[int, int], LevelRecord]:
         rec = LevelRecord(*(np.asarray(entry[k], dtype=float) for k in ("mean", "std_error")))
         if rec.mean.shape != (plan.spec.num_modes,) or rec.std_error.shape != rec.mean.shape:
             raise ValueError(f"record {key}: arrays are not {plan.spec.num_modes} modes long")
+        if not (np.isfinite(rec.mean).all() and np.isfinite(rec.std_error).all()
+                and (rec.std_error >= 0).all()):
+            raise ValueError(f"record {key}: a mean or standard error is not finite, "
+                             "or a standard error is negative")
         records[key] = rec
     return records
 
@@ -357,7 +365,8 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
               resume: bool = False, progress=None) -> EnsembleResult:
     """Run every (level, read_layer) of the plan's symmetric walk and persist the result.
 
-    ``workers`` > 1 distributes levels over processes; the reduction happens
+    ``workers`` > 1 distributes levels over at most that many processes, and
+    never more than the cores or the pending levels; the reduction happens
     inside each level in fixed order, so the outcome does not depend on the
     worker count.  With ``out_path`` set, each finished record is appended to
     ``<out_path>.ckpt``; ``resume=True`` skips records already present there.
@@ -411,9 +420,10 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
         if progress:
             progress(len(records), len(plan.grid) * len(plan.read_layers))
 
-    # Never more processes than levels to run: a pool forks all its workers
-    # at the first submit.
-    nworkers = min(workers if workers is not None else (os.cpu_count() or 1), len(pending))
+    # Never more processes than cores or levels to run: a pool forks all its
+    # workers at the first submit.
+    cores = os.cpu_count() or 1
+    nworkers = min(workers if workers is not None else cores, cores, len(pending))
     try:
         if nworkers > 1:
             with ProcessPoolExecutor(max_workers=nworkers) as pool:

@@ -243,6 +243,13 @@ class TestDetectEnaqt:
         with pytest.raises(ValueError, match="missing record"):
             detect_enaqt(slice_result, 1.0, [5, 10], [7, 8], read_layer=3)
 
+    def test_one_realization_per_level_is_degenerate(self, spec14):
+        # Its standard errors are 0, so any rise would count as infinitely significant.
+        grid = tuple(DisorderSpec(1.0, float(td)) for td in np.linspace(0.0, 1.0, 3))
+        result = run_sweep(SweepPlan(spec14, grid, 1, 6), workers=1)
+        with pytest.raises(DegenerateDistributionError, match="one realization"):
+            detect_enaqt(result, 1.0, [5, 10], [7, 8])
+
     def test_report_rows_schema(self, slice_result):
         report = detect_enaqt(slice_result, 1.0, [5, 10], [7, 8])
         rows = report.to_rows()

@@ -53,7 +53,9 @@ def test_usage_errors_exit_one(outdir, capsys):
     assert main(["nonsense"]) == 1
     # Mode sets are range-checked before any realization runs.
     assert main(["deep", "--depth", "4", "--enhance", "99"]) == 1
-    assert main(["slice", "--modes", "8", "--depth", "4"]) == 1  # default enhance 5,10
+    assert main(["slice", "--modes", "8", "--depth", "4", "--enhance", "5,10"]) == 1
+    # One realization per level gives no standard error to test a rise against.
+    assert main(["slice", "--n", "1"]) == 1
     assert main(["walk", "--workers", "-3"]) == 1
     assert not list(outdir.iterdir())
 
@@ -258,6 +260,16 @@ def test_deep_smoke_small_depth(outdir, capsys):
     assert report["enhance_modes"] == [3, 6]
     assert report["deplete_modes"] == [4, 5]
     assert "curve maximum" in capsys.readouterr().out
+
+
+def test_slice_default_mode_sets_follow_the_mesh(outdir, capsys):
+    # The deplete set is the center pair, the enhance set that pair offset
+    # outward by max(round(depth / 3), 1): on 16 modes at depth 7, 8,9 and 6,11.
+    assert main(["slice", "--modes", "16", "--points", "4", "--n", "300",
+                 "--out", "m16.json", "--workers", "1"]) == 0
+    report = json.loads((outdir / "m16.json").read_text())
+    assert report["enhance_modes"] == [6, 11]
+    assert report["deplete_modes"] == [8, 9]
 
 
 def test_fit_command_on_localized_run(outdir, capsys):

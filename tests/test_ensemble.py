@@ -188,6 +188,8 @@ class TestSweepPlan:
             SweepPlan(spec14, (DisorderSpec(0, 0),), 5, 1, read_layers=(8,))
         with pytest.raises(ValueError, match="master_seed"):
             SweepPlan(spec14, (DisorderSpec(0, 0),), 5, -1)
+        with pytest.raises(ValueError, match="repeat"):
+            SweepPlan(spec14, (DisorderSpec(0, 0),), 5, 1, read_layers=(7, 7))
 
     def test_default_read_layer_is_final(self, spec14):
         plan = SweepPlan(spec14, (DisorderSpec(0, 0),), 5, 1)
@@ -218,9 +220,9 @@ class TestRunSweep:
         run_sweep(plan, out_path=str(p2), workers=2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_pool_never_larger_than_pending_levels(self, spec14, monkeypatch):
-        # Every worker of a pool is started at its first submit, so 64
-        # workers for 4 levels would start 60 idle processes.
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Pool sizes ``run_sweep`` asks for; the pool runs its tasks in process."""
         sizes = []
 
         class InProcessPool:
@@ -236,11 +238,25 @@ class TestRunSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InProcessPool)
+        return sizes
+
+    def test_pool_never_larger_than_pending_levels(self, spec14, monkeypatch, pool_sizes):
+        # Every worker of a pool is started at its first submit, so 64
+        # workers for 4 levels would start 60 idle processes.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # only the levels limit the pool
         plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5)
         serial = run_sweep(plan, workers=1)
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InProcessPool)
         pooled = run_sweep(plan, workers=64)
-        assert sizes == [4]
+        assert pool_sizes == [4]
+        assert pooled.to_document() == serial.to_document()
+
+    def test_pool_never_larger_than_cores(self, spec14, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5)
+        serial = run_sweep(plan, workers=1)
+        pooled = run_sweep(plan, workers=64)
+        assert pool_sizes == [2]
         assert pooled.to_document() == serial.to_document()
 
     def test_normalization_of_all_records(self, spec14, tmp_path):
@@ -315,6 +331,9 @@ class TestRunSweep:
         {"level_index": True}, {"n": 10.0}, {"c_td": 1},
         # A key is checked before it indexes the plan; a signed zero is another field.
         {"level_index": -1}, {"read_layer": 7.0}, {"c_tid": -0.0},
+        # No run writes a non-finite value or a negative standard error.
+        {"mean": [float("nan")] * 14}, {"std_error": [-1.0] * 14},
+        {"std_error": [float("inf")] * 14},
     ])
     def test_records_checked_against_plan(self, spec14, tmp_path, edit):
         # A record the plan does not produce is rejected on load and on resume.
