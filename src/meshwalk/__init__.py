@@ -12,9 +12,7 @@ from .analysis import (
     FitResult,
     detect_enaqt,
     fit_distribution,
-    similarity,
     spread_exponent,
-    transport_efficiency,
 )
 from .ensemble import (
     EnsembleResult,
@@ -26,7 +24,6 @@ from .ensemble import (
 from .lattice import (
     HADAMARD,
     INPUT_SPLITTER,
-    WIRE,
     CellCoord,
     MeshSpec,
     RbsSetting,
@@ -40,7 +37,6 @@ from .programs import (
     DisorderSpec,
     MeshProgram,
     build_symmetric_qw,
-    build_tomography_program,
     mode_signs,
 )
 
@@ -62,9 +58,7 @@ __all__ = [
     "MeshSpec",
     "RbsSetting",
     "SweepPlan",
-    "WIRE",
     "build_symmetric_qw",
-    "build_tomography_program",
     "cell_unitary",
     "detect_enaqt",
     "fit_distribution",
@@ -73,8 +67,6 @@ __all__ = [
     "mode_signs",
     "propagate",
     "run_sweep",
-    "similarity",
     "spread_exponent",
-    "transport_efficiency",
     "wrap_angle",
 ]

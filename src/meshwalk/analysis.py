@@ -1,4 +1,4 @@
-"""Transport metrics: similarity, distribution fits, spread, efficiency, ENAQT.
+"""Transport metrics: distribution fits, spread, efficiency, ENAQT.
 
 All operations act on intensity distributions (nonnegative vectors over
 modes) or on ensemble sweep results.  Fits minimize the plain sum of squared
@@ -34,21 +34,6 @@ def _as_distribution(d, name: str = "distribution") -> np.ndarray:
     if d.sum() <= 0.0:
         raise ValueError(f"{name} sums to zero")
     return d
-
-
-def similarity(d1, d2) -> float:
-    """Overlap of two intensity distributions.
-
-    Both inputs are normalized to unit sum and the squared Bhattacharyya
-    coefficient ``(sum_i sqrt(p_i q_i))**2`` is returned, bounded in [0, 1]
-    with equality iff the normalized distributions match.
-    """
-    a = _as_distribution(d1, "d1")
-    b = _as_distribution(d2, "d2")
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    bc = float(np.sqrt((a / a.sum()) * (b / b.sum())).sum())
-    return min(bc * bc, 1.0)
 
 
 class FitFamily(enum.Enum):
@@ -218,27 +203,26 @@ def _efficiency(record: LevelRecord, idx: list[int]) -> tuple[float, float]:
     return float(record.mean[idx].sum()), float(np.sqrt((record.std_error[idx] ** 2).sum()))
 
 
-@dataclass(frozen=True)
-class TransportPoint:
-    level_index: int
-    c_tid: float
-    c_td: float
-    read_layer: int
-    eta: float
-    std_error: float
+def _rounding_bound(eta, size: int, layer: int):
+    """Bound on the rounding error of efficiencies ``eta`` of ``size`` modes (see detect_enaqt)."""
+    eta = np.abs(eta)
+    return (32 * layer * np.sqrt(eta) + 2 * size * eta) * np.finfo(float).eps
 
 
-def transport_efficiency(result: EnsembleResult, modes,
-                         read_layer: int | None = None) -> list[TransportPoint]:
-    """Summed ensemble-mean intensity over a mode set, per disorder level."""
-    spec = result.plan.spec
-    layer = read_layer if read_layer is not None else spec.depth
-    idx = [m - 1 for m in _check_modes(modes, spec.num_modes)]
-    points = []
-    for level_index, level in enumerate(result.plan.grid):
-        eta, se = _efficiency(result.records[(level_index, layer)], idx)
-        points.append(TransportPoint(level_index, level.c_tid, level.c_td, layer, eta, se))
-    return points
+def _change(curve, i: int, j: int, sign: float = 1.0) -> tuple[float, float]:
+    """``eta[i] - eta[j]`` of ``curve = (eta, se, bound)`` and ``sign`` times its significance.
+
+    The significance is in combined standard errors; a change within the two
+    points' rounding bounds reads 0, with significance 0.
+    """
+    eta, se, bound = curve
+    change = float(eta[i] - eta[j])
+    if abs(change) <= bound[i] + bound[j]:
+        return 0.0, 0.0
+    combined = float(np.hypot(se[i], se[j]))
+    if combined > 0:
+        return change, sign * change / combined
+    return change, math.inf if sign * change > 0 else 0.0
 
 
 @dataclass
@@ -303,6 +287,17 @@ def detect_enaqt(result: EnsembleResult, static_level: float, enhance_modes,
     prominence over the curve minimum, and the downturn toward full noise.
     A plan of fewer than 2 realizations per level has no standard errors to
     weigh the rise against, and raises :class:`DegenerateDistributionError`.
+
+    Rounding noise is no change.  An efficiency ``eta`` of ``k`` modes read at
+    layer ``t`` is computed within ``(32 t sqrt(eta) + 2 k eta) eps`` of its
+    exact value.  Each layer moves the unit-norm state by at most 16 eps in
+    norm: about 5 for the cell update and its rounded entries, 6 for the
+    composed screen value (a few ulps of pi) and 3 for its phase factor.  A
+    state off by ``d`` <= 16 t eps puts a set's intensity off by at most
+    ``2 |psi_S| d``, whose ensemble mean is at most ``2 sqrt(eta) d``
+    (Jensen); squaring, averaging and summing the ``k`` means add at most
+    ``2 k eps eta``.  A rise, deplete change, prominence or downturn within
+    its two points' bounds is reported as 0, with significance 0.
     """
     if result.plan.realizations_per_level < 2:
         raise DegenerateDistributionError("one realization per level has no standard error")
@@ -324,32 +319,24 @@ def detect_enaqt(result: EnsembleResult, static_level: float, enhance_modes,
 
     enh = _check_modes(enhance_modes, spec.num_modes)
     dep = _check_modes(deplete_modes, spec.num_modes)
-    eidx = [m - 1 for m in enh]
-    didx = [m - 1 for m in dep]
 
     c_td = np.array([grid[i].c_td for i in slice_levels])
-    def curve(idx):
-        eta, se = zip(*(_efficiency(result.records[(i, layer)], idx) for i in slice_levels))
-        return np.array(eta), np.array(se)
+    def curve(modes):
+        idx = [m - 1 for m in modes]
+        eta, se = (np.array(v) for v in zip(*(_efficiency(result.records[(i, layer)], idx)
+                                              for i in slice_levels)))
+        return eta, se, _rounding_bound(eta, len(idx), layer)
 
-    eta_e, se_e = curve(eidx)
-    eta_d, se_d = curve(didx)
+    enhance, deplete = curve(enh), curve(dep)
+    (eta_e, se_e, _), (eta_d, se_d, _) = enhance, deplete
 
     interior = np.arange(1, c_td.size - 1)
     best = int(interior[np.argmax(eta_e[interior])])
-    rise = float(eta_e[best] - eta_e[0])
-    rise_se = float(np.hypot(se_e[best], se_e[0]))
-    rise_sig = rise / rise_se if rise_se > 0 else (math.inf if rise > 0 else 0.0)
-    dep_change = float(eta_d[best] - eta_d[0])
-    dep_se = float(np.hypot(se_d[best], se_d[0]))
-    dep_sig = -dep_change / dep_se if dep_se > 0 else (math.inf if dep_change < 0 else 0.0)
-
+    rise, rise_sig = _change(enhance, best, 0)
+    dep_change, dep_sig = _change(deplete, best, 0, sign=-1.0)
     argmax = int(np.argmax(eta_e))
-    lowest = int(np.argmin(eta_e))
-    prom = float(eta_e[argmax] - eta_e[lowest])
-    prom_se = float(np.hypot(se_e[argmax], se_e[lowest]))
-    down = float(eta_e[argmax] - eta_e[-1])
-    down_se = float(np.hypot(se_e[argmax], se_e[-1]))
+    prom, prom_sig = _change(enhance, argmax, int(np.argmin(eta_e)))
+    down, down_sig = _change(enhance, argmax, -1)
 
     declared = bool(rise_sig > threshold and dep_change < 0 and dep_sig > threshold)
     return EnaqtReport(
@@ -367,14 +354,14 @@ def detect_enaqt(result: EnsembleResult, static_level: float, enhance_modes,
         best_index=best,
         best_c_td=float(c_td[best]),
         rise=rise,
-        rise_significance=float(rise_sig),
+        rise_significance=rise_sig,
         deplete_change=dep_change,
-        deplete_significance=float(dep_sig),
+        deplete_significance=dep_sig,
         argmax_index=argmax,
         interior_maximum=bool(0 < argmax < c_td.size - 1),
         prominence=prom,
-        prominence_significance=float(prom / prom_se) if prom_se > 0 else 0.0,
+        prominence_significance=prom_sig,
         downturn=down,
-        downturn_significance=float(down / down_se) if down_se > 0 else 0.0,
+        downturn_significance=down_sig,
         declared=declared,
     )

@@ -198,6 +198,8 @@ def cmd_slice(args) -> int:
         raise UsageError("--points must be >= 3")
     if args.n < 2:
         raise UsageError("--n must be >= 2: one realization per level has no standard error")
+    if not 0 < args.threshold < float("inf"):
+        raise UsageError(f"--threshold must be positive and finite, got {args.threshold}")
     enhance = _build(analysis._check_modes, enhance, spec.num_modes)
     deplete = _build(analysis._check_modes, deplete, spec.num_modes)
     _build(DisorderSpec, args.ctid, 0.0)  # the requested row must be a valid c_tid
@@ -287,7 +289,7 @@ def build_parser() -> _Parser:
     add_run(p, 200)
     p.set_defaults(func=cmd_walk)
 
-    p = sub.add_parser("tomography", help="per-time-step ensemble via wire routing")
+    p = sub.add_parser("tomography", help="single disorder level, ensemble at every layer")
     add_mesh(p)
     p.add_argument("--ctid", type=float, default=0.0)
     p.add_argument("--ctd", type=float, default=0.0)

@@ -3,10 +3,11 @@
 A sweep evaluates a grid of disorder levels; each level propagates N
 independently-seeded realizations and reduces them to a per-mode ensemble
 mean and standard error.  Realizations run in fixed-size chunks: a chunk's
-fields come from one :func:`~meshwalk.programs.draw_block` call, its screens
-from :func:`~meshwalk.programs.compose_screens`, and the whole chunk goes
+fields come from one :func:`~meshwalk.programs.draw_block` call, its phase
+screens from :func:`~meshwalk.programs.compose_screens` (the disorder is the
+whole screen: the walk's own screens are zero), and the whole chunk goes
 through the one propagation kernel, :func:`~meshwalk.lattice.evolve`, at
-once, with layer matrices built once per run.
+once, with the walk's layer matrices built once per run.
 Every realization's stream is derived from
 ``(master_seed, level_index, realization_index)``, each level is reduced in
 fixed realization order with exact compensated summation, and records are
@@ -273,8 +274,8 @@ def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray
                      read_layers: tuple[int, ...]) -> dict[int, np.ndarray]:
     """Per-realization intensity stacks of one block at every read layer.
 
-    ``screens`` carries the total (program + disorder) phase per
-    (realization, mode, layer); only the read layers' intensities are kept.
+    ``screens`` carries the disorder phase per (realization, mode, layer);
+    only the read layers' intensities are kept.
     """
     stacks = {}
     for t, state in evolve(spec, mats, screens, max(read_layers)):
@@ -283,16 +284,15 @@ def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray
     return stacks
 
 
-def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray,
-                            level: DisorderSpec, n: int, master_seed: int,
-                            level_index: int,
+def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], level: DisorderSpec,
+                            n: int, master_seed: int, level_index: int,
                             read_layers: tuple[int, ...]) -> dict[int, np.ndarray]:
     """Per-realization intensities of one level, in realization order.
 
-    ``mats`` are the program's layer matrices and ``screens`` its phase
-    screens.  Returns, for each requested read layer, an (n, num_modes)
-    float array.  Realizations are processed in fixed-size chunks regardless
-    of worker count, so the stacking order never varies.
+    ``mats`` are the walk's layer matrices; each chunk's phase screens are
+    its disorder alone.  Returns, for each requested read layer, an
+    (n, num_modes) float array.  Realizations are processed in fixed-size
+    chunks regardless of worker count, so the stacking order never varies.
     """
     m, depth = spec.num_modes, spec.depth
     stacks = {t: np.empty((n, m)) for t in read_layers}
@@ -300,7 +300,7 @@ def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], screens: np.
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         static, dynamic = _sample_block(m, depth, master_seed, level_index, lo, hi)
-        total = compose_screens(screens, level, static, dynamic)
+        total = compose_screens(level, static, dynamic)
         for t, stack in _propagate_block(spec, mats, total, read_layers).items():
             stacks[t][lo:hi] = stack
     return stacks
@@ -319,9 +319,9 @@ def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _level_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    spec, mats, screens, level, level_index, n, master_seed, read_layers = args
-    stacks = _level_intensity_stacks(spec, mats, screens, level, n, master_seed,
-                                     level_index, read_layers)
+    spec, mats, level, level_index, n, master_seed, read_layers = args
+    stacks = _level_intensity_stacks(spec, mats, level, n, master_seed, level_index,
+                                     read_layers)
     return level_index, {t: _reduce(stack) for t, stack in stacks.items()}
 
 
@@ -376,8 +376,7 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     already dropped.  An fsync per record would add about 50 ms on ext4, some
     4% of a 400-level sweep's wall time.
     """
-    program = build_symmetric_qw(plan.spec)
-    mats = _layer_matrices(plan.spec, program)
+    mats = _layer_matrices(plan.spec, build_symmetric_qw(plan.spec))
     plan_hash = plan.hash()
     io_errors: list[str] = []
 
@@ -399,8 +398,8 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
             ckpt = None
 
     pending = [
-        (plan.spec, mats, program.phase_screens, level, idx, plan.realizations_per_level,
-         plan.master_seed, plan.read_layers)
+        (plan.spec, mats, level, idx, plan.realizations_per_level, plan.master_seed,
+         plan.read_layers)
         for idx, level in enumerate(plan.grid)
         if any((idx, t) not in done for t in plan.read_layers)
     ]

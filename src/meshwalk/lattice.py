@@ -59,10 +59,6 @@ class CellCoord:
     layer: int
     top_mode: int
 
-    @property
-    def bottom_mode(self) -> int:
-        return self.top_mode + 1
-
 
 @dataclass(frozen=True)
 class RbsSetting:
@@ -77,7 +73,6 @@ class RbsSetting:
 
 
 # Named settings used throughout the walk programs.
-WIRE = RbsSetting(np.pi, 0.0)          # bar state: straight-through routing
 HADAMARD = RbsSetting(np.pi / 2, 0.0)  # 50/50 with the Hadamard phase pattern
 INPUT_SPLITTER = RbsSetting(np.pi / 2, np.pi / 2)
 

@@ -3,9 +3,10 @@
 A :class:`MeshProgram` is pure data: one ``(theta, phi)`` setting per cell
 plus a per-(mode, layer) phase screen.  The symmetric quantum-walk program
 uses the input splitter ``(pi/2, pi/2)`` on the layer-1 cell and Hadamards
-``(pi/2, 0)`` everywhere else, with zero screens.
+``(pi/2, 0)`` everywhere else, with zero screens; it is the one program the
+disorder ensembles run.
 
-Disorder enters only through the phase screens.  A realization draws one
+Disorder enters only through the phase screens, which it fills alone.  A realization draws one
 uniform phase per mode (static, constant across layers) and one per
 (mode, layer) (dynamic, uncorrelated in space-time), each scaled by its
 strength coefficient in [0, 1].  The wrapped sum is applied with the per-mode
@@ -31,15 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    HADAMARD,
-    INPUT_SPLITTER,
-    WIRE,
-    CellCoord,
-    MeshSpec,
-    RbsSetting,
-    wrap_angle,
-)
+from .lattice import HADAMARD, INPUT_SPLITTER, CellCoord, MeshSpec, RbsSetting, wrap_angle
 
 #: How per-realization random streams are derived; recorded in every result document.
 GENERATOR_IDENTITY = (
@@ -197,27 +190,26 @@ def draw_block(master_seed: int, level_index: int, lo: int, hi: int, num_modes: 
     return buf[:, :num_modes], buf[:, num_modes:].reshape(hi - lo, num_modes, depth)
 
 
-def compose_screens(screens: np.ndarray, level: DisorderSpec, static: np.ndarray,
+def compose_screens(level: DisorderSpec, static: np.ndarray,
                     dynamic: np.ndarray) -> np.ndarray:
-    """Phase screens with a level's disorder added: the disorder model.
+    """The phase screens of a level's drawn fields: the disorder model.
 
     ``static`` (..., num_modes) and ``dynamic`` (..., num_modes, depth) are
-    drawn fields (:func:`draw_block`), scaled here by the level's c_tid and
-    c_td.  They add on each waveguide; their wrapped sum enters with the
-    :func:`mode_signs` sign, and the total is wrapped again.  The fields share
-    their leading axes (one per realization), which broadcast against the
-    (num_modes, depth) ``screens``.
+    drawn fields (:func:`draw_block`) sharing their leading axes, one per
+    realization, scaled here by the level's c_tid and c_td.  They add on each
+    waveguide; their wrapped sum enters with the :func:`mode_signs` sign, and
+    the signed sum is wrapped again into (-pi, pi].
 
     The composition runs in place in one new buffer laid out (depth, mode,
     realization), the order :func:`~meshwalk.lattice.evolve` reads, and the
     result is a (..., num_modes, depth) view of it.  Every element takes the
-    float steps of ``wrap(screens + sign * wrap(c_tid * static + c_td *
-    dynamic))`` in that order, so the bits do not depend on the layout.
+    float steps of ``wrap(sign * wrap(c_tid * static + c_td * dynamic))`` in
+    that order, so the bits do not depend on the layout.
     """
-    if static.shape != dynamic.shape[:-1] or dynamic.shape[-2:] != screens.shape:
-        raise ValueError(f"disorder fields shaped {static.shape}/{dynamic.shape} do not "
-                         f"match screens {screens.shape}")
-    m, depth = screens.shape
+    if static.shape != dynamic.shape[:-1]:
+        raise ValueError(f"static field shaped {static.shape} does not match dynamic "
+                         f"field {dynamic.shape}")
+    m, depth = dynamic.shape[-2:]
     fields = dynamic.reshape(-1, m, depth)
     count = len(fields)
     total = np.empty((depth, m, count))
@@ -229,7 +221,6 @@ def compose_screens(screens: np.ndarray, level: DisorderSpec, static: np.ndarray
     total += (level.c_tid * static.reshape(count, m)).T
     wrap_angle(total, out=total)
     total *= mode_signs(m)[:, None]
-    total += screens.T[:, :, None]
     return wrap_angle(total, out=total).T.reshape(dynamic.shape)
 
 
@@ -240,10 +231,6 @@ class MeshProgram:
     cell_settings: dict[CellCoord, RbsSetting]
     phase_screens: np.ndarray  # (num_modes, depth), radians
 
-    @property
-    def depth(self) -> int:
-        return self.phase_screens.shape[1]
-
 
 def build_symmetric_qw(spec: MeshSpec) -> MeshProgram:
     """The symmetric quantum-walk program: input splitter, then Hadamards."""
@@ -252,21 +239,3 @@ def build_symmetric_qw(spec: MeshSpec) -> MeshProgram:
         settings[cell] = INPUT_SPLITTER if cell.layer == 1 else HADAMARD
     return MeshProgram(settings, np.zeros((spec.num_modes, spec.depth)))
 
-
-def build_tomography_program(program: MeshProgram, read_layer: int) -> MeshProgram:
-    """Route the state at ``read_layer`` straight to the output.
-
-    Cells in later layers become bar-state wires and their screens are
-    zeroed, so the final intensities equal the layer-``read_layer``
-    intensities exactly.
-    """
-    depth = program.depth
-    if not 1 <= read_layer <= depth:
-        raise ValueError(f"read_layer {read_layer} outside [1, {depth}]")
-    settings = {
-        cell: (WIRE if cell.layer > read_layer else setting)
-        for cell, setting in program.cell_settings.items()
-    }
-    screens = program.phase_screens.copy()
-    screens[:, read_layer:] = 0.0
-    return MeshProgram(settings, screens)

@@ -3,15 +3,18 @@
 These deliberately avoid the package's propagation code paths: the Markov
 oracle pushes probabilities (not amplitudes) through the cone, the dense
 unitary multiplies whole num_modes x num_modes layer matrices instead of
-running the batched kernel, and the KS statistic is computed directly from
-its definition.
+running the batched kernel, the tomography program reads a layer by wire
+routing instead of stopping the kernel early, and the KS statistic is
+computed directly from its definition.
 """
 
 import math
 
 import numpy as np
 
-from meshwalk import cell_unitary
+from meshwalk import MeshProgram, RbsSetting, cell_unitary
+
+BAR = RbsSetting(np.pi, 0.0)  # bar state: straight-through routing
 
 
 def galton_distribution(num_modes: int, upto: int, inject: int) -> np.ndarray:
@@ -70,3 +73,51 @@ def full_unitary(spec, program, up_to_layer: int | None = None) -> np.ndarray:
             layer[i : i + 2, i : i + 2] = cell_unitary(program.cell_settings[cell])
         total = np.diag(np.exp(1j * screens[:, t - 1])) @ layer @ total
     return total
+
+
+def build_tomography_program(program, read_layer: int):
+    """Route the state at ``read_layer`` straight to the output.
+
+    Cells in later layers become bar-state wires and their screens are
+    zeroed, so the final intensities equal the layer-``read_layer``
+    intensities exactly.
+    """
+    depth = program.phase_screens.shape[1]
+    if not 1 <= read_layer <= depth:
+        raise ValueError(f"read_layer {read_layer} outside [1, {depth}]")
+    settings = {
+        cell: (BAR if cell.layer > read_layer else setting)
+        for cell, setting in program.cell_settings.items()
+    }
+    screens = program.phase_screens.copy()
+    screens[:, read_layer:] = 0.0
+    return MeshProgram(settings, screens)
+
+
+def extended_walk_intensities(spec, level, static, dynamic, read_layers) -> dict:
+    """Per-realization intensities of the disordered symmetric walk in extended precision.
+
+    The input splitter and Hadamard cells take exact entries, and each screen
+    is ``sign * (c_tid * static + c_td * dynamic)`` unwrapped, all in
+    ``np.longdouble``.  Where that has a 64-bit significand (x86), its
+    rounding is 2**-11 of the float64 kernel's; elsewhere it is float64.
+    """
+    ext = np.longdouble
+    signs = np.where(np.arange(spec.num_modes) < (spec.num_modes + 1) // 2, 1, -1).astype(ext)
+    phases = signs[:, None] * (ext(level.c_tid) * static.astype(ext)[:, :, None]
+                               + ext(level.c_td) * dynamic.astype(ext))
+    half = np.sqrt(ext(0.5))
+    state = np.zeros((len(static), spec.num_modes), dtype=np.clongdouble)
+    state[:, spec.injection_mode - 1] = 1
+    out = {}
+    for t in range(1, max(read_layers) + 1):
+        e = 1j if t == 1 else 1  # the input splitter's phi = pi/2, the Hadamards' 0
+        for cell in spec.layer_cells(t):
+            i = cell.top_mode - 1
+            a, b = state[:, i].copy(), state[:, i + 1].copy()
+            state[:, i] = e * half * (a + b)
+            state[:, i + 1] = half * (a - b)
+        state *= np.cos(phases[:, :, t - 1]) + 1j * np.sin(phases[:, :, t - 1])
+        if t in read_layers:
+            out[t] = state.real**2 + state.imag**2
+    return out

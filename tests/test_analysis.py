@@ -1,61 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from meshwalk import (
     DegenerateDistributionError,
     DisorderSpec,
     FitFamily,
+    MeshSpec,
     SweepPlan,
     detect_enaqt,
     fit_distribution,
     intensities,
     propagate,
     run_sweep,
-    similarity,
     spread_exponent,
-    transport_efficiency,
 )
-from meshwalk.analysis import width
-from oracles import galton_distribution, galton_sigma
-
-WEIGHTS = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=4, max_size=10)
-
-
-class TestSimilarity:
-    def test_self_similarity_is_one(self):
-        d = np.array([0.1, 0.4, 0.3, 0.2])
-        assert abs(similarity(d, d) - 1.0) < 1e-12
-
-    def test_disjoint_support_is_zero(self):
-        a = np.array([1.0, 0.0, 0.0])
-        b = np.array([0.0, 1.0, 0.0])
-        assert similarity(a, b) == 0.0
-
-    def test_uniform_pair_against_delta(self):
-        a = np.array([0.5, 0.5, 0.0, 0.0])
-        b = np.array([1.0, 0.0, 0.0, 0.0])
-        assert abs(similarity(a, b) - 0.5) < 1e-12
-
-    @settings(max_examples=100)
-    @given(WEIGHTS, WEIGHTS)
-    def test_symmetric_and_bounded(self, a, b):
-        a, b = np.array(a), np.array(b)
-        if a.size != b.size or a.sum() <= 0 or b.sum() <= 0:
-            return
-        s_ab = similarity(a, b)
-        s_ba = similarity(b, a)
-        assert abs(s_ab - s_ba) < 1e-12
-        assert 0.0 <= s_ab <= 1.0
-
-    def test_zero_sum_rejected(self):
-        with pytest.raises(ValueError):
-            similarity(np.zeros(4), np.ones(4))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            similarity(np.ones(3), np.ones(4))
+from meshwalk.analysis import _rounding_bound, width
+from meshwalk.programs import draw_block
+from oracles import extended_walk_intensities, galton_distribution, galton_sigma
 
 
 class TestFitDistribution:
@@ -177,8 +138,6 @@ class TestSpreadExponent:
 
 @pytest.fixture(scope="module")
 def slice_result():
-    from meshwalk import MeshSpec
-
     spec = MeshSpec()
     tds = np.linspace(0.0, 1.0, 6)
     grid = tuple(DisorderSpec(1.0, float(td)) for td in tds)
@@ -187,17 +146,17 @@ def slice_result():
 
 
 class TestTransportEfficiency:
+    """The efficiency curves of detect_enaqt: summed ensemble means of a mode set."""
+
     def test_all_modes_sum_to_one(self, slice_result):
-        points = transport_efficiency(slice_result, range(1, 15))
-        for p in points:
-            assert abs(p.eta - 1.0) < 1e-9
+        report = detect_enaqt(slice_result, 1.0, range(1, 15), range(1, 15))
+        assert np.abs(report.eta_enhance - 1.0).max() < 1e-9
+        assert np.abs(report.eta_deplete - 1.0).max() < 1e-9
 
     def test_additive_over_disjoint_sets(self, slice_result):
-        left = transport_efficiency(slice_result, [3, 4])
-        right = transport_efficiency(slice_result, [5, 6])
-        both = transport_efficiency(slice_result, [3, 4, 5, 6])
-        for a, b, c in zip(left, right, both):
-            assert abs(a.eta + b.eta - c.eta) < 1e-12
+        parts = detect_enaqt(slice_result, 1.0, [3, 4], [5, 6])
+        both = detect_enaqt(slice_result, 1.0, [3, 4, 5, 6], [3, 4, 5, 6])
+        assert np.abs(parts.eta_enhance + parts.eta_deplete - both.eta_enhance).max() < 1e-12
 
     def test_localized_beats_ordered_at_center(self, spec14):
         def mean(level, n):
@@ -208,10 +167,11 @@ class TestTransportEfficiency:
         assert loc_mean[6] + loc_mean[7] > ord_mean[6] + ord_mean[7]
 
     def test_invalid_modes(self, slice_result):
-        with pytest.raises(ValueError):
-            transport_efficiency(slice_result, [0, 3])
-        with pytest.raises(ValueError):
-            transport_efficiency(slice_result, [])
+        for bad in ([0, 3], [15], []):
+            with pytest.raises(ValueError, match="mode"):
+                detect_enaqt(slice_result, 1.0, bad, [7, 8])
+            with pytest.raises(ValueError, match="mode"):
+                detect_enaqt(slice_result, 1.0, [5, 10], bad)
 
 
 class TestDetectEnaqt:
@@ -256,3 +216,23 @@ class TestDetectEnaqt:
         assert rows[0] == "c_tid,c_td,layer,eta_enhance,se_enhance,eta_deplete,se_deplete"
         assert len(rows) == 1 + report.c_td.size
         assert report.to_dict()["declared"] == report.declared
+
+
+def test_rounding_bound_holds_in_extended_precision():
+    # Every computed efficiency lies within the bound detect_enaqt documents
+    # of the same realizations' extended-precision efficiency.
+    rng = np.random.default_rng(4)
+    grid = (DisorderSpec(1.0, 0.0), DisorderSpec(0.842, 0.5), DisorderSpec(0.2, 1.0))
+    for spec in (MeshSpec(6, 3), MeshSpec(), MeshSpec(30, 15)):
+        m, layers = spec.num_modes, tuple(range(1, spec.depth + 1))
+        result = run_sweep(SweepPlan(spec, grid, 200, 11, read_layers=layers), workers=1)
+        for i, level in enumerate(grid):
+            fields = draw_block(11, i, 0, 200, m, spec.depth)
+            exact = extended_walk_intensities(spec, level, *fields, layers)
+            for t in layers:
+                mean, exact_mean = result.record(i, t).mean, exact[t].mean(axis=0)
+                for _ in range(20):
+                    idx = sorted(rng.choice(m, int(rng.integers(1, m + 1)), replace=False))
+                    eta = mean[idx].sum()
+                    error = abs(np.longdouble(eta) - exact_mean[idx].sum())
+                    assert error <= _rounding_bound(eta, len(idx), t), (spec, level, t, idx)

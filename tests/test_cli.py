@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -243,6 +244,68 @@ def test_failed_report_write_leaves_previous_report(outdir, capsys, monkeypatch)
     assert main(args) == 2
     assert "disk full" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+
+def test_rounding_noise_is_no_change(outdir, capsys):
+    # On the 6 x 3 mesh the default enhance set 2,5 has efficiency 1/4 at
+    # every c_td in exact arithmetic, so its computed curve moves by rounding
+    # alone: every difference and significance must read +0.
+    assert main(["slice", "--modes", "0", "--depth", "3", "--points", "3", "--n", "20",
+                 "--out", "d3.json", "--workers", "1"]) == 0
+    report = json.loads((outdir / "d3.json").read_text())
+    assert report["enhance_modes"] == [2, 5] and report["declared"] is False
+    for key in ("rise", "rise_significance", "deplete_change", "deplete_significance",
+                "prominence", "prominence_significance", "downturn", "downturn_significance"):
+        assert (report[key], math.copysign(1.0, report[key])) == (0.0, 1.0), key
+
+
+def test_threshold_must_be_positive_and_finite(outdir, capsys):
+    for command in (["slice"], ["deep", "--depth", "3"]):
+        for bad in ("-1", "0", "nan", "inf"):
+            assert main(command + ["--threshold", bad, "--points", "3", "--n", "5",
+                                   "--workers", "1"]) == 1
+    assert capsys.readouterr().err.count("--threshold must be positive and finite") == 8
+    assert not list(outdir.iterdir())
+
+
+# sha256 of every file small walk, tomography, sweep and slice runs write.  A
+# change that moves any bit of a result, or of its layout, shows here.  The
+# floats come from numpy's cos and sin, so other numpy builds may differ.
+DIGESTS = {
+    "slice.json": "51f9fc0c9455c61fa4d61d9a5d2049eec20af4c1bb4a63b329b36234eea5b899",
+    "slice.json.csv": "d36ee3a505672462451dcc5ffd5008fe10a8bab111bd5fd7aa3a4d522af1098a",
+    "slice.json.result.json": "3771739934bc9564bbfd0342f9fe1bb3d62f0e6ac9d3d6bcec76b360c9a4746d",
+    "slice.json.result.json.ckpt":
+        "48d08d8de25e0ce6652eec4855d22711df846f8d2953a3459dd78f4f4b0ce088",
+    "sweep.json": "203808a373cd1a2d447488f1b2e8535ded7f42d7b4e818ca79b9e91ee86b24c9",
+    "sweep.json.ckpt": "93da985c37f70da54606372b235acc88ab66434013ffc518b442a5b98d16b296",
+    "sweep.json.csv": "4b3913da9594c536fbf2b895f522d4de18851af911e0af1829c2d723ea9e452a",
+    "sweep.json.mode3.csv": "df3b3f7c91f53df6ed145e2c38a585d929d2c1ee0222f0eec00b38a3c258c6ec",
+    "sweep.json.mode4.csv": "7dc18d2a201a4cf33b5a870f36f7ab0ada58288db62bf59af5d5ba245c0ee9a8",
+    "sweep.json.mode5.csv": "40847a1b82adff8b181f92cade147adf2c4e902582b95b117c85e0bf7770004f",
+    "sweep.json.mode6.csv": "b70d0dfa2a0fb5a17975ce2aec416fbed43a212e15a7344ebbb87394aa4173d0",
+    "sweep.json.mode7.csv": "7ec9e56d52f179e798aa7f488bba81db8b74b6d0794a3d72a2355ed2fd0be92b",
+    "tomo.json": "d36c649991f80881b90e17db8d42e002e13c22981d025ddddb336fe3f4feef4d",
+    "tomo.json.ckpt": "3fea31409169f50219273a97db097c4ffac383f4ed26db7dbc7c1a944e9e9f59",
+    "tomo.json.csv": "0074f7939db311d514a1a016583fad64895b8164977e2e20e4578528bdda6f59",
+    "walk.json": "7981ebe061f6b13646d307017eedd77efc57ed8bd06121429e199242096189c7",
+    "walk.json.ckpt": "2ba64fba953a04b696b1aba5801cb8223ea3467cc94b435a5a0d510df31e74a0",
+    "walk.json.csv": "550bca39a1c036f772888003af775e4d4e91fa4322ae5982bd2117d95a23a01c",
+}
+
+
+def test_outputs_keep_their_digests(outdir):
+    for command in (
+            ["walk", "--ctid", "0.5", "--ctd", "0.5", "--n", "60", "--seed", "9",
+             "--out", "walk.json"],
+            ["tomography", "--ctid", "0.3", "--ctd", "0.6", "--n", "40", "--seed", "9",
+             "--out", "tomo.json"],
+            ["sweep", "--grid", "3x3", "--n", "20", "--seed", "5", "--out", "sweep.json"],
+            ["slice", "--points", "3", "--n", "50", "--seed", "7", "--out", "slice.json"]):
+        assert main(command + ["--workers", "1"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(outdir.iterdir())}
+    assert digests == DIGESTS
 
 
 def test_slice_without_localization_not_declared(outdir, capsys):

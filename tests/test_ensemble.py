@@ -58,10 +58,10 @@ def full_array_stacks(spec, program, screens, read_layers):
     return stacks
 
 
-def full_array_screens(program, level, static, dynamic):
+def full_array_screens(level, static, dynamic):
     """The disorder model with numpy's mod in both wraps."""
-    signs = mode_signs(program.phase_screens.shape[0])
-    return mod_wrap(program.phase_screens + signs[:, None]
+    signs = mode_signs(dynamic.shape[-2])
+    return mod_wrap(signs[:, None]
                     * mod_wrap((level.c_tid * static)[..., None] + level.c_td * dynamic))
 
 
@@ -75,15 +75,11 @@ class TestConeKernel:
 
     @staticmethod
     def programs(spec, rng):
-        """The walk program, and random programs with screens in +-pi and +-50 rad.
+        """The walk program, and a random program with screens in +-pi.
 
-        Screens beyond +-pi send the outer wrap to its np.mod fallback.
+        A level runs the cells alone: its screens are the disorder's.
         """
-        walk = build_symmetric_qw(spec)
-        near, far = random_program(spec, rng), random_program(spec, rng)
-        far = MeshProgram(far.cell_settings,
-                          rng.uniform(-50.0, 50.0, (spec.num_modes, spec.depth)))
-        return walk, near, far
+        return build_symmetric_qw(spec), random_program(spec, rng)
 
     def test_level_stacks(self):
         rng = np.random.default_rng(31)
@@ -91,11 +87,10 @@ class TestConeKernel:
         for spec in self.SPECS:
             layers = tuple(range(1, spec.depth + 1))
             static, dynamic = _sample_block(spec.num_modes, spec.depth, 17, 2, 0, n)
+            screens = full_array_screens(level, static, dynamic)
             for program in self.programs(spec, rng):
                 stacks = _level_intensity_stacks(
-                    spec, _layer_matrices(spec, program), program.phase_screens,
-                    level, n, 17, 2, layers)
-                screens = full_array_screens(program, level, static, dynamic)
+                    spec, _layer_matrices(spec, program), level, n, 17, 2, layers)
                 expected = full_array_stacks(spec, program, screens, layers)
                 for t in layers:
                     assert np.array_equal(bits(stacks[t]), bits(expected[t])), (spec, t)
@@ -118,12 +113,11 @@ class TestConeKernel:
         # out (layer, mode, realization), with the full-array model's bits.
         static, dynamic = _sample_block(14, 7, 4, 0, 0, 600)
         drawn = static.copy(), dynamic.copy()
-        program = random_program(MeshSpec(), np.random.default_rng(33))
         level = DisorderSpec(0.3, 0.9)
-        total = compose_screens(program.phase_screens, level, static, dynamic)
+        total = compose_screens(level, static, dynamic)
         assert total.shape == (600, 14, 7)
         assert total.transpose(2, 1, 0).flags.c_contiguous
-        expected = full_array_screens(program, level, *drawn)
+        expected = full_array_screens(level, *drawn)
         assert np.array_equal(bits(total), bits(expected))
         # The drawn fields are read, never written.
         assert np.array_equal(bits(static), bits(drawn[0]))
@@ -149,8 +143,8 @@ class TestRunLevel:
         # Each stack row against the dense oracle's injection column, with
         # the disorder model spelled out here from its documentation: the
         # stream of GENERATOR_IDENTITY, scaled, summed per waveguide, and
-        # negated on modes 8..14.  Wrapping by 2 pi changes no amplitude, so
-        # the oracle leaves it out.
+        # negated on modes 8..14, as the whole screen of the program's cells.
+        # Wrapping by 2 pi changes no amplitude, so the oracle leaves it out.
         program = random_program(spec14, np.random.default_rng(12))
         level = DisorderSpec(0.7, 0.4)
         n = 40
@@ -158,13 +152,13 @@ class TestRunLevel:
         signs = np.ones(14)
         signs[7:] = -1.0
         stacks = _level_intensity_stacks(spec14, _layer_matrices(spec14, program),
-                                         program.phase_screens, level, n, 555, 3, layers)
+                                         level, n, 555, 3, layers)
         for r in range(n):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((555, 3, r))))
             static = level.c_tid * rng.uniform(-np.pi, np.pi, 14)
             dynamic = level.c_td * rng.uniform(-np.pi, np.pi, (14, 7))
-            applied = MeshProgram(program.cell_settings, program.phase_screens
-                                  + signs[:, None] * (static[:, None] + dynamic))
+            applied = MeshProgram(program.cell_settings,
+                                  signs[:, None] * (static[:, None] + dynamic))
             for layer in layers:
                 column = full_unitary(spec14, applied, up_to_layer=layer)[
                     :, spec14.injection_mode - 1]
@@ -474,8 +468,7 @@ class TestThroughput:
         static, dynamic = _sample_block(30, 15, 1, 0, 0, n)
 
         def screens_and_propagate(count):
-            total = compose_screens(program.phase_screens, level, static[:count],
-                                    dynamic[:count])
+            total = compose_screens(level, static[:count], dynamic[:count])
             _propagate_block(spec, mats, total, (15,))
 
         screens_and_propagate(100)  # warm up

@@ -4,20 +4,18 @@ import pytest
 from meshwalk import (
     HADAMARD,
     INPUT_SPLITTER,
-    WIRE,
     DisorderSpec,
     MeshProgram,
     MeshSpec,
     SweepPlan,
     build_symmetric_qw,
-    build_tomography_program,
     intensities,
     mode_signs,
     propagate,
     run_sweep,
 )
 from meshwalk.programs import compose_screens, draw_block
-from oracles import ks_uniform_statistic
+from oracles import BAR, build_tomography_program, ks_uniform_statistic
 
 
 def one_realization(seed, level_index, r, num_modes=14, depth=7):
@@ -27,9 +25,8 @@ def one_realization(seed, level_index, r, num_modes=14, depth=7):
 
 
 def disordered(program, level, static, dynamic):
-    """The program with one realization's disorder added to its screens."""
-    screens = compose_screens(program.phase_screens, level, static, dynamic)
-    return MeshProgram(program.cell_settings, screens)
+    """The program's cells with one realization's disorder as their screens."""
+    return MeshProgram(program.cell_settings, compose_screens(level, static, dynamic))
 
 
 class TestBuildSymmetricQw:
@@ -77,16 +74,11 @@ class TestSampleRealization:
         assert not np.array_equal(static[0], static[1])
 
     def test_scaling_by_coefficients(self, spec14):
-        # Each field alone, applied with zero screens.
+        # Each field alone.
         static, dynamic = one_realization(9, 0, 0)
-        zeros = np.zeros((14, 7))
-
-        def applied(level, s, d):
-            return compose_screens(zeros, level, s, d)
-
         full, half = DisorderSpec(1.0, 1.0), DisorderSpec(0.5, 0.25)
-        s_full, s_half = (applied(l, static, 0 * dynamic) for l in (full, half))
-        d_full, d_half = (applied(l, 0 * static, dynamic) for l in (full, half))
+        s_full, s_half = (compose_screens(l, static, 0 * dynamic) for l in (full, half))
+        d_full, d_half = (compose_screens(l, 0 * static, dynamic) for l in (full, half))
         assert np.abs(s_half - 0.5 * s_full).max() < 1e-15
         assert np.abs(d_half - 0.25 * d_full).max() < 1e-15
 
@@ -140,7 +132,7 @@ class TestDrawBlock:
 
 
 class TestApplyDisorder:
-    """The disorder model of compose_screens, applied to the program's screens."""
+    """The disorder model of compose_screens: one realization's screens."""
 
     def test_zero_disorder_is_identity(self, spec14, qw_program):
         out = disordered(qw_program, DisorderSpec(0.0, 0.0), *one_realization(5, 0, 0))
@@ -161,11 +153,14 @@ class TestApplyDisorder:
         assert np.abs(applied[:7] - 0.4 * static[:7, None]).max() < 1e-15
         assert np.abs(applied[7:] + 0.4 * static[7:, None]).max() < 1e-15
 
-    def test_dimension_mismatch(self, qw_program):
-        with pytest.raises(ValueError):
-            disordered(qw_program, DisorderSpec(0.5, 0.5), np.zeros(10), np.zeros((10, 7)))
-        with pytest.raises(ValueError):
-            disordered(qw_program, DisorderSpec(0.5, 0.5), np.zeros(14), np.zeros((14, 6)))
+    def test_dimension_mismatch(self):
+        # The static field is shaped as the dynamic one without its layer axis.
+        level = DisorderSpec(0.5, 0.5)
+        for static, dynamic in ((np.zeros(10), np.zeros((14, 7))),
+                                (np.zeros((3, 14)), np.zeros((2, 14, 7))),
+                                (np.zeros((14, 7)), np.zeros((14, 7)))):
+            with pytest.raises(ValueError, match="does not match"):
+                compose_screens(level, static, dynamic)
 
     def test_mirrored_realization_mirrors_output(self, spec14, qw_program):
         # Reflecting the *applied* phase field about the cone axis reflects
@@ -212,7 +207,7 @@ class TestTomographyProgram:
         routed = build_tomography_program(qw_program, 3)
         for cell, setting in routed.cell_settings.items():
             if cell.layer > 3:
-                assert setting == WIRE
+                assert setting == BAR
             else:
                 assert setting == qw_program.cell_settings[cell]
         assert not routed.phase_screens[:, 3:].any()
