@@ -83,7 +83,7 @@ def fit_distribution(d, family: FitFamily, pin_location: float | None = None,
     d = _as_distribution(d)
     m = d.shape[0]
     if m < 4:
-        raise ValueError(f"need at least 4 modes to fit, got {m}")
+        raise DegenerateDistributionError(f"need at least 4 modes to fit, got {m}")
     if np.count_nonzero(d > 1e-15 * d.max()) < 2:
         raise DegenerateDistributionError("single-mode delta distribution cannot be fit")
     x = np.arange(1, m + 1, dtype=float)
@@ -161,25 +161,20 @@ def width(distribution, name: str = "distribution") -> float:
     return math.sqrt(max(((x - mu) ** 2 * p).sum(), 0.0))
 
 
-def spread_exponent(means, times=None) -> float:
+def spread_exponent(means) -> float:
     """Log-log slope of the distribution width versus time step.
 
-    ``means`` is one intensity distribution per time step; ``times`` defaults
-    to 1..len(means).  Width is :func:`width`.
+    ``means`` is one intensity distribution per layer, of layers
+    1..len(means).  Width is :func:`width`.
     """
     sigmas = np.array([width(d, f"means[{i}]") for i, d in enumerate(means)])
     if sigmas.size < 3:
         raise ValueError(f"need at least 3 layers, got {sigmas.size}")
-    if times is None:
-        times = np.arange(1, sigmas.size + 1, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if times.shape != sigmas.shape or (times <= 0).any():
-        raise ValueError("times must be positive and match the number of layers")
     if (sigmas == 0.0).all():
         raise DegenerateDistributionError("zero variance at all layers")
     if (sigmas == 0.0).any():
         raise DegenerateDistributionError("zero-variance layer makes log-width undefined")
-    slope, _ = np.polyfit(np.log(times), np.log(sigmas), 1)
+    slope, _ = np.polyfit(np.log(np.arange(1.0, sigmas.size + 1)), np.log(sigmas), 1)
     return float(slope)
 
 
@@ -223,6 +218,12 @@ def _change(curve, i: int, j: int, sign: float = 1.0) -> tuple[float, float]:
     if combined > 0:
         return change, sign * change / combined
     return change, math.inf if sign * change > 0 else 0.0
+
+
+def _first_maximum(curve, points) -> int:
+    """The first of ``points`` whose ``curve`` efficiency is their maximum up to rounding."""
+    top = points[np.argmax(curve[0][points])]
+    return next(int(i) for i in points if _change(curve, top, i)[0] == 0.0)
 
 
 @dataclass
@@ -274,17 +275,17 @@ class EnaqtReport:
 
 
 def detect_enaqt(result: EnsembleResult, static_level: float, enhance_modes,
-                 deplete_modes, threshold: float = 3.0,
-                 read_layer: int | None = None) -> EnaqtReport:
+                 deplete_modes, threshold: float = 3.0) -> EnaqtReport:
     """Test one static-disorder row for environment-assisted transport.
 
     Picks the grid row nearest ``static_level``, orders it by dynamic
-    disorder, and compares the enhance-set efficiency at its best interior
-    grid point against the zero-noise end.  ENAQT is declared when that rise
-    exceeds ``threshold`` combined standard errors while the deplete set
-    moves the opposite way, also beyond ``threshold``.  The report further
-    characterizes the curve's maximum: whether it is interior, its
-    prominence over the curve minimum, and the downturn toward full noise.
+    disorder, reads its records at the final layer, and compares the
+    enhance-set efficiency at its best interior grid point against the
+    zero-noise end.  ENAQT is declared when that rise exceeds ``threshold``
+    combined standard errors while the deplete set moves the opposite way,
+    also beyond ``threshold``.  The report further characterizes the curve's
+    maximum: whether it is interior, its prominence over the curve minimum,
+    and the downturn toward full noise.
     A plan of fewer than 2 realizations per level has no standard errors to
     weigh the rise against, and raises :class:`DegenerateDistributionError`.
 
@@ -297,12 +298,14 @@ def detect_enaqt(result: EnsembleResult, static_level: float, enhance_modes,
     ``2 |psi_S| d``, whose ensemble mean is at most ``2 sqrt(eta) d``
     (Jensen); squaring, averaging and summing the ``k`` means add at most
     ``2 k eps eta``.  A rise, deplete change, prominence or downturn within
-    its two points' bounds is reported as 0, with significance 0.
+    its two points' bounds is reported as 0, with significance 0, and the
+    best interior point and the curve maximum are each the first point, in
+    order of rising c_td, within rounding of the maximum.
     """
     if result.plan.realizations_per_level < 2:
         raise DegenerateDistributionError("one realization per level has no standard error")
     spec = result.plan.spec
-    layer = read_layer if read_layer is not None else spec.depth
+    layer = spec.depth
     grid = result.plan.grid
     used = _nearest_row(set(level.c_tid for level in grid), static_level)
     slice_levels = sorted(
@@ -331,10 +334,10 @@ def detect_enaqt(result: EnsembleResult, static_level: float, enhance_modes,
     (eta_e, se_e, _), (eta_d, se_d, _) = enhance, deplete
 
     interior = np.arange(1, c_td.size - 1)
-    best = int(interior[np.argmax(eta_e[interior])])
+    best = _first_maximum(enhance, interior)
     rise, rise_sig = _change(enhance, best, 0)
     dep_change, dep_sig = _change(deplete, best, 0, sign=-1.0)
-    argmax = int(np.argmax(eta_e))
+    argmax = _first_maximum(enhance, np.arange(c_td.size))
     prom, prom_sig = _change(enhance, argmax, int(np.argmin(eta_e)))
     down, down_sig = _change(enhance, argmax, -1)
 

@@ -41,12 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_path(name: str, out: str | None) -> str:
-    if out:
-        path = out
-    else:
-        path = name
-    if not os.path.isabs(path):
-        path = os.path.join(os.environ.get(OUT_DIR_ENV, "."), path)
+    path = os.path.join(os.environ.get(OUT_DIR_ENV, "."), out or name)  # keeps an absolute out
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -282,19 +277,15 @@ def build_parser() -> _Parser:
                        help="process count, at most the cores and the levels to run "
                             "(default: all cores); results do not depend on it")
 
-    p = sub.add_parser("walk", help="single disorder level, final-layer ensemble")
-    add_mesh(p)
-    p.add_argument("--ctid", type=float, default=0.0, help="static disorder strength")
-    p.add_argument("--ctd", type=float, default=0.0, help="dynamic disorder strength")
-    add_run(p, 200)
-    p.set_defaults(func=cmd_walk)
-
-    p = sub.add_parser("tomography", help="single disorder level, ensemble at every layer")
-    add_mesh(p)
-    p.add_argument("--ctid", type=float, default=0.0)
-    p.add_argument("--ctd", type=float, default=0.0)
-    add_run(p, 200)
-    p.set_defaults(func=cmd_tomography)
+    for command, func, summary in (
+            ("walk", cmd_walk, "single disorder level, final-layer ensemble"),
+            ("tomography", cmd_tomography, "single disorder level, ensemble at every layer")):
+        p = sub.add_parser(command, help=summary)
+        add_mesh(p)
+        p.add_argument("--ctid", type=float, default=0.0, help="static disorder strength")
+        p.add_argument("--ctd", type=float, default=0.0, help="dynamic disorder strength")
+        add_run(p, 200)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("sweep", help="full static x dynamic disorder grid")
     add_mesh(p)

@@ -56,8 +56,9 @@ from .programs import (
 DOCUMENT_FORMAT = "meshwalk-sweep-result/1"
 CSV_HEADER = "c_tid,c_td,layer,mode,mean,std_error"
 
-# Realizations are processed in fixed-size chunks: bounded memory, and a
-# constant independent of worker count so reductions never reorder.
+# Realizations are processed in chunks of this many.  It bounds one chunk's
+# temporaries and changes no bit of a result: each realization's stream is its
+# own, and each level is reduced over its whole stack.
 _CHUNK = 8192
 # The plan document's name for the one sign pattern, programs.mode_signs.
 _SIGNS = "mirrored-sign"
@@ -85,8 +86,7 @@ def _replacing(path: str):
 
 def make_grid(n_tid: int, n_td: int) -> list[DisorderSpec]:
     """Row-major lattice of disorder levels over [0, 1] x [0, 1]."""
-    tids = np.linspace(0.0, 1.0, n_tid) if n_tid > 1 else np.array([0.0])
-    tds = np.linspace(0.0, 1.0, n_td) if n_td > 1 else np.array([0.0])
+    tids, tds = (np.linspace(0.0, 1.0, n) for n in (n_tid, n_td))
     return [DisorderSpec(float(a), float(b)) for a in tids for b in tds]
 
 
@@ -291,8 +291,8 @@ def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], level: Disor
 
     ``mats`` are the walk's layer matrices; each chunk's phase screens are
     its disorder alone.  Returns, for each requested read layer, an
-    (n, num_modes) float array.  Realizations are processed in fixed-size
-    chunks regardless of worker count, so the stacking order never varies.
+    (n, num_modes) float array.  Realizations are processed in chunks of
+    ``_CHUNK``, each filling its own rows.
     """
     m, depth = spec.num_modes, spec.depth
     stacks = {t: np.empty((n, m)) for t in read_layers}

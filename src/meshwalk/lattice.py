@@ -16,6 +16,10 @@ are computed and applied there alone; the rows outside stay exactly zero.
 :func:`propagate` is a batch of one; the disorder ensembles run the same
 kernel over thousands of realizations at once.
 
+A program is checked where it is read: :func:`layer_matrices` needs a
+setting for every cell of the cone, and :func:`propagate`, the one reader of
+a program's phase screens, needs them shaped (num_modes, depth).
+
 A single walker's state is a complex vector of length ``num_modes`` (unit
 norm in this lossless model); intensity distributions are the squared
 magnitudes.  Mode and layer indices are 1-based throughout, matching the
@@ -24,7 +28,7 @@ usual labeling of waveguides on chip schematics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,29 +141,18 @@ def intensities(state: np.ndarray) -> np.ndarray:
     return state.real**2 + state.imag**2
 
 
-def layer_matrices(spec: MeshSpec, program, last: int | None = None) -> list[np.ndarray]:
-    """Stacked cell unitaries of layers 1..``last`` (default: all), top to bottom.
+def layer_matrices(spec: MeshSpec, program) -> list[np.ndarray]:
+    """Stacked cell unitaries of every layer, top to bottom.
 
-    The one validity check of a program against ``spec``: its phase screens
-    must be (num_modes, depth) and it must set every cell of those layers.
+    The first cell of ``spec`` that the program does not set raises
+    ``KeyError`` naming its coordinates.
     """
-    shape = np.shape(program.phase_screens)
-    if shape != (spec.num_modes, spec.depth):
-        raise ValueError(f"phase screens shaped {shape}, expected {(spec.num_modes, spec.depth)}")
-    mats = []
-    for t in range(1, (spec.depth if last is None else last) + 1):
-        units = []
-        for cell in spec.layer_cells(t):
-            try:
-                setting = program.cell_settings[cell]
-            except KeyError:
-                raise KeyError(
-                    f"program has no setting for cell (layer={cell.layer}, "
-                    f"top_mode={cell.top_mode})"
-                ) from None
-            units.append(cell_unitary(setting))
-        mats.append(np.stack(units))
-    return mats
+    missing = [cell for cell in spec.cells if cell not in program.cell_settings]
+    if missing:
+        raise KeyError(f"program has no setting for cell (layer={missing[0].layer}, "
+                       f"top_mode={missing[0].top_mode})")
+    return [np.stack([cell_unitary(program.cell_settings[cell]) for cell in spec.layer_cells(t)])
+            for t in range(1, spec.depth + 1)]
 
 
 def evolve(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray, last: int):
@@ -203,24 +196,22 @@ def evolve(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray, last: in
         yield t, state
 
 
-def propagate(spec: MeshSpec, program, input_mode: int | None = None,
-              up_to_layer: int | None = None) -> np.ndarray:
-    """Propagate a single-mode excitation through the programmed mesh.
+def propagate(spec: MeshSpec, program, up_to_layer: int | None = None) -> np.ndarray:
+    """Propagate a walker from ``spec.injection_mode`` through the programmed mesh.
 
     For each layer 1..``up_to_layer`` (default: full depth) applies all cell
     unitaries of the layer, then the layer's per-mode phase screen.  Returns
-    the complex state after the last applied layer.
+    the complex state after the last applied layer.  The program must set
+    every cell of ``spec``, also those past ``up_to_layer``, and its phase
+    screens must be shaped (num_modes, depth).
     """
-    if input_mode is None:
-        input_mode = spec.injection_mode
-    if not 1 <= input_mode <= spec.num_modes:
-        raise ValueError(f"input_mode {input_mode} outside [1, {spec.num_modes}]")
     last = spec.depth if up_to_layer is None else up_to_layer
     if not 1 <= last <= spec.depth:
         raise ValueError(f"up_to_layer {last} outside [1, {spec.depth}]")
-    mats = layer_matrices(spec, program, last)
     screens = np.asarray(program.phase_screens, dtype=float)
-    walker = replace(spec, injection_mode=input_mode)
-    for _, state in evolve(walker, mats, screens[None], last):
+    if screens.shape != (spec.num_modes, spec.depth):
+        raise ValueError(f"phase screens shaped {screens.shape}, "
+                         f"expected {(spec.num_modes, spec.depth)}")
+    for _, state in evolve(spec, layer_matrices(spec, program), screens[None], last):
         pass
     return state[:, 0]

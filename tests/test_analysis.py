@@ -113,13 +113,10 @@ class TestSpreadExponent:
 
     def test_markov_oracle_slopes(self):
         # The incoherent oracle has variance t - 3/4: the full-range slope is
-        # inflated by the fixed two-mode layer-1 distribution, while the
-        # late-layer window approaches the asymptotic 1/2.
+        # inflated above the asymptotic 1/2 by the fixed two-mode layer-1
+        # distribution.
         full = spread_exponent([galton_distribution(14, t, 8) for t in range(1, 8)])
         assert 0.75 <= full <= 0.85
-        window = spread_exponent([galton_distribution(14, t, 8) for t in range(4, 8)],
-                                 times=np.arange(4, 8))
-        assert 0.4 <= window <= 0.6
 
     def test_constant_width_gives_zero(self):
         d = np.array([0.25, 0.25, 0.25, 0.25])
@@ -199,9 +196,12 @@ class TestDetectEnaqt:
         assert report.c_tid == 1.0  # only row present
         assert report.requested_c_tid == 0.7
 
-    def test_missing_layer_rejected(self, slice_result):
+    def test_missing_layer_rejected(self, spec14):
+        # The report reads the final layer, which this plan does not record.
+        grid = tuple(DisorderSpec(1.0, float(td)) for td in np.linspace(0.0, 1.0, 3))
+        result = run_sweep(SweepPlan(spec14, grid, 2, 6, read_layers=(3,)), workers=1)
         with pytest.raises(ValueError, match="missing record"):
-            detect_enaqt(slice_result, 1.0, [5, 10], [7, 8], read_layer=3)
+            detect_enaqt(result, 1.0, [5, 10], [7, 8])
 
     def test_one_realization_per_level_is_degenerate(self, spec14):
         # Its standard errors are 0, so any rise would count as infinitely significant.

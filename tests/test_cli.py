@@ -178,6 +178,13 @@ def test_degenerate_fit_exits_three(outdir):
     assert main(["fit", "--in", str(path)]) == 3
 
 
+def test_fit_on_too_few_modes_exits_three(outdir, capsys):
+    assert main(["walk", "--modes", "2", "--depth", "1", "--n", "3", "--out", "w2.json",
+                 "--workers", "1"]) == 0
+    assert main(["fit", "--in", str(outdir / "w2.json")]) == 3
+    assert "need at least 4 modes to fit, got 2" in capsys.readouterr().err
+
+
 def test_tomography_layers_and_heatmap(outdir, capsys):
     assert main(["tomography", "--n", "4", "--out", "tomo.json", "--workers", "1"]) == 0
     doc = json.loads((outdir / "tomo.json").read_text())
@@ -257,6 +264,16 @@ def test_rounding_noise_is_no_change(outdir, capsys):
     for key in ("rise", "rise_significance", "deplete_change", "deplete_significance",
                 "prominence", "prominence_significance", "downturn", "downturn_significance"):
         assert (report[key], math.copysign(1.0, report[key])) == (0.0, 1.0), key
+
+
+def test_rounding_noise_picks_no_maximum(outdir, capsys):
+    # The same flat curve, computed as 0.24999999999999994, 0.25 and
+    # 0.24999999999999997: its maximum is the first point, a boundary one.
+    assert main(["slice", "--modes", "0", "--depth", "3", "--points", "3", "--n", "20",
+                 "--workers", "1"]) == 0
+    report = json.loads((outdir / "slice_ctid0.842_n20.json").read_text())
+    assert (report["argmax_index"], report["interior_maximum"]) == (0, False)
+    assert "curve maximum: c_td = 0.0000 (boundary)" in capsys.readouterr().out
 
 
 def test_threshold_must_be_positive_and_finite(outdir, capsys):

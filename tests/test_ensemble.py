@@ -105,7 +105,7 @@ class TestConeKernel:
                     expected = full_array_stacks(walker, program, screens,
                                                  range(1, spec.depth + 1))
                     for t, stack in expected.items():
-                        out = intensities(propagate(spec, program, mode, up_to_layer=t))
+                        out = intensities(propagate(walker, program, up_to_layer=t))
                         assert np.array_equal(bits(out), bits(stack[0])), (spec, mode, t)
 
     def test_compose_screens_layout(self):
@@ -213,6 +213,18 @@ class TestRunSweep:
         run_sweep(plan, out_path=str(p1), workers=1)
         run_sweep(plan, out_path=str(p2), workers=2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_chunk_size_invariance(self, monkeypatch):
+        # The chunk bounds one block's temporaries and moves no bit: chunks
+        # that split a level unevenly write the same document.
+        level = DisorderSpec(0.842, 0.5)
+        plans = (SweepPlan(MeshSpec(14, 7), (level,), 1000, 11, read_layers=range(1, 8)),
+                 SweepPlan(MeshSpec(30, 15), (level,), 1000, 11))
+        expected = [json.dumps(run_sweep(plan, workers=1).to_document()) for plan in plans]
+        for chunk in (7, 64, 333, 999):
+            monkeypatch.setattr(ensemble, "_CHUNK", chunk)
+            for plan, document in zip(plans, expected):
+                assert json.dumps(run_sweep(plan, workers=1).to_document()) == document, chunk
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):

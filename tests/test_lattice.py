@@ -36,12 +36,11 @@ def one_layer_transfer(num_modes, setting, screen=None):
     The single cell couples modes ``num_modes/2`` and ``num_modes/2 + 1``;
     ``screen`` (default zeros) is the phase screen after it.
     """
-    spec = MeshSpec(num_modes=num_modes, depth=1)
     if screen is None:
         screen = np.zeros(num_modes)
     program = MeshProgram({CellCoord(1, num_modes // 2): setting},
                           np.asarray(screen, dtype=float)[:, None])
-    return np.column_stack([propagate(spec, program, input_mode=j)
+    return np.column_stack([propagate(MeshSpec(num_modes, 1, j), program)
                             for j in range(1, num_modes + 1)])
 
 
@@ -209,7 +208,7 @@ class TestPropagate:
             np.zeros((14, 7)),
         )
         for mode in (1, 5, 8, 14):
-            out = intensities(propagate(spec14, program, input_mode=mode))
+            out = intensities(propagate(MeshSpec(14, 7, mode), program))
             assert abs(out[mode - 1] - 1.0) < 1e-12
 
     def test_ballistic_peaks_and_oracle(self, spec14, qw_program):
@@ -245,8 +244,6 @@ class TestPropagate:
     def test_up_to_layer_validiation(self, spec14, qw_program):
         with pytest.raises(ValueError):
             propagate(spec14, qw_program, up_to_layer=8)
-        with pytest.raises(ValueError):
-            propagate(spec14, qw_program, input_mode=0)
         with pytest.raises(ValueError, match="phase screens"):
             propagate(spec14, type(qw_program)(qw_program.cell_settings, np.zeros((14, 6))))
 
@@ -271,7 +268,7 @@ class TestFullUnitary:
             u = full_unitary(spec14, program)
             assert np.abs(u.conj().T @ u - eye).max() < 1e-12
             mode = int(rng.integers(1, 15))
-            psi = propagate(spec14, program, input_mode=mode)
+            psi = propagate(MeshSpec(14, 7, mode), program)
             assert np.abs(u[:, mode - 1] - psi).max() < 1e-12
 
     def test_partial_depth_matches(self, spec14):
