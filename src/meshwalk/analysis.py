@@ -28,6 +28,8 @@ def _as_distribution(d, name: str = "distribution") -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValueError(f"{name} has non-finite entries")
     if d.min() < -1e-9:
         raise ValueError(f"{name} has negative entries (min {d.min()})")
     d = np.clip(d, 0.0, None)
@@ -46,36 +48,19 @@ class FitResult:
     family: FitFamily
     location: float
     scale: float
-    amplitude: float
+    amplitude: float  # under unit_area, the peak of the normalized model
     residual: float  # E = sum of squared residuals
-
-
-def _fit_model(family: FitFamily, x: np.ndarray, params: np.ndarray,
-               unit_area: bool) -> np.ndarray:
-    if unit_area:
-        loc, scale = params
-        amp = 1.0
-    else:
-        amp, loc, scale = params
-    scale = abs(scale)
-    if family is FitFamily.GAUSSIAN:
-        shape = np.exp(-((x - loc) ** 2) / (2 * scale**2))
-    else:
-        shape = np.exp(-np.abs(x - loc) / scale)
-    if unit_area:
-        return shape / shape.sum()
-    return amp * shape
 
 
 def fit_distribution(d, family: FitFamily, pin_location: float | None = None,
                      unit_area: bool = False) -> FitResult:
     """Least-squares fit of a Laplace or Gaussian profile to a distribution.
 
-    Moment-based initialization, then Nelder-Mead restarted until E improves
-    by less than 1e-12, followed by a +-1% parameter perturbation check that
-    restarts the search whenever a perturbation still lowers E.  By default
-    the amplitude is free; ``unit_area=True`` instead constrains the model's
-    discrete sum over the modes to 1.
+    The free parameters are, in order: the amplitude (unless ``unit_area``
+    constrains the model's discrete sum over the modes to 1), the location
+    (unless pinned to ``pin_location``) and the scale.  Moment-based start,
+    then Nelder-Mead restarted until E improves by less than 1e-12; a +-1%
+    nudge of any free parameter that still lowers E restarts the search.
     """
     # Imported here: only fits need scipy, and every CLI command imports this module.
     from scipy.optimize import minimize
@@ -93,63 +78,48 @@ def fit_distribution(d, family: FitFamily, pin_location: float | None = None,
     if var <= 0.0:
         raise DegenerateDistributionError("zero-variance distribution cannot be fit")
     scale0 = math.sqrt(var) if family is FitFamily.GAUSSIAN else math.sqrt(var / 2.0)
-    scale0 = max(scale0, 0.25)
+    free = (not unit_area, pin_location is None, True)  # amplitude, location, scale
+    start = [v for v, f in zip((float(d.max()), mu0, max(scale0, 0.25)), free) if f]
 
-    if unit_area:
-        params = np.array([mu0, scale0])
-    else:
-        params = np.array([float(d.max()), mu0, scale0])
-
-    pinned = pin_location is not None
-    loc_index = 0 if unit_area else 1  # params are (loc, scale) under unit_area
+    def model(q):
+        loc = mu0 if pin_location is not None else q[-2]
+        scale = abs(q[-1])
+        if family is FitFamily.GAUSSIAN:
+            shape = np.exp(-((x - loc) ** 2) / (2 * scale**2))
+        else:
+            shape = np.exp(-np.abs(x - loc) / scale)
+        return shape / shape.sum() if unit_area else q[0] * shape
 
     def objective(q):
-        q = q.copy()
-        if pinned:
-            q[loc_index] = mu0
-        r = _fit_model(family, x, q, unit_area) - d
+        r = model(q) - d
         return float((r * r).sum())
 
-    def refine(start):
-        best = start
-        best_e = objective(start)
+    def refine(best):
+        best_e = objective(best)
         while True:
             res = minimize(objective, best, method="Nelder-Mead",
                            options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 20000})
             if best_e - res.fun < 1e-12:
-                if res.fun < best_e:
-                    best, best_e = res.x, res.fun
-                return best, best_e
+                return (res.x, res.fun) if res.fun < best_e else (best, best_e)
             best, best_e = res.x, res.fun
 
-    best, best_e = refine(params)
-    # Local-minimum certificate: no +-1% single-parameter nudge may lower E.
-    for _ in range(20):
-        improved = None
-        for i in range(best.size):
-            if pinned and i == loc_index:
-                continue
-            step = 0.01 * abs(best[i]) or 1e-3
+    def nudges(q):
+        for i in range(q.size):
             for sign in (1.0, -1.0):
-                trial = best.copy()
-                trial[i] += sign * step
-                if objective(trial) < best_e:
-                    improved = trial
-                    break
-            if improved is not None:
-                break
+                trial = q.copy()
+                trial[i] += sign * (0.01 * abs(q[i]) or 1e-3)
+                yield trial
+
+    best, best_e = refine(np.array(start))
+    for _ in range(20):  # local-minimum certificate: no nudge may lower E
+        improved = next((t for t in nudges(best) if objective(t) < best_e), None)
         if improved is None:
             break
         best, best_e = refine(improved)
 
-    if pinned:
-        best[loc_index] = mu0
-    if unit_area:
-        loc, scale = best
-        amp = float(_fit_model(family, x, best, True).max())
-    else:
-        amp, loc, scale = best
-    return FitResult(family, float(loc), float(abs(scale)), float(abs(amp)), float(best_e))
+    loc = mu0 if pin_location is not None else best[-2]
+    amp = model(best).max() if unit_area else best[0]
+    return FitResult(family, float(loc), float(abs(best[-1])), float(abs(amp)), float(best_e))
 
 
 def width(distribution, name: str = "distribution") -> float:

@@ -345,7 +345,7 @@ def main(argv=None) -> int:
     except DegenerateDistributionError as exc:
         print(f"degenerate analysis input: {exc}", file=sys.stderr)
         return 3
-    except (OSError, BrokenExecutor, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, MemoryError, BrokenExecutor, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

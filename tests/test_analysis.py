@@ -41,26 +41,31 @@ class TestFitDistribution:
         e_gau = fit_distribution(d, FitFamily.GAUSSIAN).residual
         assert e_lap < e_gau
 
-    def test_local_minimum_certificate(self):
+    @pytest.mark.parametrize("unit_area", [False, True])
+    @pytest.mark.parametrize("pin", [None, 7.5])
+    def test_local_minimum_certificate(self, pin, unit_area):
         rng = np.random.default_rng(17)
         d = self.sampled(FitFamily.GAUSSIAN, 7.2, 2.0) + rng.uniform(0, 0.01, 14)
+        x = np.arange(1, 15, dtype=float)
         for family in FitFamily:
-            fit = fit_distribution(d, family)
-            x = np.arange(1, 15, dtype=float)
-            base = np.array([fit.amplitude, fit.location, fit.scale])
+            fit = fit_distribution(d, family, pin_location=pin, unit_area=unit_area)
+            if pin is not None:
+                assert fit.location == pin
+            base = {"amplitude": fit.amplitude, "location": fit.location, "scale": fit.scale}
+            free = ["scale"] + ["location"] * (pin is None) + ["amplitude"] * (not unit_area)
 
             def residual(params):
-                amp, loc, scale = params
+                loc, scale = params["location"], params["scale"]
                 if family is FitFamily.GAUSSIAN:
-                    model = amp * np.exp(-((x - loc) ** 2) / (2 * scale**2))
+                    shape = np.exp(-((x - loc) ** 2) / (2 * scale**2))
                 else:
-                    model = amp * np.exp(-np.abs(x - loc) / scale)
+                    shape = np.exp(-np.abs(x - loc) / scale)
+                model = shape / shape.sum() if unit_area else params["amplitude"] * shape
                 return ((model - d) ** 2).sum()
 
-            for i in range(3):
+            for name in free:
                 for sign in (1, -1):
-                    trial = base.copy()
-                    trial[i] *= 1 + 0.01 * sign
+                    trial = dict(base, **{name: base[name] * (1 + 0.01 * sign)})
                     assert residual(trial) >= fit.residual - 1e-15
 
     def test_unit_area_constrains_sum(self):
@@ -131,6 +136,16 @@ class TestSpreadExponent:
         delta = np.array([1.0, 0.0, 0.0])
         with pytest.raises(DegenerateDistributionError):
             spread_exponent([delta, delta, delta])
+
+
+def test_non_finite_entries_rejected():
+    for bad in (np.nan, np.inf):
+        d = [0.1, 0.2, bad, 0.3, 0.2, 0.2]
+        for call in (lambda: width(d), lambda: fit_distribution(d, FitFamily.GAUSSIAN)):
+            with pytest.raises(ValueError, match="^distribution has non-finite entries"):
+                call()
+        with pytest.raises(ValueError, match=r"^means\[0\] has non-finite entries"):
+            spread_exponent([d, d, d])
 
 
 @pytest.fixture(scope="module")

@@ -355,9 +355,46 @@ def test_slice_default_mode_sets_follow_the_mesh(outdir, capsys):
 def test_fit_command_on_localized_run(outdir, capsys):
     assert main(["walk", "--ctid", "1", "--ctd", "0", "--n", "2000", "--seed", "21",
                  "--out", "loc.json", "--workers", "1"]) == 0
-    assert main(["fit", "--in", str(outdir / "loc.json"), "--family", "both"]) == 0
-    out = capsys.readouterr().out
-    assert "better fit: laplace" in out
+    capsys.readouterr()
+    expected = {
+        ("--family", "both"): """\
+laplace    location=7.471830  scale=2.339634  amplitude=0.229603  E=1.166156e-03
+gaussian   location=7.500677  scale=2.263426  amplitude=0.171269  E=2.884277e-03
+better fit: laplace (E 1.166156e-03 vs 2.884277e-03)
+""",
+        ("--unit-area",): """\
+laplace    location=7.471770  scale=2.310093  amplitude=0.186855  E=1.178851e-03
+gaussian   location=7.501491  scale=2.318120  amplitude=0.168558  E=2.954456e-03
+better fit: laplace (E 1.178851e-03 vs 2.954456e-03)
+""",
+        ("--pin-center",): """\
+laplace    location=7.500000  scale=2.340403  amplitude=0.229580  E=1.183457e-03
+gaussian   location=7.500000  scale=2.263412  amplitude=0.171269  E=2.884282e-03
+better fit: laplace (E 1.183457e-03 vs 2.884282e-03)
+""",
+        ("--pin-center", "--unit-area"): """\
+laplace    location=7.500000  scale=2.310604  amplitude=0.184573  E=1.196376e-03
+gaussian   location=7.500000  scale=2.318103  amplitude=0.168536  E=2.954481e-03
+better fit: laplace (E 1.196376e-03 vs 2.954481e-03)
+""",
+    }
+    for flags, text in expected.items():
+        assert main(["fit", "--in", str(outdir / "loc.json"), *flags]) == 0
+        assert capsys.readouterr().out == text
+    # The walk document holds level 0 at the final layer 7 only.
+    for flags, level, layer in ((("--layer", "3"), 0, 3), (("--level-index", "1"), 1, 7)):
+        assert main(["fit", "--in", str(outdir / "loc.json"), *flags]) == 1
+        assert (f"result has no record for level {level}, layer {layer}"
+                in capsys.readouterr().err)
+
+
+def test_allocation_failure_exits_two(outdir, capsys):
+    # 10**15 realizations ask for petabytes, beyond the address space, so the
+    # allocation fails at once and touches no memory.
+    for command in (["walk", "--workers", "1"], ["sweep", "--grid", "2x2", "--workers", "2"]):
+        assert main(command + ["--n", str(10**15)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 def test_out_dir_env_respected(tmp_path, monkeypatch):
