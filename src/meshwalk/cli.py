@@ -13,6 +13,7 @@ analysis input.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -42,6 +43,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _out_path(name: str, out: str | None) -> str:
     path = os.path.join(os.environ.get(OUT_DIR_ENV, "."), out or name)  # keeps an absolute out
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

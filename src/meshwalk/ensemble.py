@@ -270,18 +270,11 @@ def _sample_block(num_modes: int, depth: int, master_seed: int, level_index: int
     return draw_block(master_seed, level_index, lo, hi, num_modes, depth)
 
 
-def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray,
+def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray,
                      read_layers: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """Per-realization intensity stacks of one block at every read layer.
-
-    ``screens`` carries the disorder phase per (realization, mode, layer);
-    only the read layers' intensities are kept.
-    """
-    stacks = {}
-    for t, state in evolve(spec, mats, screens, max(read_layers)):
-        if t in read_layers:
-            stacks[t] = intensities(state).T
-    return stacks
+    """(num_modes, count) intensities of one block's phases at every read layer."""
+    return {t: intensities(state) for t, state in evolve(spec, mats, phases, max(read_layers))
+            if t in read_layers}
 
 
 def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], level: DisorderSpec,
@@ -290,31 +283,29 @@ def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], level: Disor
     """Per-realization intensities of one level, in realization order.
 
     ``mats`` are the walk's layer matrices; each chunk's phase screens are
-    its disorder alone.  Returns, for each requested read layer, an
-    (n, num_modes) float array.  Realizations are processed in chunks of
-    ``_CHUNK``, each filling its own rows.
+    its disorder alone.  Returns, for each requested read layer, a
+    (num_modes, n) float array.  Realizations are processed in chunks of
+    ``_CHUNK``, each filling its own columns.
     """
     m, depth = spec.num_modes, spec.depth
-    stacks = {t: np.empty((n, m)) for t in read_layers}
+    stacks = {t: np.empty((m, n)) for t in read_layers}
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         static, dynamic = _sample_block(m, depth, master_seed, level_index, lo, hi)
-        total = compose_screens(level, static, dynamic)
-        for t, stack in _propagate_block(spec, mats, total, read_layers).items():
-            stacks[t][lo:hi] = stack
+        phases = compose_screens(level, static, dynamic)
+        for t, block in _propagate_block(spec, mats, phases, read_layers).items():
+            stacks[t][:, lo:hi] = block
     return stacks
 
 
 def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-order compensated mean and standard error over realizations."""
-    n, m = stack.shape
-    mean = np.array([math.fsum(stack[:, x]) / n for x in range(m)])
+    """Fixed-order compensated mean and standard error of each mode's row."""
+    m, n = stack.shape
+    mean = np.array([math.fsum(row) / n for row in stack])
     if n < 2:
         return mean, np.zeros(m)
-    var = np.array(
-        [math.fsum((stack[:, x] - mean[x]) ** 2) / (n - 1) for x in range(m)]
-    )
+    var = np.array([math.fsum((row - mu) ** 2) / (n - 1) for row, mu in zip(stack, mean)])
     return mean, np.sqrt(var / n)
 
 
@@ -374,7 +365,8 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     Appends are flushed, not synced: a tail lost in a machine crash only makes
     a resume recompute those records, bit for bit, and a torn last line is
     already dropped.  An fsync per record would add about 50 ms on ext4, some
-    4% of a 400-level sweep's wall time.
+    4% of a 400-level sweep's wall time.  A failed open or append is one
+    ``io_errors`` warning and ends checkpointing; the document is still written.
     """
     mats = _layer_matrices(plan.spec, build_symmetric_qw(plan.spec))
     plan_hash = plan.hash()
@@ -386,6 +378,15 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
         done = _read_checkpoint(ckpt_path, plan)
 
     ckpt = None
+
+    def stop_checkpointing(warning: str) -> None:
+        nonlocal ckpt
+        io_errors.append(warning)
+        if ckpt is not None:
+            with contextlib.suppress(OSError):  # the failed tail is flushed again
+                ckpt.close()
+            ckpt = None
+
     if ckpt_path:
         try:
             mode = "a" if done else "w"  # appends follow a valid header
@@ -394,8 +395,7 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
                 ckpt.write(json.dumps({"plan_hash": plan_hash}) + "\n")
                 ckpt.flush()
         except OSError as exc:
-            io_errors.append(f"checkpoint open failed: {exc}")
-            ckpt = None
+            stop_checkpointing(f"checkpoint open failed: {exc}")
 
     pending = [
         (plan.spec, mats, level, idx, plan.realizations_per_level, plan.master_seed,
@@ -415,7 +415,7 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
                     ckpt.write(json.dumps(entry) + "\n")
                     ckpt.flush()
                 except OSError as exc:
-                    io_errors.append(f"level {level_index}: checkpoint write failed: {exc}")
+                    stop_checkpointing(f"level {level_index}: checkpoint write failed: {exc}")
         if progress:
             progress(len(records), len(plan.grid) * len(plan.read_layers))
 

@@ -14,7 +14,11 @@ complex state.  At layer ``t`` only the live rows, the cone's ``2t`` modes
 plus the injection mode, can carry amplitude, so the phase screen's factors
 are computed and applied there alone; the rows outside stay exactly zero.
 :func:`propagate` is a batch of one; the disorder ensembles run the same
-kernel over thousands of realizations at once.
+kernel over thousands of realizations at once.  The kernel's phases are one
+float array laid out (depth, num_modes, walkers), so a layer's live rows are
+one block of memory: :func:`~meshwalk.programs.compose_screens` writes a
+chunk's phases so, :func:`evolve` reads them as given, and a read layer's
+intensities reach the reduction as (num_modes, walkers).
 
 A program is checked where it is read: :func:`layer_matrices` needs a
 setting for every cell of the cone, and :func:`propagate`, the one reader of
@@ -155,26 +159,25 @@ def layer_matrices(spec: MeshSpec, program) -> list[np.ndarray]:
             for t in range(1, spec.depth + 1)]
 
 
-def evolve(spec: MeshSpec, mats: list[np.ndarray], screens: np.ndarray, last: int):
+def evolve(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int):
     """Propagate a batch of walkers through layers 1..``last``.
 
     Every walker starts in ``spec.injection_mode``.  ``mats`` holds each
-    layer's stacked cell unitaries (:func:`layer_matrices`) and ``screens``
-    the total phase per (walker, mode, layer).  Each layer applies its cells,
-    then its phase screen, and yields ``(t, state)``: ``state`` is the
-    mode-major (num_modes, walkers) amplitude array, which the next layer
-    updates in place, so read it before resuming.
+    layer's stacked cell unitaries (:func:`layer_matrices`) and ``phases``
+    the total phase of every walker in the kernel's layout.  Each layer
+    applies its cells, then its phase screen, and yields ``(t, state)``:
+    ``state`` is the mode-major (num_modes, walkers) amplitude array, which
+    the next layer updates in place, so read it before resuming.
 
     Only the live rows of layer ``t`` can hold amplitude: its cells' modes
     plus the injection mode, as one 0-based range ``[min(m/2 - t, inj),
     max(m/2 + t, inj + 1))``.  Phase factors are computed and applied there
-    alone; every other row stays exactly +0.  Screens laid out (depth, mode,
-    walker) in memory, as :func:`~meshwalk.programs.compose_screens` returns
-    them, are read without a copy.
+    alone; every other row stays exactly +0.
     """
     m = spec.num_modes
-    count = screens.shape[0]
-    phases = np.ascontiguousarray(screens.transpose(2, 1, 0))  # (depth, m, count)
+    if phases.ndim != 3 or phases.shape[:2] != (spec.depth, m):
+        raise ValueError(f"phases shaped {phases.shape}, expected ({spec.depth}, {m}, walkers)")
+    count = phases.shape[2]
     factor = np.empty((m, count), dtype=complex)
 
     inject = spec.injection_mode - 1
@@ -212,6 +215,6 @@ def propagate(spec: MeshSpec, program, up_to_layer: int | None = None) -> np.nda
     if screens.shape != (spec.num_modes, spec.depth):
         raise ValueError(f"phase screens shaped {screens.shape}, "
                          f"expected {(spec.num_modes, spec.depth)}")
-    for _, state in evolve(spec, layer_matrices(spec, program), screens[None], last):
+    for _, state in evolve(spec, layer_matrices(spec, program), screens.T[:, :, None], last):
         pass
     return state[:, 0]

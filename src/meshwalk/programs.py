@@ -192,36 +192,30 @@ def draw_block(master_seed: int, level_index: int, lo: int, hi: int, num_modes: 
 
 def compose_screens(level: DisorderSpec, static: np.ndarray,
                     dynamic: np.ndarray) -> np.ndarray:
-    """The phase screens of a level's drawn fields: the disorder model.
+    """The phases of one chunk's drawn fields, in the kernel's layout: the disorder model.
 
-    ``static`` (..., num_modes) and ``dynamic`` (..., num_modes, depth) are
-    drawn fields (:func:`draw_block`) sharing their leading axes, one per
-    realization, scaled here by the level's c_tid and c_td.  They add on each
-    waveguide; their wrapped sum enters with the :func:`mode_signs` sign, and
-    the signed sum is wrapped again into (-pi, pi].
-
-    The composition runs in place in one new buffer laid out (depth, mode,
-    realization), the order :func:`~meshwalk.lattice.evolve` reads, and the
-    result is a (..., num_modes, depth) view of it.  Every element takes the
-    float steps of ``wrap(sign * wrap(c_tid * static + c_td * dynamic))`` in
-    that order, so the bits do not depend on the layout.
+    ``static`` (count, num_modes) and ``dynamic`` (count, num_modes, depth)
+    are drawn fields (:func:`draw_block`), one row per realization, scaled
+    here by the level's c_tid and c_td.  They add on each waveguide; their
+    wrapped sum enters with the :func:`mode_signs` sign, and the signed sum is
+    wrapped again into (-pi, pi].  Every element takes the float steps of
+    ``wrap(sign * wrap(c_tid * static + c_td * dynamic))`` in that order, in
+    place in the new array returned (layout: :mod:`~meshwalk.lattice`).
     """
-    if static.shape != dynamic.shape[:-1]:
-        raise ValueError(f"static field shaped {static.shape} does not match dynamic "
-                         f"field {dynamic.shape}")
-    m, depth = dynamic.shape[-2:]
-    fields = dynamic.reshape(-1, m, depth)
-    count = len(fields)
+    if static.ndim != 2 or static.shape != dynamic.shape[:-1]:
+        raise ValueError(f"static field {static.shape} does not match dynamic field "
+                         f"{dynamic.shape}: expected (count, m) and (count, m, depth)")
+    count, m, depth = dynamic.shape
     total = np.empty((depth, m, count))
     # The transposing read goes a block of realizations at a time, so the
     # rows it reads stay cached while every (layer, mode) column is written.
     for lo in range(0, count, _TRANSPOSE_BLOCK):
         hi = lo + _TRANSPOSE_BLOCK
-        np.multiply(fields[lo:hi].T, level.c_td, out=total[:, :, lo:hi])
-    total += (level.c_tid * static.reshape(count, m)).T
+        np.multiply(dynamic[lo:hi].T, level.c_td, out=total[:, :, lo:hi])
+    total += (level.c_tid * static).T
     wrap_angle(total, out=total)
     total *= mode_signs(m)[:, None]
-    return wrap_angle(total, out=total).T.reshape(dynamic.shape)
+    return wrap_angle(total, out=total)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ import pytest
 
 from meshwalk import DisorderSpec, EnsembleResult, LevelRecord, MeshSpec, SweepPlan
 import meshwalk
-from meshwalk import ensemble
+from meshwalk import cli, ensemble
 from meshwalk.cli import main
 
 
@@ -73,6 +75,73 @@ def test_persistence_warning_from_every_run_command(outdir, capsys):
         out = f"{command[0]}.json"
         assert main(command + ["--n", "5", "--workers", "1", "--out", out]) == 0
         assert "persistence warning: checkpoint open failed" in capsys.readouterr().err
+
+
+def test_failed_checkpoint_append_is_one_warning(outdir, capsys, monkeypatch):
+    # The resumed checkpoint's appends meet a full disk: the run warns once,
+    # stops checkpointing and still writes the fresh run's document.
+    base = ["sweep", "--grid", "2x2", "--n", "5", "--workers", "1"]
+    assert main(base + ["--out", "fresh.json"]) == 0
+    lines = (outdir / "fresh.json.ckpt").read_text().splitlines(keepends=True)
+    (outdir / "full.json.ckpt").write_text("".join(lines[:2]))
+    capsys.readouterr()
+
+    class FullDisk(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full_appends(path, mode="r", *args, **kwargs):
+        if path.endswith(".ckpt") and mode == "a":
+            return io.TextIOWrapper(io.BufferedWriter(FullDisk()), newline="\n")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "open", full_appends, raising=False)
+    assert main(base + ["--out", "full.json", "--resume"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"persistence warning: level 1: checkpoint write failed: "
+                   f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+    assert (outdir / "full.json").read_bytes() == (outdir / "fresh.json").read_bytes()
+
+
+def test_out_naming_a_directory_exits_two_before_running(outdir, capsys, monkeypatch):
+    (outdir / "res.json").mkdir()
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("levels ran"))
+    for command in (["walk"], ["tomography"], ["sweep", "--grid", "2x2"],
+                    ["slice", "--points", "3"], ["deep", "--depth", "3", "--points", "3"]):
+        assert main(command + ["--n", "5", "--workers", "1", "--out", "res.json"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+                       f"'{outdir / 'res.json'}'"], command
+        assert [p.name for p in outdir.rglob("*")] == ["res.json"], command
+
+
+def test_sweep_ascii_heatmaps_and_progress(outdir, capsys):
+    # The full output of the code before this test.
+    assert main(["sweep", "--grid", "2x2", "--n", "5", "--workers", "1", "--ascii",
+                 "--progress", "--out", "s.json"]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"""\
+mode 3 (rows c_tid 0->1, cols c_td 0->1):
+@:
+:.
+mode 4 (rows c_tid 0->1, cols c_td 0->1):
+%@
+-%
+mode 5 (rows c_tid 0->1, cols c_td 0->1):
+=@
+:*
+mode 6 (rows c_tid 0->1, cols c_td 0->1):
+:=
+*@
+mode 7 (rows c_tid 0->1, cols c_td 0->1):
+:=
+@-
+4 records; result document: {outdir / 's.json'}
+"""
+    assert err == "\r1/4 levels\r2/4 levels\r3/4 levels\r4/4 levels\n"
 
 
 def test_negative_seed_exits_one(outdir, capsys):

@@ -35,8 +35,9 @@ from oracles import full_unitary, galton_distribution
 def full_array_stacks(spec, program, screens, read_layers):
     """Intensity stacks of the kernel written out over the whole array.
 
-    ``screens`` is (walkers, num_modes, depth).  Every mode takes its phase
-    factor, cos and sin of every (mode, layer) cell, after each layer.
+    ``screens`` is (walkers, num_modes, depth) and each stack (num_modes,
+    walkers).  Every mode takes its phase factor, cos and sin of every
+    (mode, layer) cell, after each layer.
     """
     m = spec.num_modes
     phases = np.ascontiguousarray(np.transpose(screens, (2, 1, 0)))
@@ -54,7 +55,7 @@ def full_array_stacks(spec, program, screens, read_layers):
             state[i] = top
         state *= factors[t - 1]
         if t in read_layers:
-            stacks[t] = (state.real**2 + state.imag**2).T
+            stacks[t] = state.real**2 + state.imag**2
     return stacks
 
 
@@ -106,22 +107,33 @@ class TestConeKernel:
                                                  range(1, spec.depth + 1))
                     for t, stack in expected.items():
                         out = intensities(propagate(walker, program, up_to_layer=t))
-                        assert np.array_equal(bits(out), bits(stack[0])), (spec, mode, t)
+                        assert np.array_equal(bits(out), bits(stack[:, 0])), (spec, mode, t)
 
     def test_compose_screens_layout(self):
-        # The (realization, mode, layer) result is a view of one buffer laid
-        # out (layer, mode, realization), with the full-array model's bits.
+        # The result is one C-contiguous (layer, mode, realization) array,
+        # with the full-array model's bits.
         static, dynamic = _sample_block(14, 7, 4, 0, 0, 600)
         drawn = static.copy(), dynamic.copy()
         level = DisorderSpec(0.3, 0.9)
         total = compose_screens(level, static, dynamic)
-        assert total.shape == (600, 14, 7)
-        assert total.transpose(2, 1, 0).flags.c_contiguous
+        assert total.shape == (7, 14, 600)
+        assert total.flags.c_contiguous
         expected = full_array_screens(level, *drawn)
-        assert np.array_equal(bits(total), bits(expected))
+        assert np.array_equal(bits(total), bits(expected.transpose(2, 1, 0)))
         # The drawn fields are read, never written.
         assert np.array_equal(bits(static), bits(drawn[0]))
         assert np.array_equal(bits(dynamic), bits(drawn[1]))
+
+
+def test_propagate_rejects_realization_major_phases(spec14, qw_program):
+    # The kernel reads (depth, num_modes, walkers); a (walkers, num_modes,
+    # depth) array would otherwise run as depth walkers of garbage phases.
+    static, dynamic = _sample_block(14, 7, 1, 0, 0, 5)
+    phases = compose_screens(DisorderSpec(0.5, 0.5), static, dynamic)
+    mats = _layer_matrices(spec14, qw_program)
+    with pytest.raises(ValueError, match="phases shaped"):
+        _propagate_block(spec14, mats, phases.transpose(2, 1, 0), (7,))
+    assert _propagate_block(spec14, mats, phases, (7,))[7].shape == (14, 5)
 
 
 class TestRunLevel:
@@ -162,7 +174,7 @@ class TestRunLevel:
             for layer in layers:
                 column = full_unitary(spec14, applied, up_to_layer=layer)[
                     :, spec14.injection_mode - 1]
-                assert np.abs(stacks[layer][r] - intensities(column)).max() < 1e-12
+                assert np.abs(stacks[layer][:, r] - intensities(column)).max() < 1e-12
 
     def test_fully_incoherent_matches_markov_oracle(self, spec14):
         plan = SweepPlan(spec14, (DisorderSpec(1, 1),), 4000, 77)
@@ -450,9 +462,9 @@ class TestThroughput:
         static, dynamic = _sample_block(14, 7, 1, 0, 0, n)
         screens = 0.6 * static[:, :, None] + 0.8 * dynamic
         mats = _layer_matrices(spec14, qw_program)
-        _propagate_block(spec14, mats, screens[:100], (7,))  # warm up
+        _propagate_block(spec14, mats, np.ascontiguousarray(screens[:100].T), (7,))  # warm up
         start = time.perf_counter()
-        _propagate_block(spec14, mats, screens, (7,))
+        _propagate_block(spec14, mats, np.ascontiguousarray(screens.T), (7,))
         per_prop = (time.perf_counter() - start) / n
         assert per_prop < 10e-6, f"{per_prop * 1e6:.2f} us per propagation"
 

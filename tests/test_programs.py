@@ -26,7 +26,8 @@ def one_realization(seed, level_index, r, num_modes=14, depth=7):
 
 def disordered(program, level, static, dynamic):
     """The program's cells with one realization's disorder as their screens."""
-    return MeshProgram(program.cell_settings, compose_screens(level, static, dynamic))
+    phases = compose_screens(level, static[None], dynamic[None])  # a batch of one
+    return MeshProgram(program.cell_settings, phases[:, :, 0].T)
 
 
 class TestBuildSymmetricQw:
@@ -75,7 +76,7 @@ class TestSampleRealization:
 
     def test_scaling_by_coefficients(self, spec14):
         # Each field alone.
-        static, dynamic = one_realization(9, 0, 0)
+        static, dynamic = draw_block(9, 0, 0, 1, 14, 7)  # realization 0, a batch of one
         full, half = DisorderSpec(1.0, 1.0), DisorderSpec(0.5, 0.25)
         s_full, s_half = (compose_screens(l, static, 0 * dynamic) for l in (full, half))
         d_full, d_half = (compose_screens(l, 0 * static, dynamic) for l in (full, half))
@@ -154,11 +155,13 @@ class TestApplyDisorder:
         assert np.abs(applied[7:] + 0.4 * static[7:, None]).max() < 1e-15
 
     def test_dimension_mismatch(self):
-        # The static field is shaped as the dynamic one without its layer axis.
+        # The static field is (count, num_modes), the dynamic one without its
+        # layer axis: a single realization's fields are a batch of one.
         level = DisorderSpec(0.5, 0.5)
         for static, dynamic in ((np.zeros(10), np.zeros((14, 7))),
                                 (np.zeros((3, 14)), np.zeros((2, 14, 7))),
-                                (np.zeros((14, 7)), np.zeros((14, 7)))):
+                                (np.zeros((14, 7)), np.zeros((14, 7))),
+                                (np.zeros(14), np.zeros((14, 7)))):
             with pytest.raises(ValueError, match="does not match"):
                 compose_screens(level, static, dynamic)
 
