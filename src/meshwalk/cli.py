@@ -1,6 +1,7 @@
 """Command-line front end for mesh quantum-walk experiments.
 
-Subcommands configure, run, resume, and analyze disorder ensembles.  Every
+Subcommands run and analyze disorder ensembles; a run command resumes from
+its own checkpoint when an earlier run of the same plan left one.  Every
 command is deterministic: identical flags and seed produce bit-identical
 output files regardless of worker count.  Output documents are JSON, flat
 tables are CSV (comma separator, header row, LF endings, full-precision
@@ -41,10 +42,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _out_path(name: str, out: str | None) -> str:
+def _out_path(name: str, out: str | None, *siblings: str) -> str:
     path = os.path.join(os.environ.get(OUT_DIR_ENV, "."), out or name)  # keeps an absolute out
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    for written in (path, *(path + s for s in siblings)):
+        if os.path.isdir(written):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), written)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -76,10 +78,9 @@ def _build(factory, *args, **kwargs):
         raise UsageError(str(exc)) from None
 
 
-def _run(plan: SweepPlan, out: str, workers: int | None, resume: bool = False,
-         progress: bool = False) -> EnsembleResult:
+def _run(plan: SweepPlan, out: str, workers: int | None, progress: bool = False) -> EnsembleResult:
     """``run_sweep`` to ``out``, with progress and persistence warnings on stderr."""
-    result = run_sweep(plan, out_path=out, workers=workers, resume=resume,
+    result = run_sweep(plan, out_path=out, workers=workers,
                        progress=(lambda done, total:
                                  print(f"\r{done}/{total} levels", end="", file=sys.stderr))
                        if progress else None)
@@ -118,7 +119,7 @@ def cmd_walk(args) -> int:
     spec = _build(MeshSpec, args.modes, args.depth, args.inject)
     level = _build(DisorderSpec, args.ctid, args.ctd)
     plan = _build(SweepPlan, spec, (level,), args.n, args.seed)
-    out = _out_path(f"walk_ctid{args.ctid:g}_ctd{args.ctd:g}_n{args.n}.json", args.out)
+    out = _out_path(f"walk_ctid{args.ctid:g}_ctd{args.ctd:g}_n{args.n}.json", args.out, ".csv")
     result = _run(plan, out, args.workers)
     result.write_csv(out + ".csv")
     rec = result.record(0)
@@ -136,7 +137,7 @@ def cmd_tomography(args) -> int:
     level = _build(DisorderSpec, args.ctid, args.ctd)
     layers = tuple(range(1, spec.depth + 1))
     plan = _build(SweepPlan, spec, (level,), args.n, args.seed, read_layers=layers)
-    out = _out_path(f"tomo_ctid{args.ctid:g}_ctd{args.ctd:g}_n{args.n}.json", args.out)
+    out = _out_path(f"tomo_ctid{args.ctid:g}_ctd{args.ctd:g}_n{args.n}.json", args.out, ".csv")
     result = _run(plan, out, args.workers)
     result.write_csv(out + ".csv")
     matrix = np.stack([result.record(0, t).mean for t in layers])
@@ -164,17 +165,17 @@ def cmd_sweep(args) -> int:
     if n_tid < 1 or n_td < 1:
         raise UsageError("grid dimensions must be >= 1")
     plan = _build(SweepPlan, spec, make_grid(n_tid, n_td), args.n, args.seed)
-    out = _out_path(f"sweep_{n_tid}x{n_td}_n{args.n}.json", args.out)
-    result = _run(plan, out, args.workers, resume=args.resume, progress=args.progress)
-    result.write_csv(out + ".csv")
-    tids = sorted(set(l.c_tid for l in plan.grid))
-    tds = sorted(set(l.c_td for l in plan.grid))
-    index = {(l.c_tid, l.c_td): i for i, l in enumerate(plan.grid)}
     heat_modes = [m for m in (3, 4, 5, 6, 7) if m <= spec.num_modes]
+    out = _out_path(f"sweep_{n_tid}x{n_td}_n{args.n}.json", args.out, ".csv",
+                    *(f".mode{mode}.csv" for mode in heat_modes))
+    result = _run(plan, out, args.workers, progress=args.progress)
+    result.write_csv(out + ".csv")
+    # make_grid is row-major: level i is (tids[i // n_td], tds[i % n_td]).
+    tids = [level.c_tid for level in plan.grid[::n_td]]
+    tds = [level.c_td for level in plan.grid[:n_td]]
+    means = np.stack([result.record(i).mean for i in range(len(plan.grid))])
     for mode in heat_modes:
-        matrix = np.array(
-            [[result.record(index[(a, b)]).mean[mode - 1] for b in tds] for a in tids]
-        )
+        matrix = means[:, mode - 1].reshape(n_tid, n_td)
         path = f"{out}.mode{mode}.csv"
         _write_matrix(path, matrix, tids, tds, "c_tid\\c_td")
         if args.ascii:
@@ -205,7 +206,8 @@ def cmd_slice(args) -> int:
     used = analysis._nearest_row(rows, args.ctid)
     grid = tuple(DisorderSpec(used, float(td)) for td in rows)
     plan = _build(SweepPlan, spec, grid, args.n, args.seed)
-    out = _out_path(args.name.format(ctid=args.ctid, n=args.n, depth=args.depth), args.out)
+    out = _out_path(args.name.format(ctid=args.ctid, n=args.n, depth=args.depth), args.out,
+                    ".csv", ".result.json")
     result = _run(plan, out + ".result.json", args.workers)
     report = analysis.detect_enaqt(result, args.ctid, enhance, deplete,
                                    threshold=args.threshold)
@@ -294,8 +296,6 @@ def build_parser() -> _Parser:
     add_mesh(p)
     p.add_argument("--grid", default="20x20", help="levels as TIDxTD, e.g. 20x20")
     add_run(p, 200)
-    p.add_argument("--resume", action="store_true",
-                   help="skip levels already in the checkpoint")
     p.add_argument("--ascii", action="store_true", help="print ASCII heatmaps")
     p.add_argument("--progress", action="store_true", help="report progress on stderr")
     p.set_defaults(func=cmd_sweep)

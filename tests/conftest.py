@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # expose tests/oracles.py
 
-from meshwalk import MeshProgram, MeshSpec, RbsSetting, build_symmetric_qw
+from meshwalk import MeshProgram, MeshSpec, RbsSetting, build_symmetric_qw, ensemble
 
 
 @pytest.fixture
@@ -17,6 +17,16 @@ def spec14() -> MeshSpec:
 @pytest.fixture
 def qw_program(spec14) -> MeshProgram:
     return build_symmetric_qw(spec14)
+
+
+@pytest.fixture
+def level_tasks(monkeypatch) -> list[int]:
+    """Indices of the levels run, in order, by runs with one worker."""
+    levels = []
+    task = ensemble._level_task
+    monkeypatch.setattr(ensemble, "_level_task",
+                        lambda args: levels.append(args[3]) or task(args))
+    return levels
 
 
 def random_program(spec: MeshSpec, rng: np.random.Generator) -> MeshProgram:

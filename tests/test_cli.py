@@ -60,6 +60,7 @@ def test_usage_errors_exit_one(outdir, capsys):
     # One realization per level gives no standard error to test a rise against.
     assert main(["slice", "--n", "1"]) == 1
     assert main(["walk", "--workers", "-3"]) == 1
+    assert main(["sweep", "--resume"]) == 1
     assert not list(outdir.iterdir())
 
 
@@ -99,7 +100,7 @@ def test_failed_checkpoint_append_is_one_warning(outdir, capsys, monkeypatch):
         return open(path, mode, *args, **kwargs)
 
     monkeypatch.setattr(ensemble, "open", full_appends, raising=False)
-    assert main(base + ["--out", "full.json", "--resume"]) == 0
+    assert main(base + ["--out", "full.json"]) == 0
     err = capsys.readouterr().err.splitlines()
     assert err == [f"persistence warning: level 1: checkpoint write failed: "
                    f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
@@ -107,15 +108,23 @@ def test_failed_checkpoint_append_is_one_warning(outdir, capsys, monkeypatch):
 
 
 def test_out_naming_a_directory_exits_two_before_running(outdir, capsys, monkeypatch):
-    (outdir / "res.json").mkdir()
+    # A directory at the document or at any file written beside it.
     monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("levels ran"))
-    for command in (["walk"], ["tomography"], ["sweep", "--grid", "2x2"],
-                    ["slice", "--points", "3"], ["deep", "--depth", "3", "--points", "3"]):
-        assert main(command + ["--n", "5", "--workers", "1", "--out", "res.json"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
-                       f"'{outdir / 'res.json'}'"], command
-        assert [p.name for p in outdir.rglob("*")] == ["res.json"], command
+    heatmaps = tuple(f".mode{mode}.csv" for mode in range(3, 8))
+    for command, written in ((["walk"], ("", ".csv")), (["tomography"], ("", ".csv")),
+                             (["sweep", "--grid", "2x2"], ("", ".csv") + heatmaps),
+                             (["slice", "--points", "3"], ("", ".csv", ".result.json")),
+                             (["deep", "--depth", "3", "--points", "3"],
+                              ("", ".csv", ".result.json"))):
+        for suffix in written:
+            directory = outdir / f"res.json{suffix}"
+            directory.mkdir()
+            assert main(command + ["--n", "5", "--workers", "1", "--out", "res.json"]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+                           f"'{directory}'"], (command, suffix)
+            assert [p.name for p in outdir.rglob("*")] == [directory.name], (command, suffix)
+            directory.rmdir()
 
 
 def test_sweep_ascii_heatmaps_and_progress(outdir, capsys):
@@ -277,21 +286,37 @@ def test_tomography_layers_and_heatmap(outdir, capsys):
     assert "spread exponent = undefined" in capsys.readouterr().out
 
 
-def test_sweep_resume_and_heatmaps(outdir):
+def test_sweep_resume_and_heatmaps(outdir, level_tasks):
     base = ["sweep", "--grid", "3x3", "--n", "20", "--seed", "5", "--workers", "1"]
     assert main(base + ["--out", "s.json"]) == 0
-    fresh = (outdir / "s.json").read_bytes()
+    fresh = {p.name: p.read_bytes() for p in outdir.iterdir()}
     for mode in (3, 4, 5, 6, 7):
         heat = outdir / f"s.json.mode{mode}.csv"
         assert heat.exists()
         assert heat.read_text().splitlines()[0].startswith("c_tid\\c_td,")
 
+    # A sweep cut short after 3 levels runs only the other 6.
     ckpt = outdir / "s.json.ckpt"
     lines = ckpt.read_text().splitlines()
     ckpt.write_text("\n".join(lines[:4]) + "\n")
     (outdir / "s.json").unlink()
-    assert main(base + ["--out", "s.json", "--resume"]) == 0
-    assert (outdir / "s.json").read_bytes() == fresh
+    level_tasks.clear()
+    assert main(base + ["--out", "s.json"]) == 0
+    assert level_tasks == [3, 4, 5, 6, 7, 8]
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == fresh
+
+
+def test_every_run_command_resumes_its_checkpoint(outdir, level_tasks):
+    # Over a complete checkpoint a rerun runs no level and writes the same files.
+    for command in (["walk"], ["tomography"], ["sweep", "--grid", "2x2"],
+                    ["slice", "--points", "3"], ["deep", "--depth", "3", "--points", "3"]):
+        argv = command + ["--n", "5", "--workers", "1", "--out", f"{command[0]}.json"]
+        assert main(argv) == 0
+        files = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        level_tasks.clear()
+        assert main(argv) == 0
+        assert level_tasks == [], command
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == files, command
 
 
 def test_slice_declares_enaqt(outdir, capsys):

@@ -298,7 +298,7 @@ class TestRunSweep:
             "\n".join(ckpt[:5]) + "\n"
         )
         resumed.unlink()
-        run_sweep(plan, out_path=str(resumed), workers=1, resume=True)
+        run_sweep(plan, out_path=str(resumed), workers=1)
         assert fresh.read_bytes() == resumed.read_bytes()
 
     def test_resume_drops_torn_final_line(self, spec14, tmp_path):
@@ -310,7 +310,7 @@ class TestRunSweep:
         resumed = tmp_path / "resumed.json"
         ckpt = tmp_path / "resumed.json.ckpt"
         ckpt.write_bytes((tmp_path / "fresh.json.ckpt").read_bytes()[:-40])
-        run_sweep(plan, out_path=str(resumed), workers=1, resume=True)
+        run_sweep(plan, out_path=str(resumed), workers=1)
         assert fresh.read_bytes() == resumed.read_bytes()
         # The torn line was cut, so the recomputed record starts a fresh line.
         assert ckpt.read_bytes() == (tmp_path / "fresh.json.ckpt").read_bytes()
@@ -325,22 +325,43 @@ class TestRunSweep:
                              ('{"n": 10}\n', "malformed checkpoint record")):
             ckpt.write_text("".join(lines[:2] + [bad] + lines[3:]))
             with pytest.raises(ValueError, match=message):
-                run_sweep(plan, out_path=str(out), workers=1, resume=True)
+                run_sweep(plan, out_path=str(out), workers=1)
 
-    def test_resume_rejects_foreign_checkpoint(self, spec14, tmp_path):
+    def test_resume_replaces_foreign_checkpoint(self, spec14, tmp_path, level_tasks):
+        # A file without the plan's header holds none of its records, even
+        # when the lines after the header are the plan's own: the run replaces
+        # it as a fresh run writes it.
         plan_a = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 1)
         plan_b = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 2)
-        out = tmp_path / "a.json"
-        run_sweep(plan_a, out_path=str(out), workers=1)
-        with pytest.raises(ValueError, match="different plan"):
-            run_sweep(plan_b, out_path=str(out), workers=1, resume=True)
-        # A header that parses but is not an object belongs to no plan.
+        fresh, out = tmp_path / "fresh.json", tmp_path / "a.json"
+        run_sweep(plan_a, out_path=str(fresh), workers=1)
+        fresh_ckpt = (tmp_path / "fresh.json.ckpt").read_text()
+        run_sweep(plan_b, out_path=str(out), workers=1)
         ckpt = tmp_path / "a.json.ckpt"
-        records = ckpt.read_text().splitlines(keepends=True)[1:]
-        for header in ("5\n", "[1, 2]\n"):
-            ckpt.write_text(header + "".join(records))
-            with pytest.raises(ValueError, match="different plan"):
-                run_sweep(plan_a, out_path=str(out), workers=1, resume=True)
+        records = "".join(fresh_ckpt.splitlines(keepends=True)[1:])
+        for text in (ckpt.read_text(), "5\n" + records, "[1, 2]\n" + records, ""):
+            ckpt.write_text(text)
+            level_tasks.clear()
+            run_sweep(plan_a, out_path=str(out), workers=1)
+            assert level_tasks == [0, 1, 2, 3]
+            assert out.read_bytes() == fresh.read_bytes()
+            assert ckpt.read_text() == fresh_ckpt
+
+    def test_resume_appends_only_missing_layers(self, spec14, tmp_path, level_tasks):
+        # A crash between two read layers of level 1: the rerun runs level 1
+        # alone and appends only its missing layers.
+        plan = SweepPlan(spec14, tuple(make_grid(1, 2)), 10, 4,
+                         read_layers=tuple(range(1, 8)))
+        fresh, cut = tmp_path / "fresh.json", tmp_path / "cut.json"
+        run_sweep(plan, out_path=str(fresh), workers=1)
+        fresh_ckpt = (tmp_path / "fresh.json.ckpt").read_text()
+        (tmp_path / "cut.json.ckpt").write_text(
+            "".join(fresh_ckpt.splitlines(keepends=True)[:1 + 7 + 3]))
+        level_tasks.clear()
+        run_sweep(plan, out_path=str(cut), workers=1)
+        assert level_tasks == [1]
+        assert cut.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
 
     @pytest.mark.parametrize("edit", [
         {"level_index": 5}, {"c_tid": 0.3}, {"n": 7}, {"read_layer": 3},
@@ -370,7 +391,7 @@ class TestRunSweep:
         entry.update(edit)
         ckpt.write_text("".join(lines[:2] + [json.dumps(entry) + "\n"] + lines[3:]))
         with pytest.raises(ValueError, match="malformed checkpoint record"):
-            run_sweep(plan, out_path=str(out), workers=1, resume=True)
+            run_sweep(plan, out_path=str(out), workers=1)
 
     def test_document_roundtrip(self, spec14, tmp_path):
         plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 25, 3, read_layers=(2, 7))
