@@ -24,26 +24,21 @@ from .ensemble import (
 from .lattice import (
     HADAMARD,
     INPUT_SPLITTER,
-    CellCoord,
     MeshSpec,
     RbsSetting,
     cell_unitary,
     intensities,
-    propagate,
     wrap_angle,
 )
 from .programs import (
     GENERATOR_IDENTITY,
     DisorderSpec,
-    MeshProgram,
-    build_symmetric_qw,
     mode_signs,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellCoord",
     "DegenerateDistributionError",
     "DisorderSpec",
     "EnaqtReport",
@@ -54,18 +49,15 @@ __all__ = [
     "HADAMARD",
     "INPUT_SPLITTER",
     "LevelRecord",
-    "MeshProgram",
     "MeshSpec",
     "RbsSetting",
     "SweepPlan",
-    "build_symmetric_qw",
     "cell_unitary",
     "detect_enaqt",
     "fit_distribution",
     "intensities",
     "make_grid",
     "mode_signs",
-    "propagate",
     "run_sweep",
     "spread_exponent",
     "wrap_angle",

@@ -5,9 +5,9 @@ independently-seeded realizations and reduces them to a per-mode ensemble
 mean and standard error.  Realizations run in fixed-size chunks: a chunk's
 fields come from one :func:`~meshwalk.programs.draw_block` call, its phase
 screens from :func:`~meshwalk.programs.compose_screens` (the disorder is the
-whole screen: the walk's own screens are zero), and the whole chunk goes
-through the one propagation kernel, :func:`~meshwalk.lattice.evolve`, at
-once, with the walk's layer matrices built once per run.
+whole screen), and the whole chunk goes through the one propagation kernel,
+:func:`~meshwalk.lattice.evolve`, at once, with the walk's layer matrices
+(:func:`_layer_matrices`) built once per run.
 Every realization's stream is derived from
 ``(master_seed, level_index, realization_index)``, each level is reduced in
 fixed realization order with exact compensated summation, and records are
@@ -15,43 +15,38 @@ assembled sorted by ``(level_index, read_layer)`` — so the result is
 bit-identical no matter how many workers ran it.
 
 :func:`run_sweep` is the one way to run levels: a single level is a plan
-whose grid holds one entry, and the program is always the symmetric walk.
+whose grid holds one entry.
 
 A record is a measured per-mode mean and standard error, keyed by
 ``(level_index, read_layer)``; the plan writes every other field of its stored
 form.  Persistence is one JSON document per sweep (plan echo, generator
 identity, one record per level and read layer) plus an optional flat CSV
-table.  A running sweep checkpoints each record to ``<out>.ckpt``, and a rerun
-of the plan computes only the records missing there; loading a document or a
-checkpoint checks every record against what the plan writes.
-Documents and tables are written to a temporary sibling, synced to disk and
-renamed into place, so a crash of the process or of the machine leaves the
-old file or the new one, never half of one.  Checkpoint appends are not
-synced, so a machine crash can cost a checkpoint its last records (see
-:func:`run_sweep`).
+table.  A running sweep locks ``<out>.ckpt`` and checkpoints each record
+there, and a rerun of the plan computes only the records missing there;
+loading a document or a checkpoint checks every record against what the plan
+writes.  Documents and tables are written to a uniquely named temporary
+sibling, synced to disk and renamed into place, so a crash of the process or
+of the machine leaves the old file or the new one, never half of one.
+Checkpoint appends are not synced, so a machine crash can cost a checkpoint
+its last records (see :func:`run_sweep`).
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import math
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import MeshSpec, evolve, intensities
-from .lattice import layer_matrices as _layer_matrices
-from .programs import (
-    GENERATOR_IDENTITY,
-    DisorderSpec,
-    build_symmetric_qw,
-    compose_screens,
-    draw_block,
-)
+from .lattice import HADAMARD, INPUT_SPLITTER, MeshSpec, cell_unitary, evolve, intensities
+from .programs import GENERATOR_IDENTITY, DisorderSpec, compose_screens, draw_block
 
 DOCUMENT_FORMAT = "meshwalk-sweep-result/1"
 CSV_HEADER = "c_tid,c_td,layer,mode,mean,std_error"
@@ -68,20 +63,26 @@ _SIGNS = "mirrored-sign"
 def _replacing(path: str):
     """Text file that replaces ``path`` only once it is completely written.
 
-    Writes go to a temporary sibling, synced to disk and then renamed over
-    ``path`` on success, or removed on failure, so neither a crashed process
-    nor a crashed machine leaves a half-written ``path``.
+    Writes go to a uniquely named temporary sibling with the mode a plain
+    ``open`` gives, synced to disk and then renamed over ``path`` on success,
+    or removed on failure, so neither a crashed process nor a crashed machine
+    leaves a half-written ``path``, and no other writer shares the sibling.
     """
-    tmp = f"{path}.tmp"
+    head, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=head or ".")
     try:
-        with open(tmp, "w", newline="\n") as fh:
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
+    except BaseException:
+        with contextlib.suppress(OSError):
             os.remove(tmp)
+        raise
 
 
 def make_grid(n_tid: int, n_td: int) -> list[DisorderSpec]:
@@ -264,6 +265,12 @@ def _records(plan: SweepPlan, entries) -> dict[tuple[int, int], LevelRecord]:
     return records
 
 
+def _layer_matrices(spec: MeshSpec) -> list[np.ndarray]:
+    """The walk's stacked cell unitaries: the input splitter, then Hadamards."""
+    return [np.stack([cell_unitary(INPUT_SPLITTER if t == 1 else HADAMARD)] * t)
+            for t in range(1, spec.depth + 1)]
+
+
 def _sample_block(num_modes: int, depth: int, master_seed: int, level_index: int,
                   lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw uniform(-pi, pi) fields for realizations lo..hi-1, unscaled."""
@@ -321,8 +328,8 @@ def _header(plan: SweepPlan) -> str:
     return json.dumps({"plan_hash": plan.hash()}) + "\n"
 
 
-def _read_checkpoint(path: str, plan: SweepPlan) -> dict[tuple[int, int], LevelRecord]:
-    """Records of ``plan``'s checkpoint file, whose torn final line is cut off.
+def _read_checkpoint(fh, plan: SweepPlan) -> dict[tuple[int, int], LevelRecord]:
+    """Records of ``plan``'s checkpoint, open as binary ``fh``; a torn final line is cut off.
 
     A file that does not start with the plan's header holds none of them.  A
     crash mid-append leaves the last line without its newline or not parsing;
@@ -330,10 +337,8 @@ def _read_checkpoint(path: str, plan: SweepPlan) -> dict[tuple[int, int], LevelR
     line, and its level is recomputed.  A bad line anywhere else, or a record
     that is not one of the plan's, is corruption and raises ``ValueError``.
     """
-    if not os.path.exists(path):
-        return {}
-    with open(path, "rb") as fh:
-        lines = fh.readlines()
+    path = fh.name
+    lines = fh.readlines()
     if not lines or lines[0] != _header(plan).encode():
         return {}
     entries = []
@@ -346,9 +351,48 @@ def _read_checkpoint(path: str, plan: SweepPlan) -> dict[tuple[int, int], LevelR
         except ValueError as exc:
             if number < len(lines):
                 raise ValueError(f"{path}: corrupt checkpoint line {number}: {exc}") from None
-            os.truncate(path, len(b"".join(lines[:-1])))
+            fh.truncate(len(b"".join(lines[:-1])))
     with _malformed(f"{path}: malformed checkpoint record"):
         return _records(plan, entries)
+
+
+# The checkpoints this process holds locked.  A forked child closes its copies:
+# a lock lives on while any copy is open, so pool workers that outlive a
+# killed run would otherwise keep its checkpoint locked.
+_LOCKS: set = set()
+
+
+def _close_inherited_locks() -> None:
+    for fh in _LOCKS:
+        fh.close()
+
+
+os.register_at_fork(after_in_child=_close_inherited_locks)
+
+
+def _resume(path: str, plan: SweepPlan):
+    """The checkpoint at ``path``, locked, and ``plan``'s records read from it.
+
+    ``path`` is opened without truncating and takes an exclusive ``flock``
+    before it is read, without waiting: a file that another run holds raises
+    ``BlockingIOError`` naming ``path``.  A file of none of the plan's records
+    is emptied.  The lock lasts until the returned handle is closed.
+    """
+    fh = open(path, "a+b")
+    try:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        fh.seek(0)
+        done = _read_checkpoint(fh, plan)
+        if not done:
+            fh.truncate(0)
+    except BlockingIOError as exc:
+        fh.close()
+        raise BlockingIOError(exc.errno, "checkpoint in use by another run", path) from None
+    except BaseException:
+        fh.close()
+        raise
+    _LOCKS.add(fh)
+    return fh, done
 
 
 def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None = None,
@@ -360,7 +404,9 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     inside each level in fixed order, so the outcome does not depend on the
     worker count.  With ``out_path`` set, each finished record is appended to
     ``<out_path>.ckpt``; a checkpoint of this plan is resumed, computing only the
-    records it lacks, and any other file there is replaced.
+    records it lacks, and any other file there is replaced.  The run holds the
+    checkpoint locked (:func:`_resume`) until its levels have run; a checkpoint
+    that another run holds raises ``BlockingIOError`` before any level runs.
 
     Appends are flushed, not synced: a tail lost in a machine crash only makes
     a resume recompute those records, bit for bit, and a torn last line is
@@ -368,12 +414,12 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     4% of a 400-level sweep's wall time.  A failed read, open or append is one
     ``io_errors`` warning and ends checkpointing; the document is still written.
     """
-    mats = _layer_matrices(plan.spec, build_symmetric_qw(plan.spec))
+    mats = _layer_matrices(plan.spec)
     io_errors: list[str] = []
 
     done: dict[tuple[int, int], LevelRecord] = {}
     ckpt_path = out_path + ".ckpt" if out_path else None
-    ckpt = None
+    lock = ckpt = None
 
     def stop_checkpointing(warning: str) -> None:
         nonlocal ckpt
@@ -385,11 +431,13 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
 
     if ckpt_path:
         try:
-            done = _read_checkpoint(ckpt_path, plan)
-            ckpt = open(ckpt_path, "a" if done else "w", newline="\n")
+            lock, done = _resume(ckpt_path, plan)
+            ckpt = open(ckpt_path, "a", newline="\n")
             if not done:  # appends follow a valid header
                 ckpt.write(_header(plan))
                 ckpt.flush()
+        except BlockingIOError:
+            raise
         except OSError as exc:
             stop_checkpointing(f"checkpoint open failed: {exc}")
 
@@ -432,6 +480,9 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     finally:
         if ckpt is not None:
             ckpt.close()
+        if lock is not None:
+            _LOCKS.discard(lock)
+            lock.close()
 
     result = EnsembleResult(plan, records, io_errors=io_errors)
     if out_path:

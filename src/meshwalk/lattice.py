@@ -1,4 +1,4 @@
-"""Beamsplitter-mesh geometry and single-walker propagation.
+"""Beamsplitter-mesh geometry and the batched propagation kernel.
 
 The mesh is a staggered lattice of 4-port reconfigurable beamsplitter (RBS)
 cells.  Layer ``t`` (1-based) of the light cone reachable from a central
@@ -13,16 +13,12 @@ through the cone layer by layer, in a mode-major (num_modes, walkers)
 complex state.  At layer ``t`` only the live rows, the cone's ``2t`` modes
 plus the injection mode, can carry amplitude, so the phase screen's factors
 are computed and applied there alone; the rows outside stay exactly zero.
-:func:`propagate` is a batch of one; the disorder ensembles run the same
-kernel over thousands of realizations at once.  The kernel's phases are one
-float array laid out (depth, num_modes, walkers), so a layer's live rows are
-one block of memory: :func:`~meshwalk.programs.compose_screens` writes a
-chunk's phases so, :func:`evolve` reads them as given, and a read layer's
-intensities reach the reduction as (num_modes, walkers).
-
-A program is checked where it is read: :func:`layer_matrices` needs a
-setting for every cell of the cone, and :func:`propagate`, the one reader of
-a program's phase screens, needs them shaped (num_modes, depth).
+The disorder ensembles run it over thousands of realizations at once.  The
+kernel's phases are one float array laid out (depth, num_modes, walkers), so
+a layer's live rows are one block of memory:
+:func:`~meshwalk.programs.compose_screens` writes a chunk's phases so,
+:func:`evolve` reads them as given, and a read layer's intensities reach the
+reduction as (num_modes, walkers).
 
 A single walker's state is a complex vector of length ``num_modes`` (unit
 norm in this lossless model); intensity distributions are the squared
@@ -60,14 +56,6 @@ def wrap_angle(x, out=None):
     return np.subtract(np.pi, y, out=y)
 
 
-@dataclass(frozen=True, order=True)
-class CellCoord:
-    """Location of one RBS cell: layer index and the coupled mode pair."""
-
-    layer: int
-    top_mode: int
-
-
 @dataclass(frozen=True)
 class RbsSetting:
     """Differential phases of one RBS cell, stored wrapped to (-pi, pi]."""
@@ -80,7 +68,7 @@ class RbsSetting:
         object.__setattr__(self, "phi", float(wrap_angle(self.phi)))
 
 
-# Named settings used throughout the walk programs.
+# The walk's two cell settings: the layer-1 input splitter, Hadamards after it.
 HADAMARD = RbsSetting(np.pi / 2, 0.0)  # 50/50 with the Hadamard phase pattern
 INPUT_SPLITTER = RbsSetting(np.pi / 2, np.pi / 2)
 
@@ -114,17 +102,6 @@ class MeshSpec:
         if not 1 <= self.injection_mode <= self.num_modes:
             raise ValueError(f"injection_mode {self.injection_mode} outside [1, {self.num_modes}]")
 
-    def layer_cells(self, layer: int) -> list[CellCoord]:
-        """The ``layer`` cells of cone layer ``layer`` (1-based), top to bottom."""
-        if not 1 <= layer <= self.depth:
-            raise ValueError(f"layer {layer} outside [1, {self.depth}]")
-        first_top = self.num_modes // 2 - layer + 1
-        return [CellCoord(layer, first_top + 2 * k) for k in range(layer)]
-
-    @property
-    def cells(self) -> list[CellCoord]:
-        return [c for t in range(1, self.depth + 1) for c in self.layer_cells(t)]
-
 
 def cell_unitary(setting: RbsSetting) -> np.ndarray:
     """2x2 SU(2) matrix of one RBS cell.
@@ -145,25 +122,11 @@ def intensities(state: np.ndarray) -> np.ndarray:
     return state.real**2 + state.imag**2
 
 
-def layer_matrices(spec: MeshSpec, program) -> list[np.ndarray]:
-    """Stacked cell unitaries of every layer, top to bottom.
-
-    The first cell of ``spec`` that the program does not set raises
-    ``KeyError`` naming its coordinates.
-    """
-    missing = [cell for cell in spec.cells if cell not in program.cell_settings]
-    if missing:
-        raise KeyError(f"program has no setting for cell (layer={missing[0].layer}, "
-                       f"top_mode={missing[0].top_mode})")
-    return [np.stack([cell_unitary(program.cell_settings[cell]) for cell in spec.layer_cells(t)])
-            for t in range(1, spec.depth + 1)]
-
-
 def evolve(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int):
     """Propagate a batch of walkers through layers 1..``last``.
 
     Every walker starts in ``spec.injection_mode``.  ``mats`` holds each
-    layer's stacked cell unitaries (:func:`layer_matrices`) and ``phases``
+    layer's stacked cell unitaries, top to bottom, and ``phases``
     the total phase of every walker in the kernel's layout.  Each layer
     applies its cells, then its phase screen, and yields ``(t, state)``:
     ``state`` is the mode-major (num_modes, walkers) amplitude array, which
@@ -197,24 +160,3 @@ def evolve(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int
         np.sin(phases[t - 1, live], out=factor.imag[live])
         state[live] *= factor[live]
         yield t, state
-
-
-def propagate(spec: MeshSpec, program, up_to_layer: int | None = None) -> np.ndarray:
-    """Propagate a walker from ``spec.injection_mode`` through the programmed mesh.
-
-    For each layer 1..``up_to_layer`` (default: full depth) applies all cell
-    unitaries of the layer, then the layer's per-mode phase screen.  Returns
-    the complex state after the last applied layer.  The program must set
-    every cell of ``spec``, also those past ``up_to_layer``, and its phase
-    screens must be shaped (num_modes, depth).
-    """
-    last = spec.depth if up_to_layer is None else up_to_layer
-    if not 1 <= last <= spec.depth:
-        raise ValueError(f"up_to_layer {last} outside [1, {spec.depth}]")
-    screens = np.asarray(program.phase_screens, dtype=float)
-    if screens.shape != (spec.num_modes, spec.depth):
-        raise ValueError(f"phase screens shaped {screens.shape}, "
-                         f"expected {(spec.num_modes, spec.depth)}")
-    for _, state in evolve(spec, layer_matrices(spec, program), screens.T[:, :, None], last):
-        pass
-    return state[:, 0]

@@ -1,16 +1,12 @@
-"""Walk programs and phase-disorder realizations.
+"""Phase-disorder realizations of the symmetric walk.
 
-A :class:`MeshProgram` is pure data: one ``(theta, phi)`` setting per cell
-plus a per-(mode, layer) phase screen.  The symmetric quantum-walk program
-uses the input splitter ``(pi/2, pi/2)`` on the layer-1 cell and Hadamards
-``(pi/2, 0)`` everywhere else, with zero screens; it is the one program the
-disorder ensembles run.
-
-Disorder enters only through the phase screens, which it fills alone.  A realization draws one
-uniform phase per mode (static, constant across layers) and one per
-(mode, layer) (dynamic, uncorrelated in space-time), each scaled by its
-strength coefficient in [0, 1].  The wrapped sum is applied with the per-mode
-sign of :func:`mode_signs`.
+The walk's cells are fixed: the input splitter on the layer-1 cell and
+Hadamards everywhere else (:func:`~meshwalk.ensemble._layer_matrices`).
+Disorder enters only through the phase screens, which it fills alone.  A
+realization draws one uniform phase per mode (static, constant across
+layers) and one per (mode, layer) (dynamic, uncorrelated in space-time),
+each scaled by its strength coefficient in [0, 1].  The wrapped sum is
+applied with the per-mode sign of :func:`mode_signs`.
 
 Every realization is a pure function of ``(master_seed, level_index,
 realization_index)``: the stream is a PCG64 generator keyed by that triple
@@ -32,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import HADAMARD, INPUT_SPLITTER, CellCoord, MeshSpec, RbsSetting, wrap_angle
+from .lattice import wrap_angle
 
 #: How per-realization random streams are derived; recorded in every result document.
 GENERATOR_IDENTITY = (
@@ -216,20 +212,3 @@ def compose_screens(level: DisorderSpec, static: np.ndarray,
     wrap_angle(total, out=total)
     total *= mode_signs(m)[:, None]
     return wrap_angle(total, out=total)
-
-
-@dataclass(frozen=True)
-class MeshProgram:
-    """Settings for every cell plus the per-(mode, layer) phase screens."""
-
-    cell_settings: dict[CellCoord, RbsSetting]
-    phase_screens: np.ndarray  # (num_modes, depth), radians
-
-
-def build_symmetric_qw(spec: MeshSpec) -> MeshProgram:
-    """The symmetric quantum-walk program: input splitter, then Hadamards."""
-    settings = {}
-    for cell in spec.cells:
-        settings[cell] = INPUT_SPLITTER if cell.layer == 1 else HADAMARD
-    return MeshProgram(settings, np.zeros((spec.num_modes, spec.depth)))
-

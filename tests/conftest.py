@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # expose tests/oracles.py
 
-from meshwalk import MeshProgram, MeshSpec, RbsSetting, build_symmetric_qw, ensemble
+from meshwalk import HADAMARD, INPUT_SPLITTER, MeshSpec, RbsSetting, cell_unitary, ensemble
+from meshwalk.lattice import evolve
 
 
 @pytest.fixture
@@ -15,8 +16,8 @@ def spec14() -> MeshSpec:
 
 
 @pytest.fixture
-def qw_program(spec14) -> MeshProgram:
-    return build_symmetric_qw(spec14)
+def qw_program(spec14):
+    return walk_program(spec14)
 
 
 @pytest.fixture
@@ -29,14 +30,40 @@ def level_tasks(monkeypatch) -> list[int]:
     return levels
 
 
-def random_program(spec: MeshSpec, rng: np.random.Generator) -> MeshProgram:
+# A test program is a pair (settings, screens): settings[t - 1] lists the cells
+# of layer t top to bottom, and screens is (num_modes, depth), in radians.
+
+
+def walk_program(spec: MeshSpec):
+    """The symmetric walk as a program: the input splitter, then Hadamards, zero screens."""
+    settings = [[INPUT_SPLITTER if t == 1 else HADAMARD] * t for t in range(1, spec.depth + 1)]
+    return settings, np.zeros((spec.num_modes, spec.depth))
+
+
+def random_program(spec: MeshSpec, rng: np.random.Generator):
     """Uniformly random cell settings and phase screens."""
-    settings = {
-        cell: RbsSetting(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
-        for cell in spec.cells
-    }
+    settings = [[RbsSetting(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
+                 for _ in range(t)] for t in range(1, spec.depth + 1)]
     screens = rng.uniform(-np.pi, np.pi, (spec.num_modes, spec.depth))
-    return MeshProgram(settings, screens)
+    return settings, screens
+
+
+def cell_matrices(settings) -> list[np.ndarray]:
+    """The kernel's stacked cell unitaries of a program's settings."""
+    return [np.stack([cell_unitary(s) for s in layer]) for layer in settings]
+
+
+def propagate(spec: MeshSpec, settings, screens, up_to_layer: int | None = None) -> np.ndarray:
+    """One walker from ``spec.injection_mode`` through layers 1..``up_to_layer``.
+
+    Runs the package's kernel, ``lattice.evolve``, as a batch of one.
+    Returns the complex state after the last layer (default: full depth).
+    """
+    last = spec.depth if up_to_layer is None else up_to_layer
+    phases = np.asarray(screens, dtype=float).T[:, :, None]
+    for _, state in evolve(spec, cell_matrices(settings), phases, last):
+        pass
+    return state[:, 0]
 
 
 def mod_wrap(x):

@@ -5,14 +5,17 @@ oracle pushes probabilities (not amplitudes) through the cone, the dense
 unitary multiplies whole num_modes x num_modes layer matrices instead of
 running the batched kernel, the tomography program reads a layer by wire
 routing instead of stopping the kernel early, and the KS statistic is
-computed directly from its definition.
+computed directly from its definition.  A program is a pair (settings,
+screens): ``settings[t - 1]`` lists the cells of layer ``t`` top to bottom,
+and cell ``k`` (0-based) of layer ``t`` couples the 0-based modes
+``num_modes // 2 - t + 2k`` and one below; ``screens`` is (num_modes, depth).
 """
 
 import math
 
 import numpy as np
 
-from meshwalk import MeshProgram, RbsSetting, cell_unitary
+from meshwalk import RbsSetting, cell_unitary
 
 BAR = RbsSetting(np.pi, 0.0)  # bar state: straight-through routing
 
@@ -53,45 +56,42 @@ def ks_uniform_statistic(samples: np.ndarray, low: float, high: float) -> float:
     return max(d_plus, d_minus)
 
 
-def full_unitary(spec, program, up_to_layer: int | None = None) -> np.ndarray:
+def full_unitary(spec, settings, screens, up_to_layer: int | None = None) -> np.ndarray:
     """Compose the whole mesh into one num_modes x num_modes unitary.
 
     Plain matrix multiplication of per-layer block-diagonal cell matrices and
-    diagonal phase screens, a different code path from ``propagate`` and the
-    batched ensemble kernel.
+    diagonal phase screens, a different code path from the batched kernel.
     """
     last = spec.depth if up_to_layer is None else up_to_layer
     if not 1 <= last <= spec.depth:
         raise ValueError(f"up_to_layer {last} outside [1, {spec.depth}]")
-    screens = np.asarray(program.phase_screens, dtype=float)
+    screens = np.asarray(screens, dtype=float)
     n = spec.num_modes
     total = np.eye(n, dtype=complex)
     for t in range(1, last + 1):
         layer = np.eye(n, dtype=complex)
-        for cell in spec.layer_cells(t):
-            i = cell.top_mode - 1
-            layer[i : i + 2, i : i + 2] = cell_unitary(program.cell_settings[cell])
+        for k, setting in enumerate(settings[t - 1]):
+            i = n // 2 - t + 2 * k  # 0-based top mode of the cell
+            layer[i : i + 2, i : i + 2] = cell_unitary(setting)
         total = np.diag(np.exp(1j * screens[:, t - 1])) @ layer @ total
     return total
 
 
-def build_tomography_program(program, read_layer: int):
+def build_tomography_program(settings, screens, read_layer: int):
     """Route the state at ``read_layer`` straight to the output.
 
     Cells in later layers become bar-state wires and their screens are
     zeroed, so the final intensities equal the layer-``read_layer``
-    intensities exactly.
+    intensities exactly.  Returns the routed (settings, screens).
     """
-    depth = program.phase_screens.shape[1]
+    depth = screens.shape[1]
     if not 1 <= read_layer <= depth:
         raise ValueError(f"read_layer {read_layer} outside [1, {depth}]")
-    settings = {
-        cell: (BAR if cell.layer > read_layer else setting)
-        for cell, setting in program.cell_settings.items()
-    }
-    screens = program.phase_screens.copy()
+    routed = [[BAR] * len(layer) if t > read_layer else list(layer)
+              for t, layer in enumerate(settings, start=1)]
+    screens = screens.copy()
     screens[:, read_layer:] = 0.0
-    return MeshProgram(settings, screens)
+    return routed, screens
 
 
 def extended_walk_intensities(spec, level, static, dynamic, read_layers) -> dict:
@@ -112,8 +112,8 @@ def extended_walk_intensities(spec, level, static, dynamic, read_layers) -> dict
     out = {}
     for t in range(1, max(read_layers) + 1):
         e = 1j if t == 1 else 1  # the input splitter's phi = pi/2, the Hadamards' 0
-        for cell in spec.layer_cells(t):
-            i = cell.top_mode - 1
+        for k in range(t):
+            i = spec.num_modes // 2 - t + 2 * k  # 0-based top mode of the cell
             a, b = state[:, i].copy(), state[:, i + 1].copy()
             state[:, i] = e * half * (a + b)
             state[:, i + 1] = half * (a - b)

@@ -10,12 +10,12 @@ from meshwalk import (
     detect_enaqt,
     fit_distribution,
     intensities,
-    propagate,
     run_sweep,
     spread_exponent,
 )
 from meshwalk.analysis import _rounding_bound, width
 from meshwalk.programs import draw_block
+from conftest import propagate
 from oracles import extended_walk_intensities, galton_distribution, galton_sigma
 
 
@@ -111,7 +111,7 @@ class TestSpreadExponent:
                 galton_sigma(14, t, 8), rel=1e-12)
 
     def test_ballistic_walk_near_one(self, spec14, qw_program):
-        means = [intensities(propagate(spec14, qw_program, up_to_layer=t))
+        means = [intensities(propagate(spec14, *qw_program, up_to_layer=t))
                  for t in range(1, 8)]
         slope = spread_exponent(means)
         assert 0.85 <= slope <= 1.05

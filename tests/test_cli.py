@@ -1,4 +1,5 @@
 import errno
+import fcntl
 import hashlib
 import io
 import json
@@ -317,6 +318,37 @@ def test_every_run_command_resumes_its_checkpoint(outdir, level_tasks):
         assert main(argv) == 0
         assert level_tasks == [], command
         assert {p.name: p.read_bytes() for p in outdir.iterdir()} == files, command
+
+
+def test_second_run_on_one_output_exits_two(outdir, capsys, level_tasks):
+    # Another run holds the checkpoint of a cut-short sweep: the run exits 2
+    # before any level runs and leaves every file as it was.
+    argv = ["sweep", "--grid", "2x2", "--n", "5", "--workers", "1", "--out", "s.json"]
+    assert main(argv) == 0
+    ckpt = outdir / "s.json.ckpt"
+    ckpt.write_text("".join(ckpt.read_text().splitlines(keepends=True)[:3]))
+    files = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    capsys.readouterr()
+    level_tasks.clear()
+    with open(ckpt, "rb") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert main(argv) == 2
+    assert level_tasks == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [Errno {errno.EAGAIN}] checkpoint in use by another run: '{ckpt}'"]
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == files
+
+
+def test_temporary_siblings_take_unique_names(outdir, monkeypatch):
+    # A directory at the old fixed temporary name of the flat table.
+    argv = ["walk", "--n", "50", "--out", "w.json", "--workers", "1"]
+    assert main(argv) == 0
+    fresh = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    monkeypatch.setenv("MESHWALK_OUT_DIR", str(outdir / "again"))
+    (outdir / "again" / "w.json.csv.tmp").mkdir(parents=True)
+    assert main(argv) == 0
+    written = {p.name: p.read_bytes() for p in (outdir / "again").iterdir() if p.is_file()}
+    assert written == fresh
 
 
 def test_slice_declares_enaqt(outdir, capsys):

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import stat
 import time
 
 import numpy as np
@@ -8,15 +10,12 @@ import pytest
 from meshwalk import (
     DisorderSpec,
     EnsembleResult,
-    MeshProgram,
     MeshSpec,
     SweepPlan,
-    build_symmetric_qw,
     cell_unitary,
     intensities,
     make_grid,
     mode_signs,
-    propagate,
     run_sweep,
 )
 from meshwalk import ensemble
@@ -28,16 +27,16 @@ from meshwalk.ensemble import (
     _sample_block,
 )
 from meshwalk.programs import compose_screens
-from conftest import bits, mod_wrap, random_program
+from conftest import bits, cell_matrices, mod_wrap, propagate, random_program, walk_program
 from oracles import full_unitary, galton_distribution
 
 
-def full_array_stacks(spec, program, screens, read_layers):
+def full_array_stacks(spec, settings, screens, read_layers):
     """Intensity stacks of the kernel written out over the whole array.
 
-    ``screens`` is (walkers, num_modes, depth) and each stack (num_modes,
-    walkers).  Every mode takes its phase factor, cos and sin of every
-    (mode, layer) cell, after each layer.
+    ``settings`` are a program's cells, ``screens`` is (walkers, num_modes,
+    depth) and each stack (num_modes, walkers).  Every mode takes its phase
+    factor, cos and sin of every (mode, layer) cell, after each layer.
     """
     m = spec.num_modes
     phases = np.ascontiguousarray(np.transpose(screens, (2, 1, 0)))
@@ -48,8 +47,8 @@ def full_array_stacks(spec, program, screens, read_layers):
     state[spec.injection_mode - 1] = 1.0
     stacks = {}
     for t in range(1, max(read_layers) + 1):
-        for cell in spec.layer_cells(t):
-            i, u = cell.top_mode - 1, cell_unitary(program.cell_settings[cell])
+        for k, setting in enumerate(settings[t - 1]):
+            i, u = m // 2 - t + 2 * k, cell_unitary(setting)
             top = u[0, 0] * state[i] + u[0, 1] * state[i + 1]
             state[i + 1] = u[1, 0] * state[i] + u[1, 1] * state[i + 1]
             state[i] = top
@@ -80,7 +79,7 @@ class TestConeKernel:
 
         A level runs the cells alone: its screens are the disorder's.
         """
-        return build_symmetric_qw(spec), random_program(spec, rng)
+        return walk_program(spec), random_program(spec, rng)
 
     def test_level_stacks(self):
         rng = np.random.default_rng(31)
@@ -89,24 +88,23 @@ class TestConeKernel:
             layers = tuple(range(1, spec.depth + 1))
             static, dynamic = _sample_block(spec.num_modes, spec.depth, 17, 2, 0, n)
             screens = full_array_screens(level, static, dynamic)
-            for program in self.programs(spec, rng):
+            for settings, _ in self.programs(spec, rng):
                 stacks = _level_intensity_stacks(
-                    spec, _layer_matrices(spec, program), level, n, 17, 2, layers)
-                expected = full_array_stacks(spec, program, screens, layers)
+                    spec, cell_matrices(settings), level, n, 17, 2, layers)
+                expected = full_array_stacks(spec, settings, screens, layers)
                 for t in layers:
                     assert np.array_equal(bits(stacks[t]), bits(expected[t])), (spec, t)
 
     def test_propagate(self):
         rng = np.random.default_rng(32)
         for spec in self.SPECS:
-            for program in self.programs(spec, rng):
-                screens = program.phase_screens[None]
+            for settings, screens in self.programs(spec, rng):
                 for mode in sorted({1, 3, spec.num_modes, spec.injection_mode}):
                     walker = MeshSpec(spec.num_modes, spec.depth, mode)
-                    expected = full_array_stacks(walker, program, screens,
+                    expected = full_array_stacks(walker, settings, screens[None],
                                                  range(1, spec.depth + 1))
                     for t, stack in expected.items():
-                        out = intensities(propagate(walker, program, up_to_layer=t))
+                        out = intensities(propagate(walker, settings, screens, up_to_layer=t))
                         assert np.array_equal(bits(out), bits(stack[:, 0])), (spec, mode, t)
 
     def test_compose_screens_layout(self):
@@ -125,12 +123,12 @@ class TestConeKernel:
         assert np.array_equal(bits(dynamic), bits(drawn[1]))
 
 
-def test_propagate_rejects_realization_major_phases(spec14, qw_program):
+def test_propagate_rejects_realization_major_phases(spec14):
     # The kernel reads (depth, num_modes, walkers); a (walkers, num_modes,
     # depth) array would otherwise run as depth walkers of garbage phases.
     static, dynamic = _sample_block(14, 7, 1, 0, 0, 5)
     phases = compose_screens(DisorderSpec(0.5, 0.5), static, dynamic)
-    mats = _layer_matrices(spec14, qw_program)
+    mats = _layer_matrices(spec14)
     with pytest.raises(ValueError, match="phases shaped"):
         _propagate_block(spec14, mats, phases.transpose(2, 1, 0), (7,))
     assert _propagate_block(spec14, mats, phases, (7,))[7].shape == (14, 5)
@@ -143,7 +141,7 @@ class TestRunLevel:
         plan = SweepPlan(spec14, (DisorderSpec(0, 0),), 7, 99)
         rec = run_sweep(plan, workers=1).record(0)
         assert np.abs(rec.std_error).max() == 0.0
-        ordered = intensities(propagate(spec14, qw_program))
+        ordered = intensities(propagate(spec14, *qw_program))
         assert np.abs(rec.mean - ordered).max() < 1e-15
 
     def test_mean_sums_to_one(self, spec14):
@@ -157,22 +155,21 @@ class TestRunLevel:
         # stream of GENERATOR_IDENTITY, scaled, summed per waveguide, and
         # negated on modes 8..14, as the whole screen of the program's cells.
         # Wrapping by 2 pi changes no amplitude, so the oracle leaves it out.
-        program = random_program(spec14, np.random.default_rng(12))
+        settings, _ = random_program(spec14, np.random.default_rng(12))
         level = DisorderSpec(0.7, 0.4)
         n = 40
         layers = (4, spec14.depth)
         signs = np.ones(14)
         signs[7:] = -1.0
-        stacks = _level_intensity_stacks(spec14, _layer_matrices(spec14, program),
+        stacks = _level_intensity_stacks(spec14, cell_matrices(settings),
                                          level, n, 555, 3, layers)
         for r in range(n):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((555, 3, r))))
             static = level.c_tid * rng.uniform(-np.pi, np.pi, 14)
             dynamic = level.c_td * rng.uniform(-np.pi, np.pi, (14, 7))
-            applied = MeshProgram(program.cell_settings,
-                                  signs[:, None] * (static[:, None] + dynamic))
+            applied = signs[:, None] * (static[:, None] + dynamic)
             for layer in layers:
-                column = full_unitary(spec14, applied, up_to_layer=layer)[
+                column = full_unitary(spec14, settings, applied, up_to_layer=layer)[
                     :, spec14.injection_mode - 1]
                 assert np.abs(stacks[layer][:, r] - intensities(column)).max() < 1e-12
 
@@ -215,6 +212,12 @@ class TestSweepPlan:
         # row-major: first 20 entries share c_tid = 0
         assert all(g.c_tid == 0.0 for g in grid[:20])
         assert any(abs(g.c_tid - 16.0 / 19.0) < 1e-12 for g in grid)
+
+
+def signal_then_sleep(started) -> None:
+    """A forked child that is running, and so past its fork hooks, until killed."""
+    started.set()
+    time.sleep(60)
 
 
 class TestRunSweep:
@@ -314,6 +317,27 @@ class TestRunSweep:
         assert fresh.read_bytes() == resumed.read_bytes()
         # The torn line was cut, so the recomputed record starts a fresh line.
         assert ckpt.read_bytes() == (tmp_path / "fresh.json.ckpt").read_bytes()
+
+    def test_forked_children_leave_the_checkpoint_lock(self, spec14, tmp_path):
+        # A pool worker forked during a run must not keep the checkpoint
+        # locked once the run's own handle is closed, as when the run is killed.
+        plan = SweepPlan(spec14, (DisorderSpec(0, 0),), 5, 1)
+        path = str(tmp_path / "a.json.ckpt")
+        lock, _ = ensemble._resume(path, plan)
+        fork = multiprocessing.get_context("fork")
+        started = fork.Event()
+        child = fork.Process(target=signal_then_sleep, args=(started,))
+        child.start()
+        try:
+            assert started.wait(30)
+            ensemble._LOCKS.discard(lock)
+            lock.close()
+            again, _ = ensemble._resume(path, plan)
+            ensemble._LOCKS.discard(again)
+            again.close()
+        finally:
+            child.kill()
+            child.join(30)
 
     def test_resume_rejects_corruption_mid_file(self, spec14, tmp_path):
         plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 11)
@@ -447,6 +471,22 @@ class TestRunSweep:
             size = (tmp_path / name).stat().st_size
             assert calls == [("fsync", size), ("replace", size)], name
 
+    def test_written_files_take_the_mode_open_gives(self, spec14, tmp_path):
+        result = run_sweep(SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 3), workers=1)
+        old = os.umask(0o022)
+        try:
+            for umask in (0o022, 0o002, 0o077):
+                os.umask(umask)
+                for write, name in ((result.save, "doc.json"), (result.write_csv, "doc.csv")):
+                    path = tmp_path / f"{umask:o}{name}"
+                    write(str(path))
+                    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, name
+        finally:
+            os.umask(old)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{umask:o}{name}" for umask in (0o022, 0o002, 0o077)
+            for name in ("doc.json", "doc.csv"))
+
     def test_flat_table_schema(self, spec14, tmp_path):
         plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 3)
         out = tmp_path / "doc.json"
@@ -476,13 +516,13 @@ class TestRunSweep:
 
 
 class TestThroughput:
-    def test_batched_propagation_under_ten_microseconds(self, spec14, qw_program):
+    def test_batched_propagation_under_ten_microseconds(self, spec14):
         # Performance target for the propagation machinery on the default
         # 14x7 cone, amortized per realization in the batched kernel.
         n = 20000
         static, dynamic = _sample_block(14, 7, 1, 0, 0, n)
         screens = 0.6 * static[:, :, None] + 0.8 * dynamic
-        mats = _layer_matrices(spec14, qw_program)
+        mats = _layer_matrices(spec14)
         _propagate_block(spec14, mats, np.ascontiguousarray(screens[:100].T), (7,))  # warm up
         start = time.perf_counter()
         _propagate_block(spec14, mats, np.ascontiguousarray(screens.T), (7,))
@@ -506,8 +546,7 @@ class TestThroughput:
         # Performance target for the two stages that dominate a 30x15 level:
         # composing one chunk's screens and propagating it, n = 2000, best of 3.
         spec = MeshSpec(30, 15)
-        program = build_symmetric_qw(spec)
-        mats = _layer_matrices(spec, program)
+        mats = _layer_matrices(spec)
         level = DisorderSpec(0.842, 0.5)
         n = 2000
         static, dynamic = _sample_block(30, 15, 1, 0, 0, n)

@@ -3,18 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshwalk import (
-    CellCoord,
-    MeshProgram,
-    MeshSpec,
-    RbsSetting,
-    build_symmetric_qw,
-    cell_unitary,
-    intensities,
-    propagate,
-    wrap_angle,
-)
-from conftest import bits, mod_wrap, random_program
+from meshwalk import MeshSpec, RbsSetting, cell_unitary, intensities, wrap_angle
+from meshwalk.ensemble import _layer_matrices
+from conftest import bits, mod_wrap, propagate, random_program
 from oracles import full_unitary
 
 ANGLES = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -38,9 +29,8 @@ def one_layer_transfer(num_modes, setting, screen=None):
     """
     if screen is None:
         screen = np.zeros(num_modes)
-    program = MeshProgram({CellCoord(1, num_modes // 2): setting},
-                          np.asarray(screen, dtype=float)[:, None])
-    return np.column_stack([propagate(MeshSpec(num_modes, 1, j), program)
+    screens = np.asarray(screen, dtype=float)[:, None]
+    return np.column_stack([propagate(MeshSpec(num_modes, 1, j), [[setting]], screens)
                             for j in range(1, num_modes + 1)])
 
 
@@ -87,14 +77,11 @@ class TestMeshSpec:
         assert spec14.num_modes == 14
         assert spec14.depth == 7
         assert spec14.injection_mode == 8
-        cells = spec14.cells
-        assert len(cells) == 28  # T(T+1)/2; 2 internal shifters per cell = 56
-        for t in range(1, 8):
-            layer = [c for c in cells if c.layer == t]
-            assert len(layer) == t
-            for k, cell in enumerate(layer, start=1):
-                assert cell.top_mode == 14 // 2 - t + 2 * k - 1
-                assert 1 <= cell.top_mode and cell.top_mode + 1 <= 14
+        # Layer t stacks its t cells: T(T+1)/2 in all, 2 internal shifters per cell.
+        for spec, cells in ((spec14, 28), (MeshSpec(30, 15), 120)):
+            mats = _layer_matrices(spec)
+            assert [len(m) for m in mats] == list(range(1, spec.depth + 1))
+            assert sum(len(m) for m in mats) == cells
 
     def test_cone_must_fit(self):
         with pytest.raises(ValueError):
@@ -194,68 +181,41 @@ class TestApplyPhaseLayer:
         bare = one_layer_transfer(4, setting) @ state
         assert np.abs(intensities(out) - intensities(bare)).max() < 1e-12
 
-    def test_length_mismatch(self):
-        program = MeshProgram({CellCoord(1, 2): RbsSetting(0.0, 0.0)}, np.zeros((3, 1)))
-        with pytest.raises(ValueError, match="phase screens"):
-            propagate(MeshSpec(num_modes=4, depth=1), program)
-
 
 class TestPropagate:
     def test_all_wires_route_straight(self, spec14):
-        program = random_program(spec14, np.random.default_rng(0))
-        program = type(program)(
-            {c: RbsSetting(np.pi, 0.0) for c in program.cell_settings},
-            np.zeros((14, 7)),
-        )
+        settings = [[RbsSetting(np.pi, 0.0)] * t for t in range(1, 8)]
         for mode in (1, 5, 8, 14):
-            out = intensities(propagate(MeshSpec(14, 7, mode), program))
+            out = intensities(propagate(MeshSpec(14, 7, mode), settings, np.zeros((14, 7))))
             assert abs(out[mode - 1] - 1.0) < 1e-12
 
     def test_ballistic_peaks_and_oracle(self, spec14, qw_program):
-        psi = propagate(spec14, qw_program)
+        psi = propagate(spec14, *qw_program)
         dist = intensities(psi)
         assert set(np.argsort(dist)[-2:] + 1) == {3, 12}
-        column = full_unitary(spec14, qw_program)[:, spec14.injection_mode - 1]
+        column = full_unitary(spec14, *qw_program)[:, spec14.injection_mode - 1]
         assert np.abs(column - psi).max() < 1e-12
 
     def test_edge_mode_pinning_for_any_screens(self, spec14, qw_program):
         rng = np.random.default_rng(11)
         for _ in range(50):
             screens = rng.uniform(-np.pi, np.pi, (14, 7))
-            program = type(qw_program)(qw_program.cell_settings, screens)
-            dist = intensities(propagate(spec14, program))
+            dist = intensities(propagate(spec14, qw_program[0], screens))
             assert abs(dist[0] - 2.0**-7) < 1e-12
             assert abs(dist[13] - 2.0**-7) < 1e-12
-
-    def test_missing_cell_setting(self, spec14, qw_program):
-        broken = dict(qw_program.cell_settings)
-        del broken[CellCoord(3, 7)]
-        program = type(qw_program)(broken, qw_program.phase_screens)
-        with pytest.raises(KeyError, match="layer=3"):
-            propagate(spec14, program)
 
     def test_norm_after_random_program(self, spec14):
         rng = np.random.default_rng(3)
         for _ in range(20):
             program = random_program(spec14, rng)
-            psi = propagate(spec14, program)
+            psi = propagate(spec14, *program)
             assert abs((np.abs(psi) ** 2).sum() - 1.0) < 1e-9
-
-    def test_up_to_layer_validiation(self, spec14, qw_program):
-        with pytest.raises(ValueError):
-            propagate(spec14, qw_program, up_to_layer=8)
-        with pytest.raises(ValueError, match="phase screens"):
-            propagate(spec14, type(qw_program)(qw_program.cell_settings, np.zeros((14, 6))))
 
 
 class TestFullUnitary:
     def test_wires_give_unit_diagonal(self, spec14):
-        program = build_symmetric_qw(spec14)
-        program = type(program)(
-            {c: RbsSetting(np.pi, 0.0) for c in program.cell_settings},
-            np.zeros((14, 7)),
-        )
-        u = full_unitary(spec14, program)
+        settings = [[RbsSetting(np.pi, 0.0)] * t for t in range(1, 8)]
+        u = full_unitary(spec14, settings, np.zeros((14, 7)))
         off = u - np.diag(np.diag(u))
         assert np.abs(off).max() < 1e-12
         assert np.abs(np.abs(np.diag(u)) - 1.0).max() < 1e-12
@@ -265,17 +225,17 @@ class TestFullUnitary:
         eye = np.eye(14)
         for _ in range(100):
             program = random_program(spec14, rng)
-            u = full_unitary(spec14, program)
+            u = full_unitary(spec14, *program)
             assert np.abs(u.conj().T @ u - eye).max() < 1e-12
             mode = int(rng.integers(1, 15))
-            psi = propagate(MeshSpec(14, 7, mode), program)
+            psi = propagate(MeshSpec(14, 7, mode), *program)
             assert np.abs(u[:, mode - 1] - psi).max() < 1e-12
 
     def test_partial_depth_matches(self, spec14):
         program = random_program(spec14, np.random.default_rng(9))
         for t in (1, 3, 5):
-            u = full_unitary(spec14, program, up_to_layer=t)
-            psi = propagate(spec14, program, up_to_layer=t)
+            u = full_unitary(spec14, *program, up_to_layer=t)
+            psi = propagate(spec14, *program, up_to_layer=t)
             assert np.abs(u[:, spec14.injection_mode - 1] - psi).max() < 1e-12
 
 

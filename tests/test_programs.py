@@ -5,16 +5,16 @@ from meshwalk import (
     HADAMARD,
     INPUT_SPLITTER,
     DisorderSpec,
-    MeshProgram,
     MeshSpec,
     SweepPlan,
-    build_symmetric_qw,
+    cell_unitary,
     intensities,
     mode_signs,
-    propagate,
     run_sweep,
 )
+from meshwalk.ensemble import _layer_matrices
 from meshwalk.programs import compose_screens, draw_block
+from conftest import propagate, walk_program
 from oracles import BAR, build_tomography_program, ks_uniform_statistic
 
 
@@ -27,26 +27,31 @@ def one_realization(seed, level_index, r, num_modes=14, depth=7):
 def disordered(program, level, static, dynamic):
     """The program's cells with one realization's disorder as their screens."""
     phases = compose_screens(level, static[None], dynamic[None])  # a batch of one
-    return MeshProgram(program.cell_settings, phases[:, :, 0].T)
+    return program[0], phases[:, :, 0].T
 
 
 class TestBuildSymmetricQw:
-    def test_settings_layout(self, spec14, qw_program):
-        assert len(qw_program.cell_settings) == 28
-        splitters = [c for c, s in qw_program.cell_settings.items() if s == INPUT_SPLITTER]
-        hadamards = [c for c, s in qw_program.cell_settings.items() if s == HADAMARD]
-        assert len(splitters) == 1 and splitters[0].layer == 1
-        assert len(hadamards) == 27
-        assert not qw_program.phase_screens.any()
+    """The walk's cells, as the ensembles run them: ``ensemble._layer_matrices``."""
+
+    def test_settings_layout(self, spec14):
+        # Layer t stacks t cells: the input splitter, then Hadamards, bit for bit.
+        splitter, hadamard = (cell_unitary(s).view(np.uint64) for s in (INPUT_SPLITTER, HADAMARD))
+        for spec in (spec14, MeshSpec(30, 15), MeshSpec(2, 1), MeshSpec(20, 4)):
+            mats = _layer_matrices(spec)
+            assert [cells.shape for cells in mats] == [(t, 2, 2) for t in range(1, spec.depth + 1)]
+            assert np.array_equal(mats[0][0].view(np.uint64), splitter)
+            for cells in mats[1:]:
+                for u in cells:
+                    assert np.array_equal(u.view(np.uint64), hadamard)
 
     def test_distribution_symmetric_about_injection_pair(self, spec14, qw_program):
-        dist = intensities(propagate(spec14, qw_program))
+        dist = intensities(propagate(spec14, *qw_program))
         assert np.abs(dist - dist[::-1]).max() < 1e-12
 
     def test_two_layer_toy_mesh_is_uniform(self):
         # 4 modes, 2 layers: hand-multiplying the three cells gives 1/4 per mode.
         spec = MeshSpec(num_modes=4, depth=2)
-        dist = intensities(propagate(spec, build_symmetric_qw(spec)))
+        dist = intensities(propagate(spec, *walk_program(spec)))
         assert np.abs(dist - 0.25).max() < 1e-12
 
 
@@ -136,13 +141,13 @@ class TestApplyDisorder:
     """The disorder model of compose_screens: one realization's screens."""
 
     def test_zero_disorder_is_identity(self, spec14, qw_program):
-        out = disordered(qw_program, DisorderSpec(0.0, 0.0), *one_realization(5, 0, 0))
-        assert np.array_equal(out.phase_screens, qw_program.phase_screens)
-        assert out.cell_settings == qw_program.cell_settings
+        settings, screens = disordered(qw_program, DisorderSpec(0.0, 0.0),
+                                       *one_realization(5, 0, 0))
+        assert np.array_equal(screens, qw_program[1])
+        assert settings == qw_program[0]
 
     def test_static_only_constant_across_layers(self, spec14, qw_program):
-        screens = disordered(qw_program, DisorderSpec(1.0, 0.0),
-                             *one_realization(6, 0, 0)).phase_screens
+        _, screens = disordered(qw_program, DisorderSpec(1.0, 0.0), *one_realization(6, 0, 0))
         assert np.abs(screens - screens[:, :1]).max() < 1e-15
 
     def test_mirrored_sign_pattern(self, spec14, qw_program):
@@ -150,7 +155,7 @@ class TestApplyDisorder:
         assert np.array_equal(signs, np.concatenate([np.ones(7), -np.ones(7)]))
         level, (static, dynamic) = DisorderSpec(0.4, 0.0), one_realization(7, 0, 0)
         # The applied static screen: +c_tid * static on modes 1..7, - on 8..14.
-        applied = disordered(qw_program, level, static, dynamic).phase_screens
+        _, applied = disordered(qw_program, level, static, dynamic)
         assert np.abs(applied[:7] - 0.4 * static[:7, None]).max() < 1e-15
         assert np.abs(applied[7:] + 0.4 * static[7:, None]).max() < 1e-15
 
@@ -176,9 +181,9 @@ class TestApplyDisorder:
         for r in range(10):
             flipped = (-static[r, ::-1], -dynamic[r, ::-1])
             dist = intensities(propagate(
-                spec14, disordered(qw_program, level, static[r], dynamic[r])))
+                spec14, *disordered(qw_program, level, static[r], dynamic[r])))
             dist_flipped = intensities(propagate(
-                spec14, disordered(qw_program, level, *flipped)))
+                spec14, *disordered(qw_program, level, *flipped)))
             # Each realization is itself asymmetric, so the check has teeth.
             assert np.abs(dist - dist[::-1]).max() > 0.01
             assert np.abs(dist_flipped - dist[::-1]).max() < 1e-12
@@ -196,24 +201,21 @@ class TestApplyDisorder:
 
 class TestTomographyProgram:
     def test_full_depth_read_is_identity(self, spec14, qw_program):
-        out = build_tomography_program(qw_program, spec14.depth)
-        assert out.cell_settings == qw_program.cell_settings
-        assert np.array_equal(out.phase_screens, qw_program.phase_screens)
+        settings, screens = build_tomography_program(*qw_program, spec14.depth)
+        assert settings == qw_program[0]
+        assert np.array_equal(screens, qw_program[1])
 
     def test_read_layer_one_gives_half_half(self, spec14, qw_program):
-        routed = build_tomography_program(qw_program, 1)
-        dist = intensities(propagate(spec14, routed))
+        routed = build_tomography_program(*qw_program, 1)
+        dist = intensities(propagate(spec14, *routed))
         assert abs(dist[6] - 0.5) < 1e-12
         assert abs(dist[7] - 0.5) < 1e-12
 
     def test_wires_after_read_layer(self, spec14, qw_program):
-        routed = build_tomography_program(qw_program, 3)
-        for cell, setting in routed.cell_settings.items():
-            if cell.layer > 3:
-                assert setting == BAR
-            else:
-                assert setting == qw_program.cell_settings[cell]
-        assert not routed.phase_screens[:, 3:].any()
+        settings, screens = build_tomography_program(*qw_program, 3)
+        for t, layer in enumerate(settings, start=1):
+            assert layer == ([BAR] * t if t > 3 else qw_program[0][t - 1])
+        assert not screens[:, 3:].any()
 
     def test_matches_direct_intermediate_readout(self, spec14, qw_program):
         level = DisorderSpec(0.9, 0.7)
@@ -221,13 +223,13 @@ class TestTomographyProgram:
         for r in range(5):
             program = disordered(qw_program, level, static[r], dynamic[r])
             for layer in range(1, spec14.depth + 1):
-                routed = build_tomography_program(program, layer)
-                via_wires = intensities(propagate(spec14, routed))
-                direct = intensities(propagate(spec14, program, up_to_layer=layer))
+                routed = build_tomography_program(*program, layer)
+                via_wires = intensities(propagate(spec14, *routed))
+                direct = intensities(propagate(spec14, *program, up_to_layer=layer))
                 assert np.abs(via_wires - direct).max() < 1e-12
 
     def test_read_layer_out_of_range(self, qw_program):
         with pytest.raises(ValueError):
-            build_tomography_program(qw_program, 0)
+            build_tomography_program(*qw_program, 0)
         with pytest.raises(ValueError):
-            build_tomography_program(qw_program, 8)
+            build_tomography_program(*qw_program, 8)
