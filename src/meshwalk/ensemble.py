@@ -9,10 +9,11 @@ whole screen), and the whole chunk goes through the one propagation kernel,
 :func:`~meshwalk.lattice.evolve`, at once, with the walk's layer matrices
 (:func:`_layer_matrices`) built once per run.
 Every realization's stream is derived from
-``(master_seed, level_index, realization_index)``, each level is reduced in
-fixed realization order with exact compensated summation, and records are
-assembled sorted by ``(level_index, read_layer)`` — so the result is
-bit-identical no matter how many workers ran it.
+``(master_seed, level_index, realization_index)``, each level's sums are
+exact bucketed sums rounded once, equal to ``math.fsum`` of its rows in
+realization order (:func:`_reduce`), and records are assembled sorted by
+``(level_index, read_layer)`` — so the result is bit-identical no matter how
+many workers ran it.
 
 :func:`run_sweep` is the one way to run levels: a single level is a plan
 whose grid holds one entry.
@@ -34,11 +35,13 @@ its last records (see :func:`run_sweep`).
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import fcntl
 import hashlib
 import json
 import math
 import os
+import signal
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -55,6 +58,19 @@ CSV_HEADER = "c_tid,c_td,layer,mode,mean,std_error"
 # temporaries and changes no bit of a result: each realization's stream is its
 # own, and each level is reduced over its whole stack.
 _CHUNK = 8192
+# A stack is reduced in blocks of at most this many values: several whole
+# rows, or a segment of one.  It bounds the reduction's temporaries and
+# changes no bit, since every sum is exact until its last rounding; it must
+# stay below 2**26 (see _reduce).
+_BLOCK = 1 << 14
+# Each (row, exponent) bucket of the reduction spreads over this many bins by
+# position, so neighbouring values of one bucket do not wait on each other's add.
+_LANES = 4
+# frexp exponents whose values the bucketed sum takes exactly: normal, and
+# below 2**960, so that no bucket term and no partial sum of their fsum overflows.
+_EXPONENTS = (-1021, 960)
+# (mant + _SPLIT) - _SPLIT rounds a mantissa |mant| < 1 to a multiple of 2**-26.
+_SPLIT = 1.5 * 2.0**26
 # The plan document's name for the one sign pattern, programs.mode_signs.
 _SIGNS = "mirrored-sign"
 
@@ -306,13 +322,90 @@ def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], level: Disor
     return stacks
 
 
-def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-order compensated mean and standard error of each mode's row."""
+def _blocks(stack: np.ndarray):
+    """``(first row, view)`` of each block of ``stack``: whole rows, or one row's segment."""
     m, n = stack.shape
-    mean = np.array([math.fsum(row) / n for row in stack])
+    if n >= _BLOCK:
+        for r in range(m):
+            for c in range(0, n, _BLOCK):
+                yield r, stack[r:r + 1, c:c + _BLOCK]
+    else:
+        rows = _BLOCK // n
+        for r in range(0, m, rows):
+            yield r, stack[r:r + rows]
+
+
+def _bucket_terms(block: np.ndarray, lanes: np.ndarray) -> list[list[float]] | None:
+    """Exact terms of each row's sum of ``block``, a list per block row.
+
+    ``None`` if the block holds a non-finite value or an exponent outside
+    ``_EXPONENTS``.  ``lanes`` is ``arange(c) % _LANES`` for the block's
+    ``c`` columns, or longer.
+    """
+    k, c = block.shape
+    mant, idx = np.frexp(block, out=(None, np.empty((k, c), np.intp)))
+    lo, hi = idx.min(axis=1), idx.max(axis=1)
+    if lo.min() < _EXPONENTS[0] or hi.max() > _EXPONENTS[1]:
+        return None
+    span = int((hi - lo).max()) + 1
+    bins = k * span
+    idx += (np.arange(k) * span - lo)[:, None]
+    idx += lanes[:c] * bins
+    idx = idx.ravel()
+    high = mant + _SPLIT
+    high -= _SPLIT
+    low = np.subtract(mant, high, out=mant)
+    scale = lo[:, None] + np.arange(span)
+    terms = np.concatenate([
+        np.ldexp(np.bincount(idx, limb.ravel(), _LANES * bins).reshape(_LANES, k, span)
+                 .sum(axis=0), scale)
+        for limb in (high, low)], axis=1)
+    if math.isnan(terms.max()):  # a non-finite value's low limb is NaN
+        return None
+    return terms.tolist()
+
+
+def _row_sums(stack: np.ndarray, mean: np.ndarray | None = None) -> list[float]:
+    """``math.fsum`` of each row of ``stack``, or of its squared deviations from ``mean``.
+
+    Bit for bit (see :func:`_reduce`).  Temporaries are the size of a block,
+    or of a row for a row that takes ``math.fsum`` itself.
+    """
+    m, n = stack.shape
+    terms: list[list[float] | None] = [[] for _ in range(m)]
+    lanes = np.resize(np.arange(_LANES), min(n, _BLOCK))  # position % _LANES
+    with np.errstate(invalid="ignore"):  # inf - inf in a block that takes math.fsum
+        for r, block in _blocks(stack):
+            if mean is not None:
+                block = (block - mean[r:r + len(block), None]) ** 2
+            if not block.any():  # zeros add nothing, as in rows outside a layer's light cone
+                continue
+            rows = _bucket_terms(block, lanes)
+            for i in range(len(block)):
+                if rows is None:
+                    terms[r + i] = None
+                elif terms[r + i] is not None:
+                    terms[r + i] += filter(None, rows[i])  # drops the empty buckets' zeros
+    return [math.fsum(row_terms) if row_terms is not None
+            else math.fsum(stack[i] if mean is None else (stack[i] - mean[i]) ** 2)
+            for i, row_terms in enumerate(terms)]
+
+
+def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each mode's row, from sums equal to ``math.fsum``'s.
+
+    Each value is ``mant * 2**e`` (``np.frexp``), and ``mant`` splits into two
+    27-bit limbs.  ``np.bincount`` sums each limb per (row, exponent) bucket
+    exactly while a block holds fewer than 2**26 values, and ``np.ldexp``
+    scales the totals back exactly for normal ``e``.  One ``math.fsum`` over a
+    row's terms rounds their exact sum correctly, as ``math.fsum`` of the row
+    does; a block with a subnormal, non-finite or huge value takes ``math.fsum``.
+    """
+    m, n = stack.shape
+    mean = np.array(_row_sums(stack)) / n
     if n < 2:
         return mean, np.zeros(m)
-    var = np.array([math.fsum((row - mu) ** 2) / (n - 1) for row, mu in zip(stack, mean)])
+    var = np.array(_row_sums(stack, mean)) / (n - 1)
     return mean, np.sqrt(var / n)
 
 
@@ -368,6 +461,25 @@ def _close_inherited_locks() -> None:
 
 
 os.register_at_fork(after_in_child=_close_inherited_locks)
+
+_PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
+
+
+def _die_with(parent: int) -> None:
+    """Pool initializer: ask the kernel to kill this worker when its parent dies.
+
+    Without it, the workers of a run whose process alone is killed live on,
+    re-parented, holding their memory.  A worker whose parent died between
+    its fork and this call exits at once.  Where ``prctl`` is missing (not
+    Linux), only that check is made.
+    """
+    with contextlib.suppress(OSError, AttributeError):
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _resume(path: str, plan: SweepPlan):
@@ -471,7 +583,8 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     nworkers = min(workers if workers is not None else cores, cores, len(pending))
     try:
         if nworkers > 1:
-            with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            with ProcessPoolExecutor(max_workers=nworkers, initializer=_die_with,
+                                     initargs=(os.getpid(),)) as pool:
                 for level_index, per_layer in pool.map(_level_task, pending):
                     _absorb(level_index, per_layer)
         else:

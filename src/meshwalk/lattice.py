@@ -135,11 +135,18 @@ def evolve(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int
     Only the live rows of layer ``t`` can hold amplitude: its cells' modes
     plus the injection mode, as one 0-based range ``[min(m/2 - t, inj),
     max(m/2 + t, inj + 1))``.  Phase factors are computed and applied there
-    alone; every other row stays exactly +0.
+    alone; every other row stays exactly +0.  The phases' shape is checked
+    when ``evolve`` is called, before the first layer is asked for.
     """
     m = spec.num_modes
     if phases.ndim != 3 or phases.shape[:2] != (spec.depth, m):
         raise ValueError(f"phases shaped {phases.shape}, expected ({spec.depth}, {m}, walkers)")
+    return _layers(spec, mats, phases, last)
+
+
+def _layers(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int):
+    """The layers of :func:`evolve`, for phases already checked."""
+    m = spec.num_modes
     count = phases.shape[2]
     factor = np.empty((m, count), dtype=complex)
 

@@ -4,8 +4,9 @@ These deliberately avoid the package's propagation code paths: the Markov
 oracle pushes probabilities (not amplitudes) through the cone, the dense
 unitary multiplies whole num_modes x num_modes layer matrices instead of
 running the batched kernel, the tomography program reads a layer by wire
-routing instead of stopping the kernel early, and the KS statistic is
-computed directly from its definition.  A program is a pair (settings,
+routing instead of stopping the kernel early, the reduction sums each row
+with ``math.fsum`` element by element, and the KS statistic is computed
+directly from its definition.  A program is a pair (settings,
 screens): ``settings[t - 1]`` lists the cells of layer ``t`` top to bottom,
 and cell ``k`` (0-based) of layer ``t`` couples the 0-based modes
 ``num_modes // 2 - t + 2k`` and one below; ``screens`` is (num_modes, depth).
@@ -54,6 +55,19 @@ def ks_uniform_statistic(samples: np.ndarray, low: float, high: float) -> float:
     d_plus = float((np.arange(1, n + 1) / n - cdf).max())
     d_minus = float((cdf - np.arange(0, n) / n).max())
     return max(d_plus, d_minus)
+
+
+def fsum_reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each row of ``stack``, each sum one ``math.fsum``.
+
+    The definition the ensemble's bucketed reduction must equal bit for bit.
+    """
+    m, n = stack.shape
+    mean = np.array([math.fsum(row) / n for row in stack])
+    if n < 2:
+        return mean, np.zeros(m)
+    var = np.array([math.fsum((row - mu) ** 2) / (n - 1) for row, mu in zip(stack, mean)])
+    return mean, np.sqrt(var / n)
 
 
 def full_unitary(spec, settings, screens, up_to_layer: int | None = None) -> np.ndarray:

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import fcntl
 import hashlib
@@ -5,8 +6,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -227,7 +230,7 @@ def test_document_with_a_record_of_another_plan_exits_two(outdir, capsys):
 
 def test_broken_worker_pool_exits_two(outdir, capsys, monkeypatch):
     class CrashingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             pass
 
         def __enter__(self):
@@ -337,6 +340,53 @@ def test_second_run_on_one_output_exits_two(outdir, capsys, level_tasks):
     assert capsys.readouterr().err.splitlines() == [
         f"error: [Errno {errno.EAGAIN}] checkpoint in use by another run: '{ckpt}'"]
     assert {p.name: p.read_bytes() for p in outdir.iterdir()} == files
+
+
+def process_state(pid: int) -> str | None:
+    """The state letter of process ``pid`` (``Z`` for a zombie), or None once it is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+def children(pid: int) -> list[int]:
+    """The child processes of every thread of process ``pid``."""
+    found = []
+    for task in Path(f"/proc/{pid}/task").glob("*/children"):
+        with contextlib.suppress(FileNotFoundError):
+            found += map(int, task.read_text().split())
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
+                    reason="reads worker pids from Linux /proc; needs 2 cores for a pool")
+def test_pool_workers_die_with_a_killed_run(outdir):
+    # SIGKILL of the CLI process alone, as an out-of-memory kill does: its
+    # pool workers must not run on, orphaned, holding their memory.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(meshwalk.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.Popen([sys.executable, "-m", "meshwalk.cli", "slice", "--n", "20000",
+                            "--workers", "2"], env=env, start_new_session=True,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers := children(run.pid)) < 2 and time.monotonic() < deadline:
+            assert run.poll() is None, "the run ended before its pool started"
+            time.sleep(0.02)
+        assert len(workers) == 2
+        run.kill()
+        run.wait(30)
+        deadline = time.monotonic() + 2
+        while time.monotonic() < deadline and any(
+                process_state(pid) not in (None, "Z") for pid in workers):
+            time.sleep(0.02)
+        assert {pid: process_state(pid) for pid in workers if process_state(pid) not in
+                (None, "Z")} == {}
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(run.pid, signal.SIGKILL)
+        run.wait(30)
 
 
 def test_temporary_siblings_take_unique_names(outdir, monkeypatch):

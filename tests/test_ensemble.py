@@ -24,11 +24,13 @@ from meshwalk.ensemble import (
     _layer_matrices,
     _level_intensity_stacks,
     _propagate_block,
+    _reduce,
     _sample_block,
 )
+from meshwalk.lattice import evolve
 from meshwalk.programs import compose_screens
 from conftest import bits, cell_matrices, mod_wrap, propagate, random_program, walk_program
-from oracles import full_unitary, galton_distribution
+from oracles import fsum_reduce, full_unitary, galton_distribution
 
 
 def full_array_stacks(spec, settings, screens, read_layers):
@@ -134,6 +136,14 @@ def test_propagate_rejects_realization_major_phases(spec14):
     assert _propagate_block(spec14, mats, phases, (7,))[7].shape == (14, 5)
 
 
+def test_evolve_checks_phases_when_called(spec14):
+    # The shape error comes from the call itself, before any layer is asked for.
+    static, dynamic = _sample_block(14, 7, 1, 0, 0, 5)
+    phases = compose_screens(DisorderSpec(0.5, 0.5), static, dynamic)
+    with pytest.raises(ValueError, match=r"phases shaped \(5, 14, 7\)"):
+        evolve(spec14, _layer_matrices(spec14), phases.transpose(2, 1, 0), 7)
+
+
 class TestRunLevel:
     """One disorder level, run as a one-level plan."""
 
@@ -179,6 +189,86 @@ class TestRunLevel:
         oracle = galton_distribution(14, 7, 8)
         guard = np.maximum(5.0 * rec.std_error, 1e-12)  # edge modes have zero variance
         assert (np.abs(rec.mean - oracle) <= guard).all()
+
+
+def adversarial_stack(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """An (m, n) stack of one of the value kinds an exact sum must get right."""
+    kind = rng.integers(8)
+    if kind == 0:  # intensities with runs of zeros
+        stack = rng.random((m, n)) * (rng.random((m, n)) < rng.random())
+    elif kind == 1:  # signed values over an exponent span of 2000
+        stack = rng.uniform(-1, 1, (m, n)) * np.exp2(rng.integers(-1000, 1000, (m, n)))
+    elif kind == 2:  # subnormals among normals near the bottom of the range
+        stack = rng.uniform(-1, 1, (m, n)) * np.exp2(rng.integers(-1080, -1000, (m, n)))
+    elif kind == 3:  # cancelling pairs and ties: sums land on exact zeros and half ulps
+        powers = np.exp2(rng.integers(-60, 3, (m, n)).astype(float))
+        stack = powers * rng.choice([-1.0, 1.0, 0.5, -0.5], (m, n))
+        half = n // 2
+        stack[:, half:2 * half] = -stack[:, :half]
+        stack[:, -1] += rng.choice([1.0, 3.0, 2.0**53])
+    elif kind == 4:  # signed zeros, alone or among values
+        stack = rng.choice([0.0, -0.0, -0.0, 1e-300], (m, n))
+        stack[rng.random(m) < 0.5] = -0.0
+    elif kind == 5:  # values near and past the largest the bucketed sum takes
+        stack = rng.uniform(-1, 1, (m, n)) * np.exp2(rng.integers(950, 1024, (m, n)))
+    else:  # non-finite values among intensities
+        stack = rng.random((m, n))
+        stack[rng.random((m, n)) < 2.0 / n] = rng.choice([np.inf, -np.inf, np.nan])
+    return stack
+
+
+class TestReduce:
+    """``_reduce`` against its definition, ``oracles.fsum_reduce``, bit for bit."""
+
+    @staticmethod
+    def assert_same(stack):
+        with np.errstate(all="ignore"):
+            try:
+                expected = fsum_reduce(stack)
+            except (ValueError, OverflowError) as exc:
+                with pytest.raises(type(exc)):
+                    _reduce(stack)
+                return
+            got = _reduce(stack)
+        for a, b in zip(got, expected):
+            assert np.array_equal(bits(a), bits(b))
+
+    def test_pipeline_stacks(self):
+        # Every read layer at 14x7, rows longer than one block; the last at
+        # 30x15, several rows to a block.
+        level = DisorderSpec(0.842, 0.5)
+        for spec, n, layers in ((MeshSpec(14, 7), ensemble._BLOCK + 3000, range(1, 8)),
+                                (MeshSpec(30, 15), 2000, (15,))):
+            stacks = _level_intensity_stacks(spec, _layer_matrices(spec), level, n, 20170301, 0,
+                                             tuple(layers))
+            for stack in stacks.values():
+                self.assert_same(stack)
+
+    def test_adversarial_stacks(self, monkeypatch):
+        rng = np.random.default_rng(20170303)
+        monkeypatch.setattr(ensemble, "_BLOCK", 64)
+        for _ in range(400):
+            self.assert_same(adversarial_stack(rng, rng.integers(1, 6), rng.integers(1, 200)))
+
+    @pytest.mark.parametrize("row", [
+        [1.5 * 2.0**1023, 1.5 * 2.0**1023, -1.5 * 2.0**1023],  # fsum overflows midway
+        [2.0**959, 2.0**959, -2.0**959],
+        [1.0, 2.0**-53], [1.0, 2.0**-53, 2.0**-106], [3.0, -2.0**-52, 2.0**-105],  # ties
+        [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0],
+        [5e-324, -5e-324, 1e-310, 2.0**-1022],
+        [np.inf, -np.inf], [np.inf, np.nan, 1.0], [-np.inf, 2.0],
+    ])
+    def test_edge_values(self, row):
+        self.assert_same(np.array([row, row[::-1]]))
+
+    def test_shapes_around_the_block(self):
+        rng = np.random.default_rng(5)
+        block = ensemble._BLOCK
+        for m, n in ((1, 1), (5, 1), (3, 2), (2, block - 1), (2, block), (1, block + 1),
+                     (1, 2 * block + 5)):
+            for _ in range(3):
+                self.assert_same(adversarial_stack(rng, m, n))
+            self.assert_same(rng.random((m, n)))
 
 
 class TestSweepPlan:
@@ -241,13 +331,26 @@ class TestRunSweep:
             for plan, document in zip(plans, expected):
                 assert json.dumps(run_sweep(plan, workers=1).to_document()) == document, chunk
 
+    def test_block_size_invariance(self, monkeypatch):
+        # The reduction's block bounds its temporaries and moves no bit:
+        # blocks of one value, row segments, several rows and every row
+        # write the same document.
+        level = DisorderSpec(0.842, 0.5)
+        plans = (SweepPlan(MeshSpec(14, 7), (level,), 340, 11, read_layers=(1, 7)),
+                 SweepPlan(MeshSpec(30, 15), (level,), 40, 11))
+        expected = [json.dumps(run_sweep(plan, workers=1).to_document()) for plan in plans]
+        for block in (1, 7, 333, 1 << 16):
+            monkeypatch.setattr(ensemble, "_BLOCK", block)
+            for plan, document in zip(plans, expected):
+                assert json.dumps(run_sweep(plan, workers=1).to_document()) == document, block
+
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         """Pool sizes ``run_sweep`` asks for; the pool runs its tasks in process."""
         sizes = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
 
             def __enter__(self):
