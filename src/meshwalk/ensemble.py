@@ -40,6 +40,7 @@ import fcntl
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import signal
 import tempfile
@@ -63,9 +64,6 @@ _CHUNK = 8192
 # changes no bit, since every sum is exact until its last rounding; it must
 # stay below 2**26 (see _reduce).
 _BLOCK = 1 << 14
-# Each (row, exponent) bucket of the reduction spreads over this many bins by
-# position, so neighbouring values of one bucket do not wait on each other's add.
-_LANES = 4
 # frexp exponents whose values the bucketed sum takes exactly: normal, and
 # below 2**960, so that no bucket term and no partial sum of their fsum overflows.
 _EXPONENTS = (-1021, 960)
@@ -322,25 +320,11 @@ def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], level: Disor
     return stacks
 
 
-def _blocks(stack: np.ndarray):
-    """``(first row, view)`` of each block of ``stack``: whole rows, or one row's segment."""
-    m, n = stack.shape
-    if n >= _BLOCK:
-        for r in range(m):
-            for c in range(0, n, _BLOCK):
-                yield r, stack[r:r + 1, c:c + _BLOCK]
-    else:
-        rows = _BLOCK // n
-        for r in range(0, m, rows):
-            yield r, stack[r:r + rows]
-
-
-def _bucket_terms(block: np.ndarray, lanes: np.ndarray) -> list[list[float]] | None:
-    """Exact terms of each row's sum of ``block``, a list per block row.
+def _bucket_terms(block: np.ndarray) -> np.ndarray | None:
+    """Exact terms of each row's sum of ``block``, a row of terms per block row.
 
     ``None`` if the block holds a non-finite value or an exponent outside
-    ``_EXPONENTS``.  ``lanes`` is ``arange(c) % _LANES`` for the block's
-    ``c`` columns, or longer.
+    ``_EXPONENTS``.
     """
     k, c = block.shape
     mant, idx = np.frexp(block, out=(None, np.empty((k, c), np.intp)))
@@ -348,47 +332,52 @@ def _bucket_terms(block: np.ndarray, lanes: np.ndarray) -> list[list[float]] | N
     if lo.min() < _EXPONENTS[0] or hi.max() > _EXPONENTS[1]:
         return None
     span = int((hi - lo).max()) + 1
-    bins = k * span
     idx += (np.arange(k) * span - lo)[:, None]
-    idx += lanes[:c] * bins
     idx = idx.ravel()
     high = mant + _SPLIT
     high -= _SPLIT
     low = np.subtract(mant, high, out=mant)
     scale = lo[:, None] + np.arange(span)
     terms = np.concatenate([
-        np.ldexp(np.bincount(idx, limb.ravel(), _LANES * bins).reshape(_LANES, k, span)
-                 .sum(axis=0), scale)
+        np.ldexp(np.bincount(idx, limb.ravel(), k * span).reshape(k, span), scale)
         for limb in (high, low)], axis=1)
     if math.isnan(terms.max()):  # a non-finite value's low limb is NaN
         return None
-    return terms.tolist()
+    return terms
 
 
 def _row_sums(stack: np.ndarray, mean: np.ndarray | None = None) -> list[float]:
     """``math.fsum`` of each row of ``stack``, or of its squared deviations from ``mean``.
 
-    Bit for bit (see :func:`_reduce`).  Temporaries are the size of a block,
-    or of a row for a row that takes ``math.fsum`` itself.
+    Bit for bit (see :func:`_reduce`).  A block is a group of whole rows or,
+    for long rows, one row's segment.  Each group is summed before the next
+    starts, so temporaries and held terms are the size of a block, or of a
+    row for a group that takes ``math.fsum`` itself.
     """
     m, n = stack.shape
-    terms: list[list[float] | None] = [[] for _ in range(m)]
-    lanes = np.resize(np.arange(_LANES), min(n, _BLOCK))  # position % _LANES
+    rows = max(1, _BLOCK // n)
+    sums: list[float] = []
     with np.errstate(invalid="ignore"):  # inf - inf in a block that takes math.fsum
-        for r, block in _blocks(stack):
-            if mean is not None:
-                block = (block - mean[r:r + len(block), None]) ** 2
-            if not block.any():  # zeros add nothing, as in rows outside a layer's light cone
-                continue
-            rows = _bucket_terms(block, lanes)
-            for i in range(len(block)):
-                if rows is None:
-                    terms[r + i] = None
-                elif terms[r + i] is not None:
-                    terms[r + i] += filter(None, rows[i])  # drops the empty buckets' zeros
-    return [math.fsum(row_terms) if row_terms is not None
-            else math.fsum(stack[i] if mean is None else (stack[i] - mean[i]) ** 2)
-            for i, row_terms in enumerate(terms)]
+        for r in range(0, m, rows):
+            group = stack[r:r + rows]
+            mu = None if mean is None else mean[r:r + rows, None]
+            terms = [[] for _ in group]
+            for c in range(0, n, _BLOCK):
+                block = group[:, c:c + _BLOCK]
+                if mu is not None:
+                    block = (block - mu) ** 2
+                if not block.any():  # zeros add nothing, as in rows outside a layer's light cone
+                    continue
+                buckets = _bucket_terms(block)
+                if buckets is None:
+                    terms = None
+                    break
+                for row_terms, row in zip(terms, buckets):
+                    row_terms += filter(None, row.tolist())  # drops the empty buckets' zeros
+            if terms is None:  # the group takes math.fsum itself
+                terms = group if mu is None else (group - mu) ** 2
+            sums += map(math.fsum, terms)
+    return sums
 
 
 def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -583,7 +572,12 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     nworkers = min(workers if workers is not None else cores, cores, len(pending))
     try:
         if nworkers > 1:
-            with ProcessPoolExecutor(max_workers=nworkers, initializer=_die_with,
+            # Workers are forked from this process whatever the default start
+            # method ('forkserver' from Python 3.14 on Linux): _die_with ties a
+            # worker to its parent, which must be the run.
+            with ProcessPoolExecutor(max_workers=nworkers,
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_die_with,
                                      initargs=(os.getpid(),)) as pool:
                 for level_index, per_layer in pool.map(_level_task, pending):
                     _absorb(level_index, per_layer)

@@ -2,7 +2,10 @@ import json
 import multiprocessing
 import os
 import stat
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +321,28 @@ class TestRunSweep:
         run_sweep(plan, out_path=str(p1), workers=1)
         run_sweep(plan, out_path=str(p2), workers=2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods()
+                        or (os.cpu_count() or 1) < 2,
+                        reason="needs the forkserver start method and 2 cores for a pool")
+    def test_pool_forks_whatever_the_default_start_method(self, spec14, tmp_path):
+        # 'forkserver' is the default start method from Python 3.14 on Linux.
+        # Its workers are not children of the run, and a pool that took the
+        # default would lose every worker to the parent check of _die_with.
+        script = ("import multiprocessing, sys\n"
+                  "multiprocessing.set_start_method('forkserver')\n"
+                  "from meshwalk import MeshSpec, SweepPlan, make_grid, run_sweep\n"
+                  "plan = SweepPlan(MeshSpec(14, 7), tuple(make_grid(2, 2)), 50, 424242)\n"
+                  "run_sweep(plan, out_path=sys.argv[1], workers=2)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(ensemble.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        pooled = tmp_path / "pooled.json"
+        subprocess.run([sys.executable, "-c", script, str(pooled)], env=env, check=True,
+                       timeout=120)
+        serial = tmp_path / "serial.json"
+        run_sweep(SweepPlan(spec14, tuple(make_grid(2, 2)), 50, 424242), out_path=str(serial),
+                  workers=1)
+        assert pooled.read_bytes() == serial.read_bytes()
 
     def test_chunk_size_invariance(self, monkeypatch):
         # The chunk bounds one block's temporaries and moves no bit: chunks
