@@ -279,7 +279,8 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
         p.add_argument("--out", help="output path (default under $MESHWALK_OUT_DIR)")
         p.add_argument("--workers", type=positive_int, default=None,
-                       help="process count, at most the cores and the levels to run "
+                       help="process count, at most the cores; with fewer levels than "
+                            "processes, each level's realizations are split among them "
                             "(default: all cores); results do not depend on it")
 
     for command, func, summary in (

@@ -16,7 +16,12 @@ realization order (:func:`_reduce`), and records are assembled sorted by
 many workers ran it.
 
 :func:`run_sweep` is the one way to run levels: a single level is a plan
-whose grid holds one entry.
+whose grid holds one entry.  A task fills one realization range of a level
+(:func:`_level_task`).  With fewer levels than workers, a level is cut into
+several ranges whose stacks lie in one anonymous shared mapping that the
+forked workers inherit; once every range is filled, workers reduce its read
+layers (:func:`_reduce_task`).  Otherwise a task is a whole level, filled
+and reduced in one worker.
 
 A record is a measured per-mode mean and standard error, keyed by
 ``(level_index, read_layer)``; the plan writes every other field of its stored
@@ -38,11 +43,14 @@ import contextlib
 import ctypes
 import fcntl
 import hashlib
+import itertools
 import json
 import math
+import mmap
 import multiprocessing
 import os
 import signal
+import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -299,25 +307,22 @@ def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray,
 
 
 def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], level: DisorderSpec,
-                            n: int, master_seed: int, level_index: int,
-                            read_layers: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """Per-realization intensities of one level, in realization order.
+                            master_seed: int, level_index: int, lo: int, hi: int,
+                            stacks: dict[int, np.ndarray]) -> None:
+    """Fill columns lo..hi-1 of one level's ``stacks`` with those realizations' intensities.
 
-    ``mats`` are the walk's layer matrices; each chunk's phase screens are
-    its disorder alone.  Returns, for each requested read layer, a
-    (num_modes, n) float array.  Realizations are processed in chunks of
-    ``_CHUNK``, each filling its own columns.
+    ``stacks`` maps each read layer to its (num_modes, n) stack; ``mats`` are
+    the walk's layer matrices, and each chunk's phase screens are its
+    disorder alone.  Realizations are processed in chunks of ``_CHUNK``
+    from ``lo``, each filling its own columns.
     """
-    m, depth = spec.num_modes, spec.depth
-    stacks = {t: np.empty((m, n)) for t in read_layers}
-
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        static, dynamic = _sample_block(m, depth, master_seed, level_index, lo, hi)
+    m, depth, read_layers = spec.num_modes, spec.depth, tuple(stacks)
+    for a in range(lo, hi, _CHUNK):
+        b = min(a + _CHUNK, hi)
+        static, dynamic = _sample_block(m, depth, master_seed, level_index, a, b)
         phases = compose_screens(level, static, dynamic)
         for t, block in _propagate_block(spec, mats, phases, read_layers).items():
-            stacks[t][:, lo:hi] = block
-    return stacks
+            stacks[t][:, a:b] = block
 
 
 def _bucket_terms(block: np.ndarray) -> np.ndarray | None:
@@ -398,11 +403,41 @@ def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(var / n)
 
 
-def _level_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    spec, mats, level, level_index, n, master_seed, read_layers = args
-    stacks = _level_intensity_stacks(spec, mats, level, n, master_seed, level_index,
-                                     read_layers)
+# In a pool worker: the run's split levels (see run_sweep), as the anonymous
+# shared mapping that holds their stacks back to back and the levels in the
+# order they lie there.  Set by _init_worker; a process without it has none.
+_split: tuple = (None, ())
+
+
+def _stacks(level_index: int, read_layers: tuple[int, ...],
+            shape: tuple[int, int]) -> dict[int, np.ndarray]:
+    """One level's stack of ``shape`` per read layer: its part of the shared mapping, or new."""
+    mapping, levels = _split
+    if level_index not in levels:
+        return {t: np.empty(shape) for t in read_layers}
+    size = len(read_layers) * shape[0] * shape[1]
+    stacks = np.frombuffer(mapping, float, size, levels.index(level_index) * size * 8)
+    return dict(zip(read_layers, stacks.reshape(len(read_layers), *shape)))
+
+
+def _level_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]] | None]:
+    """Fill realizations lo..hi-1 of one level, and reduce the level if that is all of it.
+
+    A part of a split level returns ``None``: its read layers are reduced by
+    :func:`_reduce_task` once every part has filled its columns.
+    """
+    spec, mats, level, level_index, n, master_seed, read_layers, lo, hi = args
+    stacks = _stacks(level_index, read_layers, (spec.num_modes, n))
+    _level_intensity_stacks(spec, mats, level, master_seed, level_index, lo, hi, stacks)
+    if hi - lo < n:
+        return level_index, None
     return level_index, {t: _reduce(stack) for t, stack in stacks.items()}
+
+
+def _reduce_task(args) -> tuple[int, int, tuple[np.ndarray, np.ndarray]]:
+    """Mean and standard error of one read layer of a split level whose parts are all filled."""
+    level_index, read_layers, shape, t = args
+    return level_index, t, _reduce(_stacks(level_index, read_layers, shape)[t])
 
 
 def _header(plan: SweepPlan) -> str:
@@ -471,6 +506,13 @@ def _die_with(parent: int) -> None:
         os._exit(1)
 
 
+def _init_worker(parent: int, split: tuple) -> None:
+    """Pool initializer: keep the run's split levels, inherited through fork, and die with it."""
+    global _split
+    _split = split
+    _die_with(parent)
+
+
 def _resume(path: str, plan: SweepPlan):
     """The checkpoint at ``path``, locked, and ``plan``'s records read from it.
 
@@ -500,10 +542,13 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
               progress=None) -> EnsembleResult:
     """Run every (level, read_layer) of the plan's symmetric walk and persist the result.
 
-    ``workers`` > 1 distributes levels over at most that many processes, and
-    never more than the cores or the pending levels; the reduction happens
-    inside each level in fixed order, so the outcome does not depend on the
-    worker count.  With ``out_path`` set, each finished record is appended to
+    ``workers`` > 1 runs levels in at most that many processes, never more
+    than the cores.  With fewer levels to run than that, each level is cut
+    into contiguous realization ranges of at least ``_CHUNK``: forked workers
+    fill their ranges into one anonymous shared mapping, then reduce its
+    read layers, each a whole row in realization order.  The outcome does not
+    depend on the worker count, and the levels' records arrive in level
+    order either way.  With ``out_path`` set, each finished record is appended to
     ``<out_path>.ckpt``; a checkpoint of this plan is resumed, computing only the
     records it lacks, and any other file there is replaced.  The run holds the
     checkpoint locked (:func:`_resume`) until its levels have run; a checkpoint
@@ -566,23 +611,45 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
         if progress:
             progress(len(records), len(plan.grid) * len(plan.read_layers))
 
-    # Never more processes than cores or levels to run: a pool forks all its
-    # workers at the first submit.
+    # Fewer levels to run than usable workers: cut each level into enough
+    # equal ranges to occupy them all, each of at least a chunk.  Never more
+    # processes than tasks: a pool forks all its workers at the first submit.
     cores = os.cpu_count() or 1
-    nworkers = min(workers if workers is not None else cores, cores, len(pending))
+    usable = min(workers if workers is not None else cores, cores)
+    n = plan.realizations_per_level
+    parts = max(1, min(-(-usable // max(len(pending), 1)), n // _CHUNK))
+    tasks = [(*args, n * k // parts, n * (k + 1) // parts) for args in pending
+             for k in range(parts)]
+    split = tuple(args[3] for args in pending) if parts > 1 else ()
+    nworkers = min(usable, len(tasks))
     try:
         if nworkers > 1:
-            # Workers are forked from this process whatever the default start
-            # method ('forkserver' from Python 3.14 on Linux): _die_with ties a
-            # worker to its parent, which must be the run.
-            with ProcessPoolExecutor(max_workers=nworkers,
-                                     mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_die_with,
-                                     initargs=(os.getpid(),)) as pool:
-                for level_index, per_layer in pool.map(_level_task, pending):
+            # The split levels' stacks are one anonymous shared mapping, made
+            # before the workers fork and gone with the last process that maps
+            # it.  Workers are forked from this process whatever the default
+            # start method ('forkserver' from Python 3.14 on Linux): they
+            # inherit the mapping, and _die_with ties each to the run.
+            shape = (plan.spec.num_modes, n)
+            size = 8 * len(split) * len(plan.read_layers) * math.prod(shape)
+            if size > sys.maxsize:  # beyond any address space; mmap would raise OverflowError
+                raise MemoryError(f"Unable to allocate {size} bytes of intensity stacks")
+            with (mmap.mmap(-1, size) if split else contextlib.nullcontext()) as mapping, \
+                    ProcessPoolExecutor(max_workers=nworkers,
+                                        mp_context=multiprocessing.get_context("fork"),
+                                        initializer=_init_worker,
+                                        initargs=(os.getpid(), (mapping, split))) as pool:
+                results = pool.map(_level_task, tasks)
+                if split:  # every part is filled before any layer is reduced
+                    for _ in results:
+                        pass
+                    reduced = pool.map(_reduce_task, [(idx, plan.read_layers, shape, t)
+                                                      for idx in split for t in plan.read_layers])
+                    results = ((idx, {t: stats for _, t, stats in layers})
+                               for idx, layers in itertools.groupby(reduced, lambda r: r[0]))
+                for level_index, per_layer in results:
                     _absorb(level_index, per_layer)
         else:
-            for args in pending:
+            for args in tasks:
                 _absorb(*_level_task(args))
     finally:
         if ckpt is not None:

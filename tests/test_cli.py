@@ -389,6 +389,59 @@ def test_pool_workers_die_with_a_killed_run(outdir):
         run.wait(30)
 
 
+def shm_entries() -> set[str]:
+    """Names under /dev/shm, where named POSIX shared memory and semaphores live."""
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
+                    reason="reads worker pids from Linux /proc; needs 2 cores to split a level")
+def test_killed_worker_of_a_split_level_exits_two(outdir, monkeypatch):
+    # One large level is split across both workers, which fill one anonymous
+    # shared mapping.  SIGKILL of one worker mid-fill breaks the pool: the run
+    # exits 2, leaves no named segment behind, and a rerun writes a fresh run's files.
+    argv = ["tomography", "--ctid", "0.842", "--ctd", "0.5", "--n", "30000", "--workers", "2",
+            "--out", "t.json"]
+    env = dict(os.environ, MESHWALK_OUT_DIR=str(outdir / "killed"), PYTHONPATH=os.pathsep.join(
+        [str(Path(meshwalk.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    before = shm_entries()
+    run = subprocess.Popen([sys.executable, "-m", "meshwalk.cli", *argv], env=env,
+                           start_new_session=True, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers := children(run.pid)) < 2 and time.monotonic() < deadline:
+            assert run.poll() is None, "the run ended before its pool started"
+            time.sleep(0.01)
+        assert len(workers) == 2
+        os.kill(workers[0], signal.SIGKILL)
+        _, err = run.communicate(timeout=60)
+        assert run.returncode == 2, err
+        assert "terminated abruptly" in err and err.count("\n") == 1
+        assert not (outdir / "killed" / "t.json").exists()
+        assert {pid: process_state(pid) for pid in workers if process_state(pid) not in
+                (None, "Z")} == {}
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(run.pid, signal.SIGKILL)
+        run.wait(30)
+    assert shm_entries() - before == set()
+    for name in ("killed", "fresh"):
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(outdir / name))
+        assert main(argv) == 0
+    files = {p.name: p.read_bytes() for p in (outdir / "fresh").iterdir()}
+    assert {p.name: p.read_bytes() for p in (outdir / "killed").iterdir()} == files
+
+
+def test_split_level_beyond_the_address_space_exits_two(outdir, capsys, monkeypatch):
+    # The shared mapping of a split level that no address space holds fails
+    # before any worker starts, as an unsplit level's allocation does.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(["walk", "--n", str(10**18), "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_temporary_siblings_take_unique_names(outdir, monkeypatch):
     # A directory at the old fixed temporary name of the flat table.
     argv = ["walk", "--n", "50", "--out", "w.json", "--workers", "1"]

@@ -36,6 +36,13 @@ from conftest import bits, cell_matrices, mod_wrap, propagate, random_program, w
 from oracles import fsum_reduce, full_unitary, galton_distribution
 
 
+def level_stacks(spec, mats, level, n, master_seed, level_index, read_layers):
+    """One level's (num_modes, n) intensity stack per read layer, filled in one range."""
+    stacks = {t: np.empty((spec.num_modes, n)) for t in read_layers}
+    _level_intensity_stacks(spec, mats, level, master_seed, level_index, 0, n, stacks)
+    return stacks
+
+
 def full_array_stacks(spec, settings, screens, read_layers):
     """Intensity stacks of the kernel written out over the whole array.
 
@@ -94,8 +101,10 @@ class TestConeKernel:
             static, dynamic = _sample_block(spec.num_modes, spec.depth, 17, 2, 0, n)
             screens = full_array_screens(level, static, dynamic)
             for settings, _ in self.programs(spec, rng):
-                stacks = _level_intensity_stacks(
-                    spec, cell_matrices(settings), level, n, 17, 2, layers)
+                stacks = {t: np.empty((spec.num_modes, n)) for t in layers}
+                for lo, hi in ((0, 120), (120, n)):  # ranges fill their own columns
+                    _level_intensity_stacks(spec, cell_matrices(settings), level, 17, 2, lo, hi,
+                                            stacks)
                 expected = full_array_stacks(spec, settings, screens, layers)
                 for t in layers:
                     assert np.array_equal(bits(stacks[t]), bits(expected[t])), (spec, t)
@@ -174,8 +183,7 @@ class TestRunLevel:
         layers = (4, spec14.depth)
         signs = np.ones(14)
         signs[7:] = -1.0
-        stacks = _level_intensity_stacks(spec14, cell_matrices(settings),
-                                         level, n, 555, 3, layers)
+        stacks = level_stacks(spec14, cell_matrices(settings), level, n, 555, 3, layers)
         for r in range(n):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((555, 3, r))))
             static = level.c_tid * rng.uniform(-np.pi, np.pi, 14)
@@ -242,8 +250,7 @@ class TestReduce:
         level = DisorderSpec(0.842, 0.5)
         for spec, n, layers in ((MeshSpec(14, 7), ensemble._BLOCK + 3000, range(1, 8)),
                                 (MeshSpec(30, 15), 2000, (15,))):
-            stacks = _level_intensity_stacks(spec, _layer_matrices(spec), level, n, 20170301, 0,
-                                             tuple(layers))
+            stacks = level_stacks(spec, _layer_matrices(spec), level, n, 20170301, 0, layers)
             for stack in stacks.values():
                 self.assert_same(stack)
 
@@ -329,20 +336,27 @@ class TestRunSweep:
         # 'forkserver' is the default start method from Python 3.14 on Linux.
         # Its workers are not children of the run, and a pool that took the
         # default would lose every worker to the parent check of _die_with.
+        # A split level's shared mapping reaches the workers only through fork.
         script = ("import multiprocessing, sys\n"
                   "multiprocessing.set_start_method('forkserver')\n"
-                  "from meshwalk import MeshSpec, SweepPlan, make_grid, run_sweep\n"
+                  "from meshwalk import MeshSpec, SweepPlan, ensemble, make_grid, run_sweep\n"
                   "plan = SweepPlan(MeshSpec(14, 7), tuple(make_grid(2, 2)), 50, 424242)\n"
-                  "run_sweep(plan, out_path=sys.argv[1], workers=2)\n")
+                  "run_sweep(plan, out_path=sys.argv[1], workers=2)\n"
+                  "ensemble._CHUNK = 16\n"
+                  "level = SweepPlan(MeshSpec(14, 7), plan.grid[1:2], 50, 424242, (3, 7))\n"
+                  "run_sweep(level, out_path=sys.argv[2], workers=2)\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(ensemble.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        pooled = tmp_path / "pooled.json"
-        subprocess.run([sys.executable, "-c", script, str(pooled)], env=env, check=True,
-                       timeout=120)
+        pooled, split = tmp_path / "pooled.json", tmp_path / "split.json"
+        subprocess.run([sys.executable, "-c", script, str(pooled), str(split)], env=env,
+                       check=True, timeout=120)
         serial = tmp_path / "serial.json"
         run_sweep(SweepPlan(spec14, tuple(make_grid(2, 2)), 50, 424242), out_path=str(serial),
                   workers=1)
         assert pooled.read_bytes() == serial.read_bytes()
+        run_sweep(SweepPlan(spec14, tuple(make_grid(2, 2))[1:2], 50, 424242, (3, 7)),
+                  out_path=str(serial), workers=1)
+        assert split.read_bytes() == serial.read_bytes()
 
     def test_chunk_size_invariance(self, monkeypatch):
         # The chunk bounds one block's temporaries and moves no bit: chunks
@@ -371,17 +385,25 @@ class TestRunSweep:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        """Pool sizes ``run_sweep`` asks for; the pool runs its tasks in process."""
+        """Pool sizes ``run_sweep`` asks for; the pool runs its tasks in process.
+
+        The initializer runs here too, without tying this process to its parent,
+        so a split level's ranges fill and reduce the run's shared mapping; the
+        pool forgets that mapping when it shuts down, as its workers die.
+        """
         sizes = []
+        monkeypatch.setattr(ensemble, "_die_with", lambda parent: None)
 
         class InProcessPool:
-            def __init__(self, max_workers, **kwargs):
+            def __init__(self, max_workers, initializer, initargs, **kwargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
 
             def __exit__(self, *exc):
+                ensemble._split = (None, ())
                 return False
 
             def map(self, fn, tasks):
@@ -407,6 +429,55 @@ class TestRunSweep:
         pooled = run_sweep(plan, workers=64)
         assert pool_sizes == [2]
         assert pooled.to_document() == serial.to_document()
+
+    def test_pool_splits_a_lone_level_into_chunks(self, spec14, monkeypatch, pool_sizes):
+        # A lone level takes one worker per chunk, up to the cores; a level
+        # smaller than two chunks is not split and starts no pool.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 3 * 16, 5,
+                         read_layers=(2, 5, 7))
+        serial = run_sweep(plan, workers=1)
+        pooled = run_sweep(plan, workers=64)
+        assert pool_sizes == [3]
+        assert pooled.to_document() == serial.to_document()
+        monkeypatch.setattr(ensemble, "_CHUNK", 8192)
+        run_sweep(SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 200, 5), workers=64)
+        assert pool_sizes == [3]
+
+    @pytest.mark.parametrize("grid, read_layers, workers", [
+        ((DisorderSpec(0.842, 0.5),), (7,), 2),                       # walk
+        ((DisorderSpec(0.842, 0.5),), tuple(range(1, 8)), 2),         # tomography
+        ((DisorderSpec(0.3, 0.9), DisorderSpec(1.0, 0.2)), (7, 3), 4),  # two split levels
+    ])
+    def test_split_levels_write_the_serial_files(self, spec14, tmp_path, monkeypatch, grid,
+                                                  read_layers, workers):
+        # Levels of several chunks, split across forked workers that fill one
+        # shared mapping, write the serial run's document and checkpoint.
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)  # a pool even on one core
+        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        plan = SweepPlan(spec14, grid, 100, 12, read_layers=read_layers)
+        for name, count in (("serial", 1), ("split", workers)):
+            run_sweep(plan, out_path=str(tmp_path / f"{name}.json"), workers=count)
+        for suffix in (".json", ".json.ckpt"):
+            assert ((tmp_path / f"split{suffix}").read_bytes()
+                    == (tmp_path / f"serial{suffix}").read_bytes()), suffix
+
+    def test_resume_of_a_split_level(self, spec14, tmp_path, monkeypatch):
+        # A checkpoint that holds 3 of a split level's 7 read layers: the
+        # rerun splits the level again and appends only the missing layers.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
+                         read_layers=tuple(range(1, 8)))
+        fresh, cut = tmp_path / "fresh.json", tmp_path / "cut.json"
+        run_sweep(plan, out_path=str(fresh), workers=1)
+        fresh_ckpt = (tmp_path / "fresh.json.ckpt").read_text()
+        (tmp_path / "cut.json.ckpt").write_text(
+            "".join(fresh_ckpt.splitlines(keepends=True)[:1 + 3]))
+        run_sweep(plan, out_path=str(cut), workers=2)
+        assert cut.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
 
     def test_normalization_of_all_records(self, spec14, tmp_path):
         plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 40, 7,
