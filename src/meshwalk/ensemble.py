@@ -27,12 +27,13 @@ A record is a measured per-mode mean and standard error, keyed by
 ``(level_index, read_layer)``; the plan writes every other field of its stored
 form.  Persistence is one JSON document per sweep (plan echo, generator
 identity, one record per level and read layer) plus an optional flat CSV
-table.  A running sweep locks ``<out>.ckpt`` and checkpoints each record
-there, and a rerun of the plan computes only the records missing there;
-loading a document or a checkpoint checks every record against what the plan
-writes.  Documents and tables are written to a uniquely named temporary
-sibling, synced to disk and renamed into place, so a crash of the process or
-of the machine leaves the old file or the new one, never half of one.
+table.  A running sweep opens ``<out>.ckpt`` once, locks it and appends each
+record through that one handle, and a rerun of the plan computes only the
+records missing there; loading a document or a checkpoint checks every
+record against what the plan writes.  Documents and tables are written to a
+uniquely named temporary sibling, synced to disk and renamed into place, so a
+crash of the process or of the machine leaves the old file or the new one,
+never half of one.
 Checkpoint appends are not synced, so a machine crash can cost a checkpoint
 its last records (see :func:`run_sweep`).
 """
@@ -43,7 +44,6 @@ import contextlib
 import ctypes
 import fcntl
 import hashlib
-import itertools
 import json
 import math
 import mmap
@@ -434,57 +434,11 @@ def _level_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]] | N
     return level_index, {t: _reduce(stack) for t, stack in stacks.items()}
 
 
-def _reduce_task(args) -> tuple[int, int, tuple[np.ndarray, np.ndarray]]:
+def _reduce_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
     """Mean and standard error of one read layer of a split level whose parts are all filled."""
     level_index, read_layers, shape, t = args
-    return level_index, t, _reduce(_stacks(level_index, read_layers, shape)[t])
+    return level_index, {t: _reduce(_stacks(level_index, read_layers, shape)[t])}
 
-
-def _header(plan: SweepPlan) -> str:
-    """The first line of ``plan``'s checkpoint."""
-    return json.dumps({"plan_hash": plan.hash()}) + "\n"
-
-
-def _read_checkpoint(fh, plan: SweepPlan) -> dict[tuple[int, int], LevelRecord]:
-    """Records of ``plan``'s checkpoint, open as binary ``fh``; a torn final line is cut off.
-
-    A file that does not start with the plan's header holds none of them.  A
-    crash mid-append leaves the last line without its newline or not parsing;
-    that line is truncated from the file, so later appends start on a fresh
-    line, and its level is recomputed.  A bad line anywhere else, or a record
-    that is not one of the plan's, is corruption and raises ``ValueError``.
-    """
-    path = fh.name
-    lines = fh.readlines()
-    if not lines or lines[0] != _header(plan).encode():
-        return {}
-    entries = []
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            if not line.endswith(b"\n"):
-                raise ValueError("no line end")
-            if line.strip():
-                entries.append(json.loads(line))
-        except ValueError as exc:
-            if number < len(lines):
-                raise ValueError(f"{path}: corrupt checkpoint line {number}: {exc}") from None
-            fh.truncate(len(b"".join(lines[:-1])))
-    with _malformed(f"{path}: malformed checkpoint record"):
-        return _records(plan, entries)
-
-
-# The checkpoints this process holds locked.  A forked child closes its copies:
-# a lock lives on while any copy is open, so pool workers that outlive a
-# killed run would otherwise keep its checkpoint locked.
-_LOCKS: set = set()
-
-
-def _close_inherited_locks() -> None:
-    for fh in _LOCKS:
-        fh.close()
-
-
-os.register_at_fork(after_in_child=_close_inherited_locks)
 
 _PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
 
@@ -506,35 +460,63 @@ def _die_with(parent: int) -> None:
         os._exit(1)
 
 
-def _init_worker(parent: int, split: tuple) -> None:
-    """Pool initializer: keep the run's split levels, inherited through fork, and die with it."""
+def _init_worker(parent: int, split: tuple, ckpt) -> None:
+    """Pool initializer: keep the run's split levels, inherited through fork, and die with it.
+
+    ``ckpt`` is the run's checkpoint handle, or ``None``.  The worker closes
+    its inherited copy: a lock lives on while any copy is open, so workers
+    that outlive a killed run would otherwise keep its checkpoint locked.
+    """
     global _split
     _split = split
+    if ckpt is not None:
+        ckpt.close()
     _die_with(parent)
 
 
 def _resume(path: str, plan: SweepPlan):
-    """The checkpoint at ``path``, locked, and ``plan``'s records read from it.
+    """The checkpoint at ``path``, locked and open for appends, and ``plan``'s records in it.
 
     ``path`` is opened without truncating and takes an exclusive ``flock``
     before it is read, without waiting: a file that another run holds raises
-    ``BlockingIOError`` naming ``path``.  A file of none of the plan's records
-    is emptied.  The lock lasts until the returned handle is closed.
+    ``BlockingIOError`` naming ``path``.  A file that does not start with the
+    plan's header holds none of its records.  A crash mid-append leaves the
+    last line without its newline or not parsing; that line is cut from the
+    file, so later appends start on a fresh line, and its record is
+    recomputed.  A bad line anywhere else, or a record that is not one of the
+    plan's, is corruption and raises ``ValueError``.  A file of none of the
+    plan's records is emptied and given the header.  The lock lasts until the
+    returned binary handle is closed.
     """
     fh = open(path, "a+b")
     try:
         fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         fh.seek(0)
-        done = _read_checkpoint(fh, plan)
-        if not done:
+        header = json.dumps({"plan_hash": plan.hash()}).encode() + b"\n"
+        lines = fh.readlines()
+        entries = []
+        for number, line in enumerate(lines[1:] if lines[:1] == [header] else [], start=2):
+            try:
+                if not line.endswith(b"\n"):
+                    raise ValueError("no line end")
+                if line.strip():
+                    entries.append(json.loads(line))
+            except ValueError as exc:
+                if number < len(lines):
+                    raise ValueError(f"{path}: corrupt checkpoint line {number}: {exc}") from None
+                fh.truncate(len(b"".join(lines[:-1])))
+        with _malformed(f"{path}: malformed checkpoint record"):
+            done = _records(plan, entries)
+        if not done:  # appends follow a valid header
             fh.truncate(0)
+            fh.write(header)
+            fh.flush()
     except BlockingIOError as exc:
         fh.close()
         raise BlockingIOError(exc.errno, "checkpoint in use by another run", path) from None
     except BaseException:
         fh.close()
         raise
-    _LOCKS.add(fh)
     return fh, done
 
 
@@ -548,11 +530,13 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     fill their ranges into one anonymous shared mapping, then reduce its
     read layers, each a whole row in realization order.  The outcome does not
     depend on the worker count, and the levels' records arrive in level
-    order either way.  With ``out_path`` set, each finished record is appended to
-    ``<out_path>.ckpt``; a checkpoint of this plan is resumed, computing only the
-    records it lacks, and any other file there is replaced.  The run holds the
-    checkpoint locked (:func:`_resume`) until its levels have run; a checkpoint
-    that another run holds raises ``BlockingIOError`` before any level runs.
+    order either way.  With ``out_path`` set, ``<out_path>.ckpt`` is opened once
+    and locked (:func:`_resume`): a checkpoint of this plan is resumed,
+    computing only the records it lacks, any other file there is replaced, and
+    each finished record is appended through that handle.  The run holds it
+    until its levels have run; a checkpoint that another run holds raises
+    ``BlockingIOError`` before any level runs.  Pool workers close their
+    inherited copies (:func:`_init_worker`).
 
     Appends are flushed, not synced: a tail lost in a machine crash only makes
     a resume recompute those records, bit for bit, and a torn last line is
@@ -564,28 +548,15 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     io_errors: list[str] = []
 
     done: dict[tuple[int, int], LevelRecord] = {}
-    ckpt_path = out_path + ".ckpt" if out_path else None
-    lock = ckpt = None
-
-    def stop_checkpointing(warning: str) -> None:
-        nonlocal ckpt
-        io_errors.append(warning)
-        if ckpt is not None:
-            with contextlib.suppress(OSError):  # the failed tail is flushed again
-                ckpt.close()
-            ckpt = None
-
-    if ckpt_path:
+    ckpt = None
+    if out_path:
         try:
-            lock, done = _resume(ckpt_path, plan)
-            ckpt = open(ckpt_path, "a", newline="\n")
-            if not done:  # appends follow a valid header
-                ckpt.write(_header(plan))
-                ckpt.flush()
+            ckpt, done = _resume(out_path + ".ckpt", plan)
         except BlockingIOError:
             raise
         except OSError as exc:
-            stop_checkpointing(f"checkpoint open failed: {exc}")
+            io_errors.append(f"checkpoint open failed: {exc}")
+    appending = ckpt is not None
 
     pending = [
         (plan.spec, mats, level, idx, plan.realizations_per_level, plan.master_seed,
@@ -597,17 +568,19 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     records = dict(done)
 
     def _absorb(level_index: int, per_layer: dict) -> None:
+        nonlocal appending
         for t, (mean, se) in per_layer.items():
             if (level_index, t) in done:  # a partly resumed level
                 continue
             records[(level_index, t)] = LevelRecord(mean, se)
-            if ckpt is not None:
+            if appending:
                 try:
                     entry = _entry(plan, (level_index, t), mean.tolist(), se.tolist())
-                    ckpt.write(json.dumps(entry) + "\n")
+                    ckpt.write(json.dumps(entry).encode() + b"\n")
                     ckpt.flush()
                 except OSError as exc:
-                    stop_checkpointing(f"level {level_index}: checkpoint write failed: {exc}")
+                    io_errors.append(f"level {level_index}: checkpoint write failed: {exc}")
+                    appending = False
         if progress:
             progress(len(records), len(plan.grid) * len(plan.read_layers))
 
@@ -637,15 +610,13 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
                     ProcessPoolExecutor(max_workers=nworkers,
                                         mp_context=multiprocessing.get_context("fork"),
                                         initializer=_init_worker,
-                                        initargs=(os.getpid(), (mapping, split))) as pool:
+                                        initargs=(os.getpid(), (mapping, split), ckpt)) as pool:
                 results = pool.map(_level_task, tasks)
                 if split:  # every part is filled before any layer is reduced
                     for _ in results:
                         pass
-                    reduced = pool.map(_reduce_task, [(idx, plan.read_layers, shape, t)
+                    results = pool.map(_reduce_task, [(idx, plan.read_layers, shape, t)
                                                       for idx in split for t in plan.read_layers])
-                    results = ((idx, {t: stats for _, t, stats in layers})
-                               for idx, layers in itertools.groupby(reduced, lambda r: r[0]))
                 for level_index, per_layer in results:
                     _absorb(level_index, per_layer)
         else:
@@ -653,10 +624,8 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
                 _absorb(*_level_task(args))
     finally:
         if ckpt is not None:
-            ckpt.close()
-        if lock is not None:
-            _LOCKS.discard(lock)
-            lock.close()
+            with contextlib.suppress(OSError):  # a failed tail is flushed again
+                ckpt.close()
 
     result = EnsembleResult(plan, records, io_errors=io_errors)
     if out_path:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -91,16 +92,13 @@ def test_failed_checkpoint_append_is_one_warning(outdir, capsys, monkeypatch):
     (outdir / "full.json.ckpt").write_text("".join(lines[:2]))
     capsys.readouterr()
 
-    class FullDisk(io.RawIOBase):
-        def writable(self):
-            return True
-
+    class FullDisk(io.FileIO):
         def write(self, data):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     def full_appends(path, mode="r", *args, **kwargs):
-        if path.endswith(".ckpt") and mode == "a":
-            return io.TextIOWrapper(io.BufferedWriter(FullDisk()), newline="\n")
+        if path.endswith(".ckpt") and mode == "a+b":
+            return io.BufferedRandom(FullDisk(path, "a+"))
         return open(path, mode, *args, **kwargs)
 
     monkeypatch.setattr(ensemble, "open", full_appends, raising=False)
@@ -431,6 +429,164 @@ def test_killed_worker_of_a_split_level_exits_two(outdir, monkeypatch):
         assert main(argv) == 0
     files = {p.name: p.read_bytes() for p in (outdir / "fresh").iterdir()}
     assert {p.name: p.read_bytes() for p in (outdir / "killed").iterdir()} == files
+
+
+def cli_process(argv: list[str], out_dir: Path, **kwargs) -> subprocess.Popen:
+    """The CLI run with ``argv``, writing under ``out_dir``, in a session of its own."""
+    env = dict(os.environ, MESHWALK_OUT_DIR=str(out_dir), PYTHONPATH=os.pathsep.join(
+        [str(Path(meshwalk.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.Popen([sys.executable, "-m", "meshwalk.cli", *argv], env=env,
+                            start_new_session=True, **kwargs)
+
+
+def wait_for_lines(run: subprocess.Popen, path: Path, count: int) -> None:
+    """Wait until ``path`` holds ``count`` newline-ended lines while ``run`` is still running."""
+    deadline = time.monotonic() + 60
+    while not path.exists() or path.read_bytes().count(b"\n") < count:
+        assert run.poll() is None, f"the run ended before {path.name} held {count} lines"
+        assert time.monotonic() < deadline
+        time.sleep(0.002)
+
+
+def group_members(pgid: int) -> list[int]:
+    """Processes of process group ``pgid`` that are not zombies."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        with contextlib.suppress(OSError):
+            state, _, group = stat.read_text().rpartition(")")[2].split()[:3]
+            if int(group) == pgid and state != "Z":
+                members.append(int(stat.parent.name))
+    return members
+
+
+def files(directory: Path) -> dict[str, bytes]:
+    """Every file in ``directory``, by name."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+# Each run command at a size that runs well past the kill: the number of
+# checkpoint records written before the whole process group is SIGKILLed.  A
+# walk or tomography run is one level, whose records come at its end.
+KILLED_RUNS = (
+    (["walk", "--n", "16384"], 0),
+    (["tomography", "--ctid", "0.842", "--ctd", "0.5", "--n", "16384"], 0),
+    (["sweep", "--grid", "3x3", "--n", "1500"], 2),
+    (["slice", "--points", "5", "--n", "2500"], 2),
+    (["deep", "--depth", "5", "--points", "4", "--n", "2500"], 2),
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(),
+                    reason="reads process groups from Linux /proc")
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="needs 2 cores for a pool"))])
+def test_killed_runs_resume_to_a_fresh_runs_files(outdir, monkeypatch, workers):
+    # A real crash of every run command: SIGKILL of its whole process group
+    # mid-run.  Rerunning the command writes the fresh run's files, checkpoint
+    # included, byte for byte, and no process of the killed group is left.
+    for command, records in KILLED_RUNS:
+        argv = command + ["--workers", str(workers), "--out", "r.json"]
+        killed, fresh = outdir / f"{command[0]}.killed", outdir / f"{command[0]}.fresh"
+        document = "r.json.result.json" if command[0] in ("slice", "deep") else "r.json"
+        run = cli_process(argv, killed, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            wait_for_lines(run, killed / f"{document}.ckpt", 1 + records)
+            os.killpg(run.pid, signal.SIGKILL)
+            assert run.wait(30) == -signal.SIGKILL
+            deadline = time.monotonic() + 5
+            while group_members(run.pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert group_members(run.pid) == [], command
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(run.pid, signal.SIGKILL)
+            run.wait(30)
+        assert not (killed / document).exists(), command
+        for directory in (killed, fresh):
+            monkeypatch.setenv(cli.OUT_DIR_ENV, str(directory))
+            assert main(argv) == 0, command
+        assert files(killed) == files(fresh), command
+
+
+def test_second_process_on_one_output_exits_two(outdir, monkeypatch):
+    # Two processes on one output: the second exits 2 before any level runs,
+    # naming the checkpoint, and the first completes with a fresh run's files.
+    argv = ["slice", "--points", "4", "--n", "20000", "--workers", "1"]
+    ckpt = outdir / "held" / "slice_ctid0.842_n20000.json.result.json.ckpt"
+    first = cli_process(argv, outdir / "held", stdout=subprocess.DEVNULL,
+                        stderr=subprocess.PIPE, text=True)
+    try:
+        wait_for_lines(first, ckpt, 1)
+        second = cli_process(argv, outdir / "held", stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+        out, err = second.communicate(timeout=60)
+        assert first.poll() is None, "the first run ended before the second met its lock"
+        assert second.returncode == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: [Errno {errno.EAGAIN}] checkpoint in use by another run: '{ckpt}'"]
+        assert first.communicate(timeout=60) == (None, "")
+        assert first.returncode == 0
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(first.pid, signal.SIGKILL)
+        first.wait(30)
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(outdir / "fresh"))
+    assert main(argv) == 0
+    assert files(outdir / "held") == files(outdir / "fresh")
+
+
+def limited_run(argv: list[str], out_dir: Path, limit: int) -> tuple[int, str]:
+    """Exit code and stderr of the CLI run with files limited to ``limit`` bytes.
+
+    The limit is set in the child alone, and ``SIGXFSZ`` ignored there, so a
+    write beyond it fails with ``EFBIG``.
+    """
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+    run = cli_process(argv, out_dir, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                      text=True, preexec_fn=limit_file_size)
+    _, err = run.communicate(timeout=60)
+    return run.returncode, err
+
+
+def test_document_over_the_file_size_limit_exits_two(outdir, monkeypatch):
+    # The checkpoint fits under the limit, the document does not: the run
+    # exits 2 and leaves neither a document nor a temporary sibling.
+    argv = ["walk", "--n", "50", "--workers", "1", "--out", "w.json"]
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(outdir / "fresh"))
+    assert main(argv) == 0
+    fresh = files(outdir / "fresh")
+    assert len(fresh["w.json.ckpt"]) < len(fresh["w.json"])
+    code, err = limited_run(argv, outdir / "limited",
+                            (len(fresh["w.json.ckpt"]) + len(fresh["w.json"])) // 2)
+    assert code == 2
+    assert err.splitlines() == [f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"]
+    assert files(outdir / "limited") == {"w.json.ckpt": fresh["w.json.ckpt"]}
+
+
+def test_checkpoint_append_over_the_file_size_limit_is_one_warning(outdir, monkeypatch):
+    # A resumed checkpoint padded with blank lines to just under the limit:
+    # its first append fails, which is one warning, and every other file,
+    # each under the limit, is the fresh run's.
+    argv = ["sweep", "--grid", "2x2", "--n", "5", "--workers", "1", "--out", "s.json"]
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(outdir / "fresh"))
+    assert main(argv) == 0
+    fresh = files(outdir / "fresh")
+    ckpt = fresh.pop("s.json.ckpt")
+    limit = 1 + max(map(len, fresh.values()))
+    cut = b"".join(ckpt.splitlines(keepends=True)[:2])
+    (outdir / "limited").mkdir()
+    (outdir / "limited" / "s.json.ckpt").write_bytes(cut.ljust(limit - 1, b"\n"))
+    code, err = limited_run(argv, outdir / "limited", limit)
+    assert code == 0
+    assert err.splitlines() == [f"persistence warning: level 1: checkpoint write failed: "
+                                f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"]
+    written = files(outdir / "limited")
+    assert len(written.pop("s.json.ckpt")) == limit
+    assert written == fresh
 
 
 def test_split_level_beyond_the_address_space_exits_two(outdir, capsys, monkeypatch):

@@ -314,8 +314,9 @@ class TestSweepPlan:
         assert any(abs(g.c_tid - 16.0 / 19.0) < 1e-12 for g in grid)
 
 
-def signal_then_sleep(started) -> None:
-    """A forked child that is running, and so past its fork hooks, until killed."""
+def init_then_sleep(parent: int, ckpt, started) -> None:
+    """A forked pool worker that is running, and so past its initializer, until killed."""
+    ensemble._init_worker(parent, (None, ()), ckpt)
     started.set()
     time.sleep(60)
 
@@ -387,8 +388,9 @@ class TestRunSweep:
     def pool_sizes(self, monkeypatch):
         """Pool sizes ``run_sweep`` asks for; the pool runs its tasks in process.
 
-        The initializer runs here too, without tying this process to its parent,
-        so a split level's ranges fill and reduce the run's shared mapping; the
+        The initializer runs here too, without tying this process to its parent
+        and without the checkpoint handle, which is the run's own here, so a
+        split level's ranges fill and reduce the run's shared mapping; the
         pool forgets that mapping when it shuts down, as its workers die.
         """
         sizes = []
@@ -397,7 +399,7 @@ class TestRunSweep:
         class InProcessPool:
             def __init__(self, max_workers, initializer, initargs, **kwargs):
                 sizes.append(max_workers)
-                initializer(*initargs)
+                initializer(*initargs[:-1], None)
 
             def __enter__(self):
                 return self
@@ -430,17 +432,20 @@ class TestRunSweep:
         assert pool_sizes == [2]
         assert pooled.to_document() == serial.to_document()
 
-    def test_pool_splits_a_lone_level_into_chunks(self, spec14, monkeypatch, pool_sizes):
+    def test_pool_splits_a_lone_level_into_chunks(self, spec14, tmp_path, monkeypatch,
+                                                  pool_sizes):
         # A lone level takes one worker per chunk, up to the cores; a level
         # smaller than two chunks is not split and starts no pool.
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(ensemble, "_CHUNK", 16)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 3 * 16, 5,
                          read_layers=(2, 5, 7))
-        serial = run_sweep(plan, workers=1)
-        pooled = run_sweep(plan, workers=64)
+        serial = run_sweep(plan, out_path=str(tmp_path / "serial.json"), workers=1)
+        pooled = run_sweep(plan, out_path=str(tmp_path / "pooled.json"), workers=64)
         assert pool_sizes == [3]
         assert pooled.to_document() == serial.to_document()
+        assert ((tmp_path / "pooled.json.ckpt").read_bytes()
+                == (tmp_path / "serial.json.ckpt").read_bytes())
         monkeypatch.setattr(ensemble, "_CHUNK", 8192)
         run_sweep(SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 200, 5), workers=64)
         assert pool_sizes == [3]
@@ -525,14 +530,12 @@ class TestRunSweep:
         lock, _ = ensemble._resume(path, plan)
         fork = multiprocessing.get_context("fork")
         started = fork.Event()
-        child = fork.Process(target=signal_then_sleep, args=(started,))
+        child = fork.Process(target=init_then_sleep, args=(os.getpid(), lock, started))
         child.start()
         try:
             assert started.wait(30)
-            ensemble._LOCKS.discard(lock)
             lock.close()
             again, _ = ensemble._resume(path, plan)
-            ensemble._LOCKS.discard(again)
             again.close()
         finally:
             child.kill()
