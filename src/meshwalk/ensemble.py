@@ -16,12 +16,15 @@ realization order (:func:`_reduce`), and records are assembled sorted by
 many workers ran it.
 
 :func:`run_sweep` is the one way to run levels: a single level is a plan
-whose grid holds one entry.  A task fills one realization range of a level
-(:func:`_level_task`).  With fewer levels than workers, a level is cut into
-several ranges whose stacks lie in one anonymous shared mapping that the
-forked workers inherit; once every range is filled, workers reduce its read
-layers (:func:`_reduce_task`).  Otherwise a task is a whole level, filled
-and reduced in one worker.
+whose grid holds one entry.  The run in progress (its plan, layer matrices
+and split levels) is module state, so a process runs one sweep at a time.
+Forked pool workers inherit it, so a task carries indices alone, and a
+serial run goes through the same loop as a pooled one.  A task fills one
+realization range of a level (:func:`_level_task`).  With fewer levels than
+workers, a level is cut into several ranges whose stacks lie in one
+anonymous shared mapping; once every range is filled, workers reduce its
+read layers (:func:`_reduce_task`).  Otherwise a task is a whole level,
+filled and reduced in one worker.
 
 A record is a measured per-mode mean and standard error, keyed by
 ``(level_index, read_layer)``; the plan writes every other field of its stored
@@ -403,21 +406,21 @@ def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(var / n)
 
 
-# In a pool worker: the run's split levels (see run_sweep), as the anonymous
-# shared mapping that holds their stacks back to back and the levels in the
-# order they lie there.  Set by _init_worker; a process without it has none.
-_split: tuple = (None, ())
+# The run in progress (see run_sweep): plan, layer matrices, the anonymous
+# shared mapping that holds the split levels' stacks back to back, and those
+# levels in mapping order.  Set before workers fork; empty between runs.
+_run: tuple = ()
 
 
-def _stacks(level_index: int, read_layers: tuple[int, ...],
-            shape: tuple[int, int]) -> dict[int, np.ndarray]:
-    """One level's stack of ``shape`` per read layer: its part of the shared mapping, or new."""
-    mapping, levels = _split
-    if level_index not in levels:
-        return {t: np.empty(shape) for t in read_layers}
-    size = len(read_layers) * shape[0] * shape[1]
-    stacks = np.frombuffer(mapping, float, size, levels.index(level_index) * size * 8)
-    return dict(zip(read_layers, stacks.reshape(len(read_layers), *shape)))
+def _stacks(level_index: int) -> dict[int, np.ndarray]:
+    """One level's (num_modes, n) stack per read layer: its part of the shared mapping, or new."""
+    plan, _, mapping, split = _run
+    layers, shape = plan.read_layers, (plan.spec.num_modes, plan.realizations_per_level)
+    if level_index not in split:
+        return {t: np.empty(shape) for t in layers}
+    size = len(layers) * math.prod(shape)
+    stacks = np.frombuffer(mapping, float, size, split.index(level_index) * size * 8)
+    return dict(zip(layers, stacks.reshape(len(layers), *shape)))
 
 
 def _level_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]] | None]:
@@ -426,31 +429,39 @@ def _level_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]] | N
     A part of a split level returns ``None``: its read layers are reduced by
     :func:`_reduce_task` once every part has filled its columns.
     """
-    spec, mats, level, level_index, n, master_seed, read_layers, lo, hi = args
-    stacks = _stacks(level_index, read_layers, (spec.num_modes, n))
-    _level_intensity_stacks(spec, mats, level, master_seed, level_index, lo, hi, stacks)
-    if hi - lo < n:
+    level_index, lo, hi = args
+    plan, mats = _run[:2]
+    stacks = _stacks(level_index)
+    _level_intensity_stacks(plan.spec, mats, plan.grid[level_index], plan.master_seed,
+                            level_index, lo, hi, stacks)
+    if hi - lo < plan.realizations_per_level:
         return level_index, None
     return level_index, {t: _reduce(stack) for t, stack in stacks.items()}
 
 
 def _reduce_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
     """Mean and standard error of one read layer of a split level whose parts are all filled."""
-    level_index, read_layers, shape, t = args
-    return level_index, {t: _reduce(_stacks(level_index, read_layers, shape)[t])}
+    level_index, t = args
+    return level_index, {t: _reduce(_stacks(level_index)[t])}
 
 
 _PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
 
 
-def _die_with(parent: int) -> None:
-    """Pool initializer: ask the kernel to kill this worker when its parent dies.
+def _init_worker(parent: int, ckpt) -> None:
+    """Pool initializer: tie a worker forked from the run to it; the run itself is inherited.
 
-    Without it, the workers of a run whose process alone is killed live on,
-    re-parented, holding their memory.  A worker whose parent died between
-    its fork and this call exits at once.  Where ``prctl`` is missing (not
+    ``ckpt`` is the run's checkpoint handle, or ``None``.  The worker closes
+    its inherited copy: a lock lives on while any copy is open, so workers
+    that outlive a killed run would otherwise keep its checkpoint locked.
+    The worker then asks the kernel to kill it when its parent dies, so the
+    workers of a run whose process alone is killed do not live on,
+    re-parented, holding their memory; one whose parent died between its
+    fork and this call exits at once.  Where ``prctl`` is missing (not
     Linux), only that check is made.
     """
+    if ckpt is not None:
+        ckpt.close()
     with contextlib.suppress(OSError, AttributeError):
         prctl = ctypes.CDLL(None, use_errno=True).prctl
         prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
@@ -458,20 +469,6 @@ def _die_with(parent: int) -> None:
         prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:
         os._exit(1)
-
-
-def _init_worker(parent: int, split: tuple, ckpt) -> None:
-    """Pool initializer: keep the run's split levels, inherited through fork, and die with it.
-
-    ``ckpt`` is the run's checkpoint handle, or ``None``.  The worker closes
-    its inherited copy: a lock lives on while any copy is open, so workers
-    that outlive a killed run would otherwise keep its checkpoint locked.
-    """
-    global _split
-    _split = split
-    if ckpt is not None:
-        ckpt.close()
-    _die_with(parent)
 
 
 def _resume(path: str, plan: SweepPlan):
@@ -530,13 +527,17 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     fill their ranges into one anonymous shared mapping, then reduce its
     read layers, each a whole row in realization order.  The outcome does not
     depend on the worker count, and the levels' records arrive in level
-    order either way.  With ``out_path`` set, ``<out_path>.ckpt`` is opened once
-    and locked (:func:`_resume`): a checkpoint of this plan is resumed,
-    computing only the records it lacks, any other file there is replaced, and
-    each finished record is appended through that handle.  The run holds it
-    until its levels have run; a checkpoint that another run holds raises
-    ``BlockingIOError`` before any level runs.  Pool workers close their
-    inherited copies (:func:`_init_worker`).
+    order either way.  The run is module state (``_run``), set before any
+    worker forks, so workers inherit it and a task is a few indices; with
+    one worker the same tasks go through the same loop in this process.  A
+    process runs one sweep at a time.  With ``out_path`` set,
+    ``<out_path>.ckpt`` is opened once and locked (:func:`_resume`): a
+    checkpoint of this plan is resumed, computing only the records it lacks,
+    any other file there is replaced, and each finished record is appended
+    through that handle.  The run holds it until its levels have run; a
+    checkpoint that another run holds raises ``BlockingIOError`` before any
+    level runs.  Pool workers close their inherited copies
+    (:func:`_init_worker`).
 
     Appends are flushed, not synced: a tail lost in a machine crash only makes
     a resume recompute those records, bit for bit, and a torn last line is
@@ -544,6 +545,7 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     4% of a 400-level sweep's wall time.  A failed read, open or append is one
     ``io_errors`` warning and ends checkpointing; the document is still written.
     """
+    global _run
     mats = _layer_matrices(plan.spec)
     io_errors: list[str] = []
 
@@ -557,32 +559,9 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
         except OSError as exc:
             io_errors.append(f"checkpoint open failed: {exc}")
     appending = ckpt is not None
-
-    pending = [
-        (plan.spec, mats, level, idx, plan.realizations_per_level, plan.master_seed,
-         plan.read_layers)
-        for idx, level in enumerate(plan.grid)
-        if any((idx, t) not in done for t in plan.read_layers)
-    ]
-
     records = dict(done)
-
-    def _absorb(level_index: int, per_layer: dict) -> None:
-        nonlocal appending
-        for t, (mean, se) in per_layer.items():
-            if (level_index, t) in done:  # a partly resumed level
-                continue
-            records[(level_index, t)] = LevelRecord(mean, se)
-            if appending:
-                try:
-                    entry = _entry(plan, (level_index, t), mean.tolist(), se.tolist())
-                    ckpt.write(json.dumps(entry).encode() + b"\n")
-                    ckpt.flush()
-                except OSError as exc:
-                    io_errors.append(f"level {level_index}: checkpoint write failed: {exc}")
-                    appending = False
-        if progress:
-            progress(len(records), len(plan.grid) * len(plan.read_layers))
+    pending = [idx for idx in range(len(plan.grid))
+               if any((idx, t) not in done for t in plan.read_layers)]
 
     # Fewer levels to run than usable workers: cut each level into enough
     # equal ranges to occupy them all, each of at least a chunk.  Never more
@@ -591,38 +570,48 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     usable = min(workers if workers is not None else cores, cores)
     n = plan.realizations_per_level
     parts = max(1, min(-(-usable // max(len(pending), 1)), n // _CHUNK))
-    tasks = [(*args, n * k // parts, n * (k + 1) // parts) for args in pending
-             for k in range(parts)]
-    split = tuple(args[3] for args in pending) if parts > 1 else ()
+    tasks = [(idx, n * k // parts, n * (k + 1) // parts) for idx in pending for k in range(parts)]
+    split = tuple(pending) if parts > 1 else ()
     nworkers = min(usable, len(tasks))
     try:
-        if nworkers > 1:
-            # The split levels' stacks are one anonymous shared mapping, made
-            # before the workers fork and gone with the last process that maps
-            # it.  Workers are forked from this process whatever the default
-            # start method ('forkserver' from Python 3.14 on Linux): they
-            # inherit the mapping, and _die_with ties each to the run.
-            shape = (plan.spec.num_modes, n)
-            size = 8 * len(split) * len(plan.read_layers) * math.prod(shape)
-            if size > sys.maxsize:  # beyond any address space; mmap would raise OverflowError
-                raise MemoryError(f"Unable to allocate {size} bytes of intensity stacks")
-            with (mmap.mmap(-1, size) if split else contextlib.nullcontext()) as mapping, \
-                    ProcessPoolExecutor(max_workers=nworkers,
-                                        mp_context=multiprocessing.get_context("fork"),
-                                        initializer=_init_worker,
-                                        initargs=(os.getpid(), (mapping, split), ckpt)) as pool:
-                results = pool.map(_level_task, tasks)
+        # The split levels' stacks are one anonymous shared mapping, made
+        # before the workers fork and gone with the last process that maps
+        # it.  Workers are forked from this process whatever the default
+        # start method ('forkserver' from Python 3.14 on Linux): they inherit
+        # the run, and _init_worker ties each to it.
+        size = 8 * len(split) * len(plan.read_layers) * plan.spec.num_modes * n
+        if size > sys.maxsize:  # beyond any address space; mmap would raise OverflowError
+            raise MemoryError(f"Unable to allocate {size} bytes of intensity stacks")
+        with (mmap.mmap(-1, size) if split else contextlib.nullcontext()) as mapping:
+            _run = (plan, mats, mapping, split)
+            with (ProcessPoolExecutor(max_workers=nworkers,
+                                      mp_context=multiprocessing.get_context("fork"),
+                                      initializer=_init_worker, initargs=(os.getpid(), ckpt))
+                  if nworkers > 1 else contextlib.nullcontext()) as pool:
+                dispatch = map if pool is None else pool.map
+                results = dispatch(_level_task, tasks)
                 if split:  # every part is filled before any layer is reduced
-                    for _ in results:
-                        pass
-                    results = pool.map(_reduce_task, [(idx, plan.read_layers, shape, t)
-                                                      for idx in split for t in plan.read_layers])
-                for level_index, per_layer in results:
-                    _absorb(level_index, per_layer)
-        else:
-            for args in tasks:
-                _absorb(*_level_task(args))
+                    list(results)
+                    results = dispatch(_reduce_task, [(idx, t) for idx in split
+                                                      for t in plan.read_layers
+                                                      if (idx, t) not in done])
+                for idx, per_layer in results:
+                    for t, (mean, se) in per_layer.items():
+                        if (idx, t) in done:  # a partly resumed level
+                            continue
+                        records[(idx, t)] = LevelRecord(mean, se)
+                        if appending:
+                            try:
+                                entry = _entry(plan, (idx, t), mean.tolist(), se.tolist())
+                                ckpt.write(json.dumps(entry).encode() + b"\n")
+                                ckpt.flush()
+                            except OSError as exc:
+                                io_errors.append(f"level {idx}: checkpoint write failed: {exc}")
+                                appending = False
+                    if progress:
+                        progress(len(records), len(plan.grid) * len(plan.read_layers))
     finally:
+        _run = ()
         if ckpt is not None:
             with contextlib.suppress(OSError):  # a failed tail is flushed again
                 ckpt.close()

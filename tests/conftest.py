@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -8,6 +9,19 @@ sys.path.insert(0, str(Path(__file__).parent))  # expose tests/oracles.py
 
 from meshwalk import HADAMARD, INPUT_SPLITTER, MeshSpec, RbsSetting, cell_unitary, ensemble
 from meshwalk.lattice import evolve
+
+
+def subprocess_env(out_dir=None) -> dict[str, str]:
+    """``os.environ`` with this package's ``src`` leading ``PYTHONPATH``, and an output directory.
+
+    ``out_dir``, if given, becomes ``MESHWALK_OUT_DIR``.
+    """
+    path = os.pathsep.join(filter(None, [str(Path(ensemble.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    if out_dir is not None:
+        env["MESHWALK_OUT_DIR"] = str(out_dir)
+    return env
 
 
 @pytest.fixture
@@ -26,7 +40,7 @@ def level_tasks(monkeypatch) -> list[int]:
     levels = []
     task = ensemble._level_task
     monkeypatch.setattr(ensemble, "_level_task",
-                        lambda args: levels.append(args[3]) or task(args))
+                        lambda args: levels.append(args[0]) or task(args))
     return levels
 
 

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from meshwalk import DisorderSpec, EnsembleResult, LevelRecord, MeshSpec, SweepPlan
-import meshwalk
 from meshwalk import cli, ensemble
 from meshwalk.cli import main
+from conftest import subprocess_env
 
 
 @pytest.fixture
@@ -169,9 +169,7 @@ def test_negative_seed_exits_one(outdir, capsys):
 def test_import_leaves_scipy_unloaded():
     # Only the fit needs scipy; the other commands must not pay for importing it.
     code = "import sys, meshwalk.cli; sys.exit('scipy.optimize' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(meshwalk.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=subprocess_env()).returncode == 0
 
 
 def test_runtime_error_exits_two(outdir):
@@ -362,12 +360,8 @@ def children(pid: int) -> list[int]:
 def test_pool_workers_die_with_a_killed_run(outdir):
     # SIGKILL of the CLI process alone, as an out-of-memory kill does: its
     # pool workers must not run on, orphaned, holding their memory.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(meshwalk.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.Popen([sys.executable, "-m", "meshwalk.cli", "slice", "--n", "20000",
-                            "--workers", "2"], env=env, start_new_session=True,
-                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    try:
+    with reaped(cli_process(["slice", "--n", "20000", "--workers", "2"], outdir,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)) as run:
         deadline = time.monotonic() + 60
         while len(workers := children(run.pid)) < 2 and time.monotonic() < deadline:
             assert run.poll() is None, "the run ended before its pool started"
@@ -381,10 +375,6 @@ def test_pool_workers_die_with_a_killed_run(outdir):
             time.sleep(0.02)
         assert {pid: process_state(pid) for pid in workers if process_state(pid) not in
                 (None, "Z")} == {}
-    finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(run.pid, signal.SIGKILL)
-        run.wait(30)
 
 
 def shm_entries() -> set[str]:
@@ -400,13 +390,9 @@ def test_killed_worker_of_a_split_level_exits_two(outdir, monkeypatch):
     # exits 2, leaves no named segment behind, and a rerun writes a fresh run's files.
     argv = ["tomography", "--ctid", "0.842", "--ctd", "0.5", "--n", "30000", "--workers", "2",
             "--out", "t.json"]
-    env = dict(os.environ, MESHWALK_OUT_DIR=str(outdir / "killed"), PYTHONPATH=os.pathsep.join(
-        [str(Path(meshwalk.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     before = shm_entries()
-    run = subprocess.Popen([sys.executable, "-m", "meshwalk.cli", *argv], env=env,
-                           start_new_session=True, stdout=subprocess.DEVNULL,
-                           stderr=subprocess.PIPE, text=True)
-    try:
+    with reaped(cli_process(argv, outdir / "killed", stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)) as run:
         deadline = time.monotonic() + 60
         while len(workers := children(run.pid)) < 2 and time.monotonic() < deadline:
             assert run.poll() is None, "the run ended before its pool started"
@@ -419,10 +405,6 @@ def test_killed_worker_of_a_split_level_exits_two(outdir, monkeypatch):
         assert not (outdir / "killed" / "t.json").exists()
         assert {pid: process_state(pid) for pid in workers if process_state(pid) not in
                 (None, "Z")} == {}
-    finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(run.pid, signal.SIGKILL)
-        run.wait(30)
     assert shm_entries() - before == set()
     for name in ("killed", "fresh"):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(outdir / name))
@@ -433,10 +415,19 @@ def test_killed_worker_of_a_split_level_exits_two(outdir, monkeypatch):
 
 def cli_process(argv: list[str], out_dir: Path, **kwargs) -> subprocess.Popen:
     """The CLI run with ``argv``, writing under ``out_dir``, in a session of its own."""
-    env = dict(os.environ, MESHWALK_OUT_DIR=str(out_dir), PYTHONPATH=os.pathsep.join(
-        [str(Path(meshwalk.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.Popen([sys.executable, "-m", "meshwalk.cli", *argv], env=env,
-                            start_new_session=True, **kwargs)
+    return subprocess.Popen([sys.executable, "-m", "meshwalk.cli", *argv],
+                            env=subprocess_env(out_dir), start_new_session=True, **kwargs)
+
+
+@contextlib.contextmanager
+def reaped(run: subprocess.Popen):
+    """``run``, whose whole session is SIGKILLed and waited for on the way out."""
+    try:
+        yield run
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(run.pid, signal.SIGKILL)
+        run.wait(30)
 
 
 def wait_for_lines(run: subprocess.Popen, path: Path, count: int) -> None:
@@ -488,8 +479,8 @@ def test_killed_runs_resume_to_a_fresh_runs_files(outdir, monkeypatch, workers):
         argv = command + ["--workers", str(workers), "--out", "r.json"]
         killed, fresh = outdir / f"{command[0]}.killed", outdir / f"{command[0]}.fresh"
         document = "r.json.result.json" if command[0] in ("slice", "deep") else "r.json"
-        run = cli_process(argv, killed, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        try:
+        with reaped(cli_process(argv, killed, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)) as run:
             wait_for_lines(run, killed / f"{document}.ckpt", 1 + records)
             os.killpg(run.pid, signal.SIGKILL)
             assert run.wait(30) == -signal.SIGKILL
@@ -497,10 +488,6 @@ def test_killed_runs_resume_to_a_fresh_runs_files(outdir, monkeypatch, workers):
             while group_members(run.pid) and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert group_members(run.pid) == [], command
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(run.pid, signal.SIGKILL)
-            run.wait(30)
         assert not (killed / document).exists(), command
         for directory in (killed, fresh):
             monkeypatch.setenv(cli.OUT_DIR_ENV, str(directory))
@@ -513,9 +500,8 @@ def test_second_process_on_one_output_exits_two(outdir, monkeypatch):
     # naming the checkpoint, and the first completes with a fresh run's files.
     argv = ["slice", "--points", "4", "--n", "20000", "--workers", "1"]
     ckpt = outdir / "held" / "slice_ctid0.842_n20000.json.result.json.ckpt"
-    first = cli_process(argv, outdir / "held", stdout=subprocess.DEVNULL,
-                        stderr=subprocess.PIPE, text=True)
-    try:
+    with reaped(cli_process(argv, outdir / "held", stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)) as first:
         wait_for_lines(first, ckpt, 1)
         second = cli_process(argv, outdir / "held", stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True)
@@ -526,10 +512,6 @@ def test_second_process_on_one_output_exits_two(outdir, monkeypatch):
             f"error: [Errno {errno.EAGAIN}] checkpoint in use by another run: '{ckpt}'"]
         assert first.communicate(timeout=60) == (None, "")
         assert first.returncode == 0
-    finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(first.pid, signal.SIGKILL)
-        first.wait(30)
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(outdir / "fresh"))
     assert main(argv) == 0
     assert files(outdir / "held") == files(outdir / "fresh")

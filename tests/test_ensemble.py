@@ -5,7 +5,6 @@ import stat
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +31,8 @@ from meshwalk.ensemble import (
 )
 from meshwalk.lattice import evolve
 from meshwalk.programs import compose_screens
-from conftest import bits, cell_matrices, mod_wrap, propagate, random_program, walk_program
+from conftest import (bits, cell_matrices, mod_wrap, propagate, random_program, subprocess_env,
+                      walk_program)
 from oracles import fsum_reduce, full_unitary, galton_distribution
 
 
@@ -316,7 +316,7 @@ class TestSweepPlan:
 
 def init_then_sleep(parent: int, ckpt, started) -> None:
     """A forked pool worker that is running, and so past its initializer, until killed."""
-    ensemble._init_worker(parent, (None, ()), ckpt)
+    ensemble._init_worker(parent, ckpt)
     started.set()
     time.sleep(60)
 
@@ -336,8 +336,9 @@ class TestRunSweep:
     def test_pool_forks_whatever_the_default_start_method(self, spec14, tmp_path):
         # 'forkserver' is the default start method from Python 3.14 on Linux.
         # Its workers are not children of the run, and a pool that took the
-        # default would lose every worker to the parent check of _die_with.
-        # A split level's shared mapping reaches the workers only through fork.
+        # default would lose every worker to the parent check of _init_worker.
+        # The run, a split level's shared mapping included, reaches the
+        # workers only through fork.
         script = ("import multiprocessing, sys\n"
                   "multiprocessing.set_start_method('forkserver')\n"
                   "from meshwalk import MeshSpec, SweepPlan, ensemble, make_grid, run_sweep\n"
@@ -346,11 +347,9 @@ class TestRunSweep:
                   "ensemble._CHUNK = 16\n"
                   "level = SweepPlan(MeshSpec(14, 7), plan.grid[1:2], 50, 424242, (3, 7))\n"
                   "run_sweep(level, out_path=sys.argv[2], workers=2)\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(ensemble.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         pooled, split = tmp_path / "pooled.json", tmp_path / "split.json"
-        subprocess.run([sys.executable, "-c", script, str(pooled), str(split)], env=env,
-                       check=True, timeout=120)
+        subprocess.run([sys.executable, "-c", script, str(pooled), str(split)],
+                       env=subprocess_env(), check=True, timeout=120)
         serial = tmp_path / "serial.json"
         run_sweep(SweepPlan(spec14, tuple(make_grid(2, 2)), 50, 424242), out_path=str(serial),
                   workers=1)
@@ -385,34 +384,52 @@ class TestRunSweep:
                 assert json.dumps(run_sweep(plan, workers=1).to_document()) == document, block
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
+    def pool_tasks(self) -> list:
+        """(function name, tasks) of each ``map`` on the ``pool_sizes`` pool, in order."""
+        return []
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch, pool_tasks):
         """Pool sizes ``run_sweep`` asks for; the pool runs its tasks in process.
 
-        The initializer runs here too, without tying this process to its parent
-        and without the checkpoint handle, which is the run's own here, so a
-        split level's ranges fill and reduce the run's shared mapping; the
-        pool forgets that mapping when it shuts down, as its workers die.
+        Its initializer is not run: it would tie this process to its parent
+        and close the run's own checkpoint handle.  The tasks read the run
+        that ``run_sweep`` set in this process, so a split level's ranges
+        fill and reduce the run's shared mapping.
         """
         sizes = []
-        monkeypatch.setattr(ensemble, "_die_with", lambda parent: None)
 
         class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs, **kwargs):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
-                initializer(*initargs[:-1], None)
 
             def __enter__(self):
                 return self
 
             def __exit__(self, *exc):
-                ensemble._split = (None, ())
                 return False
 
             def map(self, fn, tasks):
+                tasks = list(tasks)
+                pool_tasks.append((fn.__name__, tasks))
                 return map(fn, tasks)
 
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InProcessPool)
         return sizes
+
+    def test_tasks_carry_only_indices(self, spec14, monkeypatch, pool_sizes, pool_tasks):
+        # Workers inherit the run, so a task names a level and a realization
+        # range, or a level and a read layer, and nothing else.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        run_sweep(SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5), workers=4)
+        run_sweep(SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 3 * 16, 5,
+                            read_layers=(2, 7)), workers=4)
+        assert pool_sizes == [4, 3]
+        assert [name for name, _ in pool_tasks] == ["_level_task", "_level_task", "_reduce_task"]
+        for name, tasks in pool_tasks:
+            assert tasks and all(type(task) is tuple and all(type(x) is int for x in task)
+                                 for task in tasks), (name, tasks)
 
     def test_pool_never_larger_than_pending_levels(self, spec14, monkeypatch, pool_sizes):
         # Every worker of a pool is started at its first submit, so 64
@@ -483,6 +500,50 @@ class TestRunSweep:
         run_sweep(plan, out_path=str(cut), workers=2)
         assert cut.read_bytes() == fresh.read_bytes()
         assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
+
+    def test_resumed_split_level_reduces_only_missing_layers(self, spec14, tmp_path,
+                                                             monkeypatch, pool_sizes, pool_tasks):
+        # A checkpoint that holds 3 of a split level's 7 read layers: only
+        # the 4 missing layers are reduced, and the files are a fresh run's.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
+                         read_layers=tuple(range(1, 8)))
+        fresh, cut = tmp_path / "fresh.json", tmp_path / "cut.json"
+        run_sweep(plan, out_path=str(fresh), workers=1)
+        fresh_ckpt = (tmp_path / "fresh.json.ckpt").read_text()
+        (tmp_path / "cut.json.ckpt").write_text(
+            "".join(fresh_ckpt.splitlines(keepends=True)[:1 + 3]))
+        run_sweep(plan, out_path=str(cut), workers=2)
+        assert pool_sizes == [2]
+        assert [tasks for name, tasks in pool_tasks if name == "_reduce_task"] == [
+            [(0, 4), (0, 5), (0, 6), (0, 7)]]
+        assert cut.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
+
+    def test_failed_run_leaves_no_run_behind(self, spec14, tmp_path, monkeypatch):
+        # A task that raises mid-run: the run's module state is cleared, and
+        # the next run in this process, resuming its checkpoint, writes a
+        # clean run's files.
+        plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5)
+        run_sweep(plan, out_path=str(tmp_path / "clean.json"), workers=1)
+        task, calls = ensemble._level_task, []
+
+        def second_fails(args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("second task")
+            return task(args)
+
+        monkeypatch.setattr(ensemble, "_level_task", second_fails)
+        with pytest.raises(RuntimeError, match="second task"):
+            run_sweep(plan, out_path=str(tmp_path / "failed.json"), workers=1)
+        assert ensemble._run == ()
+        monkeypatch.setattr(ensemble, "_level_task", task)
+        run_sweep(plan, out_path=str(tmp_path / "failed.json"), workers=1)
+        for suffix in (".json", ".json.ckpt"):
+            assert ((tmp_path / f"failed{suffix}").read_bytes()
+                    == (tmp_path / f"clean{suffix}").read_bytes()), suffix
 
     def test_normalization_of_all_records(self, spec14, tmp_path):
         plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 40, 7,

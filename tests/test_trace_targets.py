@@ -8,12 +8,11 @@ per-layer metric at 0, so a rename or a bypass is caught here instead.
 import importlib
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import meshwalk
+from conftest import subprocess_env
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -49,10 +48,8 @@ print(json.dumps({"called": sorted({span[0] for span in recorder.spans}),
 
 
 def test_every_trace_target_is_called(tmp_path):
-    env = dict(os.environ, MESHWALK_OUT_DIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
-        [str(Path(meshwalk.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", TRACED_RUN, str(TRACING)], env=env,
-                         capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-c", TRACED_RUN, str(TRACING)],
+                         env=subprocess_env(tmp_path), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
     assert seen["absent"] == []
