@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ensemble import EnsembleResult, LevelRecord
+from .ensemble import EnsembleResult, LevelRecord, csv_row
 
 
 class DegenerateDistributionError(ValueError):
@@ -233,15 +233,11 @@ class EnaqtReport:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
     def to_rows(self) -> list[str]:
-        """Flat CSV rows: the sweep schema plus the efficiency columns."""
-        rows = ["c_tid,c_td,layer,eta_enhance,se_enhance,eta_deplete,se_deplete"]
-        for i in range(self.c_td.size):
-            rows.append(
-                f"{self.c_tid!r},{self.c_td[i]!r},{self.read_layer},"
-                f"{self.eta_enhance[i]!r},{self.se_enhance[i]!r},"
-                f"{self.eta_deplete[i]!r},{self.se_deplete[i]!r}"
-            )
-        return rows
+        """Flat CSV rows, header first: the sweep schema plus the efficiency columns."""
+        return ["c_tid,c_td,layer,eta_enhance,se_enhance,eta_deplete,se_deplete"] + [
+            csv_row((self.c_tid, self.c_td[i], self.read_layer, self.eta_enhance[i],
+                     self.se_enhance[i], self.eta_deplete[i], self.se_deplete[i]))
+            for i in range(self.c_td.size)]
 
 
 def detect_enaqt(result: EnsembleResult, static_level: float, enhance_modes,

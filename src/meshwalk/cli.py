@@ -4,8 +4,10 @@ Subcommands run and analyze disorder ensembles; a run command resumes from
 its own checkpoint when an earlier run of the same plan left one.  Every
 command is deterministic: identical flags and seed produce bit-identical
 output files regardless of worker count.  Output documents are JSON, flat
-tables are CSV (comma separator, header row, LF endings, full-precision
-floats); heatmaps are plain numeric grids with an optional ASCII rendering.
+tables are CSV (comma separator, header row, LF endings); heatmaps are plain
+numeric CSV grids with an optional ASCII rendering.  Every number in a CSV is
+Python's shortest round-trip ``repr`` of its value, the same under numpy 1.x
+and 2.x.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/IO error, 3 degenerate
 analysis input.
@@ -15,16 +17,16 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
-from . import analysis, ensemble
+from . import analysis
 from .analysis import DegenerateDistributionError, FitFamily
-from .ensemble import EnsembleResult, SweepPlan, make_grid, run_sweep
+from .ensemble import (EnsembleResult, SweepPlan, csv_row, make_grid, run_sweep, write_json,
+                       write_lines)
 from .lattice import MeshSpec
 from .programs import DisorderSpec
 
@@ -107,14 +109,6 @@ def _ascii_heatmap(matrix: np.ndarray) -> str:
     return "\n".join(lines)
 
 
-def _write_matrix(path: str, matrix: np.ndarray, row_labels, col_labels,
-                  corner: str) -> None:
-    with ensemble._replacing(path) as fh:
-        fh.write(corner + "," + ",".join(repr(float(c)) for c in col_labels) + "\n")
-        for label, row in zip(row_labels, matrix):
-            fh.write(repr(float(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-
-
 def cmd_walk(args) -> int:
     spec = _build(MeshSpec, args.modes, args.depth, args.inject)
     level = _build(DisorderSpec, args.ctid, args.ctd)
@@ -176,8 +170,8 @@ def cmd_sweep(args) -> int:
     means = np.stack([result.record(i).mean for i in range(len(plan.grid))])
     for mode in heat_modes:
         matrix = means[:, mode - 1].reshape(n_tid, n_td)
-        path = f"{out}.mode{mode}.csv"
-        _write_matrix(path, matrix, tids, tds, "c_tid\\c_td")
+        write_lines(f"{out}.mode{mode}.csv", [csv_row(("c_tid\\c_td", *tds))]
+                    + [csv_row((tid, *row)) for tid, row in zip(tids, matrix)])
         if args.ascii:
             print(f"mode {mode} (rows c_tid 0->1, cols c_td 0->1):")
             print(_ascii_heatmap(matrix))
@@ -211,11 +205,8 @@ def cmd_slice(args) -> int:
     result = _run(plan, out + ".result.json", args.workers)
     report = analysis.detect_enaqt(result, args.ctid, enhance, deplete,
                                    threshold=args.threshold)
-    with ensemble._replacing(out) as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    with ensemble._replacing(out + ".csv") as fh:
-        fh.write("\n".join(report.to_rows()) + "\n")
+    write_json(out, report.to_dict())
+    write_lines(out + ".csv", report.to_rows())
 
     print(f"slice at c_tid={report.c_tid:.6g} (requested {args.ctid:g}), "
           f"N={args.n} per level, {args.points} dynamic-disorder points")
@@ -349,7 +340,7 @@ def main(argv=None) -> int:
     except DegenerateDistributionError as exc:
         print(f"degenerate analysis input: {exc}", file=sys.stderr)
         return 3
-    except (OSError, MemoryError, BrokenExecutor, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, MemoryError, BrokenExecutor, ValueError) as exc:  # ValueError: bad JSON too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,13 +30,15 @@ A record is a measured per-mode mean and standard error, keyed by
 ``(level_index, read_layer)``; the plan writes every other field of its stored
 form.  Persistence is one JSON document per sweep (plan echo, generator
 identity, one record per level and read layer) plus an optional flat CSV
-table.  A running sweep opens ``<out>.ckpt`` once, locks it and appends each
-record through that one handle, and a rerun of the plan computes only the
-records missing there; loading a document or a checkpoint checks every
-record against what the plan writes.  Documents and tables are written to a
-uniquely named temporary sibling, synced to disk and renamed into place, so a
-crash of the process or of the machine leaves the old file or the new one,
-never half of one.
+table.  Each output format is stated here once: documents go through
+:func:`write_json`, tables are :func:`csv_row` lines written by
+:func:`write_lines`.  A running sweep opens ``<out>.ckpt`` once, locks it and
+appends each record through that one handle, and a rerun of the plan computes
+only the records missing there; loading a document or a checkpoint checks
+every record against what the plan writes.  Documents and tables are written
+to a uniquely named temporary sibling, synced to disk and renamed into place,
+so a crash of the process or of the machine leaves the old file or the new
+one, never half of one.
 Checkpoint appends are not synced, so a machine crash can cost a checkpoint
 its last records (see :func:`run_sweep`).
 """
@@ -47,6 +49,7 @@ import contextlib
 import ctypes
 import fcntl
 import hashlib
+import itertools
 import json
 import math
 import mmap
@@ -108,6 +111,30 @@ def _replacing(path: str):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_json(path: str, doc) -> None:
+    """Replace ``path`` with ``doc`` as JSON: one-space indent, sorted keys, final newline."""
+    with _replacing(path) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def csv_row(cells) -> str:
+    """One CSV line of ``cells``.
+
+    A string is written as given, an int as its digits, and a float, numpy
+    scalars included, as the ``repr`` of its Python value: the shortest
+    decimal that reads back as that float, the same under numpy 1.x and 2.x.
+    """
+    return ",".join([c if isinstance(c, str)
+                     else repr(c.item() if isinstance(c, np.generic) else c) for c in cells])
+
+
+def write_lines(path: str, lines) -> None:
+    """Replace ``path`` with ``lines``, each ended by a newline."""
+    with _replacing(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def make_grid(n_tid: int, n_td: int) -> list[DisorderSpec]:
@@ -213,9 +240,7 @@ class EnsembleResult:
         }
 
     def save(self, path: str) -> None:
-        with _replacing(path) as fh:
-            json.dump(self.to_document(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_document())
 
     @classmethod
     def load(cls, path: str) -> "EnsembleResult":
@@ -242,10 +267,7 @@ class EnsembleResult:
         return rows
 
     def write_csv(self, path: str) -> None:
-        with _replacing(path) as fh:
-            fh.write(CSV_HEADER + "\n")
-            for c_tid, c_td, layer, mode, mean, se in self.to_rows():
-                fh.write(f"{c_tid!r},{c_td!r},{layer},{mode},{mean!r},{se!r}\n")
+        write_lines(path, itertools.chain([CSV_HEADER], map(csv_row, self.to_rows())))
 
 
 @contextlib.contextmanager
@@ -407,25 +429,35 @@ def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The run in progress (see run_sweep): plan, layer matrices, the anonymous
-# shared mapping that holds the split levels' stacks back to back, and those
-# levels in mapping order.  Set before workers fork; empty between runs.
+# shared mapping that holds the split levels' stacks back to back, those
+# levels in mapping order, and the resumed records.  Set before workers fork;
+# empty between runs.
 _run: tuple = ()
 
 
 def _stacks(level_index: int) -> dict[int, np.ndarray]:
-    """One level's (num_modes, n) stack per read layer: its part of the shared mapping, or new."""
-    plan, _, mapping, split = _run
+    """One level's (num_modes, n) stack per read layer it still lacks.
+
+    A whole level's stacks are new.  A split level's are its part of the
+    shared mapping, which holds a slot for every read layer, so offsets do
+    not depend on what was resumed; a slot never written costs no memory.
+    """
+    plan, _, mapping, split, done = _run
     layers, shape = plan.read_layers, (plan.spec.num_modes, plan.realizations_per_level)
+    lacking = [k for k, t in enumerate(layers) if (level_index, t) not in done]
     if level_index not in split:
-        return {t: np.empty(shape) for t in layers}
+        return {layers[k]: np.empty(shape) for k in lacking}
     size = len(layers) * math.prod(shape)
     stacks = np.frombuffer(mapping, float, size, split.index(level_index) * size * 8)
-    return dict(zip(layers, stacks.reshape(len(layers), *shape)))
+    stacks = stacks.reshape(len(layers), *shape)
+    return {layers[k]: stacks[k] for k in lacking}
 
 
 def _level_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]] | None]:
     """Fill realizations lo..hi-1 of one level, and reduce the level if that is all of it.
 
+    Only the read layers the level still lacks are filled and reduced
+    (:func:`_stacks`), so a partly resumed level recomputes none it holds.
     A part of a split level returns ``None``: its read layers are reduced by
     :func:`_reduce_task` once every part has filled its columns.
     """
@@ -583,7 +615,7 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
         if size > sys.maxsize:  # beyond any address space; mmap would raise OverflowError
             raise MemoryError(f"Unable to allocate {size} bytes of intensity stacks")
         with (mmap.mmap(-1, size) if split else contextlib.nullcontext()) as mapping:
-            _run = (plan, mats, mapping, split)
+            _run = (plan, mats, mapping, split, done)
             with (ProcessPoolExecutor(max_workers=nworkers,
                                       mp_context=multiprocessing.get_context("fork"),
                                       initializer=_init_worker, initargs=(os.getpid(), ckpt))
@@ -597,8 +629,6 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
                                                       if (idx, t) not in done])
                 for idx, per_layer in results:
                     for t, (mean, se) in per_layer.items():
-                        if (idx, t) in done:  # a partly resumed level
-                            continue
                         records[(idx, t)] = LevelRecord(mean, se)
                         if appending:
                             try:

@@ -231,6 +231,11 @@ class TestDetectEnaqt:
         assert rows[0] == "c_tid,c_td,layer,eta_enhance,se_enhance,eta_deplete,se_deplete"
         assert len(rows) == 1 + report.c_td.size
         assert report.to_dict()["declared"] == report.declared
+        for row in rows[1:]:
+            cells = row.split(",")
+            assert len(cells) == 7
+            for cell in cells:
+                float(cell)
 
 
 def test_rounding_bound_holds_in_extended_precision():

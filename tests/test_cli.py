@@ -657,7 +657,7 @@ def test_threshold_must_be_positive_and_finite(outdir, capsys):
 # floats come from numpy's cos and sin, so other numpy builds may differ.
 DIGESTS = {
     "slice.json": "51f9fc0c9455c61fa4d61d9a5d2049eec20af4c1bb4a63b329b36234eea5b899",
-    "slice.json.csv": "d36ee3a505672462451dcc5ffd5008fe10a8bab111bd5fd7aa3a4d522af1098a",
+    "slice.json.csv": "c7b01b5778aa01fef13dd6c2d6433f7836a40dde6cb7baac56f32f18346b1457",
     "slice.json.result.json": "3771739934bc9564bbfd0342f9fe1bb3d62f0e6ac9d3d6bcec76b360c9a4746d",
     "slice.json.result.json.ckpt":
         "48d08d8de25e0ce6652eec4855d22711df846f8d2953a3459dd78f4f4b0ce088",
@@ -690,6 +690,38 @@ def test_outputs_keep_their_digests(outdir):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(outdir.iterdir())}
     assert digests == DIGESTS
+    for path in outdir.glob("*.csv"):
+        assert csv_numbers(path), path.name
+
+
+def csv_numbers(path: Path) -> list[float]:
+    """Every cell of a written CSV but its header row or a heatmap's corner label, as floats.
+
+    ``float`` raises on a cell that is not a plain number, such as numpy 2's
+    ``np.float64(0.5)``.
+    """
+    first, *rows = path.read_text().splitlines()
+    head = first.split(",")
+    cells = head[1:] if head[0] == "c_tid\\c_td" else []
+    for row in rows:
+        cells += row.split(",")
+    return [float(cell) for cell in cells]
+
+
+def test_csv_bytes_do_not_depend_on_numpy_scalar_repr(outdir):
+    # numpy 2 writes a scalar's repr as np.float64(x) unless told to print as
+    # 1.25 did; numpy 1.x has only the plain form, so both runs there are alike.
+    legacy = "1.25" if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else False
+    for command in (["slice"], ["deep", "--depth", "3"]):
+        tables = []
+        for name, options in (("plain", {}), ("legacy", {"legacy": legacy})):
+            out = f"{command[0]}_{name}.json"
+            with np.printoptions(**options):
+                assert main(command + ["--points", "3", "--n", "20", "--out", out,
+                                       "--workers", "1"]) == 0
+            tables.append((outdir / f"{out}.csv").read_bytes())
+            assert len(csv_numbers(outdir / f"{out}.csv")) == 3 * 7
+        assert tables[0] == tables[1], command
 
 
 def test_slice_without_localization_not_declared(outdir, capsys):

@@ -650,6 +650,33 @@ class TestRunSweep:
         assert cut.read_bytes() == fresh.read_bytes()
         assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resumed_level_fills_and_reduces_only_missing_layers(self, spec14, tmp_path,
+                                                                 monkeypatch, pool_sizes,
+                                                                 workers):
+        # A checkpoint cut after 3 of a lone level's 7 read layers, rerun with
+        # the level whole (1 worker) or split (2): only the 4 missing layers
+        # are filled and reduced, and the files are a fresh run's.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
+                         read_layers=tuple(range(1, 8)))
+        fresh, cut = tmp_path / "fresh.json", tmp_path / "cut.json"
+        run_sweep(plan, out_path=str(fresh), workers=1)
+        fresh_ckpt = (tmp_path / "fresh.json.ckpt").read_text()
+        (tmp_path / "cut.json.ckpt").write_text(
+            "".join(fresh_ckpt.splitlines(keepends=True)[:1 + 3]))
+        filled, reduced = [], []
+        fill, reduce = ensemble._level_intensity_stacks, ensemble._reduce
+        monkeypatch.setattr(ensemble, "_level_intensity_stacks",
+                            lambda *args: filled.append(tuple(args[-1])) or fill(*args))
+        monkeypatch.setattr(ensemble, "_reduce", lambda stack: reduced.append(1) or reduce(stack))
+        run_sweep(plan, out_path=str(cut), workers=workers)
+        assert filled == [(4, 5, 6, 7)] * workers
+        assert len(reduced) == 4
+        assert cut.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
+
     @pytest.mark.parametrize("edit", [
         {"level_index": 5}, {"c_tid": 0.3}, {"n": 7}, {"read_layer": 3},
         {"mean": [0.5, 0.5]}, {"std_error": [0.0] * 15},
