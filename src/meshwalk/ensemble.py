@@ -2,29 +2,34 @@
 
 A sweep evaluates a grid of disorder levels; each level propagates N
 independently-seeded realizations and reduces them to a per-mode ensemble
-mean and standard error.  Realizations run in fixed-size chunks: a chunk's
-fields come from one :func:`~meshwalk.programs.draw_block` call, its phase
-screens from :func:`~meshwalk.programs.compose_screens` (the disorder is the
-whole screen), and the whole chunk goes through the one propagation kernel,
+mean and standard error.  Realizations run in chunks of at most ``_CHUNK``,
+a range of one level or several whole levels: a chunk's fields come from
+one :func:`~meshwalk.programs.draw_block` call, its phase screens from
+:func:`~meshwalk.programs.compose_screens` (the disorder is the whole
+screen), and the whole chunk goes through the one propagation kernel,
 :func:`~meshwalk.lattice.evolve`, at once, with the walk's layer matrices
 (:func:`_layer_matrices`) built once per run.
 Every realization's stream is derived from
-``(master_seed, level_index, realization_index)``, each level's sums are
-exact bucketed sums rounded once, equal to ``math.fsum`` of its rows in
-realization order (:func:`_reduce`), and records are assembled sorted by
+``(master_seed, level_index, realization_index)``, each row's sums are
+exact bucketed sums rounded once, equal to ``math.fsum`` of its row in
+realization order (:func:`_reduce`), so a stack of several levels' rows
+reduces each as it would alone, and records are assembled sorted by
 ``(level_index, read_layer)`` — so the result is bit-identical no matter how
 many workers ran it.
 
 :func:`run_sweep` is the one way to run levels: a single level is a plan
-whose grid holds one entry.  The run in progress (its plan, layer matrices
-and split levels) is module state, so a process runs one sweep at a time.
+whose grid holds one entry.  The run in progress (its plan, layer matrices,
+pending levels and split levels' mapping) is module state, so a process
+runs one sweep at a time.
 Forked pool workers inherit it, so a task carries indices alone, and a
 serial run goes through the same loop as a pooled one.  A task fills one
-realization range of a level (:func:`_level_task`).  With fewer levels than
-workers, a level is cut into several ranges whose stacks lie in one
-anonymous shared mapping; once every range is filled, workers reduce its
-read layers (:func:`_reduce_task`).  Otherwise a task is a whole level,
-filled and reduced in one worker.
+realization range of pending levels (:func:`_level_task`).  With fewer
+levels than workers, a level is cut into several ranges whose stacks lie in
+one anonymous shared mapping; once every range is filled, workers reduce
+its read layers (:func:`_reduce_task`).  Otherwise a task is a pack of
+whole levels, as many as fit in a chunk, filled and reduced in one worker:
+each read layer's stack holds the pack's levels one after another, and one
+:func:`_reduce` call takes it.
 
 A record is a measured per-mode mean and standard error, keyed by
 ``(level_index, read_layer)``; the plan writes every other field of its stored
@@ -69,10 +74,11 @@ from .programs import GENERATOR_IDENTITY, DisorderSpec, compose_screens, draw_bl
 DOCUMENT_FORMAT = "meshwalk-sweep-result/1"
 CSV_HEADER = "c_tid,c_td,layer,mode,mean,std_error"
 
-# Realizations are processed in chunks of this many.  It bounds one chunk's
-# temporaries and changes no bit of a result: each realization's stream is its
-# own, and each level is reduced over its whole stack.
-_CHUNK = 8192
+# Realizations are processed in chunks of at most this many: a range of one
+# level, or whole levels packed together.  It bounds one chunk's temporaries
+# and changes no bit of a result: each realization's stream is its own, and
+# each level's rows are reduced over the whole level.
+_CHUNK = 2048
 # A stack is reduced in blocks of at most this many values: several whole
 # rows, or a segment of one.  It bounds the reduction's temporaries and
 # changes no bit, since every sum is exact until its last rounding; it must
@@ -318,9 +324,9 @@ def _layer_matrices(spec: MeshSpec) -> list[np.ndarray]:
             for t in range(1, spec.depth + 1)]
 
 
-def _sample_block(num_modes: int, depth: int, master_seed: int, level_index: int,
+def _sample_block(num_modes: int, depth: int, master_seed: int, level_index,
                   lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw uniform(-pi, pi) fields for realizations lo..hi-1, unscaled."""
+    """Raw uniform(-pi, pi) fields for realizations lo..hi-1 of one level or several, unscaled."""
     return draw_block(master_seed, level_index, lo, hi, num_modes, depth)
 
 
@@ -331,23 +337,37 @@ def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray,
             if t in read_layers}
 
 
-def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], level: DisorderSpec,
-                            master_seed: int, level_index: int, lo: int, hi: int,
+def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], levels, master_seed: int,
+                            level_indices, lo: int, hi: int,
                             stacks: dict[int, np.ndarray]) -> None:
-    """Fill columns lo..hi-1 of one level's ``stacks`` with those realizations' intensities.
+    """Fill columns lo..hi-1 of the levels' ``stacks`` with those realizations' intensities.
 
-    ``stacks`` maps each read layer to its (num_modes, n) stack; ``mats`` are
-    the walk's layer matrices, and each chunk's phase screens are its
-    disorder alone.  Realizations are processed in chunks of ``_CHUNK``
-    from ``lo``, each filling its own columns.
+    ``levels`` are the disorder levels at ``level_indices``, and ``stacks``
+    maps each read layer to their level-major (levels * num_modes, n) stack:
+    level j holds rows j*num_modes onwards.  ``mats`` are the walk's layer
+    matrices, and each chunk's phase screens are its disorder alone.  A
+    chunk holds at most ``_CHUNK`` realizations, the same columns of every
+    level: it is drawn, composed and propagated at once and fills its own
+    columns.
     """
-    m, depth, read_layers = spec.num_modes, spec.depth, tuple(stacks)
-    for a in range(lo, hi, _CHUNK):
-        b = min(a + _CHUNK, hi)
-        static, dynamic = _sample_block(m, depth, master_seed, level_index, a, b)
-        phases = compose_screens(level, static, dynamic)
-        for t, block in _propagate_block(spec, mats, phases, read_layers).items():
-            stacks[t][:, a:b] = block
+    m, depth, read_layers, k = spec.num_modes, spec.depth, tuple(stacks), len(levels)
+    strengths = [level.c_tid for level in levels], [level.c_td for level in levels]
+    step = max(1, _CHUNK // k)
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        static, dynamic = _sample_block(m, depth, master_seed, level_indices, a, b)
+        # Each realization takes its level's strengths; one level's stay
+        # scalars, which compose_screens scales by about 10% faster.
+        c_tid, c_td = (c[0] if k == 1 else np.repeat(c, b - a) for c in strengths)
+        phases = compose_screens(c_tid, c_td, static, dynamic)
+        # Drop each stage's input once it is used, so that the next stage's
+        # temporaries do not add to it: at 2048 realizations each is MBs.
+        del static, dynamic
+        blocks = _propagate_block(spec, mats, phases, read_layers)
+        del phases
+        for t, block in blocks.items():
+            for j in range(k):
+                stacks[t][j * m:(j + 1) * m, a:b] = block[:, j * (b - a):(j + 1) * (b - a)]
 
 
 def _bucket_terms(block: np.ndarray) -> np.ndarray | None:
@@ -429,52 +449,60 @@ def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The run in progress (see run_sweep): plan, layer matrices, the anonymous
-# shared mapping that holds the split levels' stacks back to back, those
-# levels in mapping order, and the resumed records.  Set before workers fork;
-# empty between runs.
+# shared mapping that holds the split levels' stacks back to back (``None``
+# when no level is split), the pending levels, and the resumed records.
+# Set before workers fork; empty between runs.
 _run: tuple = ()
 
 
-def _stacks(level_index: int) -> dict[int, np.ndarray]:
-    """One level's (num_modes, n) stack per read layer it still lacks.
+def _stacks(first: int, last: int) -> dict[int, np.ndarray]:
+    """The stacks of pending levels first..last-1, one per read layer they still lack.
 
-    A whole level's stacks are new.  A split level's are its part of the
-    shared mapping, which holds a slot for every read layer, so offsets do
-    not depend on what was resumed; a slot never written costs no memory.
+    The levels of a task lack the same read layers.  A stack is level-major,
+    (levels * num_modes, n), and new, unless the levels are split: then a
+    level's stacks are its part of the shared mapping, which holds a slot for
+    every read layer of every pending level, so offsets do not depend on what
+    was resumed; a slot never written costs no memory.
     """
-    plan, _, mapping, split, done = _run
-    layers, shape = plan.read_layers, (plan.spec.num_modes, plan.realizations_per_level)
-    lacking = [k for k, t in enumerate(layers) if (level_index, t) not in done]
-    if level_index not in split:
-        return {layers[k]: np.empty(shape) for k in lacking}
-    size = len(layers) * math.prod(shape)
-    stacks = np.frombuffer(mapping, float, size, split.index(level_index) * size * 8)
-    stacks = stacks.reshape(len(layers), *shape)
+    plan, _, mapping, pending, done = _run
+    layers, m, n = plan.read_layers, plan.spec.num_modes, plan.realizations_per_level
+    lacking = [k for k, t in enumerate(layers) if (pending[first], t) not in done]
+    if mapping is None:
+        return {layers[k]: np.empty(((last - first) * m, n)) for k in lacking}
+    size = len(layers) * m * n
+    stacks = np.frombuffer(mapping, float, size, first * size * 8).reshape(len(layers), m, n)
     return {layers[k]: stacks[k] for k in lacking}
 
 
-def _level_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]] | None]:
-    """Fill realizations lo..hi-1 of one level, and reduce the level if that is all of it.
+def _level_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
+    """Fill realizations lo..hi-1 of pending levels first..last-1, and reduce whole levels.
 
-    Only the read layers the level still lacks are filled and reduced
+    A task is a range of one level or a pack of several whole levels, which
+    lack the same read layers; only those are filled and reduced
     (:func:`_stacks`), so a partly resumed level recomputes none it holds.
-    A part of a split level returns ``None``: its read layers are reduced by
-    :func:`_reduce_task` once every part has filled its columns.
+    Each read layer of a pack is one stack and one :func:`_reduce`.  Returns
+    each level's index and its per-layer means and standard errors, in level
+    order.  A part of a split level returns none: its read layers are reduced
+    by :func:`_reduce_task` once every part has filled its columns.
     """
-    level_index, lo, hi = args
-    plan, mats = _run[:2]
-    stacks = _stacks(level_index)
-    _level_intensity_stacks(plan.spec, mats, plan.grid[level_index], plan.master_seed,
-                            level_index, lo, hi, stacks)
+    first, last, lo, hi = args
+    plan, mats, _, pending, _ = _run
+    indices = pending[first:last]
+    stacks = _stacks(first, last)
+    _level_intensity_stacks(plan.spec, mats, [plan.grid[i] for i in indices], plan.master_seed,
+                            indices, lo, hi, stacks)
     if hi - lo < plan.realizations_per_level:
-        return level_index, None
-    return level_index, {t: _reduce(stack) for t, stack in stacks.items()}
+        return []
+    reduced = {t: [np.split(x, len(indices)) for x in _reduce(stack)]
+               for t, stack in stacks.items()}
+    return [(idx, {t: (mean[j], se[j]) for t, (mean, se) in reduced.items()})
+            for j, idx in enumerate(indices)]
 
 
 def _reduce_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """Mean and standard error of one read layer of a split level whose parts are all filled."""
-    level_index, t = args
-    return level_index, {t: _reduce(_stacks(level_index)[t])}
+    """Mean and standard error of one read layer of a split pending level, every part filled."""
+    position, t = args
+    return _run[3][position], {t: _reduce(_stacks(position, position + 1)[t])}
 
 
 _PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
@@ -557,12 +585,16 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     than the cores.  With fewer levels to run than that, each level is cut
     into contiguous realization ranges of at least ``_CHUNK``: forked workers
     fill their ranges into one anonymous shared mapping, then reduce its
-    read layers, each a whole row in realization order.  The outcome does not
-    depend on the worker count, and the levels' records arrive in level
-    order either way.  The run is module state (``_run``), set before any
-    worker forks, so workers inherit it and a task is a few indices; with
-    one worker the same tasks go through the same loop in this process.  A
-    process runs one sweep at a time.  With ``out_path`` set,
+    read layers, each a whole row in realization order.  Otherwise levels of
+    at most half a chunk run in packs: a task takes up to ``_CHUNK // n``
+    consecutive pending levels that lack the same read layers, leaving at
+    least four tasks per worker, and draws, propagates and reduces each read
+    layer of the pack as one level-major stack.  The outcome does not depend
+    on the worker count or the packing, and the levels' records arrive in
+    level order either way.  The run is module state (``_run``), set before
+    any worker forks, so workers inherit it and a task is a few indices;
+    with one worker the same tasks go through the same loop in this process.
+    A process runs one sweep at a time.  With ``out_path`` set,
     ``<out_path>.ckpt`` is opened once and locked (:func:`_resume`): a
     checkpoint of this plan is resumed, computing only the records it lacks,
     any other file there is replaced, and each finished record is appended
@@ -592,18 +624,29 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
             io_errors.append(f"checkpoint open failed: {exc}")
     appending = ckpt is not None
     records = dict(done)
-    pending = [idx for idx in range(len(plan.grid))
-               if any((idx, t) not in done for t in plan.read_layers)]
+    pending = tuple(idx for idx in range(len(plan.grid))
+                    if any((idx, t) not in done for t in plan.read_layers))
 
     # Fewer levels to run than usable workers: cut each level into enough
-    # equal ranges to occupy them all, each of at least a chunk.  Never more
-    # processes than tasks: a pool forks all its workers at the first submit.
+    # equal ranges to occupy them all, each of at least a chunk.  Otherwise
+    # a task packs whole levels that lack the same read layers, at most a
+    # chunk's worth and few enough to leave at least four tasks per worker.
+    # A split level holds two chunks or more, a packed one half a chunk or
+    # less, so no task is both.  Never more processes than tasks: a pool
+    # forks all its workers at the first submit.
     cores = os.cpu_count() or 1
     usable = min(workers if workers is not None else cores, cores)
     n = plan.realizations_per_level
     parts = max(1, min(-(-usable // max(len(pending), 1)), n // _CHUNK))
-    tasks = [(idx, n * k // parts, n * (k + 1) // parts) for idx in pending for k in range(parts)]
-    split = tuple(pending) if parts > 1 else ()
+    pack = max(1, min(_CHUNK // n, -(-len(pending) // (4 * usable))))
+    split = parts > 1
+    tasks, first = [], 0
+    for _, group in itertools.groupby(pending, lambda idx: [(idx, t) in done
+                                                            for t in plan.read_layers]):
+        last = first + len(list(group))
+        tasks += [(p, min(p + pack, last), n * k // parts, n * (k + 1) // parts)
+                  for p in range(first, last, pack) for k in range(parts)]
+        first = last
     nworkers = min(usable, len(tasks))
     try:
         # The split levels' stacks are one anonymous shared mapping, made
@@ -611,20 +654,20 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
         # it.  Workers are forked from this process whatever the default
         # start method ('forkserver' from Python 3.14 on Linux): they inherit
         # the run, and _init_worker ties each to it.
-        size = 8 * len(split) * len(plan.read_layers) * plan.spec.num_modes * n
+        size = 8 * len(pending) * len(plan.read_layers) * plan.spec.num_modes * n if split else 0
         if size > sys.maxsize:  # beyond any address space; mmap would raise OverflowError
             raise MemoryError(f"Unable to allocate {size} bytes of intensity stacks")
         with (mmap.mmap(-1, size) if split else contextlib.nullcontext()) as mapping:
-            _run = (plan, mats, mapping, split, done)
+            _run = (plan, mats, mapping, pending, done)
             with (ProcessPoolExecutor(max_workers=nworkers,
                                       mp_context=multiprocessing.get_context("fork"),
                                       initializer=_init_worker, initargs=(os.getpid(), ckpt))
                   if nworkers > 1 else contextlib.nullcontext()) as pool:
                 dispatch = map if pool is None else pool.map
-                results = dispatch(_level_task, tasks)
+                results = itertools.chain.from_iterable(dispatch(_level_task, tasks))
                 if split:  # every part is filled before any layer is reduced
                     list(results)
-                    results = dispatch(_reduce_task, [(idx, t) for idx in split
+                    results = dispatch(_reduce_task, [(p, t) for p, idx in enumerate(pending)
                                                       for t in plan.read_layers
                                                       if (idx, t) not in done])
                 for idx, per_layer in results:

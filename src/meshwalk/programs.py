@@ -12,10 +12,10 @@ Every realization is a pure function of ``(master_seed, level_index,
 realization_index)``: the stream is a PCG64 generator keyed by that triple
 through ``numpy.random.SeedSequence``, so realizations can be resampled
 bit-for-bit in any order, from any worker.  :func:`draw_block` rebuilds a
-whole chunk of those streams at once: it runs SeedSequence's pool hash and
-PCG64's seeding across the chunk (NEP 19; O'Neill 2014), then draws each
-realization through one reused PCG64, with no per-realization
-``SeedSequence`` or generator.
+whole chunk of those streams at once, of one level or of several: it runs
+SeedSequence's pool hash and PCG64's seeding across the chunk (NEP 19;
+O'Neill 2014), then draws each realization through one reused PCG64, with
+no per-realization ``SeedSequence`` or generator.
 
 The disorder model is stated once: :func:`draw_block` is the stream layout,
 and :func:`compose_screens` the scaling, sign and wrapping that turn a
@@ -122,8 +122,8 @@ def _mix(x, y):
 def _pcg64_seeds(entropy: list) -> tuple[list[int], list[int]]:
     """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence(entropy))``, per realization.
 
-    ``entropy`` is the assembled word list: shared words as ints, the
-    realization index's words as uint32 arrays.  The pool hash and
+    ``entropy`` is the assembled word list: shared words as ints, the level
+    and realization indices' words as uint32 arrays.  The pool hash and
     ``generate_state(4, uint64)`` run across the arrays in numpy;
     ``pcg64_set_seed`` (two 128-bit LCG steps) runs on Python integers.
     """
@@ -146,53 +146,60 @@ def _pcg64_seeds(entropy: list) -> tuple[list[int], list[int]]:
     return (((inc + seed) * _PCG_MULT + inc) & _MASK128).tolist(), inc.tolist()
 
 
-def draw_block(master_seed: int, level_index: int, lo: int, hi: int, num_modes: int,
+def draw_block(master_seed: int, level_index, lo: int, hi: int, num_modes: int,
                depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled uniform(-pi, pi) fields of realizations lo..hi-1: the stream layout.
 
-    Realization ``r`` reads the stream of ``GENERATOR_IDENTITY``: ``num_modes``
-    static draws, then ``num_modes * depth`` dynamic draws in (mode, layer)
-    row-major order, as one uniform call.  Returns the static
-    (hi-lo, num_modes) and dynamic (hi-lo, num_modes, depth) fields, views
-    of one buffer.
+    ``level_index`` is one level or a sequence of levels; the rows are
+    level-major, each level's realizations lo..hi-1 in turn.  Realization
+    ``r`` of level ``i`` reads the stream of ``GENERATOR_IDENTITY``:
+    ``num_modes`` static draws, then ``num_modes * depth`` dynamic draws in
+    (mode, layer) row-major order, as one uniform call.  Returns the static
+    (rows, num_modes) and dynamic (rows, num_modes, depth) fields, views of
+    one buffer.
 
-    The streams are seeded for the whole block at once (:func:`_pcg64_seeds`)
-    and drawn through one reused PCG64; ``low + (high - low) * u`` is then
-    applied over the block, so every value equals the per-realization
-    ``uniform`` bit for bit.
+    The streams are seeded for the whole block at once (:func:`_pcg64_seeds`),
+    the level and realization indices each a word per row, and drawn through
+    one reused PCG64; ``low + (high - low) * u`` is then applied over the
+    block, so every value equals the per-realization ``uniform`` bit for bit.
     """
+    levels = [level_index] if np.ndim(level_index) == 0 else list(level_index)
     if not 0 <= lo <= hi <= 1 << 64:
         raise ValueError(f"realization range [{lo}, {hi}) not within [0, 2**64)")
-    shared = _words(int(master_seed)) + _words(int(level_index))
-    buf = np.empty((hi - lo, num_modes * (depth + 1)))
+    if not all(0 <= level < 1 << 64 for level in levels):
+        raise ValueError(f"level indices {levels} not within [0, 2**64)")
+    index = (np.repeat(np.array(levels, dtype=np.uint64), hi - lo),
+             np.tile(np.arange(lo, hi, dtype=np.uint64), len(levels)))
+    shared = _words(int(master_seed))
+    buf = np.empty((len(index[0]), num_modes * (depth + 1)))
     bits = np.random.PCG64()
     random = np.random.Generator(bits).random
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    start = lo
-    while start < hi:
-        # The realization index gains a word at each power of 2**32, which
-        # moves the hash's word positions: such a chunk is seeded in parts.
-        words = len(_words(start))
-        stop = min(hi, 1 << (32 * words))
-        r = np.arange(start, stop, dtype=np.uint64)
-        entropy = shared + [(r >> (32 * k) & _MASK32).astype(np.uint32) for k in range(words)]
-        for s, inc, row in zip(*_pcg64_seeds(entropy), buf[start - lo:stop - lo]):
+    # An index gains a word at 2**32, which moves the hash's word positions:
+    # rows are seeded in parts of equal word counts.
+    words = [1 + (i > _MASK32) for i in index]
+    parts = 2 * words[0] + words[1]
+    # Not np.unique, which raised the peak RSS of deep --n 2000 by 1.4 MB.
+    for part in sorted(set(parts.tolist())):
+        rows = np.flatnonzero(parts == part)
+        entropy = shared + [(i[rows] >> (32 * k) & _MASK32).astype(np.uint32)
+                            for i, w in zip(index, words) for k in range(w[rows[0]])]
+        for s, inc, row in zip(*_pcg64_seeds(entropy), rows.tolist()):
             state["state"] = {"state": s, "inc": inc}
             bits.state = state
-            random(out=row)
-        start = stop
+            random(out=buf[row])
     buf *= 2.0 * np.pi
     buf += -np.pi
-    return buf[:, :num_modes], buf[:, num_modes:].reshape(hi - lo, num_modes, depth)
+    return buf[:, :num_modes], buf[:, num_modes:].reshape(len(buf), num_modes, depth)
 
 
-def compose_screens(level: DisorderSpec, static: np.ndarray,
-                    dynamic: np.ndarray) -> np.ndarray:
+def compose_screens(c_tid, c_td, static: np.ndarray, dynamic: np.ndarray) -> np.ndarray:
     """The phases of one chunk's drawn fields, in the kernel's layout: the disorder model.
 
     ``static`` (count, num_modes) and ``dynamic`` (count, num_modes, depth)
     are drawn fields (:func:`draw_block`), one row per realization, scaled
-    here by the level's c_tid and c_td.  They add on each waveguide; their
+    here by the strengths ``c_tid`` and ``c_td``: scalars, or (count,) arrays
+    that give each realization its level's.  They add on each waveguide; their
     wrapped sum enters with the :func:`mode_signs` sign, and the signed sum is
     wrapped again into (-pi, pi].  Every element takes the float steps of
     ``wrap(sign * wrap(c_tid * static + c_td * dynamic))`` in that order, in
@@ -202,13 +209,14 @@ def compose_screens(level: DisorderSpec, static: np.ndarray,
         raise ValueError(f"static field {static.shape} does not match dynamic field "
                          f"{dynamic.shape}: expected (count, m) and (count, m, depth)")
     count, m, depth = dynamic.shape
+    c_tid, c_td = (np.broadcast_to(c, (count,)) for c in (c_tid, c_td))
     total = np.empty((depth, m, count))
     # The transposing read goes a block of realizations at a time, so the
     # rows it reads stay cached while every (layer, mode) column is written.
     for lo in range(0, count, _TRANSPOSE_BLOCK):
         hi = lo + _TRANSPOSE_BLOCK
-        np.multiply(dynamic[lo:hi].T, level.c_td, out=total[:, :, lo:hi])
-    total += (level.c_tid * static).T
+        np.multiply(dynamic[lo:hi].T, c_td[lo:hi], out=total[:, :, lo:hi])
+    total += (c_tid[:, None] * static).T
     wrap_angle(total, out=total)
     total *= mode_signs(m)[:, None]
     return wrap_angle(total, out=total)

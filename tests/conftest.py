@@ -36,11 +36,19 @@ def qw_program(spec14):
 
 @pytest.fixture
 def level_tasks(monkeypatch) -> list[int]:
-    """Indices of the levels run, in order, by runs with one worker."""
+    """Indices of the levels run, in order, by runs with one worker.
+
+    A task may run a pack of several levels: each level it returns counts.
+    """
     levels = []
     task = ensemble._level_task
-    monkeypatch.setattr(ensemble, "_level_task",
-                        lambda args: levels.append(args[0]) or task(args))
+
+    def recording(args):
+        done = task(args)
+        levels.extend(idx for idx, _ in done)
+        return done
+
+    monkeypatch.setattr(ensemble, "_level_task", recording)
     return levels
 
 

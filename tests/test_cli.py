@@ -44,6 +44,18 @@ def test_walk_writes_deterministic_outputs(outdir):
     assert b"c_tid,c_td,layer,mode,mean,std_error" in first_csv
 
 
+def test_walk_of_a_few_chunks_splits_to_the_serial_bytes(outdir, monkeypatch):
+    # A lone level of at least two chunks is split across two workers even
+    # at a few thousand realizations; the files are the serial run's, byte
+    # for byte, checkpoint included.
+    assert 5000 // ensemble._CHUNK >= 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+    for workers in ("1", "2"):
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(outdir / workers))
+        assert main(["walk", "--n", "5000", "--workers", workers, "--out", "w.json"]) == 0
+    assert files(outdir / "2") == files(outdir / "1")
+
+
 def test_walk_ballistic_peaks(outdir, capsys):
     assert main(["walk", "--n", "3", "--out", "bal.json", "--workers", "1"]) == 0
     doc = json.loads((outdir / "bal.json").read_text())

@@ -39,7 +39,7 @@ from oracles import fsum_reduce, full_unitary, galton_distribution
 def level_stacks(spec, mats, level, n, master_seed, level_index, read_layers):
     """One level's (num_modes, n) intensity stack per read layer, filled in one range."""
     stacks = {t: np.empty((spec.num_modes, n)) for t in read_layers}
-    _level_intensity_stacks(spec, mats, level, master_seed, level_index, 0, n, stacks)
+    _level_intensity_stacks(spec, mats, (level,), master_seed, (level_index,), 0, n, stacks)
     return stacks
 
 
@@ -103,8 +103,8 @@ class TestConeKernel:
             for settings, _ in self.programs(spec, rng):
                 stacks = {t: np.empty((spec.num_modes, n)) for t in layers}
                 for lo, hi in ((0, 120), (120, n)):  # ranges fill their own columns
-                    _level_intensity_stacks(spec, cell_matrices(settings), level, 17, 2, lo, hi,
-                                            stacks)
+                    _level_intensity_stacks(spec, cell_matrices(settings), (level,), 17, (2,),
+                                            lo, hi, stacks)
                 expected = full_array_stacks(spec, settings, screens, layers)
                 for t in layers:
                     assert np.array_equal(bits(stacks[t]), bits(expected[t])), (spec, t)
@@ -127,7 +127,7 @@ class TestConeKernel:
         static, dynamic = _sample_block(14, 7, 4, 0, 0, 600)
         drawn = static.copy(), dynamic.copy()
         level = DisorderSpec(0.3, 0.9)
-        total = compose_screens(level, static, dynamic)
+        total = compose_screens(level.c_tid, level.c_td, static, dynamic)
         assert total.shape == (7, 14, 600)
         assert total.flags.c_contiguous
         expected = full_array_screens(level, *drawn)
@@ -141,7 +141,7 @@ def test_propagate_rejects_realization_major_phases(spec14):
     # The kernel reads (depth, num_modes, walkers); a (walkers, num_modes,
     # depth) array would otherwise run as depth walkers of garbage phases.
     static, dynamic = _sample_block(14, 7, 1, 0, 0, 5)
-    phases = compose_screens(DisorderSpec(0.5, 0.5), static, dynamic)
+    phases = compose_screens(0.5, 0.5, static, dynamic)
     mats = _layer_matrices(spec14)
     with pytest.raises(ValueError, match="phases shaped"):
         _propagate_block(spec14, mats, phases.transpose(2, 1, 0), (7,))
@@ -151,7 +151,7 @@ def test_propagate_rejects_realization_major_phases(spec14):
 def test_evolve_checks_phases_when_called(spec14):
     # The shape error comes from the call itself, before any layer is asked for.
     static, dynamic = _sample_block(14, 7, 1, 0, 0, 5)
-    phases = compose_screens(DisorderSpec(0.5, 0.5), static, dynamic)
+    phases = compose_screens(0.5, 0.5, static, dynamic)
     with pytest.raises(ValueError, match=r"phases shaped \(5, 14, 7\)"):
         evolve(spec14, _layer_matrices(spec14), phases.transpose(2, 1, 0), 7)
 
@@ -360,7 +360,8 @@ class TestRunSweep:
 
     def test_chunk_size_invariance(self, monkeypatch):
         # The chunk bounds one block's temporaries and moves no bit: chunks
-        # that split a level unevenly write the same document.
+        # that split a level unevenly, or pack levels unevenly, write the
+        # same document.
         level = DisorderSpec(0.842, 0.5)
         plans = (SweepPlan(MeshSpec(14, 7), (level,), 1000, 11, read_layers=range(1, 8)),
                  SweepPlan(MeshSpec(30, 15), (level,), 1000, 11))
@@ -369,6 +370,26 @@ class TestRunSweep:
             monkeypatch.setattr(ensemble, "_CHUNK", chunk)
             for plan, document in zip(plans, expected):
                 assert json.dumps(run_sweep(plan, workers=1).to_document()) == document, chunk
+        # Levels of at most half a chunk run in packs of whole levels, one
+        # stack and one reduce per read layer of a pack.  21 levels of 37
+        # realizations go 6 to a pack at the default chunk, the last pack
+        # holding 3; each chunk below packs them otherwise, unevenly unless
+        # one to a pack, and every packing writes the same document.
+        plan = SweepPlan(MeshSpec(14, 7), tuple(make_grid(7, 3)), 37, 11, read_layers=(3, 7))
+        document = json.dumps(run_sweep(plan, workers=1).to_document())
+        reduce, stacks = ensemble._reduce, []
+        monkeypatch.setattr(ensemble, "_reduce",
+                            lambda stack: stacks.append(stack.shape) or reduce(stack))
+        # (chunk, levels in the first pack, reduces per read layer); a chunk
+        # of 7 also cuts each level into 6 chunks.
+        for chunk, pack, reduces in ((7, 1, 21), (64, 1, 21), (100, 2, 11), (150, 4, 6),
+                                     (200, 5, 5)):
+            monkeypatch.setattr(ensemble, "_CHUNK", chunk)
+            stacks.clear()
+            assert json.dumps(run_sweep(plan, workers=1).to_document()) == document, chunk
+            assert len(stacks) == 2 * reduces, chunk
+            assert stacks[0] == (pack * 14, 37), chunk
+            assert sum(rows for rows, _ in stacks) == 2 * 21 * 14, chunk
 
     def test_block_size_invariance(self, monkeypatch):
         # The reduction's block bounds its temporaries and moves no bit:
@@ -418,8 +439,9 @@ class TestRunSweep:
         return sizes
 
     def test_tasks_carry_only_indices(self, spec14, monkeypatch, pool_sizes, pool_tasks):
-        # Workers inherit the run, so a task names a level and a realization
-        # range, or a level and a read layer, and nothing else.
+        # Workers inherit the run, so a task names a range of pending levels
+        # and a realization range, or a pending level and a read layer, and
+        # nothing else.
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(ensemble, "_CHUNK", 16)
         run_sweep(SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5), workers=4)
@@ -650,6 +672,27 @@ class TestRunSweep:
         assert cut.read_bytes() == fresh.read_bytes()
         assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
 
+    def test_resume_inside_a_pack(self, spec14, tmp_path, monkeypatch, level_tasks):
+        # A checkpoint cut inside a pack of 3 levels, with level 4 holding 1
+        # of its 3 read layers: the rerun runs levels 4..8 only, packs level
+        # 4 apart from the levels that lack every layer, reduces no layer it
+        # holds, and writes a fresh run's document and checkpoint.
+        plan = SweepPlan(spec14, tuple(make_grid(3, 3)), 20, 6, read_layers=(2, 5, 7))
+        fresh, cut = tmp_path / "fresh.json", tmp_path / "cut.json"
+        run_sweep(plan, out_path=str(fresh), workers=1)
+        fresh_ckpt = (tmp_path / "fresh.json.ckpt").read_text()
+        (tmp_path / "cut.json.ckpt").write_text(
+            "".join(fresh_ckpt.splitlines(keepends=True)[:1 + 4 * 3 + 1]))
+        reduce, stacks = ensemble._reduce, []
+        monkeypatch.setattr(ensemble, "_reduce",
+                            lambda stack: stacks.append(stack.shape) or reduce(stack))
+        level_tasks.clear()
+        run_sweep(plan, out_path=str(cut), workers=1)
+        assert level_tasks == [4, 5, 6, 7, 8]
+        assert stacks == [(14, 20)] * 2 + [(28, 20)] * 6
+        assert cut.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resumed_level_fills_and_reduces_only_missing_layers(self, spec14, tmp_path,
                                                                  monkeypatch, pool_sizes,
@@ -842,7 +885,7 @@ class TestThroughput:
         static, dynamic = _sample_block(30, 15, 1, 0, 0, n)
 
         def screens_and_propagate(count):
-            total = compose_screens(level, static[:count], dynamic[:count])
+            total = compose_screens(level.c_tid, level.c_td, static[:count], dynamic[:count])
             _propagate_block(spec, mats, total, (15,))
 
         screens_and_propagate(100)  # warm up

@@ -14,7 +14,7 @@ from meshwalk import (
 )
 from meshwalk.ensemble import _layer_matrices
 from meshwalk.programs import compose_screens, draw_block
-from conftest import propagate, walk_program
+from conftest import bits, propagate, walk_program
 from oracles import BAR, build_tomography_program, ks_uniform_statistic
 
 
@@ -26,7 +26,8 @@ def one_realization(seed, level_index, r, num_modes=14, depth=7):
 
 def disordered(program, level, static, dynamic):
     """The program's cells with one realization's disorder as their screens."""
-    phases = compose_screens(level, static[None], dynamic[None])  # a batch of one
+    # A batch of one.
+    phases = compose_screens(level.c_tid, level.c_td, static[None], dynamic[None])
     return program[0], phases[:, :, 0].T
 
 
@@ -83,8 +84,10 @@ class TestSampleRealization:
         # Each field alone.
         static, dynamic = draw_block(9, 0, 0, 1, 14, 7)  # realization 0, a batch of one
         full, half = DisorderSpec(1.0, 1.0), DisorderSpec(0.5, 0.25)
-        s_full, s_half = (compose_screens(l, static, 0 * dynamic) for l in (full, half))
-        d_full, d_half = (compose_screens(l, 0 * static, dynamic) for l in (full, half))
+        s_full, s_half = (compose_screens(l.c_tid, l.c_td, static, 0 * dynamic)
+                          for l in (full, half))
+        d_full, d_half = (compose_screens(l.c_tid, l.c_td, 0 * static, dynamic)
+                          for l in (full, half))
         assert np.abs(s_half - 0.5 * s_full).max() < 1e-15
         assert np.abs(d_half - 0.25 * d_full).max() < 1e-15
 
@@ -129,10 +132,35 @@ class TestDrawBlock:
         for seed in (0, 10**30):
             self.assert_block_matches(seed, 5, 2**32 - 3, 2**32 + 3, 14, 7)
 
+    def test_levels_seeded_together_are_each_levels_block(self):
+        # A sequence of levels is seeded in one pass, the level index a word
+        # per row: its rows are each level's own block in turn, bit for bit,
+        # and each row is its generator's stream.  The level index gains a
+        # SeedSequence word at 2**32, as the realization index does.
+        levels = (0, 7, 2**32 - 1, 2**32, 2**33 + 5)
+        for seed in (0, 10**30):
+            for lo, hi in ((0, 3), (2**32 - 2, 2**32 + 1)):
+                static, dynamic = draw_block(seed, levels, lo, hi, 14, 7)
+                count = hi - lo
+                assert static.shape == (len(levels) * count, 14)
+                assert dynamic.shape == (len(levels) * count, 14, 7)
+                for j, level in enumerate(levels):
+                    rows = slice(j * count, (j + 1) * count)
+                    alone = draw_block(seed, level, lo, hi, 14, 7)
+                    assert np.array_equal(bits(static[rows]), bits(alone[0])), (seed, level)
+                    assert np.array_equal(bits(dynamic[rows]), bits(alone[1])), (seed, level)
+                    for i, r in enumerate(range(lo, hi)):
+                        want_static, want_dynamic = generator_fields(seed, level, r, 14, 7)
+                        assert np.array_equal(static[rows][i], want_static), (seed, level, r)
+                        assert np.array_equal(dynamic[rows][i], want_dynamic), (seed, level, r)
+
     def test_empty_and_invalid_ranges(self):
         static, dynamic = draw_block(1, 0, 4, 4, 14, 7)
         assert static.shape == (0, 14) and dynamic.shape == (0, 14, 7)
-        for args in ((-1, 0, 0, 1), (1, -1, 0, 1), (1, 0, -1, 1), (1, 0, 3, 2)):
+        static, dynamic = draw_block(1, (), 0, 4, 14, 7)
+        assert static.shape == (0, 14) and dynamic.shape == (0, 14, 7)
+        for args in ((-1, 0, 0, 1), (1, -1, 0, 1), (1, 0, -1, 1), (1, 0, 3, 2),
+                     (1, (3, -1), 0, 1), (1, (2**64,), 0, 1)):
             with pytest.raises(ValueError):
                 draw_block(*args, 14, 7)
 
@@ -168,7 +196,7 @@ class TestApplyDisorder:
                                 (np.zeros((14, 7)), np.zeros((14, 7))),
                                 (np.zeros(14), np.zeros((14, 7)))):
             with pytest.raises(ValueError, match="does not match"):
-                compose_screens(level, static, dynamic)
+                compose_screens(level.c_tid, level.c_td, static, dynamic)
 
     def test_mirrored_realization_mirrors_output(self, spec14, qw_program):
         # Reflecting the *applied* phase field about the cone axis reflects

@@ -29,8 +29,10 @@ def test_every_trace_target_resolves():
         assert callable(owner), f"{module_name}.{path}"
 
 
-# Installs the tracer, runs a tiny walk and slice in-process, and prints the
-# span names recorded, the targets' span names and the absent targets.
+# Installs the tracer, runs a tiny walk, slice and sweep in-process, and
+# prints the span names recorded, those of the sweep alone, the targets'
+# span names and the absent targets.  The sweep's 9 levels of 5 run in packs
+# of whole levels, which the walk and slice never do.
 TRACED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
@@ -39,9 +41,12 @@ spec.loader.exec_module(tracing)
 import meshwalk.cli
 recorder = tracing.Recorder()
 tracing.install(recorder)
-for args in (["walk", "--n", "3"], ["slice", "--points", "3", "--n", "2"]):
+for args in (["walk", "--n", "3"], ["slice", "--points", "3", "--n", "2"],
+             ["sweep", "--grid", "3x3", "--n", "5"]):
+    first = len(recorder.spans)
     assert meshwalk.cli.main(args + ["--workers", "1"]) == 0
 print(json.dumps({"called": sorted({span[0] for span in recorder.spans}),
+                  "packed": sorted({span[0] for span in recorder.spans[first:]}),
                   "targets": sorted(name for _, _, name in tracing.TARGETS),
                   "absent": recorder.absent}))
 """
@@ -54,3 +59,5 @@ def test_every_trace_target_is_called(tmp_path):
     seen = json.loads(run.stdout.splitlines()[-1])
     assert seen["absent"] == []
     assert set(seen["targets"]) <= set(seen["called"]), seen
+    # A sweep reads no ENAQT report; every other target runs on the packed path.
+    assert set(seen["targets"]) - set(seen["packed"]) == {"detect_enaqt"}, seen
