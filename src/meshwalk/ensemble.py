@@ -356,18 +356,15 @@ def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], levels, mast
     for a in range(lo, hi, step):
         b = min(a + step, hi)
         static, dynamic = _sample_block(m, depth, master_seed, level_indices, a, b)
-        # Each realization takes its level's strengths; one level's stay
-        # scalars, which compose_screens scales by about 10% faster.
-        c_tid, c_td = (c[0] if k == 1 else np.repeat(c, b - a) for c in strengths)
-        phases = compose_screens(c_tid, c_td, static, dynamic)
+        # Each realization takes its level's strengths.
+        phases = compose_screens(*(np.repeat(c, b - a) for c in strengths), static, dynamic)
         # Drop each stage's input once it is used, so that the next stage's
         # temporaries do not add to it: at 2048 realizations each is MBs.
         del static, dynamic
         blocks = _propagate_block(spec, mats, phases, read_layers)
         del phases
-        for t, block in blocks.items():
-            for j in range(k):
-                stacks[t][j * m:(j + 1) * m, a:b] = block[:, j * (b - a):(j + 1) * (b - a)]
+        for t, block in blocks.items():  # every stack is C-contiguous, so reshape is a view
+            stacks[t].reshape(k, m, -1)[:, :, a:b] = block.reshape(m, k, b - a).transpose(1, 0, 2)
 
 
 def _bucket_terms(block: np.ndarray) -> np.ndarray | None:
@@ -583,7 +580,7 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
 
     ``workers`` > 1 runs levels in at most that many processes, never more
     than the cores.  With fewer levels to run than that, each level is cut
-    into contiguous realization ranges of at least ``_CHUNK``: forked workers
+    into contiguous realization ranges of at least four chunks: forked workers
     fill their ranges into one anonymous shared mapping, then reduce its
     read layers, each a whole row in realization order.  Otherwise levels of
     at most half a chunk run in packs: a task takes up to ``_CHUNK // n``
@@ -628,16 +625,17 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
                     if any((idx, t) not in done for t in plan.read_layers))
 
     # Fewer levels to run than usable workers: cut each level into enough
-    # equal ranges to occupy them all, each of at least a chunk.  Otherwise
-    # a task packs whole levels that lack the same read layers, at most a
-    # chunk's worth and few enough to leave at least four tasks per worker.
-    # A split level holds two chunks or more, a packed one half a chunk or
-    # less, so no task is both.  Never more processes than tasks: a pool
-    # forks all its workers at the first submit.
+    # equal ranges to occupy them all, each of at least four chunks, since a
+    # smaller level's fill saves less than the pool and the reduce round cost.
+    # Otherwise a task packs whole levels that lack the same read layers, at
+    # most a chunk's worth and few enough to leave at least four tasks per
+    # worker.  A split level holds eight chunks or more, a packed one half a
+    # chunk or less, so no task is both.  Never more processes than tasks: a
+    # pool forks all its workers at the first submit.
     cores = os.cpu_count() or 1
     usable = min(workers if workers is not None else cores, cores)
     n = plan.realizations_per_level
-    parts = max(1, min(-(-usable // max(len(pending), 1)), n // _CHUNK))
+    parts = max(1, min(-(-usable // len(pending)), n // (4 * _CHUNK))) if pending else 1
     pack = max(1, min(_CHUNK // n, -(-len(pending) // (4 * usable))))
     split = parts > 1
     tasks, first = [], 0

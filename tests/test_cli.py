@@ -44,15 +44,19 @@ def test_walk_writes_deterministic_outputs(outdir):
     assert b"c_tid,c_td,layer,mode,mean,std_error" in first_csv
 
 
-def test_walk_of_a_few_chunks_splits_to_the_serial_bytes(outdir, monkeypatch):
-    # A lone level of at least two chunks is split across two workers even
-    # at a few thousand realizations; the files are the serial run's, byte
-    # for byte, checkpoint included.
-    assert 5000 // ensemble._CHUNK >= 2
+def test_rerun_of_a_finished_split_walk_writes_its_bytes(outdir, monkeypatch):
+    # A lone level of eight chunks or more is split across two workers; the
+    # files are the serial run's, byte for byte, checkpoint included.  A
+    # rerun finds every record in the checkpoint, so nothing is split or
+    # mapped, and it writes the same files again.
+    monkeypatch.setattr(ensemble, "_CHUNK", 512)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+    argv = ["walk", "--n", "5000", "--out", "w.json", "--workers"]
     for workers in ("1", "2"):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(outdir / workers))
-        assert main(["walk", "--n", "5000", "--workers", workers, "--out", "w.json"]) == 0
+        assert main(argv + [workers]) == 0
+    assert files(outdir / "2") == files(outdir / "1")
+    assert main(argv + ["2"]) == 0
     assert files(outdir / "2") == files(outdir / "1")
 
 

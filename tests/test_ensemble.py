@@ -344,7 +344,7 @@ class TestRunSweep:
                   "from meshwalk import MeshSpec, SweepPlan, ensemble, make_grid, run_sweep\n"
                   "plan = SweepPlan(MeshSpec(14, 7), tuple(make_grid(2, 2)), 50, 424242)\n"
                   "run_sweep(plan, out_path=sys.argv[1], workers=2)\n"
-                  "ensemble._CHUNK = 16\n"
+                  "ensemble._CHUNK = 4\n"
                   "level = SweepPlan(MeshSpec(14, 7), plan.grid[1:2], 50, 424242, (3, 7))\n"
                   "run_sweep(level, out_path=sys.argv[2], workers=2)\n")
         pooled, split = tmp_path / "pooled.json", tmp_path / "split.json"
@@ -443,7 +443,7 @@ class TestRunSweep:
         # and a realization range, or a pending level and a read layer, and
         # nothing else.
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        monkeypatch.setattr(ensemble, "_CHUNK", 4)
         run_sweep(SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5), workers=4)
         run_sweep(SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 3 * 16, 5,
                             read_layers=(2, 7)), workers=4)
@@ -473,10 +473,10 @@ class TestRunSweep:
 
     def test_pool_splits_a_lone_level_into_chunks(self, spec14, tmp_path, monkeypatch,
                                                   pool_sizes):
-        # A lone level takes one worker per chunk, up to the cores; a level
-        # smaller than two chunks is not split and starts no pool.
+        # A lone level takes one worker per four chunks, up to the cores; a
+        # level smaller than eight chunks is not split and starts no pool.
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 3 * 16, 5,
                          read_layers=(2, 5, 7))
         serial = run_sweep(plan, out_path=str(tmp_path / "serial.json"), workers=1)
@@ -499,7 +499,7 @@ class TestRunSweep:
         # Levels of several chunks, split across forked workers that fill one
         # shared mapping, write the serial run's document and checkpoint.
         monkeypatch.setattr(os, "cpu_count", lambda: workers)  # a pool even on one core
-        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, grid, 100, 12, read_layers=read_layers)
         for name, count in (("serial", 1), ("split", workers)):
             run_sweep(plan, out_path=str(tmp_path / f"{name}.json"), workers=count)
@@ -511,7 +511,7 @@ class TestRunSweep:
         # A checkpoint that holds 3 of a split level's 7 read layers: the
         # rerun splits the level again and appends only the missing layers.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
                          read_layers=tuple(range(1, 8)))
         fresh, cut = tmp_path / "fresh.json", tmp_path / "cut.json"
@@ -528,7 +528,7 @@ class TestRunSweep:
         # A checkpoint that holds 3 of a split level's 7 read layers: only
         # the 4 missing layers are reduced, and the files are a fresh run's.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
                          read_layers=tuple(range(1, 8)))
         fresh, cut = tmp_path / "fresh.json", tmp_path / "cut.json"
@@ -701,7 +701,7 @@ class TestRunSweep:
         # the level whole (1 worker) or split (2): only the 4 missing layers
         # are filled and reduced, and the files are a fresh run's.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
                          read_layers=tuple(range(1, 8)))
         fresh, cut = tmp_path / "fresh.json", tmp_path / "cut.json"
