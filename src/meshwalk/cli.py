@@ -19,7 +19,6 @@ import argparse
 import errno
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -46,6 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _out_path(name: str, out: str | None, *siblings: str) -> str:
     path = os.path.join(os.environ.get(OUT_DIR_ENV, "."), out or name)  # keeps an absolute out
+    # A last component of "", "." or ".." names a directory, existing or not.
+    if os.path.basename(path) in ("", os.curdir, os.pardir):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     for written in (path, *(path + s for s in siblings)):
         if os.path.isdir(written):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), written)
@@ -340,7 +342,9 @@ def main(argv=None) -> int:
     except DegenerateDistributionError as exc:
         print(f"degenerate analysis input: {exc}", file=sys.stderr)
         return 3
-    except (OSError, MemoryError, BrokenExecutor, ValueError) as exc:  # ValueError: bad JSON too
+    # RuntimeError: a broken worker pool (BrokenExecutor), or a PCG64 whose
+    # state draw_block cannot load; ValueError: bad JSON too.
+    except (OSError, MemoryError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

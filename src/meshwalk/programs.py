@@ -13,9 +13,12 @@ realization_index)``: the stream is a PCG64 generator keyed by that triple
 through ``numpy.random.SeedSequence``, so realizations can be resampled
 bit-for-bit in any order, from any worker.  :func:`draw_block` rebuilds a
 whole chunk of those streams at once, of one level or of several: it runs
-SeedSequence's pool hash and PCG64's seeding across the chunk (NEP 19;
-O'Neill 2014), then draws each realization through one reused PCG64, with
-no per-realization ``SeedSequence`` or generator.
+SeedSequence's pool hash and PCG64's seeding across the chunk in numpy, the
+128-bit LCG steps on uint64 limbs (NEP 19; O'Neill 2014).  It then draws
+each realization through one reused PCG64, whose 32-byte ``(state, inc)`` it
+loads with one ``memmove``, with no per-realization ``SeedSequence``,
+generator or ``state`` dict.  A probe state written through the documented
+``state`` setter tells it the order in which the generator keeps those words.
 
 The disorder model is stated once: :func:`draw_block` is the stream layout,
 and :func:`compose_screens` the scaling, sign and wrapping that turn a
@@ -24,6 +27,7 @@ chunk's drawn fields into its phase screens.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +83,12 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
-# PCG64's 128-bit LCG multiplier (O'Neill 2014; numpy/random/src/pcg64).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier (O'Neill 2014; numpy/random/src/pcg64),
+# as its high and low 64-bit words.
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+# Four distinct words: the (state high, state low, inc high, inc low) that
+# _state_layout writes to find where a PCG64 keeps each word.
+_PROBE = (0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0F1E2D3C4B5A6978, 0x8796A5B4C3D2E1F0)
 # Realizations per step of compose_screens' transposing read.
 _TRANSPOSE_BLOCK = 256
 
@@ -119,13 +126,49 @@ def _mix(x, y):
     return result ^ (result >> _XSHIFT)
 
 
-def _pcg64_seeds(entropy: list) -> tuple[list[int], list[int]]:
+def _mul_hi(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each ``a * b``, for uint64 ``a`` and a 64-bit ``b``.
+
+    The four products of 32-bit halves fit in 64 bits, and so does the middle
+    sum of the low product's carry and the cross products' low halves.
+    """
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    cross_lo, cross_hi = a_lo * b_hi, a_hi * b_lo
+    middle = (a_lo * b_lo >> 32) + (cross_lo & _MASK32) + (cross_hi & _MASK32)
+    return a_hi * b_hi + (cross_lo >> 32) + (cross_hi >> 32) + (middle >> 32)
+
+
+def _pcg64_set_seed(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray,
+                    u3: np.ndarray) -> np.ndarray:
+    """numpy's ``pcg64_set_seed`` on uint64 limbs, one row per realization.
+
+    The seed is ``u0 << 64 | u1`` and the sequence ``u2 << 64 | u3``:
+    ``inc = sequence << 1 | 1``, then two LCG steps from state 0 with the seed
+    added between them, so ``state = (inc + seed) * mult + inc`` modulo
+    2**128.  Returns (rows, 4) uint64: state high, state low, inc high, inc low.
+    """
+    words = np.empty((len(u0), 4), dtype=np.uint64)
+    inc_hi, inc_lo = u2 << 1 | u3 >> 63, u3 << 1 | 1
+    seeded_lo = inc_lo + u1
+    seeded_hi = inc_hi + u0 + (seeded_lo < inc_lo)
+    product_hi = (_mul_hi(seeded_lo, _PCG_MULT_LO) + seeded_lo * _PCG_MULT_HI
+                  + seeded_hi * _PCG_MULT_LO)
+    words[:, 1] = seeded_lo * _PCG_MULT_LO + inc_lo
+    words[:, 0] = product_hi + inc_hi + (words[:, 1] < inc_lo)
+    words[:, 2], words[:, 3] = inc_hi, inc_lo
+    return words
+
+
+def _pcg64_seeds(entropy: list) -> np.ndarray:
     """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence(entropy))``, per realization.
 
     ``entropy`` is the assembled word list: shared words as ints, the level
-    and realization indices' words as uint32 arrays.  The pool hash and
-    ``generate_state(4, uint64)`` run across the arrays in numpy;
-    ``pcg64_set_seed`` (two 128-bit LCG steps) runs on Python integers.
+    and realization indices' words as uint32 arrays.  The pool hash,
+    ``generate_state(4, uint64)`` and ``pcg64_set_seed`` (two 128-bit LCG
+    steps, :func:`_pcg64_set_seed`) run across the arrays in numpy, on uint32
+    words and uint64 limbs.  Returns (rows, 4) uint64: state high, state low,
+    inc high, inc low.
     """
     hashmix = _Hash(_INIT_A, _MULT_A)
     pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
@@ -138,12 +181,31 @@ def _pcg64_seeds(entropy: list) -> tuple[list[int], list[int]]:
             pool[dst] = _mix(pool[dst], hashmix(word))
     readout = _Hash(_INIT_B, _MULT_B)
     out = [readout(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    # generate_state(4, uint64) joins word pairs little-endian into u0..u3;
-    # pcg64_set_seed takes seed = u0 << 64 | u1 and initseq = u2 << 64 | u3.
-    u = [(out[2 * k] | (out[2 * k + 1] << 32)).astype(object) for k in range(4)]
-    seed, initseq = (u[0] << 64) | u[1], (u[2] << 64) | u[3]
-    inc = ((initseq << 1) | 1) & _MASK128
-    return (((inc + seed) * _PCG_MULT + inc) & _MASK128).tolist(), inc.tolist()
+    # generate_state(4, uint64) joins word pairs little-endian into u0..u3.
+    return _pcg64_set_seed(*(out[2 * k] | out[2 * k + 1] << 32 for k in range(4)))
+
+
+def _state_layout(bits) -> tuple[int, list[int]]:
+    """Address of ``bits``' ``pcg64_random_t`` and the order of its four words.
+
+    ``bits.ctypes.state_address`` points at numpy's ``pcg64_state``, whose
+    first field points at the ``pcg64_random_t``: two 128-bit words, each
+    native or a struct of two 64-bit halves, whose order the build decides.
+    The :data:`_PROBE` state is written through the documented ``bits.state``
+    setter and its raw words are read back: word ``k`` of the struct is
+    column ``order[k]`` of :func:`_pcg64_seeds`.  Raw words that are not the
+    probe's in some order raise ``RuntimeError``.
+    """
+    state_hi, state_lo, inc_hi, inc_lo = _PROBE
+    bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                  "state": {"state": state_hi << 64 | state_lo,
+                            "inc": inc_hi << 64 | inc_lo}}
+    address = ctypes.c_void_p.from_address(bits.ctypes.state_address).value
+    raw = list((ctypes.c_uint64 * 4).from_address(address))
+    if sorted(raw) != sorted(_PROBE):
+        raise RuntimeError(f"PCG64 keeps state words {[hex(w) for w in raw]}, not the "
+                           f"probe's {[hex(w) for w in _PROBE]}: cannot load its seeds")
+    return address, [_PROBE.index(word) for word in raw]
 
 
 def draw_block(master_seed: int, level_index, lo: int, hi: int, num_modes: int,
@@ -159,9 +221,12 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, num_modes: int,
     one buffer.
 
     The streams are seeded for the whole block at once (:func:`_pcg64_seeds`),
-    the level and realization indices each a word per row, and drawn through
-    one reused PCG64; ``low + (high - low) * u`` is then applied over the
-    block, so every value equals the per-realization ``uniform`` bit for bit.
+    the level and realization indices each a word per row, on uint64 limbs.
+    They are drawn through one reused PCG64: each row's 32 bytes of
+    ``(state, inc)`` are copied into its ``pcg64_random_t`` with one
+    ``memmove``, in the word order that :func:`_state_layout` probes once per
+    call.  ``low + (high - low) * u`` is then applied over the block, so every
+    value equals the per-realization ``uniform`` bit for bit.
     """
     levels = [level_index] if np.ndim(level_index) == 0 else list(level_index)
     if not 0 <= lo <= hi <= 1 << 64:
@@ -174,7 +239,8 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, num_modes: int,
     buf = np.empty((len(index[0]), num_modes * (depth + 1)))
     bits = np.random.PCG64()
     random = np.random.Generator(bits).random
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    address, order = _state_layout(bits)
+    memmove = ctypes.memmove
     # An index gains a word at 2**32, which moves the hash's word positions:
     # rows are seeded in parts of equal word counts.
     words = [1 + (i > _MASK32) for i in index]
@@ -184,9 +250,13 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, num_modes: int,
         rows = np.flatnonzero(parts == part)
         entropy = shared + [(i[rows] >> (32 * k) & _MASK32).astype(np.uint32)
                             for i, w in zip(index, words) for k in range(w[rows[0]])]
-        for s, inc, row in zip(*_pcg64_seeds(entropy), rows.tolist()):
-            state["state"] = {"state": s, "inc": inc}
-            bits.state = state
+        # Rows of 32 bytes each, in the generator's word order.  The probe's
+        # has_uint32 = 0 holds throughout: random() draws whole 64-bit words,
+        # so no buffered 32-bit half passes from one realization to the next.
+        seeds = np.ascontiguousarray(_pcg64_seeds(entropy)[:, order])
+        first = seeds.ctypes.data
+        for source, row in zip(range(first, first + seeds.nbytes, 32), rows.tolist()):
+            memmove(address, source, 32)
             random(out=buf[row])
     buf *= 2.0 * np.pi
     buf += -np.pi

@@ -1,6 +1,8 @@
+import ctypes
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,3 +98,29 @@ def mod_wrap(x):
 def bits(values) -> np.ndarray:
     """Float64 values as their bit patterns, so -0.0 and +0.0 differ."""
     return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class LaidOutPCG64:
+    """A stand-in for ``PCG64`` whose state struct keeps its words in a given layout.
+
+    Word ``k`` of the 32-byte struct holds column ``layout[k]`` of
+    (state high, state low, inc high, inc low), or 0 where it is ``None``;
+    ``ctypes.state_address`` points at a pointer to it, as numpy's does.
+    """
+
+    def __init__(self, layout):
+        self.layout = layout
+        self.words = (ctypes.c_uint64 * 4)()
+        self._pointer = ctypes.c_void_p(ctypes.addressof(self.words))
+        self.ctypes = SimpleNamespace(state_address=ctypes.addressof(self._pointer))
+
+    @property
+    def state(self):
+        raise NotImplementedError
+
+    @state.setter
+    def state(self, value):
+        state, inc = value["state"]["state"], value["state"]["inc"]
+        columns = (state >> 64, state & (1 << 64) - 1, inc >> 64, inc & (1 << 64) - 1)
+        for k, column in enumerate(self.layout):
+            self.words[k] = 0 if column is None else columns[column]

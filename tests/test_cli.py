@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from meshwalk import DisorderSpec, EnsembleResult, LevelRecord, MeshSpec, SweepPlan
-from meshwalk import cli, ensemble
+from meshwalk import cli, ensemble, programs
 from meshwalk.cli import main
-from conftest import subprocess_env
+from conftest import LaidOutPCG64, subprocess_env
 
 
 @pytest.fixture
@@ -126,7 +126,8 @@ def test_failed_checkpoint_append_is_one_warning(outdir, capsys, monkeypatch):
 
 
 def test_out_naming_a_directory_exits_two_before_running(outdir, capsys, monkeypatch):
-    # A directory at the document or at any file written beside it.
+    # A directory at the document or at any file written beside it, or an
+    # --out that names one.
     monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("levels ran"))
     heatmaps = tuple(f".mode{mode}.csv" for mode in range(3, 8))
     for command, written in ((["walk"], ("", ".csv")), (["tomography"], ("", ".csv")),
@@ -143,6 +144,14 @@ def test_out_naming_a_directory_exits_two_before_running(outdir, capsys, monkeyp
                            f"'{directory}'"], (command, suffix)
             assert [p.name for p in outdir.rglob("*")] == [directory.name], (command, suffix)
             directory.rmdir()
+        # An --out whose last component is empty or "." names a directory
+        # that need not exist yet.
+        for out in ("res.json" + os.sep, os.path.join("sub", os.curdir)):
+            assert main(command + ["--n", "5", "--workers", "1", "--out", out]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+                           f"'{os.path.join(outdir, out)}'"], (command, out)
+            assert list(outdir.rglob("*")) == [], (command, out)
 
 
 def test_sweep_ascii_heatmaps_and_progress(outdir, capsys):
@@ -259,6 +268,21 @@ def test_broken_worker_pool_exits_two(outdir, capsys, monkeypatch):
                  "--out", "crash.json"]) == 2
     err = capsys.readouterr().err
     assert "terminated abruptly" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_unloadable_generator_state_exits_two(outdir, capsys, monkeypatch, workers):
+    # A PCG64 whose state struct does not keep the words draw_block writes,
+    # in the run's process or in its forked workers.
+    real = programs._state_layout
+    monkeypatch.setattr(programs, "_state_layout",
+                        lambda bits: real(LaidOutPCG64((1, 0, 3, None))))
+    assert main(["sweep", "--grid", "2x2", "--n", "5", "--workers", workers,
+                 "--out", "bad.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PCG64 keeps state words") and err.count("\n") == 1
+    assert "cannot load its seeds" in err
+    assert not (outdir / "bad.json").exists()
 
 
 def test_degenerate_fit_exits_three(outdir):

@@ -1,3 +1,6 @@
+import ctypes
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,9 @@ from meshwalk import (
     run_sweep,
 )
 from meshwalk.ensemble import _layer_matrices
-from meshwalk.programs import compose_screens, draw_block
-from conftest import bits, propagate, walk_program
+from meshwalk.programs import (_MASK32, _pcg64_seeds, _pcg64_set_seed, _state_layout, _words,
+                               compose_screens, draw_block)
+from conftest import LaidOutPCG64, bits, propagate, walk_program
 from oracles import BAR, build_tomography_program, ks_uniform_statistic
 
 
@@ -163,6 +167,64 @@ class TestDrawBlock:
                      (1, (3, -1), 0, 1), (1, (2**64,), 0, 1)):
             with pytest.raises(ValueError):
                 draw_block(*args, 14, 7)
+
+
+class TestSeeding:
+    """PCG64 seeding on uint64 limbs, and the memmove load of draw_block."""
+
+    # Every carry of the limb arithmetic is taken and not taken on these.
+    EDGES = (0, 1, 2**32 - 1, 2**63, 2**64 - 1)
+    MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def test_limb_set_seed_matches_python_ints(self):
+        inputs = list(itertools.product(self.EDGES, repeat=4))
+        words = _pcg64_set_seed(*(np.array(u, dtype=np.uint64) for u in zip(*inputs)))
+        low = (1 << 64) - 1
+        carries = set()
+        for row, (u0, u1, u2, u3) in zip(words.tolist(), inputs):
+            inc = ((u2 << 64 | u3) << 1 | 1) & (1 << 128) - 1
+            seeded = inc + (u0 << 64 | u1) & (1 << 128) - 1
+            state = seeded * self.MULT + inc & (1 << 128) - 1
+            assert row == [state >> 64, state & low, inc >> 64, inc & low], (u0, u1, u2, u3)
+            # The limbs' carries: the low words of inc + seed, the middle sum
+            # of the high half of seeded_lo * mult_lo, and the low words of + inc.
+            a, b = seeded & low, self.MULT & low
+            middle = ((a & _MASK32) * (b & _MASK32) >> 32) + ((a & _MASK32) * (b >> 32) & _MASK32) \
+                + ((a >> 32) * (b & _MASK32) & _MASK32)
+            carries |= {("seed", (inc & low) + u1 > low), ("middle", middle > _MASK32),
+                        ("inc", (a * b & low) + (inc & low) > low)}
+        assert carries == set(itertools.product(("seed", "middle", "inc"), (False, True)))
+
+    @pytest.mark.parametrize("seed", TestDrawBlock.SEEDS)
+    def test_memmove_load_gives_the_reference_state(self, seed):
+        generator = np.random.PCG64()
+        address, order = _state_layout(generator)
+        for level in TestDrawBlock.LEVELS:
+            # Realization indices of one and of two SeedSequence words.
+            for realizations in ((0, 1, 2**32 - 1), (2**32, 2**63, 2**64 - 1)):
+                index = np.array(realizations, dtype=np.uint64)
+                entropy = (_words(seed) + [np.full(len(index), w, np.uint32) for w in _words(level)]
+                           + [(index >> 32 * k & _MASK32).astype(np.uint32)
+                              for k in range(len(_words(realizations[-1])))])
+                seeds = np.ascontiguousarray(_pcg64_seeds(entropy)[:, order])
+                for row, r in zip(seeds, realizations):
+                    ctypes.memmove(address, row.ctypes.data, 32)
+                    want = np.random.PCG64(np.random.SeedSequence((seed, level, r))).state
+                    assert generator.state == want, (seed, level, r)
+
+    @pytest.mark.parametrize("layout", [(1, 0, 3, 2), (0, 1, 2, 3), (3, 2, 1, 0)])
+    def test_state_layout_reads_the_word_order(self, layout):
+        # Native __uint128_t words (low first on little-endian), numpy's
+        # emulated {high, low} struct, and any other order of four words.
+        generator = LaidOutPCG64(layout)
+        address, order = _state_layout(generator)
+        assert address == ctypes.addressof(generator.words)
+        assert order == list(layout)
+
+    @pytest.mark.parametrize("layout", [(None,) * 4, (1, 1, 3, 2), (1, 0, 3, None)])
+    def test_state_layout_rejects_words_it_did_not_write(self, layout):
+        with pytest.raises(RuntimeError, match="cannot load its seeds"):
+            _state_layout(LaidOutPCG64(layout))
 
 
 class TestApplyDisorder:
