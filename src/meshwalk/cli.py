@@ -195,6 +195,9 @@ def cmd_slice(args) -> int:
         raise UsageError("--n must be >= 2: one realization per level has no standard error")
     if not 0 < args.threshold < float("inf"):
         raise UsageError(f"--threshold must be positive and finite, got {args.threshold}")
+    if not args.enhance and top - offset < 1:
+        raise UsageError(f"the default enhance set {enhance} does not fit {spec.num_modes} "
+                         "modes; give --enhance")
     enhance = _build(analysis._check_modes, enhance, spec.num_modes)
     deplete = _build(analysis._check_modes, deplete, spec.num_modes)
     _build(DisorderSpec, args.ctid, 0.0)  # the requested row must be a valid c_tid
@@ -272,9 +275,9 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
         p.add_argument("--out", help="output path (default under $MESHWALK_OUT_DIR)")
         p.add_argument("--workers", type=positive_int, default=None,
-                       help="process count, at most the cores; with fewer levels than "
-                            "processes, each level's realizations are split among them "
-                            "(default: all cores); results do not depend on it")
+                       help="process count, at most the CPUs this process may use (default: "
+                            "all); with fewer levels than processes, a level's realizations "
+                            "are split into ranges of at least 8192; results do not depend on it")
 
     for command, func, summary in (
             ("walk", cmd_walk, "single disorder level, final-layer ensemble"),

@@ -19,17 +19,17 @@ many workers ran it.
 
 :func:`run_sweep` is the one way to run levels: a single level is a plan
 whose grid holds one entry.  The run in progress (its plan, layer matrices,
-pending levels and split levels' mapping) is module state, so a process
-runs one sweep at a time.
+pending levels, the read layers each lacks and split levels' mapping) is
+module state, so a process runs one sweep at a time.
 Forked pool workers inherit it, so a task carries indices alone, and a
 serial run goes through the same loop as a pooled one.  A task fills one
-realization range of pending levels (:func:`_level_task`).  With fewer
-levels than workers, a level is cut into several ranges whose stacks lie in
-one anonymous shared mapping; once every range is filled, workers reduce
-its read layers (:func:`_reduce_task`).  Otherwise a task is a pack of
-whole levels, as many as fit in a chunk, filled and reduced in one worker:
-each read layer's stack holds the pack's levels one after another, and one
-:func:`_reduce` call takes it.
+realization range of pending levels (:func:`_level_task`): a range of a
+split level, whose stacks lie in one anonymous shared mapping and whose
+read layers workers reduce once every range is filled (:func:`_reduce_task`),
+or a pack of whole levels, filled and reduced in one worker: each read
+layer's stack holds the pack's levels one after another, and one
+:func:`_reduce` call takes it.  :func:`run_sweep` states which levels are
+split and which are packed.
 
 A record is a measured per-mode mean and standard error, keyed by
 ``(level_index, read_layer)``; the plan writes every other field of its stored
@@ -69,7 +69,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import HADAMARD, INPUT_SPLITTER, MeshSpec, cell_unitary, evolve, intensities
-from .programs import GENERATOR_IDENTITY, DisorderSpec, compose_screens, draw_block
+from .programs import GENERATOR_IDENTITY, DisorderSpec, compose_screens
+# The sample stage under a name of its own, which the benchmark's tracer wraps.
+from .programs import draw_block as _sample_block
 
 DOCUMENT_FORMAT = "meshwalk-sweep-result/1"
 CSV_HEADER = "c_tid,c_td,layer,mode,mean,std_error"
@@ -324,12 +326,6 @@ def _layer_matrices(spec: MeshSpec) -> list[np.ndarray]:
             for t in range(1, spec.depth + 1)]
 
 
-def _sample_block(num_modes: int, depth: int, master_seed: int, level_index,
-                  lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw uniform(-pi, pi) fields for realizations lo..hi-1 of one level or several, unscaled."""
-    return draw_block(master_seed, level_index, lo, hi, num_modes, depth)
-
-
 def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray,
                      read_layers: tuple[int, ...]) -> dict[int, np.ndarray]:
     """(num_modes, count) intensities of one block's phases at every read layer."""
@@ -337,25 +333,24 @@ def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray,
             if t in read_layers}
 
 
-def _level_intensity_stacks(spec: MeshSpec, mats: list[np.ndarray], levels, master_seed: int,
-                            level_indices, lo: int, hi: int,
-                            stacks: dict[int, np.ndarray]) -> None:
-    """Fill columns lo..hi-1 of the levels' ``stacks`` with those realizations' intensities.
+def _level_intensity_stacks(plan: SweepPlan, mats: list[np.ndarray], level_indices,
+                            lo: int, hi: int, stacks: dict[int, np.ndarray]) -> None:
+    """Fill columns lo..hi-1 of ``stacks`` with the intensities of those realizations.
 
-    ``levels`` are the disorder levels at ``level_indices``, and ``stacks``
-    maps each read layer to their level-major (levels * num_modes, n) stack:
-    level j holds rows j*num_modes onwards.  ``mats`` are the walk's layer
-    matrices, and each chunk's phase screens are its disorder alone.  A
-    chunk holds at most ``_CHUNK`` realizations, the same columns of every
-    level: it is drawn, composed and propagated at once and fills its own
-    columns.
+    ``level_indices`` name levels of ``plan``, and ``stacks`` maps each read
+    layer to their level-major (levels * num_modes, n) stack: level j holds
+    rows j*num_modes onwards.  ``mats`` are the walk's layer matrices, and
+    each chunk's phase screens are its disorder alone.  A chunk holds at
+    most ``_CHUNK`` realizations, the same columns of every level: it is
+    drawn, composed and propagated at once and fills its own columns.
     """
-    m, depth, read_layers, k = spec.num_modes, spec.depth, tuple(stacks), len(levels)
+    spec, read_layers, k = plan.spec, tuple(stacks), len(level_indices)
+    m, levels = spec.num_modes, [plan.grid[i] for i in level_indices]
     strengths = [level.c_tid for level in levels], [level.c_td for level in levels]
     step = max(1, _CHUNK // k)
     for a in range(lo, hi, step):
         b = min(a + step, hi)
-        static, dynamic = _sample_block(m, depth, master_seed, level_indices, a, b)
+        static, dynamic = _sample_block(plan.master_seed, level_indices, a, b, m, spec.depth)
         # Each realization takes its level's strengths.
         phases = compose_screens(*(np.repeat(c, b - a) for c in strengths), static, dynamic)
         # Drop each stage's input once it is used, so that the next stage's
@@ -447,13 +442,13 @@ def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # The run in progress (see run_sweep): plan, layer matrices, the anonymous
 # shared mapping that holds the split levels' stacks back to back (``None``
-# when no level is split), the pending levels, and the resumed records.
-# Set before workers fork; empty between runs.
+# when no level is split), the pending levels, and the read layers each level
+# of the plan lacks.  Set before workers fork; empty between runs.
 _run: tuple = ()
 
 
 def _stacks(first: int, last: int) -> dict[int, np.ndarray]:
-    """The stacks of pending levels first..last-1, one per read layer they still lack.
+    """The stacks of pending levels first..last-1, one per read layer they lack.
 
     The levels of a task lack the same read layers.  A stack is level-major,
     (levels * num_modes, n), and new, unless the levels are split: then a
@@ -461,33 +456,31 @@ def _stacks(first: int, last: int) -> dict[int, np.ndarray]:
     every read layer of every pending level, so offsets do not depend on what
     was resumed; a slot never written costs no memory.
     """
-    plan, _, mapping, pending, done = _run
+    plan, _, mapping, pending, lacking = _run
     layers, m, n = plan.read_layers, plan.spec.num_modes, plan.realizations_per_level
-    lacking = [k for k, t in enumerate(layers) if (pending[first], t) not in done]
     if mapping is None:
-        return {layers[k]: np.empty(((last - first) * m, n)) for k in lacking}
+        return {t: np.empty(((last - first) * m, n)) for t in lacking[pending[first]]}
     size = len(layers) * m * n
-    stacks = np.frombuffer(mapping, float, size, first * size * 8).reshape(len(layers), m, n)
-    return {layers[k]: stacks[k] for k in lacking}
+    slots = np.frombuffer(mapping, float, size, first * size * 8).reshape(len(layers), m, n)
+    return {t: slots[layers.index(t)] for t in lacking[pending[first]]}
 
 
 def _level_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
     """Fill realizations lo..hi-1 of pending levels first..last-1, and reduce whole levels.
 
-    A task is a range of one level or a pack of several whole levels, which
-    lack the same read layers; only those are filled and reduced
-    (:func:`_stacks`), so a partly resumed level recomputes none it holds.
-    Each read layer of a pack is one stack and one :func:`_reduce`.  Returns
-    each level's index and its per-layer means and standard errors, in level
-    order.  A part of a split level returns none: its read layers are reduced
-    by :func:`_reduce_task` once every part has filled its columns.
+    A task is a range of one split level or a pack of whole levels (see
+    :func:`run_sweep`), which lack the same read layers; only those are
+    filled and reduced (:func:`_stacks`), so a partly resumed level
+    recomputes none it holds.  Returns each level's index and its per-layer
+    means and standard errors, in level order.  A range of a split level
+    returns none: its read layers are reduced by :func:`_reduce_task` once
+    every range is filled.
     """
     first, last, lo, hi = args
     plan, mats, _, pending, _ = _run
     indices = pending[first:last]
     stacks = _stacks(first, last)
-    _level_intensity_stacks(plan.spec, mats, [plan.grid[i] for i in indices], plan.master_seed,
-                            indices, lo, hi, stacks)
+    _level_intensity_stacks(plan, mats, indices, lo, hi, stacks)
     if hi - lo < plan.realizations_per_level:
         return []
     reduced = {t: [np.split(x, len(indices)) for x in _reduce(stack)]
@@ -496,10 +489,10 @@ def _level_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]
             for j, idx in enumerate(indices)]
 
 
-def _reduce_task(args) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """Mean and standard error of one read layer of a split pending level, every part filled."""
+def _reduce_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
+    """One read layer of a split level, every range filled, in :func:`_level_task`'s form."""
     position, t = args
-    return _run[3][position], {t: _reduce(_stacks(position, position + 1)[t])}
+    return [(_run[3][position], {t: _reduce(_stacks(position, position + 1)[t])})]
 
 
 _PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
@@ -579,14 +572,18 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     """Run every (level, read_layer) of the plan's symmetric walk and persist the result.
 
     ``workers`` > 1 runs levels in at most that many processes, never more
-    than the cores.  With fewer levels to run than that, each level is cut
-    into contiguous realization ranges of at least four chunks: forked workers
-    fill their ranges into one anonymous shared mapping, then reduce its
-    read layers, each a whole row in realization order.  Otherwise levels of
-    at most half a chunk run in packs: a task takes up to ``_CHUNK // n``
-    consecutive pending levels that lack the same read layers, leaving at
-    least four tasks per worker, and draws, propagates and reduces each read
-    layer of the pack as one level-major stack.  The outcome does not depend
+    than the CPUs this process may run on, nor than the tasks.  With fewer
+    levels to run than that, each level is cut into enough equal contiguous
+    realization ranges to occupy every worker, each of at least four chunks,
+    since a smaller level's fill saves less than the pool and the reduce
+    round cost: forked workers fill their ranges into one anonymous shared
+    mapping, then reduce its read layers, each a whole row in realization
+    order.  Otherwise levels of at most half a chunk run in packs: a task
+    takes up to ``_CHUNK // n`` consecutive pending levels that lack the same
+    read layers, leaving at least four tasks per worker, and draws,
+    propagates and reduces each read layer of the pack as one level-major
+    stack.  A split level holds eight chunks or more, a packed one half a
+    chunk or less, so no task is both.  The outcome does not depend
     on the worker count or the packing, and the levels' records arrive in
     level order either way.  The run is module state (``_run``), set before
     any worker forks, so workers inherit it and a task is a few indices;
@@ -621,26 +618,21 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
             io_errors.append(f"checkpoint open failed: {exc}")
     appending = ckpt is not None
     records = dict(done)
-    pending = tuple(idx for idx in range(len(plan.grid))
-                    if any((idx, t) not in done for t in plan.read_layers))
+    lacking = [[t for t in plan.read_layers if (idx, t) not in done]
+               for idx in range(len(plan.grid))]
+    pending = tuple(idx for idx, layers in enumerate(lacking) if layers)
 
-    # Fewer levels to run than usable workers: cut each level into enough
-    # equal ranges to occupy them all, each of at least four chunks, since a
-    # smaller level's fill saves less than the pool and the reduce round cost.
-    # Otherwise a task packs whole levels that lack the same read layers, at
-    # most a chunk's worth and few enough to leave at least four tasks per
-    # worker.  A split level holds eight chunks or more, a packed one half a
-    # chunk or less, so no task is both.  Never more processes than tasks: a
-    # pool forks all its workers at the first submit.
-    cores = os.cpu_count() or 1
-    usable = min(workers if workers is not None else cores, cores)
+    # Split and pack sizes as the docstring states them.  Never more
+    # processes than tasks: a pool forks all its workers at the first submit.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    usable = min(workers if workers is not None else cpus, cpus)
     n = plan.realizations_per_level
     parts = max(1, min(-(-usable // len(pending)), n // (4 * _CHUNK))) if pending else 1
     pack = max(1, min(_CHUNK // n, -(-len(pending) // (4 * usable))))
     split = parts > 1
     tasks, first = [], 0
-    for _, group in itertools.groupby(pending, lambda idx: [(idx, t) in done
-                                                            for t in plan.read_layers]):
+    for _, group in itertools.groupby(pending, lambda idx: lacking[idx]):
         last = first + len(list(group))
         tasks += [(p, min(p + pack, last), n * k // parts, n * (k + 1) // parts)
                   for p in range(first, last, pack) for k in range(parts)]
@@ -656,19 +648,18 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
         if size > sys.maxsize:  # beyond any address space; mmap would raise OverflowError
             raise MemoryError(f"Unable to allocate {size} bytes of intensity stacks")
         with (mmap.mmap(-1, size) if split else contextlib.nullcontext()) as mapping:
-            _run = (plan, mats, mapping, pending, done)
+            _run = (plan, mats, mapping, pending, lacking)
             with (ProcessPoolExecutor(max_workers=nworkers,
                                       mp_context=multiprocessing.get_context("fork"),
                                       initializer=_init_worker, initargs=(os.getpid(), ckpt))
                   if nworkers > 1 else contextlib.nullcontext()) as pool:
                 dispatch = map if pool is None else pool.map
-                results = itertools.chain.from_iterable(dispatch(_level_task, tasks))
-                if split:  # every part is filled before any layer is reduced
+                results = dispatch(_level_task, tasks)
+                if split:  # every range is filled before any layer is reduced
                     list(results)
                     results = dispatch(_reduce_task, [(p, t) for p, idx in enumerate(pending)
-                                                      for t in plan.read_layers
-                                                      if (idx, t) not in done])
-                for idx, per_layer in results:
+                                                      for t in lacking[idx]])
+                for idx, per_layer in itertools.chain.from_iterable(results):
                     for t, (mean, se) in per_layer.items():
                         records[(idx, t)] = LevelRecord(mean, se)
                         if appending:

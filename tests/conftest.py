@@ -26,6 +26,15 @@ def subprocess_env(out_dir=None) -> dict[str, str]:
     return env
 
 
+# The CPUs this process may run on, as run_sweep counts them: a pool needs two.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def fake_cpus(monkeypatch, count: int) -> None:
+    """Make ``count`` CPUs the ones this process may run on, as ``run_sweep`` counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 @pytest.fixture
 def spec14() -> MeshSpec:
     return MeshSpec()

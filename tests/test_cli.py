@@ -20,7 +20,7 @@ import pytest
 from meshwalk import DisorderSpec, EnsembleResult, LevelRecord, MeshSpec, SweepPlan
 from meshwalk import cli, ensemble, programs
 from meshwalk.cli import main
-from conftest import LaidOutPCG64, subprocess_env
+from conftest import CPUS, LaidOutPCG64, fake_cpus, subprocess_env
 
 
 @pytest.fixture
@@ -50,7 +50,7 @@ def test_rerun_of_a_finished_split_walk_writes_its_bytes(outdir, monkeypatch):
     # rerun finds every record in the checkpoint, so nothing is split or
     # mapped, and it writes the same files again.
     monkeypatch.setattr(ensemble, "_CHUNK", 512)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+    fake_cpus(monkeypatch, 2)  # a pool even on one core
     argv = ["walk", "--n", "5000", "--out", "w.json", "--workers"]
     for workers in ("1", "2"):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(outdir / workers))
@@ -78,6 +78,12 @@ def test_usage_errors_exit_one(outdir, capsys):
     # Mode sets are range-checked before any realization runs.
     assert main(["deep", "--depth", "4", "--enhance", "99"]) == 1
     assert main(["slice", "--modes", "8", "--depth", "4", "--enhance", "5,10"]) == 1
+    # Depth 1 on 2 modes leaves the default enhance set no room: the error
+    # says so instead of naming a mode the user never gave.
+    capsys.readouterr()
+    assert main(["deep", "--depth", "1"]) == 1
+    assert "default enhance set [0, 3] does not fit 2 modes; give --enhance" in (
+        capsys.readouterr().err)
     # One realization per level gives no standard error to test a rise against.
     assert main(["slice", "--n", "1"]) == 1
     assert main(["walk", "--workers", "-3"]) == 1
@@ -264,6 +270,7 @@ def test_broken_worker_pool_exits_two(outdir, capsys, monkeypatch):
             raise BrokenProcessPool("a worker process terminated abruptly")
 
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", CrashingPool)
+    fake_cpus(monkeypatch, 2)  # a pool even on one CPU
     assert main(["sweep", "--grid", "2x2", "--n", "5", "--workers", "2",
                  "--out", "crash.json"]) == 2
     err = capsys.readouterr().err
@@ -395,7 +402,7 @@ def children(pid: int) -> list[int]:
     return found
 
 
-@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or CPUS < 2,
                     reason="reads worker pids from Linux /proc; needs 2 cores for a pool")
 def test_pool_workers_die_with_a_killed_run(outdir):
     # SIGKILL of the CLI process alone, as an out-of-memory kill does: its
@@ -422,7 +429,7 @@ def shm_entries() -> set[str]:
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
 
-@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or CPUS < 2,
                     reason="reads worker pids from Linux /proc; needs 2 cores to split a level")
 def test_killed_worker_of_a_split_level_exits_two(outdir, monkeypatch):
     # One large level is split across both workers, which fill one anonymous
@@ -510,7 +517,7 @@ KILLED_RUNS = (
 @pytest.mark.skipif(not Path("/proc/self/stat").is_file(),
                     reason="reads process groups from Linux /proc")
 @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2, reason="needs 2 cores for a pool"))])
+    CPUS < 2, reason="needs 2 cores for a pool"))])
 def test_killed_runs_resume_to_a_fresh_runs_files(outdir, monkeypatch, workers):
     # A real crash of every run command: SIGKILL of its whole process group
     # mid-run.  Rerunning the command writes the fresh run's files, checkpoint
@@ -614,7 +621,7 @@ def test_checkpoint_append_over_the_file_size_limit_is_one_warning(outdir, monke
 def test_split_level_beyond_the_address_space_exits_two(outdir, capsys, monkeypatch):
     # The shared mapping of a split level that no address space holds fails
     # before any worker starts, as an unsplit level's allocation does.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fake_cpus(monkeypatch, 2)
     assert main(["walk", "--n", str(10**18), "--workers", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1

@@ -31,15 +31,16 @@ from meshwalk.ensemble import (
 )
 from meshwalk.lattice import evolve
 from meshwalk.programs import compose_screens
-from conftest import (bits, cell_matrices, mod_wrap, propagate, random_program, subprocess_env,
-                      walk_program)
+from conftest import (CPUS, bits, cell_matrices, fake_cpus, mod_wrap, propagate, random_program,
+                      subprocess_env, walk_program)
 from oracles import fsum_reduce, full_unitary, galton_distribution
 
 
 def level_stacks(spec, mats, level, n, master_seed, level_index, read_layers):
     """One level's (num_modes, n) intensity stack per read layer, filled in one range."""
     stacks = {t: np.empty((spec.num_modes, n)) for t in read_layers}
-    _level_intensity_stacks(spec, mats, (level,), master_seed, (level_index,), 0, n, stacks)
+    plan = SweepPlan(spec, (level,) * (level_index + 1), n, master_seed)
+    _level_intensity_stacks(plan, mats, (level_index,), 0, n, stacks)
     return stacks
 
 
@@ -98,13 +99,13 @@ class TestConeKernel:
         level, n = DisorderSpec(0.842, 0.5), 300
         for spec in self.SPECS:
             layers = tuple(range(1, spec.depth + 1))
-            static, dynamic = _sample_block(spec.num_modes, spec.depth, 17, 2, 0, n)
+            static, dynamic = _sample_block(17, 2, 0, n, spec.num_modes, spec.depth)
+            plan = SweepPlan(spec, (level,) * 3, n, 17)
             screens = full_array_screens(level, static, dynamic)
             for settings, _ in self.programs(spec, rng):
                 stacks = {t: np.empty((spec.num_modes, n)) for t in layers}
                 for lo, hi in ((0, 120), (120, n)):  # ranges fill their own columns
-                    _level_intensity_stacks(spec, cell_matrices(settings), (level,), 17, (2,),
-                                            lo, hi, stacks)
+                    _level_intensity_stacks(plan, cell_matrices(settings), (2,), lo, hi, stacks)
                 expected = full_array_stacks(spec, settings, screens, layers)
                 for t in layers:
                     assert np.array_equal(bits(stacks[t]), bits(expected[t])), (spec, t)
@@ -124,7 +125,7 @@ class TestConeKernel:
     def test_compose_screens_layout(self):
         # The result is one C-contiguous (layer, mode, realization) array,
         # with the full-array model's bits.
-        static, dynamic = _sample_block(14, 7, 4, 0, 0, 600)
+        static, dynamic = _sample_block(4, 0, 0, 600, 14, 7)
         drawn = static.copy(), dynamic.copy()
         level = DisorderSpec(0.3, 0.9)
         total = compose_screens(level.c_tid, level.c_td, static, dynamic)
@@ -140,7 +141,7 @@ class TestConeKernel:
 def test_propagate_rejects_realization_major_phases(spec14):
     # The kernel reads (depth, num_modes, walkers); a (walkers, num_modes,
     # depth) array would otherwise run as depth walkers of garbage phases.
-    static, dynamic = _sample_block(14, 7, 1, 0, 0, 5)
+    static, dynamic = _sample_block(1, 0, 0, 5, 14, 7)
     phases = compose_screens(0.5, 0.5, static, dynamic)
     mats = _layer_matrices(spec14)
     with pytest.raises(ValueError, match="phases shaped"):
@@ -150,7 +151,7 @@ def test_propagate_rejects_realization_major_phases(spec14):
 
 def test_evolve_checks_phases_when_called(spec14):
     # The shape error comes from the call itself, before any layer is asked for.
-    static, dynamic = _sample_block(14, 7, 1, 0, 0, 5)
+    static, dynamic = _sample_block(1, 0, 0, 5, 14, 7)
     phases = compose_screens(0.5, 0.5, static, dynamic)
     with pytest.raises(ValueError, match=r"phases shaped \(5, 14, 7\)"):
         evolve(spec14, _layer_matrices(spec14), phases.transpose(2, 1, 0), 7)
@@ -331,7 +332,7 @@ class TestRunSweep:
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods()
-                        or (os.cpu_count() or 1) < 2,
+                        or CPUS < 2,
                         reason="needs the forkserver start method and 2 cores for a pool")
     def test_pool_forks_whatever_the_default_start_method(self, spec14, tmp_path):
         # 'forkserver' is the default start method from Python 3.14 on Linux.
@@ -442,7 +443,7 @@ class TestRunSweep:
         # Workers inherit the run, so a task names a range of pending levels
         # and a realization range, or a pending level and a read layer, and
         # nothing else.
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        fake_cpus(monkeypatch, 4)
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         run_sweep(SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5), workers=4)
         run_sweep(SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 3 * 16, 5,
@@ -456,7 +457,7 @@ class TestRunSweep:
     def test_pool_never_larger_than_pending_levels(self, spec14, monkeypatch, pool_sizes):
         # Every worker of a pool is started at its first submit, so 64
         # workers for 4 levels would start 60 idle processes.
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # only the levels limit the pool
+        fake_cpus(monkeypatch, 64)  # only the levels limit the pool
         plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5)
         serial = run_sweep(plan, workers=1)
         pooled = run_sweep(plan, workers=64)
@@ -464,18 +465,30 @@ class TestRunSweep:
         assert pooled.to_document() == serial.to_document()
 
     def test_pool_never_larger_than_cores(self, spec14, monkeypatch, pool_sizes):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        fake_cpus(monkeypatch, 2)
         plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5)
         serial = run_sweep(plan, workers=1)
         pooled = run_sweep(plan, workers=64)
         assert pool_sizes == [2]
         assert pooled.to_document() == serial.to_document()
 
+    def test_pool_never_larger_than_the_cpus_it_may_run_on(self, spec14, monkeypatch,
+                                                         pool_sizes):
+        # A process pinned to one CPU of four starts no pool: its workers
+        # would only take turns on that CPU.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        fake_cpus(monkeypatch, 1)
+        plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5)
+        serial = run_sweep(plan, workers=1)
+        pinned = run_sweep(plan, workers=4)
+        assert pool_sizes == []
+        assert pinned.to_document() == serial.to_document()
+
     def test_pool_splits_a_lone_level_into_chunks(self, spec14, tmp_path, monkeypatch,
                                                   pool_sizes):
         # A lone level takes one worker per four chunks, up to the cores; a
         # level smaller than eight chunks is not split and starts no pool.
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        fake_cpus(monkeypatch, 64)
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 3 * 16, 5,
                          read_layers=(2, 5, 7))
@@ -498,7 +511,7 @@ class TestRunSweep:
                                                   read_layers, workers):
         # Levels of several chunks, split across forked workers that fill one
         # shared mapping, write the serial run's document and checkpoint.
-        monkeypatch.setattr(os, "cpu_count", lambda: workers)  # a pool even on one core
+        fake_cpus(monkeypatch, workers)  # a pool even on one core
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, grid, 100, 12, read_layers=read_layers)
         for name, count in (("serial", 1), ("split", workers)):
@@ -510,7 +523,7 @@ class TestRunSweep:
     def test_resume_of_a_split_level(self, spec14, tmp_path, monkeypatch):
         # A checkpoint that holds 3 of a split level's 7 read layers: the
         # rerun splits the level again and appends only the missing layers.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        fake_cpus(monkeypatch, 2)
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
                          read_layers=tuple(range(1, 8)))
@@ -527,7 +540,7 @@ class TestRunSweep:
                                                              monkeypatch, pool_sizes, pool_tasks):
         # A checkpoint that holds 3 of a split level's 7 read layers: only
         # the 4 missing layers are reduced, and the files are a fresh run's.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        fake_cpus(monkeypatch, 2)
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
                          read_layers=tuple(range(1, 8)))
@@ -700,7 +713,7 @@ class TestRunSweep:
         # A checkpoint cut after 3 of a lone level's 7 read layers, rerun with
         # the level whole (1 worker) or split (2): only the 4 missing layers
         # are filled and reduced, and the files are a fresh run's.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        fake_cpus(monkeypatch, 2)
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
                          read_layers=tuple(range(1, 8)))
@@ -853,7 +866,7 @@ class TestThroughput:
         # Performance target for the propagation machinery on the default
         # 14x7 cone, amortized per realization in the batched kernel.
         n = 20000
-        static, dynamic = _sample_block(14, 7, 1, 0, 0, n)
+        static, dynamic = _sample_block(1, 0, 0, n, 14, 7)
         screens = 0.6 * static[:, :, None] + 0.8 * dynamic
         mats = _layer_matrices(spec14)
         _propagate_block(spec14, mats, np.ascontiguousarray(screens[:100].T), (7,))  # warm up
@@ -866,11 +879,11 @@ class TestThroughput:
         # Performance target for rebuilding the per-realization streams (the
         # *sample* stage) on the default 14x7 cone, one full chunk, best of 3.
         n = 8192
-        _sample_block(14, 7, 1, 0, 0, 100)  # warm up
+        _sample_block(1, 0, 0, 100, 14, 7)  # warm up
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            _sample_block(14, 7, 1, 0, 0, n)
+            _sample_block(1, 0, 0, n, 14, 7)
             best = min(best, time.perf_counter() - start)
         per_real = best / n
         assert per_real < 10e-6, f"{per_real * 1e6:.2f} us per realization"
@@ -882,7 +895,7 @@ class TestThroughput:
         mats = _layer_matrices(spec)
         level = DisorderSpec(0.842, 0.5)
         n = 2000
-        static, dynamic = _sample_block(30, 15, 1, 0, 0, n)
+        static, dynamic = _sample_block(1, 0, 0, n, 30, 15)
 
         def screens_and_propagate(count):
             total = compose_screens(level.c_tid, level.c_td, static[:count], dynamic[:count])

@@ -1,9 +1,16 @@
-"""Every ``python -m meshwalk.cli ... # exit N`` line of README.md exits N."""
+"""README.md against the code.
+
+Every ``python -m meshwalk.cli ... # exit N`` line exits N, and the split and
+pack sizes it states follow ``ensemble._CHUNK``.
+"""
 
 import re
 import shlex
 from pathlib import Path
 
+import pytest
+
+from meshwalk import ensemble
 from meshwalk.cli import main
 
 README = Path(__file__).parents[1] / "README.md"
@@ -19,3 +26,14 @@ def test_readme_commands_exit_as_documented(tmp_path, monkeypatch):
     assert lines
     for argv, code in lines:
         assert main(shlex.split(argv)) == int(code), argv
+
+
+def test_readme_split_and_pack_sizes_follow_the_chunk(capsys):
+    # A level is split into ranges of at least four chunks, and a pack holds
+    # up to one chunk: the README and the --workers help state these sizes.
+    text = " ".join(README.read_text().split())
+    assert f"ranges of at least {4 * ensemble._CHUNK}" in text
+    assert f"up to {ensemble._CHUNK} realizations" in text
+    with pytest.raises(SystemExit):
+        main(["walk", "--help"])
+    assert f"ranges of at least {4 * ensemble._CHUNK};" in " ".join(capsys.readouterr().out.split())
