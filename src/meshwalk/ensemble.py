@@ -8,7 +8,10 @@ one :func:`~meshwalk.programs.draw_block` call, its phase screens from
 :func:`~meshwalk.programs.compose_screens` (the disorder is the whole
 screen), and the whole chunk goes through the one propagation kernel,
 :func:`~meshwalk.lattice.evolve`, at once, with the walk's layer matrices
-(:func:`_layer_matrices`) built once per run.
+(:func:`_layer_matrices`) built once per run.  The layout is cone-packed end
+to end: the phases are composed, and the intensities propagated and stored,
+for each layer's :func:`~meshwalk.lattice.live_rows` alone.  Every other row
+is exactly zero, and its record reads mean and standard error +0.0.
 Every realization's stream is derived from
 ``(master_seed, level_index, realization_index)``, each row's sums are
 exact bucketed sums rounded once, equal to ``math.fsum`` of its row in
@@ -27,7 +30,7 @@ realization range of pending levels (:func:`_level_task`): a range of a
 split level, whose stacks lie in one anonymous shared mapping and whose
 read layers workers reduce once every range is filled (:func:`_reduce_task`),
 or a pack of whole levels, filled and reduced in one worker: each read
-layer's stack holds the pack's levels one after another, and one
+layer's stack holds the pack's levels' live rows one after another, and one
 :func:`_reduce` call takes it.  :func:`run_sweep` states which levels are
 split and which are packed.
 
@@ -68,7 +71,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import HADAMARD, INPUT_SPLITTER, MeshSpec, cell_unitary, evolve, intensities
+from .lattice import (HADAMARD, INPUT_SPLITTER, MeshSpec, cell_unitary, evolve, intensities,
+                      live_rows)
 from .programs import GENERATOR_IDENTITY, DisorderSpec, compose_screens
 # The sample stage under a name of its own, which the benchmark's tracer wraps.
 from .programs import draw_block as _sample_block
@@ -328,9 +332,9 @@ def _layer_matrices(spec: MeshSpec) -> list[np.ndarray]:
 
 def _propagate_block(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray,
                      read_layers: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """(num_modes, count) intensities of one block's phases at every read layer."""
-    return {t: intensities(state) for t, state in evolve(spec, mats, phases, max(read_layers))
-            if t in read_layers}
+    """(live rows, count) intensities of one block's packed phases at every read layer."""
+    return {t: intensities(state[slice(*live_rows(spec, t))])
+            for t, state in evolve(spec, mats, phases, max(read_layers)) if t in read_layers}
 
 
 def _level_intensity_stacks(plan: SweepPlan, mats: list[np.ndarray], level_indices,
@@ -338,9 +342,11 @@ def _level_intensity_stacks(plan: SweepPlan, mats: list[np.ndarray], level_indic
     """Fill columns lo..hi-1 of ``stacks`` with the intensities of those realizations.
 
     ``level_indices`` name levels of ``plan``, and ``stacks`` maps each read
-    layer to their level-major (levels * num_modes, n) stack: level j holds
-    rows j*num_modes onwards.  ``mats`` are the walk's layer matrices, and
-    each chunk's phase screens are its disorder alone.  A chunk holds at
+    layer ``t`` to their level-major (levels * rows, n) stack of the layer's
+    ``rows`` live rows (:func:`~meshwalk.lattice.live_rows`) alone: level j
+    holds rows j*rows onwards.  The rows outside are exactly zero, and are
+    neither propagated nor stored.  ``mats`` are the walk's layer matrices,
+    and each chunk's phase screens are its disorder alone.  A chunk holds at
     most ``_CHUNK`` realizations, the same columns of every level: it is
     drawn, composed and propagated at once and fills its own columns.
     """
@@ -352,14 +358,16 @@ def _level_intensity_stacks(plan: SweepPlan, mats: list[np.ndarray], level_indic
         b = min(a + step, hi)
         static, dynamic = _sample_block(plan.master_seed, level_indices, a, b, m, spec.depth)
         # Each realization takes its level's strengths.
-        phases = compose_screens(*(np.repeat(c, b - a) for c in strengths), static, dynamic)
+        phases = compose_screens(spec, *(np.repeat(c, b - a) for c in strengths), static,
+                                 dynamic)
         # Drop each stage's input once it is used, so that the next stage's
         # temporaries do not add to it: at 2048 realizations each is MBs.
         del static, dynamic
         blocks = _propagate_block(spec, mats, phases, read_layers)
         del phases
         for t, block in blocks.items():  # every stack is C-contiguous, so reshape is a view
-            stacks[t].reshape(k, m, -1)[:, :, a:b] = block.reshape(m, k, b - a).transpose(1, 0, 2)
+            rows = len(block)
+            stacks[t].reshape(k, rows, -1)[:, :, a:b] = block.reshape(rows, k, -1).swapaxes(0, 1)
 
 
 def _bucket_terms(block: np.ndarray) -> np.ndarray | None:
@@ -408,8 +416,6 @@ def _row_sums(stack: np.ndarray, mean: np.ndarray | None = None) -> list[float]:
                 block = group[:, c:c + _BLOCK]
                 if mu is not None:
                     block = (block - mu) ** 2
-                if not block.any():  # zeros add nothing, as in rows outside a layer's light cone
-                    continue
                 buckets = _bucket_terms(block)
                 if buckets is None:
                     terms = None
@@ -447,22 +453,42 @@ def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _run: tuple = ()
 
 
+def _live_counts(plan: SweepPlan) -> dict[int, int]:
+    """The number of live rows of each read layer, the rows its stacks hold."""
+    return {t: len(range(*live_rows(plan.spec, t))) for t in plan.read_layers}
+
+
 def _stacks(first: int, last: int) -> dict[int, np.ndarray]:
     """The stacks of pending levels first..last-1, one per read layer they lack.
 
     The levels of a task lack the same read layers.  A stack is level-major,
-    (levels * num_modes, n), and new, unless the levels are split: then a
-    level's stacks are its part of the shared mapping, which holds a slot for
-    every read layer of every pending level, so offsets do not depend on what
-    was resumed; a slot never written costs no memory.
+    (levels * rows, n) for the read layer's ``rows`` live rows, and new,
+    unless the levels are split: then a level's stacks are its part of the
+    shared mapping, which holds a slot of that many rows for every read layer
+    of every pending level, so offsets do not depend on what was resumed; a
+    slot never written costs no memory.
     """
     plan, _, mapping, pending, lacking = _run
-    layers, m, n = plan.read_layers, plan.spec.num_modes, plan.realizations_per_level
+    n, counts = plan.realizations_per_level, _live_counts(plan)
     if mapping is None:
-        return {t: np.empty(((last - first) * m, n)) for t in lacking[pending[first]]}
-    size = len(layers) * m * n
-    slots = np.frombuffer(mapping, float, size, first * size * 8).reshape(len(layers), m, n)
-    return {t: slots[layers.index(t)] for t in lacking[pending[first]]}
+        return {t: np.empty(((last - first) * counts[t], n)) for t in lacking[pending[first]]}
+    offsets = dict(zip(counts, itertools.accumulate(counts.values(), initial=0)))
+    size = sum(counts.values()) * n
+    slots = np.frombuffer(mapping, float, size, first * size * 8).reshape(-1, n)
+    return {t: slots[offsets[t]:offsets[t] + counts[t]] for t in lacking[pending[first]]}
+
+
+def _reduce_layer(spec: MeshSpec, t: int, stack: np.ndarray) -> np.ndarray:
+    """Each level's per-mode means and standard errors at read layer ``t``: (2, levels, modes).
+
+    ``stack`` holds the levels' live rows of layer ``t``, level-major.  A row
+    outside them is exactly zero in every realization, so its mean and
+    standard error are +0.0, which :func:`_reduce` would give it.
+    """
+    start, stop = live_rows(spec, t)
+    out = np.zeros((2, len(stack) // (stop - start), spec.num_modes))
+    out[:, :, start:stop] = np.reshape(_reduce(stack), (2, -1, stop - start))
+    return out
 
 
 def _level_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
@@ -483,8 +509,7 @@ def _level_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]
     _level_intensity_stacks(plan, mats, indices, lo, hi, stacks)
     if hi - lo < plan.realizations_per_level:
         return []
-    reduced = {t: [np.split(x, len(indices)) for x in _reduce(stack)]
-               for t, stack in stacks.items()}
+    reduced = {t: _reduce_layer(plan.spec, t, stack) for t, stack in stacks.items()}
     return [(idx, {t: (mean[j], se[j]) for t, (mean, se) in reduced.items()})
             for j, idx in enumerate(indices)]
 
@@ -492,7 +517,8 @@ def _level_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]
 def _reduce_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
     """One read layer of a split level, every range filled, in :func:`_level_task`'s form."""
     position, t = args
-    return [(_run[3][position], {t: _reduce(_stacks(position, position + 1)[t])})]
+    mean, se = _reduce_layer(_run[0].spec, t, _stacks(position, position + 1)[t])
+    return [(_run[3][position], {t: (mean[0], se[0])})]
 
 
 _PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
@@ -644,7 +670,7 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
         # it.  Workers are forked from this process whatever the default
         # start method ('forkserver' from Python 3.14 on Linux): they inherit
         # the run, and _init_worker ties each to it.
-        size = 8 * len(pending) * len(plan.read_layers) * plan.spec.num_modes * n if split else 0
+        size = 8 * len(pending) * sum(_live_counts(plan).values()) * n if split else 0
         if size > sys.maxsize:  # beyond any address space; mmap would raise OverflowError
             raise MemoryError(f"Unable to allocate {size} bytes of intensity stacks")
         with (mmap.mmap(-1, size) if split else contextlib.nullcontext()) as mapping:

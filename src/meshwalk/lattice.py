@@ -10,15 +10,16 @@ layers a per-mode phase screen acts on every waveguide.
 
 :func:`evolve` is the one propagation kernel: it pushes a batch of walkers
 through the cone layer by layer, in a mode-major (num_modes, walkers)
-complex state.  At layer ``t`` only the live rows, the cone's ``2t`` modes
-plus the injection mode, can carry amplitude, so the phase screen's factors
-are computed and applied there alone; the rows outside stay exactly zero.
-The disorder ensembles run it over thousands of realizations at once.  The
-kernel's phases are one float array laid out (depth, num_modes, walkers), so
-a layer's live rows are one block of memory:
+complex state.  At layer ``t`` only the live rows (:func:`live_rows`), the
+cone's ``2t`` modes plus the injection mode, can carry amplitude, so the
+phase screen's factors are computed and applied there alone; the rows
+outside stay exactly zero.  The disorder ensembles run it over thousands of
+realizations at once.  The kernel's phases are cone-packed: one float array
+of (sum of every layer's live rows, walkers), layer 1's live rows first,
+then layer 2's, each layer's rows one block of memory.
 :func:`~meshwalk.programs.compose_screens` writes a chunk's phases so,
-:func:`evolve` reads them as given, and a read layer's intensities reach the
-reduction as (num_modes, walkers).
+:func:`evolve` reads them as given, and a read layer's live rows reach the
+reduction as (live rows, walkers).
 
 A single walker's state is a complex vector of length ``num_modes`` (unit
 norm in this lossless model); intensity distributions are the squared
@@ -122,48 +123,63 @@ def intensities(state: np.ndarray) -> np.ndarray:
     return state.real**2 + state.imag**2
 
 
+def live_rows(spec: MeshSpec, t: int) -> tuple[int, int]:
+    """The 0-based rows ``[start, stop)`` of layer ``t`` that can carry amplitude.
+
+    Layer ``t``'s cells couple modes ``m/2 - t`` to ``m/2 + t - 1`` (0-based),
+    and the injection mode keeps its amplitude where no cell has reached it
+    yet, so the range is ``[min(m/2 - t, inj), max(m/2 + t, inj + 1))``.
+    Every row outside it is exactly zero after layer ``t``.  It is the one
+    statement of the cone-packed layout: layer ``t``'s phases and intensity
+    rows are these rows, in order, after every earlier layer's.
+    """
+    m, inject = spec.num_modes, spec.injection_mode - 1
+    return min(m // 2 - t, inject), max(m // 2 + t, inject + 1)
+
+
 def evolve(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int):
     """Propagate a batch of walkers through layers 1..``last``.
 
     Every walker starts in ``spec.injection_mode``.  ``mats`` holds each
-    layer's stacked cell unitaries, top to bottom, and ``phases``
-    the total phase of every walker in the kernel's layout.  Each layer
-    applies its cells, then its phase screen, and yields ``(t, state)``:
-    ``state`` is the mode-major (num_modes, walkers) amplitude array, which
-    the next layer updates in place, so read it before resuming.
-
-    Only the live rows of layer ``t`` can hold amplitude: its cells' modes
-    plus the injection mode, as one 0-based range ``[min(m/2 - t, inj),
-    max(m/2 + t, inj + 1))``.  Phase factors are computed and applied there
-    alone; every other row stays exactly +0.  The phases' shape is checked
-    when ``evolve`` is called, before the first layer is asked for.
+    layer's stacked cell unitaries, top to bottom, and ``phases`` the total
+    phase of every walker at every live (mode, layer) cell, cone-packed:
+    (sum over layers of their :func:`live_rows`, walkers), layer by layer.
+    Each layer applies its cells, then its phase screen, and yields
+    ``(t, state)``: ``state`` is the mode-major (num_modes, walkers)
+    amplitude array, which the next layer updates in place, so read it before
+    resuming.  Phase factors are computed and applied on the live rows alone;
+    every other row stays exactly +0.  The phases' shape is checked when
+    ``evolve`` is called, before the first layer is asked for.
     """
-    m = spec.num_modes
-    if phases.ndim != 3 or phases.shape[:2] != (spec.depth, m):
-        raise ValueError(f"phases shaped {phases.shape}, expected ({spec.depth}, {m}, walkers)")
+    packed = sum(len(range(*live_rows(spec, t))) for t in range(1, spec.depth + 1))
+    if phases.ndim != 2 or phases.shape[0] != packed:
+        raise ValueError(f"phases shaped {phases.shape}, expected ({packed}, walkers)")
     return _layers(spec, mats, phases, last)
 
 
 def _layers(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int):
     """The layers of :func:`evolve`, for phases already checked."""
     m = spec.num_modes
-    count = phases.shape[2]
+    count = phases.shape[1]
     factor = np.empty((m, count), dtype=complex)
 
-    inject = spec.injection_mode - 1
     state = np.zeros((m, count), dtype=complex)
-    state[inject] = 1.0
+    state[spec.injection_mode - 1] = 1.0
+    offset = 0
     for t in range(1, last + 1):
-        start = m // 2 - t  # 0-based top mode of the layer's first cell
+        first = m // 2 - t  # 0-based top mode of the layer's first cell
         cells = mats[t - 1]
         for k in range(t):
-            i = start + 2 * k
+            i = first + 2 * k
             u = cells[k]
             top = u[0, 0] * state[i] + u[0, 1] * state[i + 1]
             state[i + 1] = u[1, 0] * state[i] + u[1, 1] * state[i + 1]
             state[i] = top
-        live = slice(min(start, inject), max(m // 2 + t, inject + 1))
-        np.cos(phases[t - 1, live], out=factor.real[live])
-        np.sin(phases[t - 1, live], out=factor.imag[live])
-        state[live] *= factor[live]
+        start, stop = live_rows(spec, t)
+        rows = phases[offset:offset + stop - start]
+        offset += stop - start
+        live = factor[:stop - start]
+        np.cos(rows, out=live.real)
+        np.sin(rows, out=live.imag)
+        state[start:stop] *= live
         yield t, state

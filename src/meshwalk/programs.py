@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import wrap_angle
+from .lattice import MeshSpec, live_rows, wrap_angle
 
 #: How per-realization random streams are derived; recorded in every result document.
 GENERATOR_IDENTITY = (
@@ -263,30 +263,42 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, num_modes: int,
     return buf[:, :num_modes], buf[:, num_modes:].reshape(len(buf), num_modes, depth)
 
 
-def compose_screens(c_tid, c_td, static: np.ndarray, dynamic: np.ndarray) -> np.ndarray:
-    """The phases of one chunk's drawn fields, in the kernel's layout: the disorder model.
+def compose_screens(spec: MeshSpec, c_tid, c_td, static: np.ndarray,
+                    dynamic: np.ndarray) -> np.ndarray:
+    """The cone-packed phases of one chunk's drawn fields: the disorder model.
 
     ``static`` (count, num_modes) and ``dynamic`` (count, num_modes, depth)
-    are drawn fields (:func:`draw_block`), one row per realization, scaled
-    here by the strengths ``c_tid`` and ``c_td``: scalars, or (count,) arrays
-    that give each realization its level's.  They add on each waveguide; their
-    wrapped sum enters with the :func:`mode_signs` sign, and the signed sum is
-    wrapped again into (-pi, pi].  Every element takes the float steps of
+    are drawn fields (:func:`draw_block`) of ``spec``'s mesh, one row per
+    realization, scaled here by the strengths ``c_tid`` and ``c_td``:
+    scalars, or (count,) arrays that give each realization its level's.  They
+    add on each waveguide; their wrapped sum enters with the
+    :func:`mode_signs` sign, and the signed sum is wrapped again into
+    (-pi, pi].  Every element takes the float steps of
     ``wrap(sign * wrap(c_tid * static + c_td * dynamic))`` in that order, in
-    place in the new array returned (layout: :mod:`~meshwalk.lattice`).
+    place in the new array returned.  Only the live (mode, layer) cells are
+    composed: the result is C-contiguous (sum of the layers' live rows,
+    count), each layer's :func:`~meshwalk.lattice.live_rows` after the
+    previous layer's (the kernel's layout, :mod:`~meshwalk.lattice`).
     """
-    if static.ndim != 2 or static.shape != dynamic.shape[:-1]:
+    m, depth = spec.num_modes, spec.depth
+    if static.ndim != 2 or static.shape != dynamic.shape[:-1] or dynamic.shape[1:] != (m, depth):
         raise ValueError(f"static field {static.shape} does not match dynamic field "
-                         f"{dynamic.shape}: expected (count, m) and (count, m, depth)")
-    count, m, depth = dynamic.shape
+                         f"{dynamic.shape}: expected (count, {m}) and (count, {m}, {depth})")
+    count = len(static)
     c_tid, c_td = (np.broadcast_to(c, (count,)) for c in (c_tid, c_td))
-    total = np.empty((depth, m, count))
+    layers = [live_rows(spec, t) for t in range(1, depth + 1)]
+    rows = np.concatenate([np.arange(start, stop) for start, stop in layers])
+    total = np.empty((len(rows), count))
+    scaled = (c_tid[:, None] * static).T
     # The transposing read goes a block of realizations at a time, so the
-    # rows it reads stay cached while every (layer, mode) column is written.
+    # rows it reads stay cached while every live (layer, mode) row is written.
     for lo in range(0, count, _TRANSPOSE_BLOCK):
-        hi = lo + _TRANSPOSE_BLOCK
-        np.multiply(dynamic[lo:hi].T, c_td[lo:hi], out=total[:, :, lo:hi])
-    total += (c_tid[:, None] * static).T
+        hi, offset = lo + _TRANSPOSE_BLOCK, 0
+        for t, (start, stop) in enumerate(layers):
+            cells = total[offset:offset + stop - start, lo:hi]
+            np.multiply(dynamic[lo:hi, start:stop, t].T, c_td[lo:hi], out=cells)
+            cells += scaled[start:stop, lo:hi]
+            offset += stop - start
     wrap_angle(total, out=total)
-    total *= mode_signs(m)[:, None]
+    total *= mode_signs(m)[rows, None]
     return wrap_angle(total, out=total)

@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # expose tests/oracles.py
 
 from meshwalk import HADAMARD, INPUT_SPLITTER, MeshSpec, RbsSetting, cell_unitary, ensemble
-from meshwalk.lattice import evolve
+from meshwalk.lattice import evolve, live_rows
 
 
 def subprocess_env(out_dir=None) -> dict[str, str]:
@@ -86,14 +86,38 @@ def cell_matrices(settings) -> list[np.ndarray]:
     return [np.stack([cell_unitary(s) for s in layer]) for layer in settings]
 
 
+def pack(spec: MeshSpec, screens: np.ndarray) -> np.ndarray:
+    """(num_modes, depth, ...) screens as the kernel's cone-packed phases.
+
+    Layer t's ``lattice.live_rows`` of column t, after every earlier layer's:
+    a C-contiguous (live cells, ...) array.  Every other cell is dropped.
+    """
+    return np.concatenate([screens[slice(*live_rows(spec, t)), t - 1]
+                           for t in range(1, spec.depth + 1)])
+
+
+def unpack(spec: MeshSpec, phases: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """Cone-packed phases as (num_modes, depth, ...) screens, ``fill`` on every other cell."""
+    screens = np.full((spec.num_modes, spec.depth) + phases.shape[1:], fill)
+    offset = 0
+    for t in range(1, spec.depth + 1):
+        start, stop = live_rows(spec, t)
+        screens[start:stop, t - 1] = phases[offset:offset + stop - start]
+        offset += stop - start
+    assert offset == len(phases)
+    return screens
+
+
 def propagate(spec: MeshSpec, settings, screens, up_to_layer: int | None = None) -> np.ndarray:
     """One walker from ``spec.injection_mode`` through layers 1..``up_to_layer``.
 
-    Runs the package's kernel, ``lattice.evolve``, as a batch of one.
-    Returns the complex state after the last layer (default: full depth).
+    Runs the package's kernel, ``lattice.evolve``, as a batch of one, on the
+    (num_modes, depth) screens' live cells (:func:`pack`); the others cannot
+    move an amplitude.  Returns the complex state after the last layer
+    (default: full depth).
     """
     last = spec.depth if up_to_layer is None else up_to_layer
-    phases = np.asarray(screens, dtype=float).T[:, :, None]
+    phases = pack(spec, np.asarray(screens, dtype=float)[:, :, None])
     for _, state in evolve(spec, cell_matrices(settings), phases, last):
         pass
     return state[:, 0]

@@ -333,6 +333,30 @@ def test_tomography_layers_and_heatmap(outdir, capsys):
     assert "spread exponent = undefined" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("inject", [[], ["--inject", "3"], ["--inject", "14"]])
+def test_tomography_writes_plus_zero_outside_each_layers_live_rows(outdir, monkeypatch,
+                                                                   inject, workers):
+    # Layer t's live rows, 0-based, are the cone's [7 - t, 7 + t) at 14x7 and
+    # the injection mode's row: no other row is stored or reduced, and every
+    # record writes +0.0 there, bit for bit, at every read layer, whole or
+    # split.  Injection modes 3 and 14 lie outside the early layers' cones.
+    fake_cpus(monkeypatch, 2)
+    monkeypatch.setattr(ensemble, "_CHUNK", 4)  # 40 realizations split across 2 workers
+    argv = ["tomography", "--ctid", "0.842", "--ctd", "0.5", "--n", "40", *inject,
+            "--out", "tomo.json", "--workers", str(workers)]
+    assert main(argv) == 0
+    doc = json.loads((outdir / "tomo.json").read_text())
+    row = doc["plan"]["injection_mode"] - 1
+    assert sorted(rec["read_layer"] for rec in doc["records"]) == list(range(1, 8))
+    for rec in doc["records"]:
+        t = rec["read_layer"]
+        outside = [x for x in range(14) if not min(7 - t, row) <= x < max(7 + t, row + 1)]
+        for key in ("mean", "std_error"):
+            assert not np.array(rec[key])[outside].view(np.uint64).any(), (t, key)
+        assert abs(math.fsum(rec["mean"]) - 1.0) < 1e-12, t  # the light is all in the live rows
+
+
 def test_sweep_resume_and_heatmaps(outdir, level_tasks):
     base = ["sweep", "--grid", "3x3", "--n", "20", "--seed", "5", "--workers", "1"]
     assert main(base + ["--out", "s.json"]) == 0

@@ -29,19 +29,31 @@ from meshwalk.ensemble import (
     _reduce,
     _sample_block,
 )
-from meshwalk.lattice import evolve
+from meshwalk.lattice import evolve, live_rows
 from meshwalk.programs import compose_screens
-from conftest import (CPUS, bits, cell_matrices, fake_cpus, mod_wrap, propagate, random_program,
-                      subprocess_env, walk_program)
+from conftest import (CPUS, bits, cell_matrices, fake_cpus, mod_wrap, pack, propagate,
+                      random_program, subprocess_env, walk_program)
 from oracles import fsum_reduce, full_unitary, galton_distribution
 
 
+def live_stacks(spec, read_layers, n):
+    """Empty (live rows, n) stacks of one level, one per read layer."""
+    return {t: np.empty((len(range(*live_rows(spec, t))), n)) for t in read_layers}
+
+
 def level_stacks(spec, mats, level, n, master_seed, level_index, read_layers):
-    """One level's (num_modes, n) intensity stack per read layer, filled in one range."""
-    stacks = {t: np.empty((spec.num_modes, n)) for t in read_layers}
+    """One level's (live rows, n) intensity stack per read layer, filled in one range."""
+    stacks = live_stacks(spec, read_layers, n)
     plan = SweepPlan(spec, (level,) * (level_index + 1), n, master_seed)
     _level_intensity_stacks(plan, mats, (level_index,), 0, n, stacks)
     return stacks
+
+
+def every_row(spec, t, stack):
+    """A layer's (live rows, n) stack as (num_modes, n), +0.0 on every other row."""
+    rows = np.zeros((spec.num_modes, stack.shape[1]))
+    rows[slice(*live_rows(spec, t))] = stack
+    return rows
 
 
 def full_array_stacks(spec, settings, screens, read_layers):
@@ -103,12 +115,14 @@ class TestConeKernel:
             plan = SweepPlan(spec, (level,) * 3, n, 17)
             screens = full_array_screens(level, static, dynamic)
             for settings, _ in self.programs(spec, rng):
-                stacks = {t: np.empty((spec.num_modes, n)) for t in layers}
+                stacks = live_stacks(spec, layers, n)
                 for lo, hi in ((0, 120), (120, n)):  # ranges fill their own columns
                     _level_intensity_stacks(plan, cell_matrices(settings), (2,), lo, hi, stacks)
                 expected = full_array_stacks(spec, settings, screens, layers)
                 for t in layers:
-                    assert np.array_equal(bits(stacks[t]), bits(expected[t])), (spec, t)
+                    # The live rows are stored, and every other row is +0.0.
+                    assert np.array_equal(bits(every_row(spec, t, stacks[t])),
+                                          bits(expected[t])), (spec, t)
 
     def test_propagate(self):
         rng = np.random.default_rng(32)
@@ -122,39 +136,62 @@ class TestConeKernel:
                         out = intensities(propagate(walker, settings, screens, up_to_layer=t))
                         assert np.array_equal(bits(out), bits(stack[:, 0])), (spec, mode, t)
 
-    def test_compose_screens_layout(self):
-        # The result is one C-contiguous (layer, mode, realization) array,
-        # with the full-array model's bits.
-        static, dynamic = _sample_block(4, 0, 0, 600, 14, 7)
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_compose_screens_layout(self, spec):
+        # The result is one C-contiguous (live cell, realization) array, each
+        # layer's live rows after the last's, with the full-array model's
+        # bits.  Injection modes 1, 3 and 14 take live rows outside the cone.
+        static, dynamic = _sample_block(4, 0, 0, 600, spec.num_modes, spec.depth)
         drawn = static.copy(), dynamic.copy()
         level = DisorderSpec(0.3, 0.9)
-        total = compose_screens(level.c_tid, level.c_td, static, dynamic)
-        assert total.shape == (7, 14, 600)
+        total = compose_screens(spec, level.c_tid, level.c_td, static, dynamic)
+        live = [live_rows(spec, t) for t in range(1, spec.depth + 1)]
+        assert total.shape == (sum(stop - start for start, stop in live), 600)
         assert total.flags.c_contiguous
         expected = full_array_screens(level, *drawn)
-        assert np.array_equal(bits(total), bits(expected.transpose(2, 1, 0)))
+        assert np.array_equal(bits(total), bits(pack(spec, expected.transpose(1, 2, 0))))
         # The drawn fields are read, never written.
         assert np.array_equal(bits(static), bits(drawn[0]))
         assert np.array_equal(bits(dynamic), bits(drawn[1]))
 
+    def test_live_rows(self):
+        # Layer t's cells and the injection mode, 0-based: the cone's 2t rows
+        # at the default injection, reaching out to an injection outside it.
+        assert [live_rows(MeshSpec(), t) for t in (1, 4, 7)] == [(6, 8), (3, 11), (0, 14)]
+        assert [live_rows(MeshSpec(14, 7, 1), t) for t in (1, 7)] == [(0, 8), (0, 14)]
+        assert [live_rows(MeshSpec(14, 7, 3), t) for t in (1, 4, 5)] == [(2, 8), (2, 11), (2, 12)]
+        assert [live_rows(MeshSpec(14, 7, 14), t) for t in (1, 6)] == [(6, 14), (1, 14)]
+        assert live_rows(MeshSpec(30, 15), 15) == (0, 30)
+
 
 def test_propagate_rejects_realization_major_phases(spec14):
-    # The kernel reads (depth, num_modes, walkers); a (walkers, num_modes,
-    # depth) array would otherwise run as depth walkers of garbage phases.
+    # The kernel reads packed (live cells, walkers); a (walkers, live cells)
+    # array would otherwise run as walkers of garbage phases.
     static, dynamic = _sample_block(1, 0, 0, 5, 14, 7)
-    phases = compose_screens(0.5, 0.5, static, dynamic)
+    phases = compose_screens(spec14, 0.5, 0.5, static, dynamic)
     mats = _layer_matrices(spec14)
     with pytest.raises(ValueError, match="phases shaped"):
-        _propagate_block(spec14, mats, phases.transpose(2, 1, 0), (7,))
+        _propagate_block(spec14, mats, phases.T, (7,))
     assert _propagate_block(spec14, mats, phases, (7,))[7].shape == (14, 5)
+
+
+def test_kernel_rejects_a_chunk_of_depth_realizations(spec14):
+    # A realization-major chunk of exactly depth realizations, (7, 14, 7) at
+    # 14x7, once had the kernel layout's shape; no 3-D array has it now.
+    _, dynamic = _sample_block(1, 0, 0, 7, 14, 7)
+    mats = _layer_matrices(spec14)
+    with pytest.raises(ValueError, match=r"phases shaped \(7, 14, 7\)"):
+        evolve(spec14, mats, dynamic, 7)
+    with pytest.raises(ValueError, match=r"phases shaped \(7, 14, 7\)"):
+        _propagate_block(spec14, mats, dynamic, (7,))
 
 
 def test_evolve_checks_phases_when_called(spec14):
     # The shape error comes from the call itself, before any layer is asked for.
     static, dynamic = _sample_block(1, 0, 0, 5, 14, 7)
-    phases = compose_screens(0.5, 0.5, static, dynamic)
-    with pytest.raises(ValueError, match=r"phases shaped \(5, 14, 7\)"):
-        evolve(spec14, _layer_matrices(spec14), phases.transpose(2, 1, 0), 7)
+    phases = compose_screens(spec14, 0.5, 0.5, static, dynamic)
+    with pytest.raises(ValueError, match=r"phases shaped \(5, 56\)"):
+        evolve(spec14, _layer_matrices(spec14), phases.T, 7)
 
 
 class TestRunLevel:
@@ -172,12 +209,16 @@ class TestRunLevel:
         rec = run_sweep(plan, workers=1).record(0)
         assert abs(rec.mean.sum() - 1.0) < 1e-9
 
-    def test_kernel_matches_single_realization_path(self, spec14):
+    @pytest.mark.parametrize("inject", [8, 1, 3, 14])
+    def test_kernel_matches_single_realization_path(self, inject):
         # Each stack row against the dense oracle's injection column, with
         # the disorder model spelled out here from its documentation: the
         # stream of GENERATOR_IDENTITY, scaled, summed per waveguide, and
         # negated on modes 8..14, as the whole screen of the program's cells.
         # Wrapping by 2 pi changes no amplitude, so the oracle leaves it out.
+        # Rows outside the stored live rows are +0.0, and the oracle's are
+        # zero there too.  Injection modes 1, 3 and 14 reach outside the cone.
+        spec14 = MeshSpec(14, 7, inject)
         settings, _ = random_program(spec14, np.random.default_rng(12))
         level = DisorderSpec(0.7, 0.4)
         n = 40
@@ -193,7 +234,8 @@ class TestRunLevel:
             for layer in layers:
                 column = full_unitary(spec14, settings, applied, up_to_layer=layer)[
                     :, spec14.injection_mode - 1]
-                assert np.abs(stacks[layer][:, r] - intensities(column)).max() < 1e-12
+                stack = every_row(spec14, layer, stacks[layer])
+                assert np.abs(stack[:, r] - intensities(column)).max() < 1e-12
 
     def test_fully_incoherent_matches_markov_oracle(self, spec14):
         plan = SweepPlan(spec14, (DisorderSpec(1, 1),), 4000, 77)
@@ -389,8 +431,9 @@ class TestRunSweep:
             stacks.clear()
             assert json.dumps(run_sweep(plan, workers=1).to_document()) == document, chunk
             assert len(stacks) == 2 * reduces, chunk
-            assert stacks[0] == (pack * 14, 37), chunk
-            assert sum(rows for rows, _ in stacks) == 2 * 21 * 14, chunk
+            # A stack holds each level's live rows: 6 at layer 3, 14 at layer 7.
+            assert stacks[0] == (pack * 6, 37), chunk
+            assert sum(rows for rows, _ in stacks) == 21 * (6 + 14), chunk
 
     def test_block_size_invariance(self, monkeypatch):
         # The reduction's block bounds its temporaries and moves no bit:
@@ -702,7 +745,8 @@ class TestRunSweep:
         level_tasks.clear()
         run_sweep(plan, out_path=str(cut), workers=1)
         assert level_tasks == [4, 5, 6, 7, 8]
-        assert stacks == [(14, 20)] * 2 + [(28, 20)] * 6
+        # Live rows: 4 at layer 2, 10 at layer 5 and 14 at layer 7.
+        assert stacks == [(10, 20), (14, 20)] + [(8, 20), (20, 20), (28, 20)] * 2
         assert cut.read_bytes() == fresh.read_bytes()
         assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
 
@@ -867,11 +911,11 @@ class TestThroughput:
         # 14x7 cone, amortized per realization in the batched kernel.
         n = 20000
         static, dynamic = _sample_block(1, 0, 0, n, 14, 7)
-        screens = 0.6 * static[:, :, None] + 0.8 * dynamic
+        screens = (0.6 * static[:, :, None] + 0.8 * dynamic).transpose(1, 2, 0)
         mats = _layer_matrices(spec14)
-        _propagate_block(spec14, mats, np.ascontiguousarray(screens[:100].T), (7,))  # warm up
+        _propagate_block(spec14, mats, pack(spec14, screens[:, :, :100]), (7,))  # warm up
         start = time.perf_counter()
-        _propagate_block(spec14, mats, np.ascontiguousarray(screens.T), (7,))
+        _propagate_block(spec14, mats, pack(spec14, screens), (7,))
         per_prop = (time.perf_counter() - start) / n
         assert per_prop < 10e-6, f"{per_prop * 1e6:.2f} us per propagation"
 
@@ -898,7 +942,8 @@ class TestThroughput:
         static, dynamic = _sample_block(1, 0, 0, n, 30, 15)
 
         def screens_and_propagate(count):
-            total = compose_screens(level.c_tid, level.c_td, static[:count], dynamic[:count])
+            total = compose_screens(spec, level.c_tid, level.c_td, static[:count],
+                                    dynamic[:count])
             _propagate_block(spec, mats, total, (15,))
 
         screens_and_propagate(100)  # warm up

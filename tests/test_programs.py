@@ -18,7 +18,7 @@ from meshwalk import (
 from meshwalk.ensemble import _layer_matrices
 from meshwalk.programs import (_MASK32, _pcg64_seeds, _pcg64_set_seed, _state_layout, _words,
                                compose_screens, draw_block)
-from conftest import LaidOutPCG64, bits, propagate, walk_program
+from conftest import LaidOutPCG64, bits, pack, propagate, unpack, walk_program
 from oracles import BAR, build_tomography_program, ks_uniform_statistic
 
 
@@ -29,10 +29,21 @@ def one_realization(seed, level_index, r, num_modes=14, depth=7):
 
 
 def disordered(program, level, static, dynamic):
-    """The program's cells with one realization's disorder as their screens."""
+    """The program's cells with one realization's disorder as their screens.
+
+    The screens are (num_modes, depth), composed on the live cells of the
+    mesh's default injection; every other cell, which no amplitude reaches,
+    reads 0.
+    """
+    spec = MeshSpec(*dynamic.shape)
     # A batch of one.
-    phases = compose_screens(level.c_tid, level.c_td, static[None], dynamic[None])
-    return program[0], phases[:, :, 0].T
+    phases = compose_screens(spec, level.c_tid, level.c_td, static[None], dynamic[None])
+    return program[0], unpack(spec, phases)[:, :, 0]
+
+
+def live_cells(spec):
+    """(num_modes, depth) mask of the cells the kernel reads a phase of."""
+    return unpack(spec, pack(spec, np.ones((spec.num_modes, spec.depth)))) == 1
 
 
 class TestBuildSymmetricQw:
@@ -88,9 +99,9 @@ class TestSampleRealization:
         # Each field alone.
         static, dynamic = draw_block(9, 0, 0, 1, 14, 7)  # realization 0, a batch of one
         full, half = DisorderSpec(1.0, 1.0), DisorderSpec(0.5, 0.25)
-        s_full, s_half = (compose_screens(l.c_tid, l.c_td, static, 0 * dynamic)
+        s_full, s_half = (compose_screens(spec14, l.c_tid, l.c_td, static, 0 * dynamic)
                           for l in (full, half))
-        d_full, d_half = (compose_screens(l.c_tid, l.c_td, 0 * static, dynamic)
+        d_full, d_half = (compose_screens(spec14, l.c_tid, l.c_td, 0 * static, dynamic)
                           for l in (full, half))
         assert np.abs(s_half - 0.5 * s_full).max() < 1e-15
         assert np.abs(d_half - 0.25 * d_full).max() < 1e-15
@@ -238,7 +249,10 @@ class TestApplyDisorder:
 
     def test_static_only_constant_across_layers(self, spec14, qw_program):
         _, screens = disordered(qw_program, DisorderSpec(1.0, 0.0), *one_realization(6, 0, 0))
-        assert np.abs(screens - screens[:, :1]).max() < 1e-15
+        # Every mode is live at the last layer; each of its live cells holds that phase.
+        live = live_cells(spec14)
+        assert live[:, -1].all()
+        assert np.abs(screens - screens[:, -1:])[live].max() < 1e-15
 
     def test_mirrored_sign_pattern(self, spec14, qw_program):
         signs = mode_signs(14)
@@ -246,19 +260,23 @@ class TestApplyDisorder:
         level, (static, dynamic) = DisorderSpec(0.4, 0.0), one_realization(7, 0, 0)
         # The applied static screen: +c_tid * static on modes 1..7, - on 8..14.
         _, applied = disordered(qw_program, level, static, dynamic)
-        assert np.abs(applied[:7] - 0.4 * static[:7, None]).max() < 1e-15
-        assert np.abs(applied[7:] + 0.4 * static[7:, None]).max() < 1e-15
+        live = live_cells(spec14)
+        assert np.abs(applied[:7] - 0.4 * static[:7, None])[live[:7]].max() < 1e-15
+        assert np.abs(applied[7:] + 0.4 * static[7:, None])[live[7:]].max() < 1e-15
 
     def test_dimension_mismatch(self):
         # The static field is (count, num_modes), the dynamic one without its
-        # layer axis: a single realization's fields are a batch of one.
+        # layer axis: a single realization's fields are a batch of one.  Both
+        # are the mesh's size.
         level = DisorderSpec(0.5, 0.5)
         for static, dynamic in ((np.zeros(10), np.zeros((14, 7))),
                                 (np.zeros((3, 14)), np.zeros((2, 14, 7))),
                                 (np.zeros((14, 7)), np.zeros((14, 7))),
-                                (np.zeros(14), np.zeros((14, 7)))):
+                                (np.zeros(14), np.zeros((14, 7))),
+                                (np.zeros((2, 14)), np.zeros((2, 14, 6))),
+                                (np.zeros((2, 16)), np.zeros((2, 16, 7)))):
             with pytest.raises(ValueError, match="does not match"):
-                compose_screens(level.c_tid, level.c_td, static, dynamic)
+                compose_screens(MeshSpec(), level.c_tid, level.c_td, static, dynamic)
 
     def test_mirrored_realization_mirrors_output(self, spec14, qw_program):
         # Reflecting the *applied* phase field about the cone axis reflects
