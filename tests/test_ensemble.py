@@ -136,23 +136,24 @@ class TestConeKernel:
                         out = intensities(propagate(walker, settings, screens, up_to_layer=t))
                         assert np.array_equal(bits(out), bits(stack[:, 0])), (spec, mode, t)
 
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_compose_screens_layout(self, spec):
+    def test_compose_screens_layout(self):
         # The result is one C-contiguous (live cell, realization) array, each
         # layer's live rows after the last's, with the full-array model's
         # bits.  Injection modes 1, 3 and 14 take live rows outside the cone.
-        static, dynamic = _sample_block(4, 0, 0, 600, spec.num_modes, spec.depth)
-        drawn = static.copy(), dynamic.copy()
         level = DisorderSpec(0.3, 0.9)
-        total = compose_screens(spec, level.c_tid, level.c_td, static, dynamic)
-        live = [live_rows(spec, t) for t in range(1, spec.depth + 1)]
-        assert total.shape == (sum(stop - start for start, stop in live), 600)
-        assert total.flags.c_contiguous
-        expected = full_array_screens(level, *drawn)
-        assert np.array_equal(bits(total), bits(pack(spec, expected.transpose(1, 2, 0))))
-        # The drawn fields are read, never written.
-        assert np.array_equal(bits(static), bits(drawn[0]))
-        assert np.array_equal(bits(dynamic), bits(drawn[1]))
+        for spec in self.SPECS:
+            static, dynamic = _sample_block(4, 0, 0, 600, spec.num_modes, spec.depth)
+            drawn = static.copy(), dynamic.copy()
+            total = compose_screens(spec, level.c_tid, level.c_td, static, dynamic)
+            live = [live_rows(spec, t) for t in range(1, spec.depth + 1)]
+            assert total.shape == (sum(stop - start for start, stop in live), 600), spec
+            assert total.flags.c_contiguous, spec
+            expected = full_array_screens(level, *drawn)
+            packed = pack(spec, expected.transpose(1, 2, 0))
+            assert np.array_equal(bits(total), bits(packed)), spec
+            # The drawn fields are read, never written.
+            assert np.array_equal(bits(static), bits(drawn[0])), spec
+            assert np.array_equal(bits(dynamic), bits(drawn[1])), spec
 
     def test_live_rows(self):
         # Layer t's cells and the injection mode, 0-based: the cone's 2t rows
@@ -209,8 +210,7 @@ class TestRunLevel:
         rec = run_sweep(plan, workers=1).record(0)
         assert abs(rec.mean.sum() - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("inject", [8, 1, 3, 14])
-    def test_kernel_matches_single_realization_path(self, inject):
+    def test_kernel_matches_single_realization_path(self):
         # Each stack row against the dense oracle's injection column, with
         # the disorder model spelled out here from its documentation: the
         # stream of GENERATOR_IDENTITY, scaled, summed per waveguide, and
@@ -218,24 +218,26 @@ class TestRunLevel:
         # Wrapping by 2 pi changes no amplitude, so the oracle leaves it out.
         # Rows outside the stored live rows are +0.0, and the oracle's are
         # zero there too.  Injection modes 1, 3 and 14 reach outside the cone.
-        spec14 = MeshSpec(14, 7, inject)
-        settings, _ = random_program(spec14, np.random.default_rng(12))
-        level = DisorderSpec(0.7, 0.4)
-        n = 40
-        layers = (4, spec14.depth)
-        signs = np.ones(14)
-        signs[7:] = -1.0
-        stacks = level_stacks(spec14, cell_matrices(settings), level, n, 555, 3, layers)
-        for r in range(n):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((555, 3, r))))
-            static = level.c_tid * rng.uniform(-np.pi, np.pi, 14)
-            dynamic = level.c_td * rng.uniform(-np.pi, np.pi, (14, 7))
-            applied = signs[:, None] * (static[:, None] + dynamic)
-            for layer in layers:
-                column = full_unitary(spec14, settings, applied, up_to_layer=layer)[
-                    :, spec14.injection_mode - 1]
-                stack = every_row(spec14, layer, stacks[layer])
-                assert np.abs(stack[:, r] - intensities(column)).max() < 1e-12
+        for inject in (8, 1, 3, 14):
+            spec14 = MeshSpec(14, 7, inject)
+            settings, _ = random_program(spec14, np.random.default_rng(12))
+            level = DisorderSpec(0.7, 0.4)
+            n = 40
+            layers = (4, spec14.depth)
+            signs = np.ones(14)
+            signs[7:] = -1.0
+            stacks = level_stacks(spec14, cell_matrices(settings), level, n, 555, 3, layers)
+            for r in range(n):
+                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((555, 3, r))))
+                static = level.c_tid * rng.uniform(-np.pi, np.pi, 14)
+                dynamic = level.c_td * rng.uniform(-np.pi, np.pi, (14, 7))
+                applied = signs[:, None] * (static[:, None] + dynamic)
+                for layer in layers:
+                    column = full_unitary(spec14, settings, applied, up_to_layer=layer)[
+                        :, spec14.injection_mode - 1]
+                    stack = every_row(spec14, layer, stacks[layer])
+                    assert np.abs(stack[:, r] - intensities(column)).max() < 1e-12, (
+                        inject, layer, r)
 
     def test_fully_incoherent_matches_markov_oracle(self, spec14):
         plan = SweepPlan(spec14, (DisorderSpec(1, 1),), 4000, 77)
