@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (HADAMARD, INPUT_SPLITTER, MeshSpec, cell_unitary, evolve, intensities,
-                      live_rows)
+                      live_rows, packed_layout)
 from .programs import GENERATOR_IDENTITY, DisorderSpec, compose_screens
 # The sample stage under a name of its own, which the benchmark's tracer wraps.
 from .programs import draw_block as _sample_block
@@ -455,7 +455,8 @@ _run: tuple = ()
 
 def _live_counts(plan: SweepPlan) -> dict[int, int]:
     """The number of live rows of each read layer, the rows its stacks hold."""
-    return {t: len(range(*live_rows(plan.spec, t))) for t in plan.read_layers}
+    layout = packed_layout(plan.spec)
+    return {t: layout[t - 1][2] - layout[t - 1][1] for t in plan.read_layers}
 
 
 def _stacks(first: int, last: int) -> dict[int, np.ndarray]:

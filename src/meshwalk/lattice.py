@@ -16,7 +16,8 @@ phase screen's factors are computed and applied there alone; the rows
 outside stay exactly zero.  The disorder ensembles run it over thousands of
 realizations at once.  The kernel's phases are cone-packed: one float array
 of (sum of every layer's live rows, walkers), layer 1's live rows first,
-then layer 2's, each layer's rows one block of memory.
+then layer 2's, each layer's rows one block of memory, at the offsets
+:func:`packed_layout` gives.
 :func:`~meshwalk.programs.compose_screens` writes a chunk's phases so,
 :func:`evolve` reads them as given, and a read layer's live rows reach the
 reduction as (live rows, walkers).
@@ -129,12 +130,28 @@ def live_rows(spec: MeshSpec, t: int) -> tuple[int, int]:
     Layer ``t``'s cells couple modes ``m/2 - t`` to ``m/2 + t - 1`` (0-based),
     and the injection mode keeps its amplitude where no cell has reached it
     yet, so the range is ``[min(m/2 - t, inj), max(m/2 + t, inj + 1))``.
-    Every row outside it is exactly zero after layer ``t``.  It is the one
-    statement of the cone-packed layout: layer ``t``'s phases and intensity
-    rows are these rows, in order, after every earlier layer's.
+    Every row outside it is exactly zero after layer ``t``.  Layer ``t``'s
+    phases and intensity rows are these rows, in order; :func:`packed_layout`
+    places them after every earlier layer's.
     """
     m, inject = spec.num_modes, spec.injection_mode - 1
     return min(m // 2 - t, inject), max(m // 2 + t, inject + 1)
+
+
+def packed_layout(spec: MeshSpec) -> list[tuple[int, int, int]]:
+    """Each layer's ``(offset, start, stop)`` in the cone-packed layout, layer ``t`` at ``t - 1``.
+
+    Layer ``t``'s phases are its :func:`live_rows` ``[start, stop)``, at packed
+    rows ``offset`` to ``offset + stop - start``, right after layer
+    ``t - 1``'s.  It is the one statement of the packing order; the last
+    layer's rows end the packed array.
+    """
+    layout, offset = [], 0
+    for t in range(1, spec.depth + 1):
+        start, stop = live_rows(spec, t)
+        layout.append((offset, start, stop))
+        offset += stop - start
+    return layout
 
 
 def evolve(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int):
@@ -143,7 +160,8 @@ def evolve(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int
     Every walker starts in ``spec.injection_mode``.  ``mats`` holds each
     layer's stacked cell unitaries, top to bottom, and ``phases`` the total
     phase of every walker at every live (mode, layer) cell, cone-packed:
-    (sum over layers of their :func:`live_rows`, walkers), layer by layer.
+    (sum over layers of their :func:`live_rows`, walkers), laid out by
+    :func:`packed_layout`.
     Each layer applies its cells, then its phase screen, and yields
     ``(t, state)``: ``state`` is the mode-major (num_modes, walkers)
     amplitude array, which the next layer updates in place, so read it before
@@ -151,22 +169,23 @@ def evolve(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int
     every other row stays exactly +0.  The phases' shape is checked when
     ``evolve`` is called, before the first layer is asked for.
     """
-    packed = sum(len(range(*live_rows(spec, t))) for t in range(1, spec.depth + 1))
+    layout = packed_layout(spec)
+    offset, start, stop = layout[-1]
+    packed = offset + stop - start
     if phases.ndim != 2 or phases.shape[0] != packed:
         raise ValueError(f"phases shaped {phases.shape}, expected ({packed}, walkers)")
-    return _layers(spec, mats, phases, last)
+    return _layers(spec, mats, phases, layout[:last])
 
 
-def _layers(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int):
-    """The layers of :func:`evolve`, for phases already checked."""
+def _layers(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, layout: list):
+    """The layers of :func:`evolve` in ``layout``, for phases already checked."""
     m = spec.num_modes
     count = phases.shape[1]
     factor = np.empty((m, count), dtype=complex)
 
     state = np.zeros((m, count), dtype=complex)
     state[spec.injection_mode - 1] = 1.0
-    offset = 0
-    for t in range(1, last + 1):
+    for t, (offset, start, stop) in enumerate(layout, 1):
         first = m // 2 - t  # 0-based top mode of the layer's first cell
         cells = mats[t - 1]
         for k in range(t):
@@ -175,9 +194,7 @@ def _layers(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: in
             top = u[0, 0] * state[i] + u[0, 1] * state[i + 1]
             state[i + 1] = u[1, 0] * state[i] + u[1, 1] * state[i + 1]
             state[i] = top
-        start, stop = live_rows(spec, t)
         rows = phases[offset:offset + stop - start]
-        offset += stop - start
         live = factor[:stop - start]
         np.cos(rows, out=live.real)
         np.sin(rows, out=live.imag)

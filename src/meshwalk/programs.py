@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import MeshSpec, live_rows, wrap_angle
+from .lattice import MeshSpec, packed_layout, wrap_angle
 
 #: How per-realization random streams are derived; recorded in every result document.
 GENERATOR_IDENTITY = (
@@ -277,8 +277,8 @@ def compose_screens(spec: MeshSpec, c_tid, c_td, static: np.ndarray,
     ``wrap(sign * wrap(c_tid * static + c_td * dynamic))`` in that order, in
     place in the new array returned.  Only the live (mode, layer) cells are
     composed: the result is C-contiguous (sum of the layers' live rows,
-    count), each layer's :func:`~meshwalk.lattice.live_rows` after the
-    previous layer's (the kernel's layout, :mod:`~meshwalk.lattice`).
+    count), laid out by :func:`~meshwalk.lattice.packed_layout` (the
+    kernel's layout, :mod:`~meshwalk.lattice`).
     """
     m, depth = spec.num_modes, spec.depth
     if static.ndim != 2 or static.shape != dynamic.shape[:-1] or dynamic.shape[1:] != (m, depth):
@@ -286,19 +286,18 @@ def compose_screens(spec: MeshSpec, c_tid, c_td, static: np.ndarray,
                          f"{dynamic.shape}: expected (count, {m}) and (count, {m}, {depth})")
     count = len(static)
     c_tid, c_td = (np.broadcast_to(c, (count,)) for c in (c_tid, c_td))
-    layers = [live_rows(spec, t) for t in range(1, depth + 1)]
-    rows = np.concatenate([np.arange(start, stop) for start, stop in layers])
+    layout = packed_layout(spec)
+    rows = np.concatenate([np.arange(start, stop) for _, start, stop in layout])
     total = np.empty((len(rows), count))
     scaled = (c_tid[:, None] * static).T
     # The transposing read goes a block of realizations at a time, so the
     # rows it reads stay cached while every live (layer, mode) row is written.
     for lo in range(0, count, _TRANSPOSE_BLOCK):
-        hi, offset = lo + _TRANSPOSE_BLOCK, 0
-        for t, (start, stop) in enumerate(layers):
+        hi = lo + _TRANSPOSE_BLOCK
+        for t, (offset, start, stop) in enumerate(layout):
             cells = total[offset:offset + stop - start, lo:hi]
             np.multiply(dynamic[lo:hi, start:stop, t].T, c_td[lo:hi], out=cells)
             cells += scaled[start:stop, lo:hi]
-            offset += stop - start
     wrap_angle(total, out=total)
     total *= mode_signs(m)[rows, None]
     return wrap_angle(total, out=total)

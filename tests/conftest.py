@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # expose tests/oracles.py
 
 from meshwalk import HADAMARD, INPUT_SPLITTER, MeshSpec, RbsSetting, cell_unitary, ensemble
-from meshwalk.lattice import evolve, live_rows
+from meshwalk.lattice import evolve, packed_layout
 
 
 def subprocess_env(out_dir=None) -> dict[str, str]:
@@ -89,22 +89,19 @@ def cell_matrices(settings) -> list[np.ndarray]:
 def pack(spec: MeshSpec, screens: np.ndarray) -> np.ndarray:
     """(num_modes, depth, ...) screens as the kernel's cone-packed phases.
 
-    Layer t's ``lattice.live_rows`` of column t, after every earlier layer's:
+    Layer t's live rows of column t, placed by ``lattice.packed_layout``:
     a C-contiguous (live cells, ...) array.  Every other cell is dropped.
     """
-    return np.concatenate([screens[slice(*live_rows(spec, t)), t - 1]
-                           for t in range(1, spec.depth + 1)])
+    return np.concatenate([screens[start:stop, t]
+                           for t, (_, start, stop) in enumerate(packed_layout(spec))])
 
 
-def unpack(spec: MeshSpec, phases: np.ndarray, fill: float = 0.0) -> np.ndarray:
-    """Cone-packed phases as (num_modes, depth, ...) screens, ``fill`` on every other cell."""
-    screens = np.full((spec.num_modes, spec.depth) + phases.shape[1:], fill)
-    offset = 0
-    for t in range(1, spec.depth + 1):
-        start, stop = live_rows(spec, t)
-        screens[start:stop, t - 1] = phases[offset:offset + stop - start]
-        offset += stop - start
-    assert offset == len(phases)
+def unpack(spec: MeshSpec, phases: np.ndarray) -> np.ndarray:
+    """Cone-packed phases as (num_modes, depth, ...) screens, 0.0 on every other cell."""
+    screens = np.zeros((spec.num_modes, spec.depth) + phases.shape[1:])
+    for t, (offset, start, stop) in enumerate(packed_layout(spec)):
+        screens[start:stop, t] = phases[offset:offset + stop - start]
+    assert offset + stop - start == len(phases)
     return screens
 
 
