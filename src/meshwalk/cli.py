@@ -3,7 +3,10 @@
 Subcommands run and analyze disorder ensembles; a run command resumes from
 its own checkpoint when an earlier run of the same plan left one.  Every
 command is deterministic: identical flags and seed produce bit-identical
-output files regardless of worker count.  Output documents are JSON, flat
+output files regardless of worker count, on one numpy build at one SIMD
+dispatch level.  The bytes are tested on x86-64 under numpy's AVX-512 and
+AVX2 dispatch; at the SSE baseline the kernel's complex multiply rounds
+otherwise (README, *Determinism*).  Output documents are JSON, flat
 tables are CSV (comma separator, header row, LF endings); heatmaps are plain
 numeric CSV grids with an optional ASCII rendering.  Every number in a CSV is
 Python's shortest round-trip ``repr`` of its value, the same under numpy 1.x

@@ -22,17 +22,17 @@ many workers ran it.
 
 :func:`run_sweep` is the one way to run levels: a single level is a plan
 whose grid holds one entry.  The run in progress (its plan, layer matrices,
-pending levels, the read layers each lacks and split levels' mapping) is
-module state, so a process runs one sweep at a time.
+split levels' mapping and pending levels) is module state, so a process runs
+one sweep at a time.
 Forked pool workers inherit it, so a task carries indices alone, and a
 serial run goes through the same loop as a pooled one.  A task fills one
-realization range of pending levels (:func:`_level_task`): a range of a
-split level, whose stacks lie in one anonymous shared mapping and whose
-read layers workers reduce once every range is filled (:func:`_reduce_task`),
-or a pack of whole levels, filled and reduced in one worker: each read
-layer's stack holds the pack's levels' live rows one after another, and one
-:func:`_reduce` call takes it.  :func:`run_sweep` states which levels are
-split and which are packed.
+realization range of pending levels at every read layer of the plan
+(:func:`_level_task`): a range of a split level, whose stacks lie in one
+anonymous shared mapping and whose read layers workers reduce once every
+range is filled (:func:`_reduce_task`), or a pack of whole levels, filled and
+reduced in one worker: each read layer's stack holds the pack's levels' live
+rows one after another, and one :func:`_reduce` call takes it.
+:func:`run_sweep` states which levels are split and which are packed.
 
 A record is a measured per-mode mean and standard error, keyed by
 ``(level_index, read_layer)``; the plan writes every other field of its stored
@@ -41,12 +41,13 @@ identity, one record per level and read layer) plus an optional flat CSV
 table.  Each output format is stated here once: documents go through
 :func:`write_json`, tables are :func:`csv_row` lines written by
 :func:`write_lines`.  A running sweep opens ``<out>.ckpt`` once, locks it and
-appends each record through that one handle, and a rerun of the plan computes
-only the records missing there; loading a document or a checkpoint checks
-every record against what the plan writes.  Documents and tables are written
-to a uniquely named temporary sibling, synced to disk and renamed into place,
-so a crash of the process or of the machine leaves the old file or the new
-one, never half of one.
+appends each record through that one handle.  The level is the unit of
+resume: a rerun of the plan runs again, whole, each level that lacks a record
+there, and appends only the records it lacks; loading a document or a
+checkpoint checks every record against what the plan writes.  Documents and
+tables are written to a uniquely named temporary sibling, synced to disk and
+renamed into place, so a crash of the process or of the machine leaves the
+old file or the new one, never half of one.
 Checkpoint appends are not synced, so a machine crash can cost a checkpoint
 its last records (see :func:`run_sweep`).
 """
@@ -448,8 +449,8 @@ def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # The run in progress (see run_sweep): plan, layer matrices, the anonymous
 # shared mapping that holds the split levels' stacks back to back (``None``
-# when no level is split), the pending levels, and the read layers each level
-# of the plan lacks.  Set before workers fork; empty between runs.
+# when no level is split), and the pending levels, those that lack a record.
+# Set before workers fork; empty between runs.
 _run: tuple = ()
 
 
@@ -460,66 +461,66 @@ def _live_counts(plan: SweepPlan) -> dict[int, int]:
 
 
 def _stacks(first: int, last: int) -> dict[int, np.ndarray]:
-    """The stacks of pending levels first..last-1, one per read layer they lack.
+    """The stacks of pending levels first..last-1, one per read layer of the plan.
 
-    The levels of a task lack the same read layers.  A stack is level-major,
-    (levels * rows, n) for the read layer's ``rows`` live rows, and new,
-    unless the levels are split: then a level's stacks are its part of the
-    shared mapping, which holds a slot of that many rows for every read layer
-    of every pending level, so offsets do not depend on what was resumed; a
-    slot never written costs no memory.
+    A stack is level-major, (levels * rows, n) for the read layer's ``rows``
+    live rows, and new, unless the levels are split: then a level's stacks are
+    its part of the shared mapping, which holds a slot of that many rows for
+    every read layer of every pending level.
     """
-    plan, _, mapping, pending, lacking = _run
+    plan, _, mapping, _ = _run
     n, counts = plan.realizations_per_level, _live_counts(plan)
     if mapping is None:
-        return {t: np.empty(((last - first) * counts[t], n)) for t in lacking[pending[first]]}
-    offsets = dict(zip(counts, itertools.accumulate(counts.values(), initial=0)))
+        return {t: np.empty(((last - first) * rows, n)) for t, rows in counts.items()}
+    offsets = itertools.accumulate(counts.values(), initial=0)
     size = sum(counts.values()) * n
     slots = np.frombuffer(mapping, float, size, first * size * 8).reshape(-1, n)
-    return {t: slots[offsets[t]:offsets[t] + counts[t]] for t in lacking[pending[first]]}
+    return {t: slots[offset:offset + rows] for (t, rows), offset in zip(counts.items(), offsets)}
 
 
-def _reduce_layer(spec: MeshSpec, t: int, stack: np.ndarray) -> np.ndarray:
-    """Each level's per-mode means and standard errors at read layer ``t``: (2, levels, modes).
+def _level_results(first: int, last: int, stacks: dict[int, np.ndarray]
+                   ) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
+    """Reduce the filled ``stacks`` of pending levels first..last-1: every task's result.
 
-    ``stack`` holds the levels' live rows of layer ``t``, level-major.  A row
-    outside them is exactly zero in every realization, so its mean and
-    standard error are +0.0, which :func:`_reduce` would give it.
+    Returns each level's index and per-layer means and standard errors, in
+    level order.  ``stacks`` map read layers to the levels' stacks
+    (:func:`_stacks`), each reduced by one :func:`_reduce` call.  A row
+    outside a layer's live rows is exactly zero in every realization, so its
+    mean and standard error are +0.0, which :func:`_reduce` would give it.
     """
-    start, stop = live_rows(spec, t)
-    out = np.zeros((2, len(stack) // (stop - start), spec.num_modes))
-    out[:, :, start:stop] = np.reshape(_reduce(stack), (2, -1, stop - start))
-    return out
+    plan, _, _, pending = _run
+    spec, k = plan.spec, last - first
+    reduced = {}
+    for t, stack in stacks.items():
+        start, stop = live_rows(spec, t)
+        reduced[t] = np.zeros((2, k, spec.num_modes))
+        reduced[t][:, :, start:stop] = np.reshape(_reduce(stack), (2, k, stop - start))
+    return [(idx, {t: (mean[j], se[j]) for t, (mean, se) in reduced.items()})
+            for j, idx in enumerate(pending[first:last])]
 
 
 def _level_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
     """Fill realizations lo..hi-1 of pending levels first..last-1, and reduce whole levels.
 
     A task is a range of one split level or a pack of whole levels (see
-    :func:`run_sweep`), which lack the same read layers; only those are
-    filled and reduced (:func:`_stacks`), so a partly resumed level
-    recomputes none it holds.  Returns each level's index and its per-layer
-    means and standard errors, in level order.  A range of a split level
-    returns none: its read layers are reduced by :func:`_reduce_task` once
-    every range is filled.
+    :func:`run_sweep`), filled at every read layer of the plan, a resumed
+    level's recorded ones included.  Returns :func:`_level_results`.  A range
+    of a split level returns none: its read layers are reduced by
+    :func:`_reduce_task` once every range is filled.
     """
     first, last, lo, hi = args
-    plan, mats, _, pending, _ = _run
-    indices = pending[first:last]
+    plan, mats, _, pending = _run
     stacks = _stacks(first, last)
-    _level_intensity_stacks(plan, mats, indices, lo, hi, stacks)
+    _level_intensity_stacks(plan, mats, pending[first:last], lo, hi, stacks)
     if hi - lo < plan.realizations_per_level:
         return []
-    reduced = {t: _reduce_layer(plan.spec, t, stack) for t, stack in stacks.items()}
-    return [(idx, {t: (mean[j], se[j]) for t, (mean, se) in reduced.items()})
-            for j, idx in enumerate(indices)]
+    return _level_results(first, last, stacks)
 
 
 def _reduce_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
     """One read layer of a split level, every range filled, in :func:`_level_task`'s form."""
     position, t = args
-    mean, se = _reduce_layer(_run[0].spec, t, _stacks(position, position + 1)[t])
-    return [(_run[3][position], {t: (mean[0], se[0])})]
+    return _level_results(position, position + 1, {t: _stacks(position, position + 1)[t]})
 
 
 _PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
@@ -606,20 +607,21 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     round cost: forked workers fill their ranges into one anonymous shared
     mapping, then reduce its read layers, each a whole row in realization
     order.  Otherwise levels of at most half a chunk run in packs: a task
-    takes up to ``_CHUNK // n`` consecutive pending levels that lack the same
-    read layers, leaving at least four tasks per worker, and draws,
-    propagates and reduces each read layer of the pack as one level-major
-    stack.  A split level holds eight chunks or more, a packed one half a
-    chunk or less, so no task is both.  The outcome does not depend
-    on the worker count or the packing, and the levels' records arrive in
-    level order either way.  The run is module state (``_run``), set before
-    any worker forks, so workers inherit it and a task is a few indices;
-    with one worker the same tasks go through the same loop in this process.
-    A process runs one sweep at a time.  With ``out_path`` set,
+    takes up to ``_CHUNK // n`` consecutive pending levels, leaving at least
+    four tasks per worker, and draws, propagates and reduces each read layer
+    of the pack as one level-major stack.  A split level holds eight chunks
+    or more, a packed one half a chunk or less, so no task is both.  The
+    outcome does not depend on the worker count or the packing, and the
+    levels' records arrive in level order either way.  The run is module
+    state (``_run``), set before any worker forks, so workers inherit it and
+    a task is a few indices; with one worker the same tasks go through the
+    same loop in this process.  A process runs one sweep at a time.  With ``out_path`` set,
     ``<out_path>.ckpt`` is opened once and locked (:func:`_resume`): a
-    checkpoint of this plan is resumed, computing only the records it lacks,
-    any other file there is replaced, and each finished record is appended
-    through that handle.  The run holds it until its levels have run; a
+    checkpoint of this plan is resumed, any other file there is replaced, and
+    each finished record is appended through that handle.  The pending
+    levels are those that lack a record; each runs again whole, at every read
+    layer, and the records the checkpoint holds are computed again, bit for
+    bit, and dropped.  The run holds the handle until its levels have run; a
     checkpoint that another run holds raises ``BlockingIOError`` before any
     level runs.  Pool workers close their inherited copies
     (:func:`_init_worker`).
@@ -645,9 +647,8 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
             io_errors.append(f"checkpoint open failed: {exc}")
     appending = ckpt is not None
     records = dict(done)
-    lacking = [[t for t in plan.read_layers if (idx, t) not in done]
-               for idx in range(len(plan.grid))]
-    pending = tuple(idx for idx, layers in enumerate(lacking) if layers)
+    pending = tuple(idx for idx in range(len(plan.grid))
+                    if any((idx, t) not in done for t in plan.read_layers))
 
     # Split and pack sizes as the docstring states them.  Never more
     # processes than tasks: a pool forks all its workers at the first submit.
@@ -658,12 +659,8 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     parts = max(1, min(-(-usable // len(pending)), n // (4 * _CHUNK))) if pending else 1
     pack = max(1, min(_CHUNK // n, -(-len(pending) // (4 * usable))))
     split = parts > 1
-    tasks, first = [], 0
-    for _, group in itertools.groupby(pending, lambda idx: lacking[idx]):
-        last = first + len(list(group))
-        tasks += [(p, min(p + pack, last), n * k // parts, n * (k + 1) // parts)
-                  for p in range(first, last, pack) for k in range(parts)]
-        first = last
+    tasks = [(p, min(p + pack, len(pending)), n * k // parts, n * (k + 1) // parts)
+             for p in range(0, len(pending), pack) for k in range(parts)]
     nworkers = min(usable, len(tasks))
     try:
         # The split levels' stacks are one anonymous shared mapping, made
@@ -675,7 +672,7 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
         if size > sys.maxsize:  # beyond any address space; mmap would raise OverflowError
             raise MemoryError(f"Unable to allocate {size} bytes of intensity stacks")
         with (mmap.mmap(-1, size) if split else contextlib.nullcontext()) as mapping:
-            _run = (plan, mats, mapping, pending, lacking)
+            _run = (plan, mats, mapping, pending)
             with (ProcessPoolExecutor(max_workers=nworkers,
                                       mp_context=multiprocessing.get_context("fork"),
                                       initializer=_init_worker, initargs=(os.getpid(), ckpt))
@@ -684,10 +681,12 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
                 results = dispatch(_level_task, tasks)
                 if split:  # every range is filled before any layer is reduced
                     list(results)
-                    results = dispatch(_reduce_task, [(p, t) for p, idx in enumerate(pending)
-                                                      for t in lacking[idx]])
+                    results = dispatch(_reduce_task, [(p, t) for p in range(len(pending))
+                                                      for t in plan.read_layers])
                 for idx, per_layer in itertools.chain.from_iterable(results):
                     for t, (mean, se) in per_layer.items():
+                        if (idx, t) in done:  # a resumed level's recorded layer
+                            continue
                         records[(idx, t)] = LevelRecord(mean, se)
                         if appending:
                             try:

@@ -749,20 +749,37 @@ DIGESTS = {
 }
 
 
+# numpy's dispatch held back to AVX2 in the digest commands' second run.
+# Under its SSE baseline the bytes differ (README, Determinism).
+AVX2_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def digests_of(directory: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
 def test_outputs_keep_their_digests(outdir):
-    for command in (
-            ["walk", "--ctid", "0.5", "--ctd", "0.5", "--n", "60", "--seed", "9",
-             "--out", "walk.json"],
-            ["tomography", "--ctid", "0.3", "--ctd", "0.6", "--n", "40", "--seed", "9",
-             "--out", "tomo.json"],
-            ["sweep", "--grid", "3x3", "--n", "20", "--seed", "5", "--out", "sweep.json"],
-            ["slice", "--points", "3", "--n", "50", "--seed", "7", "--out", "slice.json"]):
+    commands = (
+        ["walk", "--ctid", "0.5", "--ctd", "0.5", "--n", "60", "--seed", "9",
+         "--out", "walk.json"],
+        ["tomography", "--ctid", "0.3", "--ctd", "0.6", "--n", "40", "--seed", "9",
+         "--out", "tomo.json"],
+        ["sweep", "--grid", "3x3", "--n", "20", "--seed", "5", "--out", "sweep.json"],
+        ["slice", "--points", "3", "--n", "50", "--seed", "7", "--out", "slice.json"])
+    for command in commands:
         assert main(command + ["--workers", "1"]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(outdir.iterdir())}
-    assert digests == DIGESTS
+    assert digests_of(outdir) == DIGESTS
     for path in outdir.glob("*.csv"):
         assert csv_numbers(path), path.name
+    # The same commands in fresh processes, with numpy's dispatch held to AVX2.
+    avx2 = outdir / "avx2"
+    env = dict(subprocess_env(avx2), NPY_DISABLE_CPU_FEATURES=AVX2_DISPATCH)
+    for command in commands:
+        run = subprocess.run([sys.executable, "-m", "meshwalk.cli", *command, "--workers", "1"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+    assert digests_of(avx2) == DIGESTS
 
 
 def csv_numbers(path: Path) -> list[float]:
@@ -820,6 +837,20 @@ def test_slice_default_mode_sets_follow_the_mesh(outdir, capsys):
     report = json.loads((outdir / "m16.json").read_text())
     assert report["enhance_modes"] == [6, 11]
     assert report["deplete_modes"] == [8, 9]
+
+
+def test_slice_deplete_option(outdir, capsys):
+    # --deplete 7,8 names the default set on 14 modes, so the report and
+    # table are the default run's bytes; another set is reported as given.
+    args = ["slice", "--points", "3", "--n", "50", "--seed", "7", "--workers", "1"]
+    for out, deplete in (("default.json", []), ("center.json", ["--deplete", "7,8"]),
+                         ("outer.json", ["--deplete", "6,9"])):
+        assert main(args + deplete + ["--out", out]) == 0
+    for suffix in ("", ".csv"):
+        assert ((outdir / f"center.json{suffix}").read_bytes()
+                == (outdir / f"default.json{suffix}").read_bytes()), suffix
+    assert json.loads((outdir / "default.json").read_text())["deplete_modes"] == [7, 8]
+    assert json.loads((outdir / "outer.json").read_text())["deplete_modes"] == [6, 9]
 
 
 def test_fit_command_on_localized_run(outdir, capsys):

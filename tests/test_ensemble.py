@@ -583,8 +583,9 @@ class TestRunSweep:
 
     def test_resumed_split_level_reduces_only_missing_layers(self, spec14, tmp_path,
                                                              monkeypatch, pool_sizes, pool_tasks):
-        # A checkpoint that holds 3 of a split level's 7 read layers: only
-        # the 4 missing layers are reduced, and the files are a fresh run's.
+        # A checkpoint that holds 3 of a split level's 7 read layers: the
+        # level runs again whole, so every read layer is reduced, only the 4
+        # missing records are appended, and the files are a fresh run's.
         fake_cpus(monkeypatch, 2)
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
@@ -596,8 +597,8 @@ class TestRunSweep:
             "".join(fresh_ckpt.splitlines(keepends=True)[:1 + 3]))
         run_sweep(plan, out_path=str(cut), workers=2)
         assert pool_sizes == [2]
-        assert [tasks for name, tasks in pool_tasks if name == "_reduce_task"] == [
-            [(0, 4), (0, 5), (0, 6), (0, 7)]]
+        assert pool_tasks == [("_level_task", [(0, 1, 0, 50), (0, 1, 50, 100)]),
+                              ("_reduce_task", [(0, t) for t in range(1, 8)])]
         assert cut.read_bytes() == fresh.read_bytes()
         assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
 
@@ -730,35 +731,47 @@ class TestRunSweep:
         assert cut.read_bytes() == fresh.read_bytes()
         assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
 
-    def test_resume_inside_a_pack(self, spec14, tmp_path, monkeypatch, level_tasks):
+    def test_resume_inside_a_pack(self, spec14, tmp_path, monkeypatch, level_tasks,
+                                  pool_sizes, pool_tasks):
         # A checkpoint cut inside a pack of 3 levels, with level 4 holding 1
-        # of its 3 read layers: the rerun runs levels 4..8 only, packs level
-        # 4 apart from the levels that lack every layer, reduces no layer it
-        # holds, and writes a fresh run's document and checkpoint.
+        # of its 3 read layers: the rerun runs levels 4..8 only, each whole,
+        # and writes a fresh run's document and checkpoint.  With one worker
+        # level 4 packs with level 5; with two, each level is a task of its
+        # own, so that each worker takes at least four.
+        fake_cpus(monkeypatch, 2)
         plan = SweepPlan(spec14, tuple(make_grid(3, 3)), 20, 6, read_layers=(2, 5, 7))
-        fresh, cut = tmp_path / "fresh.json", tmp_path / "cut.json"
+        fresh = tmp_path / "fresh.json"
         run_sweep(plan, out_path=str(fresh), workers=1)
         fresh_ckpt = (tmp_path / "fresh.json.ckpt").read_text()
-        (tmp_path / "cut.json.ckpt").write_text(
-            "".join(fresh_ckpt.splitlines(keepends=True)[:1 + 4 * 3 + 1]))
         reduce, stacks = ensemble._reduce, []
         monkeypatch.setattr(ensemble, "_reduce",
                             lambda stack: stacks.append(stack.shape) or reduce(stack))
-        level_tasks.clear()
-        run_sweep(plan, out_path=str(cut), workers=1)
-        assert level_tasks == [4, 5, 6, 7, 8]
         # Live rows: 4 at layer 2, 10 at layer 5 and 14 at layer 7.
-        assert stacks == [(10, 20), (14, 20)] + [(8, 20), (20, 20), (28, 20)] * 2
-        assert cut.read_bytes() == fresh.read_bytes()
-        assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
+        one_level, two_levels = [(4, 20), (10, 20), (14, 20)], [(8, 20), (20, 20), (28, 20)]
+        for workers, shapes in ((1, two_levels * 2 + one_level), (2, one_level * 5)):
+            cut = tmp_path / f"cut{workers}.json"
+            (tmp_path / f"cut{workers}.json.ckpt").write_text(
+                "".join(fresh_ckpt.splitlines(keepends=True)[:1 + 4 * 3 + 1]))
+            level_tasks.clear()
+            stacks.clear()
+            run_sweep(plan, out_path=str(cut), workers=workers)
+            assert level_tasks == [4, 5, 6, 7, 8], workers
+            assert stacks == shapes, workers
+            assert cut.read_bytes() == fresh.read_bytes(), workers
+            assert (tmp_path / f"cut{workers}.json.ckpt").read_text() == fresh_ckpt, workers
+        # Only the two-worker run starts a pool; its tasks are (first, last,
+        # lo, hi) over the 5 pending levels.
+        assert pool_sizes == [2]
+        assert [tasks for _, tasks in pool_tasks] == [[(p, p + 1, 0, 20) for p in range(5)]]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resumed_level_fills_and_reduces_only_missing_layers(self, spec14, tmp_path,
                                                                  monkeypatch, pool_sizes,
                                                                  workers):
         # A checkpoint cut after 3 of a lone level's 7 read layers, rerun with
-        # the level whole (1 worker) or split (2): only the 4 missing layers
-        # are filled and reduced, and the files are a fresh run's.
+        # the level whole (1 worker) or split (2): the level is filled and
+        # reduced at every read layer, only the 4 missing records are
+        # appended, and the files are a fresh run's.
         fake_cpus(monkeypatch, 2)
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
@@ -774,8 +787,8 @@ class TestRunSweep:
                             lambda *args: filled.append(tuple(args[-1])) or fill(*args))
         monkeypatch.setattr(ensemble, "_reduce", lambda stack: reduced.append(1) or reduce(stack))
         run_sweep(plan, out_path=str(cut), workers=workers)
-        assert filled == [(4, 5, 6, 7)] * workers
-        assert len(reduced) == 4
+        assert filled == [(1, 2, 3, 4, 5, 6, 7)] * workers
+        assert len(reduced) == 7
         assert cut.read_bytes() == fresh.read_bytes()
         assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
 
