@@ -25,14 +25,15 @@ whose grid holds one entry.  The run in progress (its plan, layer matrices,
 split levels' mapping and pending levels) is module state, so a process runs
 one sweep at a time.
 Forked pool workers inherit it, so a task carries indices alone, and a
-serial run goes through the same loop as a pooled one.  A task fills one
-realization range of pending levels at every read layer of the plan
-(:func:`_level_task`): a range of a split level, whose stacks lie in one
-anonymous shared mapping and whose read layers workers reduce once every
-range is filled (:func:`_reduce_task`), or a pack of whole levels, filled and
-reduced in one worker: each read layer's stack holds the pack's levels' live
-rows one after another, and one :func:`_reduce` call takes it.
-:func:`run_sweep` states which levels are split and which are packed.
+serial run goes through the same loop as a pooled one.  The pool runs one
+function, :func:`_level_task`, whose task fills a realization range of
+pending levels at every read layer of the plan and then reduces a range of
+read layers: a pack of whole levels is filled and reduced in one task, each
+read layer's stack holding the pack's levels' live rows one after another
+for one :func:`_reduce` call; a split level's ranges fill one anonymous
+shared mapping, and its read layers are reduced in a second round of tasks
+once every range is filled.  :func:`run_sweep` states which levels are split
+and which are packed.
 
 A record is a measured per-mode mean and standard error, keyed by
 ``(level_index, read_layer)``; the plan writes every other field of its stored
@@ -450,7 +451,7 @@ def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # The run in progress (see run_sweep): plan, layer matrices, the anonymous
 # shared mapping that holds the split levels' stacks back to back (``None``
 # when no level is split), and the pending levels, those that lack a record.
-# Set before workers fork; empty between runs.
+# Set before workers fork, so every _level_task reads it; empty between runs.
 _run: tuple = ()
 
 
@@ -466,7 +467,8 @@ def _stacks(first: int, last: int) -> dict[int, np.ndarray]:
     A stack is level-major, (levels * rows, n) for the read layer's ``rows``
     live rows, and new, unless the levels are split: then a level's stacks are
     its part of the shared mapping, which holds a slot of that many rows for
-    every read layer of every pending level.
+    every read layer of every pending level, so the tasks that fill a split
+    level's ranges and those that reduce its read layers see the same stacks.
     """
     plan, _, mapping, _ = _run
     n, counts = plan.realizations_per_level, _live_counts(plan)
@@ -478,49 +480,37 @@ def _stacks(first: int, last: int) -> dict[int, np.ndarray]:
     return {t: slots[offset:offset + rows] for (t, rows), offset in zip(counts.items(), offsets)}
 
 
-def _level_results(first: int, last: int, stacks: dict[int, np.ndarray]
-                   ) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
-    """Reduce the filled ``stacks`` of pending levels first..last-1: every task's result.
+def _level_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
+    """Fill realizations lo..hi-1 of pending levels first..last-1, then reduce read layers.
 
-    Returns each level's index and per-layer means and standard errors, in
-    level order.  ``stacks`` map read layers to the levels' stacks
-    (:func:`_stacks`), each reduced by one :func:`_reduce` call.  A row
+    ``args`` is ``(first, last, lo, hi, a, b)``, six ints, the one task form
+    of :func:`run_sweep`, in one of three shapes for ``n`` realizations per
+    level and ``R`` read layers: a pack of whole levels ``(f, l, 0, n, 0, R)``,
+    a range of split level ``p`` ``(p, p + 1, lo, hi, 0, 0)``, and, once every
+    range is filled, the reduce of its read layer ``read_layers[j]``
+    ``(p, p + 1, 0, 0, j, j + 1)``.  The fill covers every read layer of the
+    plan, a resumed level's recorded ones included; an empty range fills
+    nothing.  Then each of the plan's ``read_layers[a:b]`` is reduced, its
+    levels' stack (:func:`_stacks`) by one :func:`_reduce` call.  A row
     outside a layer's live rows is exactly zero in every realization, so its
     mean and standard error are +0.0, which :func:`_reduce` would give it.
+    Returns each level's index and its reduced layers' means and standard
+    errors, in level order.
     """
-    plan, _, _, pending = _run
-    spec, k = plan.spec, last - first
-    reduced = {}
-    for t, stack in stacks.items():
-        start, stop = live_rows(spec, t)
-        reduced[t] = np.zeros((2, k, spec.num_modes))
-        reduced[t][:, :, start:stop] = np.reshape(_reduce(stack), (2, k, stop - start))
-    return [(idx, {t: (mean[j], se[j]) for t, (mean, se) in reduced.items()})
-            for j, idx in enumerate(pending[first:last])]
-
-
-def _level_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
-    """Fill realizations lo..hi-1 of pending levels first..last-1, and reduce whole levels.
-
-    A task is a range of one split level or a pack of whole levels (see
-    :func:`run_sweep`), filled at every read layer of the plan, a resumed
-    level's recorded ones included.  Returns :func:`_level_results`.  A range
-    of a split level returns none: its read layers are reduced by
-    :func:`_reduce_task` once every range is filled.
-    """
-    first, last, lo, hi = args
+    first, last, lo, hi, a, b = args
     plan, mats, _, pending = _run
+    spec, levels = plan.spec, pending[first:last]
     stacks = _stacks(first, last)
-    _level_intensity_stacks(plan, mats, pending[first:last], lo, hi, stacks)
-    if hi - lo < plan.realizations_per_level:
-        return []
-    return _level_results(first, last, stacks)
-
-
-def _reduce_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
-    """One read layer of a split level, every range filled, in :func:`_level_task`'s form."""
-    position, t = args
-    return _level_results(position, position + 1, {t: _stacks(position, position + 1)[t]})
+    if lo < hi:
+        _level_intensity_stacks(plan, mats, levels, lo, hi, stacks)
+    reduced = {}
+    for t in plan.read_layers[a:b]:
+        start, stop = live_rows(spec, t)
+        reduced[t] = np.zeros((2, len(levels), spec.num_modes))
+        reduced[t][:, :, start:stop] = np.reshape(_reduce(stacks[t]),
+                                                  (2, len(levels), stop - start))
+    return [(idx, {t: (mean[j], se[j]) for t, (mean, se) in reduced.items()})
+            for j, idx in enumerate(levels)]
 
 
 _PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
@@ -614,8 +604,9 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     outcome does not depend on the worker count or the packing, and the
     levels' records arrive in level order either way.  The run is module
     state (``_run``), set before any worker forks, so workers inherit it and
-    a task is a few indices; with one worker the same tasks go through the
-    same loop in this process.  A process runs one sweep at a time.  With ``out_path`` set,
+    a task is six ints, whose shapes :func:`_level_task` states; with one
+    worker the same tasks go through the same loop in this process.  A
+    process runs one sweep at a time.  With ``out_path`` set,
     ``<out_path>.ckpt`` is opened once and locked (:func:`_resume`): a
     checkpoint of this plan is resumed, any other file there is replaced, and
     each finished record is appended through that handle.  The pending
@@ -658,9 +649,9 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     n = plan.realizations_per_level
     parts = max(1, min(-(-usable // len(pending)), n // (4 * _CHUNK))) if pending else 1
     pack = max(1, min(_CHUNK // n, -(-len(pending) // (4 * usable))))
-    split = parts > 1
-    tasks = [(p, min(p + pack, len(pending)), n * k // parts, n * (k + 1) // parts)
-             for p in range(0, len(pending), pack) for k in range(parts)]
+    split, layers = parts > 1, len(plan.read_layers)
+    tasks = [(p, min(p + pack, len(pending)), n * k // parts, n * (k + 1) // parts, 0,
+              0 if split else layers) for p in range(0, len(pending), pack) for k in range(parts)]
     nworkers = min(usable, len(tasks))
     try:
         # The split levels' stacks are one anonymous shared mapping, made
@@ -681,8 +672,9 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
                 results = dispatch(_level_task, tasks)
                 if split:  # every range is filled before any layer is reduced
                     list(results)
-                    results = dispatch(_reduce_task, [(p, t) for p in range(len(pending))
-                                                      for t in plan.read_layers])
+                    results = dispatch(_level_task, [(p, p + 1, 0, 0, j, j + 1)
+                                                     for p in range(len(pending))
+                                                     for j in range(layers)])
                 for idx, per_layer in itertools.chain.from_iterable(results):
                     for t, (mean, se) in per_layer.items():
                         if (idx, t) in done:  # a resumed level's recorded layer

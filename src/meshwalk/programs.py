@@ -237,7 +237,9 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, num_modes: int,
              np.tile(np.arange(lo, hi, dtype=np.uint64), len(levels)))
     shared = _words(int(master_seed))
     buf = np.empty((len(index[0]), num_modes * (depth + 1)))
-    bits = np.random.PCG64()
+    # Seeded, so that it reads no OS entropy: _state_layout and each memmove
+    # overwrite its state.
+    bits = np.random.PCG64(0)
     random = np.random.Generator(bits).random
     address, order = _state_layout(bits)
     memmove = ctypes.memmove

@@ -723,15 +723,19 @@ def test_threshold_must_be_positive_and_finite(outdir, capsys):
     assert not list(outdir.iterdir())
 
 
-# sha256 of every file small walk, tomography, sweep and slice runs write.  A
-# change that moves any bit of a result, or of its layout, shows here.  The
-# floats come from numpy's cos and sin, so other numpy builds may differ.
+# sha256 of every file small walk, tomography, sweep and slice runs write, and
+# of a tomography of 16384 realizations, which a pool of two splits into two
+# ranges.  A change that moves any bit of a result, or of its layout, shows
+# here.  The floats come from numpy's cos and sin, so other numpy builds may differ.
 DIGESTS = {
     "slice.json": "51f9fc0c9455c61fa4d61d9a5d2049eec20af4c1bb4a63b329b36234eea5b899",
     "slice.json.csv": "c7b01b5778aa01fef13dd6c2d6433f7836a40dde6cb7baac56f32f18346b1457",
     "slice.json.result.json": "3771739934bc9564bbfd0342f9fe1bb3d62f0e6ac9d3d6bcec76b360c9a4746d",
     "slice.json.result.json.ckpt":
         "48d08d8de25e0ce6652eec4855d22711df846f8d2953a3459dd78f4f4b0ce088",
+    "split.json": "f3fe87031ebf2c8766f8de12eb4f88d7687ebb6fbd1dc598c67ee1617a1177a8",
+    "split.json.ckpt": "f97b78c7edd4c5556dab314f826ad0ba7e38ee9b1ac10f6994730527986632e6",
+    "split.json.csv": "54f3277213790b36975a2fc3549dd0f65f501e3f3e29079d795c0e285ed9df11",
     "sweep.json": "203808a373cd1a2d447488f1b2e8535ded7f42d7b4e818ca79b9e91ee86b24c9",
     "sweep.json.ckpt": "93da985c37f70da54606372b235acc88ab66434013ffc518b442a5b98d16b296",
     "sweep.json.csv": "4b3913da9594c536fbf2b895f522d4de18851af911e0af1829c2d723ea9e452a",
@@ -766,17 +770,21 @@ def test_outputs_keep_their_digests(outdir):
         ["tomography", "--ctid", "0.3", "--ctd", "0.6", "--n", "40", "--seed", "9",
          "--out", "tomo.json"],
         ["sweep", "--grid", "3x3", "--n", "20", "--seed", "5", "--out", "sweep.json"],
-        ["slice", "--points", "3", "--n", "50", "--seed", "7", "--out", "slice.json"])
+        ["slice", "--points", "3", "--n", "50", "--seed", "7", "--out", "slice.json"],
+        ["tomography", "--ctid", "0.842", "--ctd", "0.5", "--n", "16384", "--seed", "9",
+         "--out", "split.json"])
     for command in commands:
         assert main(command + ["--workers", "1"]) == 0
     assert digests_of(outdir) == DIGESTS
     for path in outdir.glob("*.csv"):
         assert csv_numbers(path), path.name
-    # The same commands in fresh processes, with numpy's dispatch held to AVX2.
+    # The same commands in fresh processes, with numpy's dispatch held to AVX2,
+    # at two workers: on two CPUs or more, sweep and slice run through the
+    # pool, and split.json's level in two ranges and seven reduce tasks.
     avx2 = outdir / "avx2"
     env = dict(subprocess_env(avx2), NPY_DISABLE_CPU_FEATURES=AVX2_DISPATCH)
     for command in commands:
-        run = subprocess.run([sys.executable, "-m", "meshwalk.cli", *command, "--workers", "1"],
+        run = subprocess.run([sys.executable, "-m", "meshwalk.cli", *command, "--workers", "2"],
                              env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
     assert digests_of(avx2) == DIGESTS

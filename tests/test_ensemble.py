@@ -485,18 +485,19 @@ class TestRunSweep:
         return sizes
 
     def test_tasks_carry_only_indices(self, spec14, monkeypatch, pool_sizes, pool_tasks):
-        # Workers inherit the run, so a task names a range of pending levels
-        # and a realization range, or a pending level and a read layer, and
-        # nothing else.
+        # Workers inherit the run, so a task names a range of pending levels,
+        # a realization range and a range of read layers, six ints and
+        # nothing else, and the pool runs one function.
         fake_cpus(monkeypatch, 4)
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         run_sweep(SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5), workers=4)
         run_sweep(SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 3 * 16, 5,
                             read_layers=(2, 7)), workers=4)
         assert pool_sizes == [4, 3]
-        assert [name for name, _ in pool_tasks] == ["_level_task", "_level_task", "_reduce_task"]
+        assert [name for name, _ in pool_tasks] == ["_level_task"] * 3
         for name, tasks in pool_tasks:
-            assert tasks and all(type(task) is tuple and all(type(x) is int for x in task)
+            assert tasks and all(type(task) is tuple and len(task) == 6
+                                 and all(type(x) is int for x in task)
                                  for task in tasks), (name, tasks)
 
     def test_pool_never_larger_than_pending_levels(self, spec14, monkeypatch, pool_sizes):
@@ -581,8 +582,8 @@ class TestRunSweep:
         assert cut.read_bytes() == fresh.read_bytes()
         assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
 
-    def test_resumed_split_level_reduces_only_missing_layers(self, spec14, tmp_path,
-                                                             monkeypatch, pool_sizes, pool_tasks):
+    def test_resumed_split_level_runs_whole_and_appends_missing_records(
+            self, spec14, tmp_path, monkeypatch, pool_sizes, pool_tasks):
         # A checkpoint that holds 3 of a split level's 7 read layers: the
         # level runs again whole, so every read layer is reduced, only the 4
         # missing records are appended, and the files are a fresh run's.
@@ -597,8 +598,8 @@ class TestRunSweep:
             "".join(fresh_ckpt.splitlines(keepends=True)[:1 + 3]))
         run_sweep(plan, out_path=str(cut), workers=2)
         assert pool_sizes == [2]
-        assert pool_tasks == [("_level_task", [(0, 1, 0, 50), (0, 1, 50, 100)]),
-                              ("_reduce_task", [(0, t) for t in range(1, 8)])]
+        assert pool_tasks == [("_level_task", [(0, 1, 0, 50, 0, 0), (0, 1, 50, 100, 0, 0)]),
+                              ("_level_task", [(0, 1, 0, 0, j, j + 1) for j in range(7)])]
         assert cut.read_bytes() == fresh.read_bytes()
         assert (tmp_path / "cut.json.ckpt").read_text() == fresh_ckpt
 
@@ -760,18 +761,53 @@ class TestRunSweep:
             assert cut.read_bytes() == fresh.read_bytes(), workers
             assert (tmp_path / f"cut{workers}.json.ckpt").read_text() == fresh_ckpt, workers
         # Only the two-worker run starts a pool; its tasks are (first, last,
-        # lo, hi) over the 5 pending levels.
+        # lo, hi, a, b) over the 5 pending levels and all 3 read layers.
         assert pool_sizes == [2]
-        assert [tasks for _, tasks in pool_tasks] == [[(p, p + 1, 0, 20) for p in range(5)]]
+        assert [tasks for _, tasks in pool_tasks] == [[(p, p + 1, 0, 20, 0, 3) for p in range(5)]]
+
+    def test_progress_reports_the_records_held(self, spec14, tmp_path, monkeypatch, pool_sizes,
+                                               pool_tasks):
+        # A packed run, a rerun from its checkpoint cut inside a pack, and a
+        # lone split level, each on a pool of 2: every progress call reports
+        # the records held so far, as many as the checkpoint holds, never
+        # fewer than the call before, and the last reports all of them.  A
+        # split level's fill round reports nothing.
+        fake_cpus(monkeypatch, 2)
+        packed = SweepPlan(spec14, tuple(make_grid(3, 3)), 20, 6, read_layers=(2, 5, 7))
+        split = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
+                          read_layers=tuple(range(1, 8)))
+
+        def calls_of(plan, name):
+            ckpt, calls = tmp_path / f"{name}.json.ckpt", []
+            pool_tasks.clear()
+            run_sweep(plan, out_path=str(tmp_path / f"{name}.json"), workers=2,
+                      progress=lambda done, total: calls.append(
+                          (done, total, len(ckpt.read_text().splitlines()) - 1,
+                           len(pool_tasks))))
+            total = len(plan.grid) * len(plan.read_layers)
+            assert calls[-1][:2] == (total, total), name
+            dones = [done for done, *_ in calls]
+            assert dones == sorted(dones), (name, calls)
+            assert all(done == held for done, _, held, _ in calls), (name, calls)
+            return calls
+
+        calls_of(packed, "packed")
+        (tmp_path / "resumed.json.ckpt").write_text("".join(
+            (tmp_path / "packed.json.ckpt").read_text().splitlines(keepends=True)[:1 + 13]))
+        assert calls_of(packed, "resumed")[0][0] > 13
+        monkeypatch.setattr(ensemble, "_CHUNK", 4)
+        assert [rounds for *_, rounds in calls_of(split, "split")] == [2] * 7
+        assert pool_sizes == [2, 2, 2]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_resumed_level_fills_and_reduces_only_missing_layers(self, spec14, tmp_path,
-                                                                 monkeypatch, pool_sizes,
-                                                                 workers):
+    def test_resumed_level_runs_whole_and_appends_missing_records(self, spec14, tmp_path,
+                                                                  monkeypatch, pool_sizes,
+                                                                  workers):
         # A checkpoint cut after 3 of a lone level's 7 read layers, rerun with
         # the level whole (1 worker) or split (2): the level is filled and
         # reduced at every read layer, only the 4 missing records are
-        # appended, and the files are a fresh run's.
+        # appended, and the files are a fresh run's.  A split level's reduce
+        # tasks fill nothing, so each of its 2 ranges is filled once.
         fake_cpus(monkeypatch, 2)
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
