@@ -58,6 +58,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import fcntl
+import gc
 import hashlib
 import itertools
 import json
@@ -97,6 +98,9 @@ _BLOCK = 1 << 14
 _EXPONENTS = (-1021, 960)
 # (mant + _SPLIT) - _SPLIT rounds a mantissa |mant| < 1 to a multiple of 2**-26.
 _SPLIT = 1.5 * 2.0**26
+# Tables are written this many lines to a write call: few calls, and a bounded
+# string at a time whatever the table's length.
+_LINES = 1024
 # The plan document's name for the one sign pattern, programs.mode_signs.
 _SIGNS = "mirrored-sign"
 
@@ -141,14 +145,16 @@ def csv_row(cells) -> str:
     scalars included, as the ``repr`` of its Python value: the shortest
     decimal that reads back as that float, the same under numpy 1.x and 2.x.
     """
-    return ",".join([c if isinstance(c, str)
+    return ",".join([repr(c) if type(c) is float or type(c) is int else c if isinstance(c, str)
                      else repr(c.item() if isinstance(c, np.generic) else c) for c in cells])
 
 
 def write_lines(path: str, lines) -> None:
-    """Replace ``path`` with ``lines``, each ended by a newline."""
+    """Replace ``path`` with ``lines``, each ended by a newline, ``_LINES`` lines to a write."""
+    lines = iter(lines)
     with _replacing(path) as fh:
-        fh.writelines(line + "\n" for line in lines)
+        while block := list(itertools.islice(lines, _LINES)):
+            fh.write("\n".join(block) + "\n")
 
 
 def make_grid(n_tid: int, n_td: int) -> list[DisorderSpec]:
@@ -275,9 +281,9 @@ class EnsembleResult:
         rows = []
         for (level_index, layer), rec in sorted(self.records.items()):
             level = self.plan.grid[level_index]
-            rows += [(level.c_tid, level.c_td, layer, x + 1,
-                      float(rec.mean[x]), float(rec.std_error[x]))
-                     for x in range(self.plan.spec.num_modes)]
+            rows += [(level.c_tid, level.c_td, layer, x, mean, se)
+                     for x, mean, se in zip(itertools.count(1), rec.mean.tolist(),
+                                            rec.std_error.tolist())]
         return rows
 
     def write_csv(self, path: str) -> None:
@@ -403,8 +409,12 @@ def _row_sums(stack: np.ndarray, mean: np.ndarray | None = None) -> list[float]:
 
     Bit for bit (see :func:`_reduce`).  A block is a group of whole rows or,
     for long rows, one row's segment.  Each group is summed before the next
-    starts, so temporaries and held terms are the size of a block, or of a
-    row for a group that takes ``math.fsum`` itself.
+    starts.  Its blocks' bucket terms stay arrays until its last block; then
+    one mask gathers the group's non-zero terms, row after row, into one
+    list, and each row's run of it takes one ``math.fsum``.  So temporaries
+    are the size of a block, held terms number at most two per (row,
+    exponent) bucket of each block, and a group that takes ``math.fsum``
+    itself holds a block, or a row.
     """
     m, n = stack.shape
     rows = max(1, _BLOCK // n)
@@ -413,20 +423,20 @@ def _row_sums(stack: np.ndarray, mean: np.ndarray | None = None) -> list[float]:
         for r in range(0, m, rows):
             group = stack[r:r + rows]
             mu = None if mean is None else mean[r:r + rows, None]
-            terms = [[] for _ in group]
+            blocks = []
             for c in range(0, n, _BLOCK):
                 block = group[:, c:c + _BLOCK]
-                if mu is not None:
-                    block = (block - mu) ** 2
-                buckets = _bucket_terms(block)
-                if buckets is None:
-                    terms = None
+                terms = _bucket_terms(block if mu is None else (block - mu) ** 2)
+                if terms is None:  # the group takes math.fsum itself
+                    sums += map(math.fsum, group if mu is None else (group - mu) ** 2)
                     break
-                for row_terms, row in zip(terms, buckets):
-                    row_terms += filter(None, row.tolist())  # drops the empty buckets' zeros
-            if terms is None:  # the group takes math.fsum itself
-                terms = group if mu is None else (group - mu) ** 2
-            sums += map(math.fsum, terms)
+                blocks.append(terms)
+            else:
+                terms = np.concatenate(blocks, axis=1)
+                nonzero = terms != 0  # the empty buckets' zeros are dropped
+                values = iter(terms[nonzero].tolist())
+                sums += [math.fsum(itertools.islice(values, k))
+                         for k in nonzero.sum(axis=1).tolist()]
     return sums
 
 
@@ -617,6 +627,14 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     level runs.  Pool workers close their inherited copies
     (:func:`_init_worker`).
 
+    Once the run is set up, before its first task runs, ``gc.freeze()`` moves
+    every object the process then holds to the collector's permanent
+    generation, whatever the worker count: no collection scans them again,
+    so a forked worker's collector leaves their pages shared, and the
+    interpreter skips them at exit.  The freeze is not undone.  Objects made
+    afterwards are collected as before, and the collector stays enabled or
+    disabled as it was.
+
     Appends are flushed, not synced: a tail lost in a machine crash only makes
     a resume recompute those records, bit for bit, and a torn last line is
     already dropped.  An fsync per record would add about 50 ms on ext4, some
@@ -664,6 +682,7 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
             raise MemoryError(f"Unable to allocate {size} bytes of intensity stacks")
         with (mmap.mmap(-1, size) if split else contextlib.nullcontext()) as mapping:
             _run = (plan, mats, mapping, pending)
+            gc.freeze()
             with (ProcessPoolExecutor(max_workers=nworkers,
                                       mp_context=multiprocessing.get_context("fork"),
                                       initializer=_init_worker, initargs=(os.getpid(), ckpt))

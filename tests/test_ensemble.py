@@ -1,3 +1,4 @@
+import gc
 import json
 import multiprocessing
 import os
@@ -5,6 +6,7 @@ import stat
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from meshwalk import (
     DisorderSpec,
     EnsembleResult,
+    LevelRecord,
     MeshSpec,
     SweepPlan,
     cell_unitary,
@@ -28,6 +31,8 @@ from meshwalk.ensemble import (
     _propagate_block,
     _reduce,
     _sample_block,
+    csv_row,
+    write_lines,
 )
 from meshwalk.lattice import evolve, live_rows
 from meshwalk.programs import compose_screens
@@ -320,10 +325,102 @@ class TestReduce:
         rng = np.random.default_rng(5)
         block = ensemble._BLOCK
         for m, n in ((1, 1), (5, 1), (3, 2), (2, block - 1), (2, block), (1, block + 1),
-                     (1, 2 * block + 5)):
+                     (1, 2 * block + 5), (3, 3 * block + 11)):
             for _ in range(3):
                 self.assert_same(adversarial_stack(rng, m, n))
             self.assert_same(rng.random((m, n)))
+
+    @staticmethod
+    def pack_stack() -> np.ndarray:
+        """A sweep task's stack: ten 14x7 levels' rows one after another, 200 columns."""
+        spec = MeshSpec(14, 7)
+        plan = SweepPlan(spec, tuple(make_grid(2, 5)), 200, 20170302)
+        stacks = {7: np.empty((10 * 14, 200))}
+        _level_intensity_stacks(plan, _layer_matrices(spec), tuple(range(10)), 0, 200, stacks)
+        return stacks[7]
+
+    def test_pack_stack(self):
+        # 81 rows to a group at the default block, so two groups, the second
+        # partial.
+        assert ensemble._BLOCK // 200 == 81
+        self.assert_same(self.pack_stack())
+
+    def test_all_zero_rows(self):
+        # A row of zeros has no bucket term to sum; its mean and standard
+        # error are +0.0, as math.fsum gives them.  So is a constant row's
+        # standard error: every squared deviation is zero.
+        stack = self.pack_stack()
+        stack[[0, 80, 81, 139]] = 0.0
+        stack[5] = -0.0
+        stack[7] = 0.25
+        self.assert_same(stack)
+        mean, se = _reduce(stack)
+        assert bits(mean[[0, 5, 80, 81, 139]]).tolist() == [0] * 5
+        assert bits(se[[0, 5, 7, 80, 81, 139]]).tolist() == [0] * 6
+
+    @pytest.mark.parametrize("value", [5e-324, 2.0**-1030, np.inf])
+    def test_one_block_takes_math_fsum(self, monkeypatch, value):
+        # A subnormal or non-finite value has no bucket, so its block, and
+        # with it its whole group, takes math.fsum; every other group of the
+        # stack is bucketed.  In a long row the value sits in a later block,
+        # after a block whose terms were already made.
+        outcomes = []
+        bucket_terms = ensemble._bucket_terms
+        monkeypatch.setattr(ensemble, "_bucket_terms",
+                            lambda block: outcomes.append(b := bucket_terms(block)) or b)
+        block = ensemble._BLOCK
+        for stack, at in ((self.pack_stack(), (90, 17)),
+                          (np.random.default_rng(11).random((2, 2 * block + 7)), (1, block + 3))):
+            stack[at] = value
+            outcomes.clear()
+            self.assert_same(stack)
+            assert any(b is None for b in outcomes) and any(b is not None for b in outcomes)
+
+
+class TestTables:
+    """The table writers' bytes: ``csv_row``'s cells, ``write_lines`` and ``write_csv``."""
+
+    VALUES = (5e-324, 1e-310, 0.1, 1e22)  # the least subnormal, a subnormal, inexact, exponent
+
+    def test_csv_row_cells(self):
+        # A str as given, an int as its digits, a float and a numpy float64
+        # as the repr of the Python value.
+        assert csv_row(("c_tid\\c_td", "a b")) == "c_tid\\c_td,a b"
+        assert csv_row((0, 7, -12, 10**20, np.int64(3))) == "0,7,-12,100000000000000000000,3"
+        assert csv_row(self.VALUES) == "5e-324,1e-310,0.1,1e+22"
+        assert csv_row(map(np.float64, self.VALUES)) == "5e-324,1e-310,0.1,1e+22"
+        assert csv_row(("x", 2, 0.1, np.float64(1e22))) == "x,2,0.1,1e+22"
+
+    @pytest.mark.parametrize("lines", [0, 1, 2, 5, 6, 7])
+    def test_write_lines(self, tmp_path, monkeypatch, lines):
+        # Each line ends with a newline, whatever the lines to a write; no
+        # lines make an empty file.
+        path = tmp_path / "t.csv"
+        text = [f"line {i}" for i in range(lines)]
+        for block in (1, 2, 3, 6, ensemble._LINES):
+            monkeypatch.setattr(ensemble, "_LINES", block)
+            write_lines(str(path), iter(text))
+            assert path.read_bytes() == "".join(line + "\n" for line in text).encode(), block
+
+    def test_write_csv(self, tmp_path, monkeypatch):
+        # The header, then csv_row of each of to_rows() rows.
+        plan = SweepPlan(MeshSpec(8, 2), (DisorderSpec(0.5, 0.25), DisorderSpec(1.0, 0.1)), 3, 1,
+                         read_layers=(1, 2))
+        mean = np.array([*self.VALUES, *self.VALUES[::-1]])
+        se = np.roll(mean, 2)
+        result = EnsembleResult(plan, {key: LevelRecord(mean, se)
+                                       for key in ((1, 2), (0, 2), (0, 1))})
+        path = tmp_path / "t.csv"
+        expected = "".join(f"{line}\n" for line in [CSV_HEADER, *map(csv_row, result.to_rows())])
+        for block in (5, ensemble._LINES):
+            monkeypatch.setattr(ensemble, "_LINES", block)
+            result.write_csv(str(path))
+            assert path.read_text() == expected
+        lines = expected.splitlines()
+        assert len(lines) == 1 + 3 * 8
+        assert lines[1] == "0.5,0.25,1,1,5e-324,1e-310"
+        assert lines[4] == "0.5,0.25,1,4,1e+22,1e-310"
+        assert lines[-1] == "1.0,0.1,2,8,5e-324,0.1"
 
 
 class TestSweepPlan:
@@ -499,6 +596,31 @@ class TestRunSweep:
             assert tasks and all(type(task) is tuple and len(task) == 6
                                  and all(type(x) is int for x in task)
                                  for task in tasks), (name, tasks)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_leaves_the_collector_working(self, spec14, monkeypatch, pool_sizes, enabled):
+        # A run freezes what the process holds before its tasks run, at any
+        # worker count.  The collector stays enabled or disabled as it was,
+        # and collects a reference cycle made after the run.
+        class Node:
+            pass
+
+        fake_cpus(monkeypatch, 2)
+        plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for workers in (1, 2):
+                run_sweep(plan, workers=workers)
+                assert gc.isenabled() == enabled
+                node = Node()
+                node.cycle = node
+                alive = weakref.ref(node)
+                del node
+                assert gc.collect() >= 1 and alive() is None, workers
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert pool_sizes == [2]
 
     def test_pool_never_larger_than_pending_levels(self, spec14, monkeypatch, pool_sizes):
         # Every worker of a pool is started at its first submit, so 64
