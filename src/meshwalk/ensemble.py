@@ -281,9 +281,8 @@ class EnsembleResult:
         rows = []
         for (level_index, layer), rec in sorted(self.records.items()):
             level = self.plan.grid[level_index]
-            rows += [(level.c_tid, level.c_td, layer, x, mean, se)
-                     for x, mean, se in zip(itertools.count(1), rec.mean.tolist(),
-                                            rec.std_error.tolist())]
+            rows += [(level.c_tid, level.c_td, layer, x, mean, se) for x, (mean, se)
+                     in enumerate(zip(rec.mean.tolist(), rec.std_error.tolist()), start=1)]
         return rows
 
     def write_csv(self, path: str) -> None:
