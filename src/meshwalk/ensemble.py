@@ -48,7 +48,8 @@ there, and appends only the records it lacks; loading a document or a
 checkpoint checks every record against what the plan writes.  Documents and
 tables are written to a uniquely named temporary sibling, synced to disk and
 renamed into place, so a crash of the process or of the machine leaves the
-old file or the new one, never half of one.
+old file or the new one, never half of one; the next write of that path
+removes a temporary that a killed process left.
 Checkpoint appends are not synced, so a machine crash can cost a checkpoint
 its last records (see :func:`run_sweep`).
 """
@@ -66,7 +67,9 @@ import math
 import mmap
 import multiprocessing
 import os
+import re
 import signal
+import stat
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -103,6 +106,35 @@ _SPLIT = 1.5 * 2.0**26
 _LINES = 1024
 # The plan document's name for the one sign pattern, programs.mode_signs.
 _SIGNS = "mirrored-sign"
+# What follows a path's name in the name of each of its temporaries:
+# tempfile.mkstemp's eight random characters, then _replacing's suffix.
+_TEMPORARY = r"\.[a-z0-9_]{8}\.tmp"
+
+
+def _remove_stale_temporaries(head: str, name: str) -> None:
+    """Remove the temporaries of ``name`` in directory ``head`` that no writer holds.
+
+    A killed writer leaves its temporary behind.  A sibling is removed only if
+    it is a regular file, its name is ``name`` followed by the random part and
+    suffix that :func:`_replacing` gives a temporary of that path
+    (:data:`_TEMPORARY`), and its ``flock`` can be taken without waiting: a
+    live writer holds it until its file is renamed into place.  The lock is
+    held across the removal.
+    """
+    own = re.compile(re.escape(name) + _TEMPORARY)
+    with os.scandir(head) as entries:
+        stale = [entry.path for entry in entries
+                 if own.fullmatch(entry.name) and entry.is_file(follow_symlinks=False)]
+    for tmp in stale:
+        with contextlib.suppress(OSError):
+            fd = os.open(tmp, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                held = os.fstat(fd)
+                if stat.S_ISREG(held.st_mode) and os.path.samestat(held, os.lstat(tmp)):
+                    os.remove(tmp)
+            finally:
+                os.close(fd)
 
 
 @contextlib.contextmanager
@@ -113,9 +145,20 @@ def _replacing(path: str):
     ``open`` gives, synced to disk and then renamed over ``path`` on success,
     or removed on failure, so neither a crashed process nor a crashed machine
     leaves a half-written ``path``, and no other writer shares the sibling.
+    The writer holds an exclusive ``flock`` on its temporary until the rename,
+    and first removes the temporaries of ``path`` that killed writers left
+    (:func:`_remove_stale_temporaries`).  A temporary that another writer's
+    removal unlinked before it was locked is replaced by a new one.
     """
     head, name = os.path.split(path)
-    fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=head or ".")
+    head = head or "."
+    _remove_stale_temporaries(head, name)
+    while True:
+        fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=head)
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        if os.fstat(fd).st_nlink:
+            break
+        os.close(fd)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             umask = os.umask(0)
@@ -124,7 +167,7 @@ def _replacing(path: str):
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+            os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)

@@ -15,10 +15,14 @@ bit-for-bit in any order, from any worker.  :func:`draw_block` rebuilds a
 whole chunk of those streams at once, of one level or of several: it runs
 SeedSequence's pool hash and PCG64's seeding across the chunk in numpy, the
 128-bit LCG steps on uint64 limbs (NEP 19; O'Neill 2014).  It then draws
-each realization through one reused PCG64, whose 32-byte ``(state, inc)`` it
-loads with one ``memmove``, with no per-realization ``SeedSequence``,
-generator or ``state`` dict.  A probe state written through the documented
-``state`` setter tells it the order in which the generator keeps those words.
+each realization through one reused PCG64, with no per-realization
+``SeedSequence``, generator or ``state`` dict: the generator's pointer to its
+32-byte ``(state, inc)`` is pointed at each realization's seed row in turn,
+so it draws from that row and advances it in place, and is restored to the
+generator's own struct once the rows are drawn.  The rows start on 16-byte
+boundaries, as a native 128-bit word may need.  A probe state written through
+the documented ``state`` setter tells it the order in which the generator
+keeps those words.
 
 The disorder model is stated once: :func:`draw_block` is the stream layout,
 and :func:`compose_screens` the scaling, sign and wrapping that turn a
@@ -89,6 +93,9 @@ _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 # Four distinct words: the (state high, state low, inc high, inc low) that
 # _state_layout writes to find where a PCG64 keeps each word.
 _PROBE = (0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0F1E2D3C4B5A6978, 0x8796A5B4C3D2E1F0)
+# Byte alignment of every seed row draw_block points the generator at:
+# numpy's build may keep the state's words as native __uint128_t.
+_ALIGN = 16
 # Realizations per step of compose_screens' transposing read.
 _TRANSPOSE_BLOCK = 256
 
@@ -208,6 +215,51 @@ def _state_layout(bits) -> tuple[int, list[int]]:
     return address, [_PROBE.index(word) for word in raw]
 
 
+def _seed_rows(words: np.ndarray, order: list[int]) -> np.ndarray:
+    """Columns ``order`` of (rows, 4) uint64 ``words``, each row on an ``_ALIGN`` boundary.
+
+    The rows are C-contiguous, 32 bytes each, in a buffer over-allocated by
+    ``_ALIGN - 8`` bytes and entered at the offset that aligns its start,
+    whatever alignment the allocator gave.
+    """
+    spare = _ALIGN // 8 - 1
+    raw = np.empty(words.size + spare, dtype=np.uint64)
+    skip = -raw.ctypes.data % _ALIGN // 8
+    seeds = raw[skip:skip + words.size].reshape(words.shape)
+    seeds[...] = words[:, order]
+    return seeds
+
+
+def _draw_rows(bits, random, seeds: np.ndarray, rows: list[int], out: np.ndarray) -> None:
+    """Fill ``out[row]`` with ``random`` from each seed row in turn.
+
+    ``random`` draws from ``bits``, a PCG64.  Before each draw, the slot in
+    numpy's ``pcg64_state`` that points at the generator's own
+    ``pcg64_random_t`` is pointed at the next 32-byte row of ``seeds``, so
+    the generator draws from that row's ``(state, inc)`` and advances it in
+    place: ``seeds`` is spent, each row used once.  The slot gets back the
+    value it held on entry in a ``finally``, so the generator frees and
+    reads its own struct again whatever is raised.  ``seeds`` must be
+    C-contiguous uint64 rows of 4 words, in the generator's order
+    (:func:`_state_layout`), starting on an ``_ALIGN`` boundary
+    (:func:`_seed_rows`); any other buffer raises ``ValueError`` and leaves
+    the slot alone.
+    """
+    first = seeds.ctypes.data
+    if seeds.dtype != np.uint64 or seeds.shape[1:] != (4,) or not seeds.flags.c_contiguous \
+            or first % _ALIGN:
+        raise ValueError(f"seed rows {seeds.dtype} {seeds.shape} at {first:#x} are not "
+                         f"C-contiguous uint64 rows of 4 on {_ALIGN}-byte boundaries")
+    slot = ctypes.c_void_p.from_address(bits.ctypes.state_address)
+    own = slot.value
+    try:
+        for address, row in zip(range(first, first + seeds.nbytes, 32), rows):
+            slot.value = address
+            random(out=out[row])
+    finally:
+        slot.value = own
+
+
 def draw_block(master_seed: int, level_index, lo: int, hi: int, num_modes: int,
                depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled uniform(-pi, pi) fields of realizations lo..hi-1: the stream layout.
@@ -221,12 +273,13 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, num_modes: int,
     one buffer.
 
     The streams are seeded for the whole block at once (:func:`_pcg64_seeds`),
-    the level and realization indices each a word per row, on uint64 limbs.
-    They are drawn through one reused PCG64: each row's 32 bytes of
-    ``(state, inc)`` are copied into its ``pcg64_random_t`` with one
-    ``memmove``, in the word order that :func:`_state_layout` probes once per
-    call.  ``low + (high - low) * u`` is then applied over the block, so every
-    value equals the per-realization ``uniform`` bit for bit.
+    the level and realization indices each a word per row, on uint64 limbs,
+    and laid out as aligned 32-byte rows of ``(state, inc)`` in the word order
+    that :func:`_state_layout` probes once per call (:func:`_seed_rows`).
+    They are drawn through one reused PCG64, whose state pointer is pointed
+    at each row in turn and then restored (:func:`_draw_rows`).
+    ``low + (high - low) * u`` is then applied over the block, so every value
+    equals the per-realization ``uniform`` bit for bit.
     """
     levels = [level_index] if np.ndim(level_index) == 0 else list(level_index)
     if not 0 <= lo <= hi <= 1 << 64:
@@ -237,12 +290,11 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, num_modes: int,
              np.tile(np.arange(lo, hi, dtype=np.uint64), len(levels)))
     shared = _words(int(master_seed))
     buf = np.empty((len(index[0]), num_modes * (depth + 1)))
-    # Seeded, so that it reads no OS entropy: _state_layout and each memmove
-    # overwrite its state.
+    # Seeded, so that it reads no OS entropy: _state_layout overwrites its
+    # state, which no seed row then touches.
     bits = np.random.PCG64(0)
     random = np.random.Generator(bits).random
-    address, order = _state_layout(bits)
-    memmove = ctypes.memmove
+    order = _state_layout(bits)[1]
     # An index gains a word at 2**32, which moves the hash's word positions:
     # rows are seeded in parts of equal word counts.
     words = [1 + (i > _MASK32) for i in index]
@@ -252,14 +304,10 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, num_modes: int,
         rows = np.flatnonzero(parts == part)
         entropy = shared + [(i[rows] >> (32 * k) & _MASK32).astype(np.uint32)
                             for i, w in zip(index, words) for k in range(w[rows[0]])]
-        # Rows of 32 bytes each, in the generator's word order.  The probe's
-        # has_uint32 = 0 holds throughout: random() draws whole 64-bit words,
-        # so no buffered 32-bit half passes from one realization to the next.
-        seeds = np.ascontiguousarray(_pcg64_seeds(entropy)[:, order])
-        first = seeds.ctypes.data
-        for source, row in zip(range(first, first + seeds.nbytes, 32), rows.tolist()):
-            memmove(address, source, 32)
-            random(out=buf[row])
+        # The probe's has_uint32 = 0 holds throughout: random() draws whole
+        # 64-bit words, so no buffered 32-bit half passes from one
+        # realization to the next.
+        _draw_rows(bits, random, _seed_rows(_pcg64_seeds(entropy), order), rows.tolist(), buf)
     buf *= 2.0 * np.pi
     buf += -np.pi
     return buf[:, :num_modes], buf[:, num_modes:].reshape(len(buf), num_modes, depth)

@@ -663,6 +663,34 @@ def test_temporary_siblings_take_unique_names(outdir, monkeypatch):
     assert written == fresh
 
 
+def test_rerun_removes_the_temporaries_killed_writers_left(outdir, monkeypatch):
+    # A writer killed mid-save leaves its temporary; the next write of that
+    # path removes it.  A temporary that a live writer holds under flock
+    # stays, and so does every sibling that is not a regular file named as
+    # a temporary of a path the run writes.
+    argv = ["walk", "--n", "50", "--out", "w.json", "--workers", "1"]
+    assert main(argv) == 0
+    fresh = files(outdir)
+    again = outdir / "again"
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(again))
+    again.mkdir()
+    stale = ["w.json.k1ll_3d0.tmp", "w.json.csv.abcdefgh.tmp"]
+    held = "w.json.held0000.tmp"
+    kept = [held, "w.json.abcdefg.tmp", "w.json.ABCDEFGH.tmp", "x.json.abcdefgh.tmp",
+            "w.json.abcdefgh.tmp.bak", "w.json.csv.tmp"]
+    for name in stale + kept:
+        (again / name).write_text("half a file")
+    (again / "w.json.dir00000.tmp").mkdir()
+    (again / "w.json.link0000.tmp").symlink_to(again / "w.json.abcdefg.tmp")
+    with open(again / held, "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert main(argv) == 0
+    assert sorted(p.name for p in again.iterdir()) == sorted(
+        [*fresh, *kept, "w.json.dir00000.tmp", "w.json.link0000.tmp"])
+    assert {name: (again / name).read_bytes() for name in fresh} == fresh
+    assert all((again / name).read_text() == "half a file" for name in kept)
+
+
 def test_slice_declares_enaqt(outdir, capsys):
     assert main(["slice", "--ctid", "1.0", "--points", "5", "--n", "400",
                  "--seed", "303", "--out", "sl.json", "--workers", "2"]) == 0

@@ -1,10 +1,13 @@
+import fcntl
 import gc
 import json
 import multiprocessing
 import os
+import re
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 import weakref
 
@@ -421,6 +424,42 @@ class TestTables:
         assert lines[1] == "0.5,0.25,1,1,5e-324,1e-310"
         assert lines[4] == "0.5,0.25,1,4,1e+22,1e-310"
         assert lines[-1] == "1.0,0.1,2,8,5e-324,0.1"
+
+
+class TestReplacing:
+    """``_replacing``'s temporary: its name, its lock, and a removal it survives."""
+
+    def temporaries(self, path):
+        return [p.name for p in path.parent.iterdir() if p != path]
+
+    def test_temporary_is_named_as_a_temporary_and_locked_while_written(self, tmp_path):
+        path = tmp_path / "d.json"
+        with ensemble._replacing(str(path)) as fh:
+            fh.write("{}")
+            [name] = self.temporaries(path)
+            assert re.fullmatch(re.escape(path.name) + ensemble._TEMPORARY, name)
+            with open(tmp_path / name, "rb") as other:
+                with pytest.raises(BlockingIOError):
+                    fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert path.read_text() == "{}" and self.temporaries(path) == []
+
+    def test_temporary_removed_before_its_lock_is_replaced(self, tmp_path, monkeypatch):
+        # Another writer's sweep may remove a temporary between its creation
+        # and its lock: the writer then takes a new one.
+        mkstemp, made = tempfile.mkstemp, []
+
+        def removed_first(*args, **kwargs):
+            fd, name = mkstemp(*args, **kwargs)
+            if not made:
+                os.remove(name)
+            made.append(name)
+            return fd, name
+
+        monkeypatch.setattr(tempfile, "mkstemp", removed_first)
+        path = tmp_path / "d.json"
+        ensemble.write_json(str(path), {"a": 1})
+        assert len(made) == 2 and path.read_text() == '{\n "a": 1\n}\n'
+        assert self.temporaries(path) == []
 
 
 class TestSweepPlan:

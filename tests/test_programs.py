@@ -16,8 +16,8 @@ from meshwalk import (
     run_sweep,
 )
 from meshwalk.ensemble import _layer_matrices
-from meshwalk.programs import (_MASK32, _pcg64_seeds, _pcg64_set_seed, _state_layout, _words,
-                               compose_screens, draw_block)
+from meshwalk.programs import (_ALIGN, _MASK32, _PROBE, _draw_rows, _pcg64_seeds, _pcg64_set_seed,
+                               _seed_rows, _state_layout, _words, compose_screens, draw_block)
 from conftest import LaidOutPCG64, bits, pack, propagate, unpack, walk_program
 from oracles import BAR, build_tomography_program, ks_uniform_statistic
 
@@ -180,12 +180,34 @@ class TestDrawBlock:
                 draw_block(*args, 14, 7)
 
 
+def slot(bits):
+    """The pointer in ``bits``' ``pcg64_state`` to the ``pcg64_random_t`` it draws from."""
+    return ctypes.c_void_p.from_address(bits.ctypes.state_address)
+
+
+def unaligned_rows(count):
+    """An uninitialised (count, 4) uint64 view that starts 8 bytes past an ``_ALIGN`` boundary."""
+    raw = np.empty(4 * count + _ALIGN // 8, dtype=np.uint64)
+    skip = (8 - raw.ctypes.data) % _ALIGN // 8
+    rows = raw[skip:skip + 4 * count].reshape(count, 4)
+    assert rows.ctypes.data % _ALIGN == 8
+    return rows
+
+
 class TestSeeding:
-    """PCG64 seeding on uint64 limbs, and the memmove load of draw_block."""
+    """PCG64 seeding on uint64 limbs, and how draw_block loads the seeds.
+
+    Each realization's ``(state, inc)`` words are pinned, in the generator's
+    word order, by copying them into its struct; draw_block instead points
+    the generator at the aligned seed rows, and its pointer is restored
+    however the row loop ends.
+    """
 
     # Every carry of the limb arithmetic is taken and not taken on these.
     EDGES = (0, 1, 2**32 - 1, 2**63, 2**64 - 1)
     MULT = 0x2360ED051FC65DA44385DF649FCCF645
+    # Realization indices of one and of two SeedSequence words.
+    REALIZATIONS = ((0, 1, 2**32 - 1), (2**32, 2**63, 2**64 - 1))
 
     def test_limb_set_seed_matches_python_ints(self):
         inputs = list(itertools.product(self.EDGES, repeat=4))
@@ -206,22 +228,123 @@ class TestSeeding:
                         ("inc", (a * b & low) + (inc & low) > low)}
         assert carries == set(itertools.product(("seed", "middle", "inc"), (False, True)))
 
+    @staticmethod
+    def seeds(seed, level, realizations):
+        """(rows, 4) uint64 PCG64 words of realizations of one level, in column order."""
+        index = np.array(realizations, dtype=np.uint64)
+        entropy = (_words(seed) + [np.full(len(index), w, np.uint32) for w in _words(level)]
+                   + [(index >> 32 * k & _MASK32).astype(np.uint32)
+                      for k in range(len(_words(realizations[-1])))])
+        return _pcg64_seeds(entropy)
+
     @pytest.mark.parametrize("seed", TestDrawBlock.SEEDS)
     def test_memmove_load_gives_the_reference_state(self, seed):
         generator = np.random.PCG64()
         address, order = _state_layout(generator)
         for level in TestDrawBlock.LEVELS:
-            # Realization indices of one and of two SeedSequence words.
-            for realizations in ((0, 1, 2**32 - 1), (2**32, 2**63, 2**64 - 1)):
-                index = np.array(realizations, dtype=np.uint64)
-                entropy = (_words(seed) + [np.full(len(index), w, np.uint32) for w in _words(level)]
-                           + [(index >> 32 * k & _MASK32).astype(np.uint32)
-                              for k in range(len(_words(realizations[-1])))])
-                seeds = np.ascontiguousarray(_pcg64_seeds(entropy)[:, order])
+            for realizations in self.REALIZATIONS:
+                seeds = np.ascontiguousarray(self.seeds(seed, level, realizations)[:, order])
                 for row, r in zip(seeds, realizations):
                     ctypes.memmove(address, row.ctypes.data, 32)
                     want = np.random.PCG64(np.random.SeedSequence((seed, level, r))).state
                     assert generator.state == want, (seed, level, r)
+
+    @pytest.mark.parametrize("seed", TestDrawBlock.SEEDS)
+    def test_pointer_load_gives_the_reference_stream(self, seed):
+        # The generator pointed at a seed row reads that realization's state
+        # and draws its stream, advancing the row in place.
+        generator = np.random.PCG64(0)
+        random = np.random.Generator(generator).random
+        own = slot(generator).value
+        order = _state_layout(generator)[1]
+        for level in TestDrawBlock.LEVELS:
+            for realizations in self.REALIZATIONS:
+                seeds = _seed_rows(self.seeds(seed, level, realizations), order)
+                for row, r in zip(seeds, realizations):
+                    reference = np.random.PCG64(np.random.SeedSequence((seed, level, r)))
+                    state = reference.state
+                    draws = np.random.Generator(reference).random(5).tolist()
+                    slot(generator).value = row.ctypes.data
+                    try:
+                        assert generator.state == state, (seed, level, r)
+                        assert random(5).tolist() == draws, (seed, level, r)
+                        assert generator.state == reference.state, (seed, level, r)
+                    finally:
+                        slot(generator).value = own
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    @pytest.mark.parametrize("shift", [0, 8])
+    def test_seed_rows_are_aligned_copies_in_the_generators_order(self, monkeypatch, count,
+                                                                   shift):
+        # Aligned whatever the input's alignment and the allocator's: here
+        # every buffer it allocates starts ``shift`` bytes past a boundary.
+        words = unaligned_rows(count)
+        words[...] = np.arange(4 * count, dtype=np.uint64).reshape(count, 4)
+        empty = np.empty
+
+        def shifted(size, dtype):
+            raw = empty(size + _ALIGN // 8, dtype=dtype)
+            skip = (shift - raw.ctypes.data) % _ALIGN // 8
+            assert raw[skip:].ctypes.data % _ALIGN == shift
+            return raw[skip:skip + size]
+
+        monkeypatch.setattr(np, "empty", shifted)
+        for order in ([1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0]):
+            seeds = _seed_rows(words, order)
+            assert seeds.ctypes.data % _ALIGN == 0 and seeds.flags.c_contiguous
+            assert seeds.dtype == np.uint64
+            assert seeds.tolist() == words[:, order].tolist()
+
+    def test_unaligned_or_misshapen_seed_rows_raise_and_leave_the_generator(self):
+        generator = np.random.PCG64(0)
+        random = np.random.Generator(generator).random
+        good = _seed_rows(self.seeds(1, 0, (0, 1, 2)), _state_layout(generator)[1])
+        own, state = slot(generator).value, generator.state
+        out = np.zeros((3, 5))
+        for seeds in (unaligned_rows(3), good.astype(np.int64), good[:, :3].copy(),
+                      _seed_rows(np.zeros((6, 4), dtype=np.uint64), [0, 1, 2, 3])[::2]):
+            with pytest.raises(ValueError, match=f"rows of 4 on {_ALIGN}-byte boundaries"):
+                _draw_rows(generator, random, seeds, [0, 1, 2], out)
+            assert slot(generator).value == own
+            assert generator.state == state
+        assert not out.any()
+
+    @pytest.mark.parametrize("fail_at", [None, 0, 3])
+    def test_row_loop_restores_the_generators_own_struct(self, monkeypatch, fail_at):
+        # However the row loop ends, the generator points at its own struct
+        # again, which still holds the probe state that no seed row touched.
+        generators = []
+
+        class Failing(np.random.Generator):
+            def __init__(self, bits):
+                super().__init__(bits)
+                generators.append((bits, slot(bits).value))
+                self.calls = 0
+
+            def random(self, *args, **kwargs):
+                if self.calls == fail_at:
+                    raise KeyboardInterrupt
+                self.calls += 1
+                return super().random(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Failing)
+        # Rows of both levels and of both realization word counts: four parts.
+        levels, realizations = (0, 2**32), range(2**32 - 2, 2**32 + 1)
+        if fail_at is None:
+            static, dynamic = draw_block(5, levels, realizations.start, realizations.stop, 14, 7)
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                draw_block(5, levels, realizations.start, realizations.stop, 14, 7)
+        [(bits, own)] = generators
+        assert slot(bits).value == own
+        state_hi, state_lo, inc_hi, inc_lo = _PROBE
+        assert bits.state["state"] == {"state": state_hi << 64 | state_lo,
+                                       "inc": inc_hi << 64 | inc_lo}
+        if fail_at is None:
+            for i, (level, r) in enumerate(itertools.product(levels, realizations)):
+                want_static, want_dynamic = generator_fields(5, level, r, 14, 7)
+                assert np.array_equal(static[i], want_static), (level, r)
+                assert np.array_equal(dynamic[i], want_dynamic), (level, r)
 
     @pytest.mark.parametrize("layout", [(1, 0, 3, 2), (0, 1, 2, 3), (3, 2, 1, 0)])
     def test_state_layout_reads_the_word_order(self, layout):
