@@ -59,7 +59,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import fcntl
-import gc
 import hashlib
 import itertools
 import json
@@ -553,8 +552,7 @@ def _level_task(args) -> list[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]
     plan, mats, _, pending = _run
     spec, levels = plan.spec, pending[first:last]
     stacks = _stacks(first, last)
-    if lo < hi:
-        _level_intensity_stacks(plan, mats, levels, lo, hi, stacks)
+    _level_intensity_stacks(plan, mats, levels, lo, hi, stacks)
     reduced = {}
     for t in plan.read_layers[a:b]:
         start, stop = live_rows(spec, t)
@@ -669,14 +667,6 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     level runs.  Pool workers close their inherited copies
     (:func:`_init_worker`).
 
-    Once the run is set up, before its first task runs, ``gc.freeze()`` moves
-    every object the process then holds to the collector's permanent
-    generation, whatever the worker count: no collection scans them again,
-    so a forked worker's collector leaves their pages shared, and the
-    interpreter skips them at exit.  The freeze is not undone.  Objects made
-    afterwards are collected as before, and the collector stays enabled or
-    disabled as it was.
-
     Appends are flushed, not synced: a tail lost in a machine crash only makes
     a resume recompute those records, bit for bit, and a torn last line is
     already dropped.  An fsync per record would add about 50 ms on ext4, some
@@ -724,7 +714,6 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
             raise MemoryError(f"Unable to allocate {size} bytes of intensity stacks")
         with (mmap.mmap(-1, size) if split else contextlib.nullcontext()) as mapping:
             _run = (plan, mats, mapping, pending)
-            gc.freeze()
             with (ProcessPoolExecutor(max_workers=nworkers,
                                       mp_context=multiprocessing.get_context("fork"),
                                       initializer=_init_worker, initargs=(os.getpid(), ckpt))

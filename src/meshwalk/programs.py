@@ -192,16 +192,16 @@ def _pcg64_seeds(entropy: list) -> np.ndarray:
     return _pcg64_set_seed(*(out[2 * k] | out[2 * k + 1] << 32 for k in range(4)))
 
 
-def _state_layout(bits) -> tuple[int, list[int]]:
-    """Address of ``bits``' ``pcg64_random_t`` and the order of its four words.
+def _state_layout(bits) -> list[int]:
+    """The order in which ``bits`` keeps the four words of its ``pcg64_random_t``.
 
     ``bits.ctypes.state_address`` points at numpy's ``pcg64_state``, whose
     first field points at the ``pcg64_random_t``: two 128-bit words, each
     native or a struct of two 64-bit halves, whose order the build decides.
     The :data:`_PROBE` state is written through the documented ``bits.state``
     setter and its raw words are read back: word ``k`` of the struct is
-    column ``order[k]`` of :func:`_pcg64_seeds`.  Raw words that are not the
-    probe's in some order raise ``RuntimeError``.
+    column ``order[k]`` of :func:`_pcg64_seeds`, for the returned ``order``.
+    Raw words that are not the probe's in some order raise ``RuntimeError``.
     """
     state_hi, state_lo, inc_hi, inc_lo = _PROBE
     bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
@@ -212,7 +212,7 @@ def _state_layout(bits) -> tuple[int, list[int]]:
     if sorted(raw) != sorted(_PROBE):
         raise RuntimeError(f"PCG64 keeps state words {[hex(w) for w in raw]}, not the "
                            f"probe's {[hex(w) for w in _PROBE]}: cannot load its seeds")
-    return address, [_PROBE.index(word) for word in raw]
+    return [_PROBE.index(word) for word in raw]
 
 
 def _seed_rows(words: np.ndarray, order: list[int]) -> np.ndarray:
@@ -294,7 +294,7 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, num_modes: int,
     # state, which no seed row then touches.
     bits = np.random.PCG64(0)
     random = np.random.Generator(bits).random
-    order = _state_layout(bits)[1]
+    order = _state_layout(bits)
     # An index gains a word at 2**32, which moves the hash's word positions:
     # rows are seeded in parts of equal word counts.
     words = [1 + (i > _MASK32) for i in index]

@@ -9,8 +9,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # expose tests/oracles.py
 
-from meshwalk import HADAMARD, INPUT_SPLITTER, MeshSpec, RbsSetting, cell_unitary, ensemble
-from meshwalk.lattice import evolve, packed_layout
+from meshwalk import ensemble
+from meshwalk.lattice import (HADAMARD, INPUT_SPLITTER, MeshSpec, RbsSetting, cell_unitary, evolve,
+                              packed_layout)
 
 
 def subprocess_env(out_dir=None) -> dict[str, str]:

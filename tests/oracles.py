@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from meshwalk import RbsSetting, cell_unitary
+from meshwalk.lattice import RbsSetting, cell_unitary
 
 BAR = RbsSetting(np.pi, 0.0)  # bar state: straight-through routing
 

@@ -1,20 +1,11 @@
 import numpy as np
 import pytest
 
-from meshwalk import (
-    DegenerateDistributionError,
-    DisorderSpec,
-    FitFamily,
-    MeshSpec,
-    SweepPlan,
-    detect_enaqt,
-    fit_distribution,
-    intensities,
-    run_sweep,
-    spread_exponent,
-)
-from meshwalk.analysis import _rounding_bound, width
-from meshwalk.programs import draw_block
+from meshwalk.analysis import (DegenerateDistributionError, FitFamily, _rounding_bound,
+                               detect_enaqt, fit_distribution, spread_exponent, width)
+from meshwalk.ensemble import SweepPlan, run_sweep
+from meshwalk.lattice import MeshSpec, intensities
+from meshwalk.programs import DisorderSpec, draw_block
 from conftest import propagate
 from oracles import extended_walk_intensities, galton_distribution, galton_sigma
 

@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import fcntl
+import gc
 import hashlib
 import io
 import json
@@ -17,9 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meshwalk import DisorderSpec, EnsembleResult, LevelRecord, MeshSpec, SweepPlan
 from meshwalk import cli, ensemble, programs
 from meshwalk.cli import main
+from meshwalk.ensemble import EnsembleResult, LevelRecord, SweepPlan
+from meshwalk.lattice import MeshSpec
+from meshwalk.programs import DisorderSpec
 from conftest import CPUS, LaidOutPCG64, fake_cpus, subprocess_env
 
 
@@ -201,6 +204,26 @@ def test_import_leaves_scipy_unloaded():
     # Only the fit needs scipy; the other commands must not pay for importing it.
     code = "import sys, meshwalk.cli; sys.exit('scipy.optimize' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=subprocess_env()).returncode == 0
+
+
+def test_package_binds_no_names_and_loads_no_module():
+    # Each name has one import path, the module that defines it.
+    code = ("import sys, meshwalk\n"
+            "names = [n for n in vars(meshwalk) if not n.startswith('_')]\n"
+            "modules = [m for m in sys.modules if m.startswith('meshwalk.')]\n"
+            "assert not names and not modules, (names, modules)\n")
+    subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True)
+
+
+def test_main_freezes_once_before_the_run(outdir, monkeypatch):
+    # The CLI, not the library, moves what its imports made to the
+    # collector's permanent generation, once per command and before any run.
+    events, freeze, run = [], gc.freeze, cli.run_sweep
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze") or freeze())
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: events.append("run") or run(*a, **k))
+    for _ in range(2):
+        assert main(["walk", "--n", "5", "--workers", "1"]) == 0
+    assert events == ["freeze", "run"] * 2
 
 
 def test_runtime_error_exits_two(outdir):

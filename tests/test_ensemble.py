@@ -14,31 +14,24 @@ import weakref
 import numpy as np
 import pytest
 
-from meshwalk import (
-    DisorderSpec,
-    EnsembleResult,
-    LevelRecord,
-    MeshSpec,
-    SweepPlan,
-    cell_unitary,
-    intensities,
-    make_grid,
-    mode_signs,
-    run_sweep,
-)
 from meshwalk import ensemble
 from meshwalk.ensemble import (
     CSV_HEADER,
+    EnsembleResult,
+    LevelRecord,
+    SweepPlan,
     _layer_matrices,
     _level_intensity_stacks,
     _propagate_block,
     _reduce,
     _sample_block,
     csv_row,
+    make_grid,
+    run_sweep,
     write_lines,
 )
-from meshwalk.lattice import evolve, live_rows
-from meshwalk.programs import compose_screens
+from meshwalk.lattice import MeshSpec, cell_unitary, evolve, intensities, live_rows
+from meshwalk.programs import DisorderSpec, compose_screens, mode_signs
 from conftest import (CPUS, bits, cell_matrices, fake_cpus, mod_wrap, pack, propagate,
                       random_program, subprocess_env, walk_program)
 from oracles import fsum_reduce, full_unitary, galton_distribution
@@ -522,7 +515,9 @@ class TestRunSweep:
         # workers only through fork.
         script = ("import multiprocessing, sys\n"
                   "multiprocessing.set_start_method('forkserver')\n"
-                  "from meshwalk import MeshSpec, SweepPlan, ensemble, make_grid, run_sweep\n"
+                  "from meshwalk import ensemble\n"
+                  "from meshwalk.ensemble import SweepPlan, make_grid, run_sweep\n"
+                  "from meshwalk.lattice import MeshSpec\n"
                   "plan = SweepPlan(MeshSpec(14, 7), tuple(make_grid(2, 2)), 50, 424242)\n"
                   "run_sweep(plan, out_path=sys.argv[1], workers=2)\n"
                   "ensemble._CHUNK = 4\n"
@@ -638,9 +633,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_leaves_the_collector_working(self, spec14, monkeypatch, pool_sizes, enabled):
-        # A run freezes what the process holds before its tasks run, at any
-        # worker count.  The collector stays enabled or disabled as it was,
-        # and collects a reference cycle made after the run.
+        # At any worker count the collector stays enabled or disabled as it
+        # was, and collects a reference cycle made after the run.
         class Node:
             pass
 
@@ -659,6 +653,17 @@ class TestRunSweep:
                 assert gc.collect() >= 1 and alive() is None, workers
         finally:
             (gc.enable if was else gc.disable)()
+        assert pool_sizes == [2]
+
+    def test_run_freezes_nothing(self, spec14, monkeypatch, pool_sizes):
+        # The collector's permanent generation is the CLI's to fill: a run
+        # leaves it as it found it, at any worker count.
+        fake_cpus(monkeypatch, 2)
+        plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 20, 5)
+        for workers in (1, 2):
+            frozen = gc.get_freeze_count()
+            run_sweep(plan, workers=workers)
+            assert gc.get_freeze_count() == frozen, workers
         assert pool_sizes == [2]
 
     def test_pool_never_larger_than_pending_levels(self, spec14, monkeypatch, pool_sizes):
@@ -967,8 +972,8 @@ class TestRunSweep:
         # A checkpoint cut after 3 of a lone level's 7 read layers, rerun with
         # the level whole (1 worker) or split (2): the level is filled and
         # reduced at every read layer, only the 4 missing records are
-        # appended, and the files are a fresh run's.  A split level's reduce
-        # tasks fill nothing, so each of its 2 ranges is filled once.
+        # appended, and the files are a fresh run's.  Each of a split level's
+        # 2 ranges is filled once; its reduce tasks' ranges are empty.
         fake_cpus(monkeypatch, 2)
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         plan = SweepPlan(spec14, (DisorderSpec(0.842, 0.5),), 100, 13,
@@ -980,8 +985,13 @@ class TestRunSweep:
             "".join(fresh_ckpt.splitlines(keepends=True)[:1 + 3]))
         filled, reduced = [], []
         fill, reduce = ensemble._level_intensity_stacks, ensemble._reduce
-        monkeypatch.setattr(ensemble, "_level_intensity_stacks",
-                            lambda *args: filled.append(tuple(args[-1])) or fill(*args))
+
+        def counted(plan, mats, levels, lo, hi, stacks):
+            if lo < hi:
+                filled.append(tuple(stacks))
+            fill(plan, mats, levels, lo, hi, stacks)
+
+        monkeypatch.setattr(ensemble, "_level_intensity_stacks", counted)
         monkeypatch.setattr(ensemble, "_reduce", lambda stack: reduced.append(1) or reduce(stack))
         run_sweep(plan, out_path=str(cut), workers=workers)
         assert filled == [(1, 2, 3, 4, 5, 6, 7)] * workers

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshwalk import MeshSpec, RbsSetting, cell_unitary, intensities, wrap_angle
 from meshwalk.ensemble import _layer_matrices
+from meshwalk.lattice import MeshSpec, RbsSetting, cell_unitary, intensities, wrap_angle
 from conftest import bits, mod_wrap, propagate, random_program
 from oracles import full_unitary
 

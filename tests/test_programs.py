@@ -4,20 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
-from meshwalk import (
-    HADAMARD,
-    INPUT_SPLITTER,
-    DisorderSpec,
-    MeshSpec,
-    SweepPlan,
-    cell_unitary,
-    intensities,
-    mode_signs,
-    run_sweep,
-)
-from meshwalk.ensemble import _layer_matrices
-from meshwalk.programs import (_ALIGN, _MASK32, _PROBE, _draw_rows, _pcg64_seeds, _pcg64_set_seed,
-                               _seed_rows, _state_layout, _words, compose_screens, draw_block)
+from meshwalk.ensemble import SweepPlan, _layer_matrices, run_sweep
+from meshwalk.lattice import HADAMARD, INPUT_SPLITTER, MeshSpec, cell_unitary, intensities
+from meshwalk.programs import (_ALIGN, _MASK32, _PROBE, DisorderSpec, _draw_rows, _pcg64_seeds,
+                               _pcg64_set_seed, _seed_rows, _state_layout, _words, compose_screens,
+                               draw_block, mode_signs)
 from conftest import LaidOutPCG64, bits, pack, propagate, unpack, walk_program
 from oracles import BAR, build_tomography_program, ks_uniform_statistic
 
@@ -240,7 +231,7 @@ class TestSeeding:
     @pytest.mark.parametrize("seed", TestDrawBlock.SEEDS)
     def test_memmove_load_gives_the_reference_state(self, seed):
         generator = np.random.PCG64()
-        address, order = _state_layout(generator)
+        address, order = slot(generator).value, _state_layout(generator)
         for level in TestDrawBlock.LEVELS:
             for realizations in self.REALIZATIONS:
                 seeds = np.ascontiguousarray(self.seeds(seed, level, realizations)[:, order])
@@ -256,7 +247,7 @@ class TestSeeding:
         generator = np.random.PCG64(0)
         random = np.random.Generator(generator).random
         own = slot(generator).value
-        order = _state_layout(generator)[1]
+        order = _state_layout(generator)
         for level in TestDrawBlock.LEVELS:
             for realizations in self.REALIZATIONS:
                 seeds = _seed_rows(self.seeds(seed, level, realizations), order)
@@ -298,7 +289,7 @@ class TestSeeding:
     def test_unaligned_or_misshapen_seed_rows_raise_and_leave_the_generator(self):
         generator = np.random.PCG64(0)
         random = np.random.Generator(generator).random
-        good = _seed_rows(self.seeds(1, 0, (0, 1, 2)), _state_layout(generator)[1])
+        good = _seed_rows(self.seeds(1, 0, (0, 1, 2)), _state_layout(generator))
         own, state = slot(generator).value, generator.state
         out = np.zeros((3, 5))
         for seeds in (unaligned_rows(3), good.astype(np.int64), good[:, :3].copy(),
@@ -350,10 +341,7 @@ class TestSeeding:
     def test_state_layout_reads_the_word_order(self, layout):
         # Native __uint128_t words (low first on little-endian), numpy's
         # emulated {high, low} struct, and any other order of four words.
-        generator = LaidOutPCG64(layout)
-        address, order = _state_layout(generator)
-        assert address == ctypes.addressof(generator.words)
-        assert order == list(layout)
+        assert _state_layout(LaidOutPCG64(layout)) == list(layout)
 
     @pytest.mark.parametrize("layout", [(None,) * 4, (1, 1, 3, 2), (1, 0, 3, None)])
     def test_state_layout_rejects_words_it_did_not_write(self, layout):
