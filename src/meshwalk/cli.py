@@ -1,14 +1,22 @@
 """Command-line front end for mesh quantum-walk experiments.
 
 Subcommands run and analyze disorder ensembles; a run command resumes from
-its own checkpoint when an earlier run of the same plan left one.  Every
-command is deterministic: identical flags and seed produce bit-identical
+its own checkpoint when an earlier run of the same plan left one, and each
+checkpoint record carries the CRC-32 of its text.  Every command is
+deterministic: each level draws one ``PCG64DXSM`` stream cut into a
+substream per disorder cell, realization ``r`` taking draw ``r`` of each
+(:mod:`meshwalk.programs`), so identical flags and seed produce bit-identical
 output files regardless of worker count, on one numpy build at one SIMD
-dispatch level.  The bytes are tested on x86-64 under numpy's AVX-512 and
-AVX2 dispatch; at the SSE baseline the kernel's complex multiply rounds
-otherwise (README, *Determinism*).  Output documents are JSON, flat
-tables are CSV (comma separator, header row, LF endings); heatmaps are plain
-numeric CSV grids with an optional ASCII rendering.  Every number in a CSV is
+dispatch level.  The streams rest on numpy's fixed-seed stream guarantee for
+``PCG64DXSM`` and on ``SeedSequence`` (NEP 19).  The bytes are tested on
+x86-64 under numpy's AVX-512 and AVX2 dispatch; at the SSE baseline the
+kernel's complex multiply still rounds otherwise (README, *Determinism*).
+Documents are format ``meshwalk-sweep-result/2``, and their plan names the
+stream layout; ``fit`` on a document of another format, such as a ``/1``
+document of the one-stream-per-realization layout, exits 2.  Output
+documents are JSON, flat tables are CSV (comma separator, header row, LF
+endings); heatmaps are plain numeric CSV grids with an optional ASCII
+rendering.  Every number in a CSV is
 Python's shortest round-trip ``repr`` of its value, the same under numpy 1.x
 and 2.x.
 
@@ -357,8 +365,8 @@ def main(argv=None) -> int:
     except DegenerateDistributionError as exc:
         print(f"degenerate analysis input: {exc}", file=sys.stderr)
         return 3
-    # RuntimeError: a broken worker pool (BrokenExecutor), or a PCG64 whose
-    # state draw_block cannot load; ValueError: bad JSON too.
+    # RuntimeError: a broken worker pool (BrokenExecutor); ValueError: bad
+    # JSON, a document of another format or a corrupt checkpoint too.
     except (OSError, MemoryError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,11 @@
 """Disorder-ensemble execution: levels x realizations, deterministic and parallel.
 
 A sweep evaluates a grid of disorder levels; each level propagates N
-independently-seeded realizations and reduces them to a per-mode ensemble
+independent realizations and reduces them to a per-mode ensemble
 mean and standard error.  Realizations run in chunks of at most ``_CHUNK``,
 a range of one level or several whole levels: a chunk's fields come from
-one :func:`~meshwalk.programs.draw_block` call, its phase screens from
+one :func:`~meshwalk.programs.draw_block` call, already in the kernel's
+packed layout, its phase screens from
 :func:`~meshwalk.programs.compose_screens` (the disorder is the whole
 screen), and the whole chunk goes through the one propagation kernel,
 :func:`~meshwalk.lattice.evolve`, at once, with the walk's layer matrices
@@ -12,8 +13,8 @@ screen), and the whole chunk goes through the one propagation kernel,
 to end: the phases are composed, and the intensities propagated and stored,
 for each layer's :func:`~meshwalk.lattice.live_rows` alone.  Every other row
 is exactly zero, and its record reads mean and standard error +0.0.
-Every realization's stream is derived from
-``(master_seed, level_index, realization_index)``, each row's sums are
+Every realization's fields are a function of
+``(master_seed, level_index, realization_index)`` alone, each row's sums are
 exact bucketed sums rounded once, equal to ``math.fsum`` of its row in
 realization order (:func:`_reduce`), so a stack of several levels' rows
 reduces each as it would alone, and records are assembled sorted by
@@ -37,12 +38,13 @@ and which are packed.
 
 A record is a measured per-mode mean and standard error, keyed by
 ``(level_index, read_layer)``; the plan writes every other field of its stored
-form.  Persistence is one JSON document per sweep (plan echo, generator
-identity, one record per level and read layer) plus an optional flat CSV
-table.  Each output format is stated here once: documents go through
+form.  Persistence is one JSON document per sweep (plan echo, the generator
+identity among it, one record per level and read layer) plus an optional flat
+CSV table.  Each output format is stated here once: documents go through
 :func:`write_json`, tables are :func:`csv_row` lines written by
 :func:`write_lines`.  A running sweep opens ``<out>.ckpt`` once, locks it and
-appends each record through that one handle.  The level is the unit of
+appends each record through that one handle, as one line that carries the
+CRC-32 of its JSON text (:func:`_checkpoint_line`).  The level is the unit of
 resume: a rerun of the plan runs again, whole, each level that lacks a record
 there, and appends only the records it lacks; loading a document or a
 checkpoint checks every record against what the plan writes.  Documents and
@@ -71,6 +73,7 @@ import signal
 import stat
 import sys
 import tempfile
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -82,12 +85,12 @@ from .programs import GENERATOR_IDENTITY, DisorderSpec, compose_screens
 # The sample stage under a name of its own, which the benchmark's tracer wraps.
 from .programs import draw_block as _sample_block
 
-DOCUMENT_FORMAT = "meshwalk-sweep-result/1"
+DOCUMENT_FORMAT = "meshwalk-sweep-result/2"
 CSV_HEADER = "c_tid,c_td,layer,mode,mean,std_error"
 
 # Realizations are processed in chunks of at most this many: a range of one
 # level, or whole levels packed together.  It bounds one chunk's temporaries
-# and changes no bit of a result: each realization's stream is its own, and
+# and changes no bit of a result: each realization's draws are its own, and
 # each level's rows are reduced over the whole level.
 _CHUNK = 2048
 # A stack is reduced in blocks of at most this many values: several whole
@@ -239,12 +242,15 @@ class SweepPlan:
             "master_seed": self.master_seed,
             "read_layers": list(self.read_layers),
             "policy": _SIGNS,
+            "generator": GENERATOR_IDENTITY,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepPlan":
         if data["policy"] != _SIGNS:
             raise ValueError(f"policy {data['policy']!r} is not {_SIGNS!r}")
+        if data["generator"] != GENERATOR_IDENTITY:
+            raise ValueError(f"generator {data['generator']!r} is not {GENERATOR_IDENTITY!r}")
         return cls(
             spec=MeshSpec(data["num_modes"], data["depth"], data["injection_mode"]),
             grid=tuple(DisorderSpec(a, b) for a, b in data["grid"]),
@@ -296,7 +302,6 @@ class EnsembleResult:
             "format": DOCUMENT_FORMAT,
             "plan": self.plan.to_dict(),
             "plan_hash": self.plan.hash(),
-            "generator": GENERATOR_IDENTITY,
             "records": [_entry(self.plan, key, rec.mean.tolist(), rec.std_error.tolist())
                         for key, rec in sorted(self.records.items())],
         }
@@ -308,14 +313,13 @@ class EnsembleResult:
     def load(cls, path: str) -> "EnsembleResult":
         with open(path) as fh:
             doc = json.load(fh)
-        if not isinstance(doc, dict) or doc.get("format") != DOCUMENT_FORMAT:
-            raise ValueError(f"{path}: not a {DOCUMENT_FORMAT} document")
+        found = doc.get("format") if isinstance(doc, dict) else None
+        if found != DOCUMENT_FORMAT:
+            raise ValueError(f"{path}: not a {DOCUMENT_FORMAT} document (format {found!r})")
         with _malformed(f"{path}: malformed {DOCUMENT_FORMAT} document"):
             plan = SweepPlan.from_dict(doc["plan"])
             if doc["plan_hash"] != plan.hash():
                 raise ValueError(f"plan_hash {doc['plan_hash']!r} is not the plan's hash")
-            if doc["generator"] != GENERATOR_IDENTITY:
-                raise ValueError(f"generator {doc['generator']!r} is not {GENERATOR_IDENTITY!r}")
             return cls(plan, _records(plan, doc["records"]))
 
     def to_rows(self) -> list[tuple[float, float, int, int, float, float]]:
@@ -348,7 +352,7 @@ def _records(plan: SweepPlan, entries) -> dict[tuple[int, int], LevelRecord]:
     document is byte for byte the fresh one: ``true`` and ``10.0`` are not
     the integers ``1`` and ``10``, nor ``1`` the float ``1.0``.  Means and
     standard errors must be finite and standard errors non-negative, as every
-    run writes them.
+    run writes them.  A run writes each key once, so a repeated key is rejected.
     """
     records = {}
     for entry in entries:
@@ -358,6 +362,9 @@ def _records(plan: SweepPlan, entries) -> dict[tuple[int, int], LevelRecord]:
             raise ValueError(f"record level_index {level_index!r}, read_layer {read_layer!r} "
                              f"is not in the plan's {len(plan.grid)} levels x read layers "
                              f"{plan.read_layers}")
+        if key in records:
+            raise ValueError(f"record level_index {level_index}, read_layer {read_layer} "
+                             "repeats an earlier record")
         fields = json.dumps({**entry, "mean": None, "std_error": None}, sort_keys=True)
         planned = json.dumps(_entry(plan, key, None, None), sort_keys=True)
         if fields != planned:
@@ -400,18 +407,17 @@ def _level_intensity_stacks(plan: SweepPlan, mats: list[np.ndarray], level_indic
     drawn, composed and propagated at once and fills its own columns.
     """
     spec, read_layers, k = plan.spec, tuple(stacks), len(level_indices)
-    m, levels = spec.num_modes, [plan.grid[i] for i in level_indices]
+    levels = [plan.grid[i] for i in level_indices]
     strengths = [level.c_tid for level in levels], [level.c_td for level in levels]
     step = max(1, _CHUNK // k)
     for a in range(lo, hi, step):
         b = min(a + step, hi)
-        static, dynamic = _sample_block(plan.master_seed, level_indices, a, b, m, spec.depth)
+        fields = _sample_block(plan.master_seed, level_indices, a, b, spec)
         # Each realization takes its level's strengths.
-        phases = compose_screens(spec, *(np.repeat(c, b - a) for c in strengths), static,
-                                 dynamic)
+        phases = compose_screens(spec, *(np.repeat(c, b - a) for c in strengths), fields)
         # Drop each stage's input once it is used, so that the next stage's
         # temporaries do not add to it: at 2048 realizations each is MBs.
-        del static, dynamic
+        del fields
         blocks = _propagate_block(spec, mats, phases, read_layers)
         del phases
         for t, block in blocks.items():  # every stack is C-contiguous, so reshape is a view
@@ -589,19 +595,36 @@ def _init_worker(parent: int, ckpt) -> None:
         os._exit(1)
 
 
+def _checkpoint_line(entry: dict) -> bytes:
+    """``entry``'s checkpoint line: its JSON text's CRC-32 in 8 hex digits, a space, the text."""
+    text = json.dumps(entry).encode()
+    return b"%08x %s\n" % (zlib.crc32(text), text)
+
+
+def _checkpoint_entry(line: bytes):
+    """The entry of a checkpoint line that ends in its newline; its CRC-32 must hold."""
+    text = line[9:-1]
+    if line[:9] != b"%08x " % zlib.crc32(text):
+        raise ValueError("CRC-32 does not match")
+    return json.loads(text)
+
+
 def _resume(path: str, plan: SweepPlan):
     """The checkpoint at ``path``, locked and open for appends, and ``plan``'s records in it.
 
     ``path`` is opened without truncating and takes an exclusive ``flock``
     before it is read, without waiting: a file that another run holds raises
     ``BlockingIOError`` naming ``path``.  A file that does not start with the
-    plan's header holds none of its records.  A crash mid-append leaves the
-    last line without its newline or not parsing; that line is cut from the
-    file, so later appends start on a fresh line, and its record is
-    recomputed.  A bad line anywhere else, or a record that is not one of the
-    plan's, is corruption and raises ``ValueError``.  A file of none of the
-    plan's records is emptied and given the header.  The lock lasts until the
-    returned binary handle is closed.
+    plan's header holds none of its records.  Each record line carries the
+    CRC-32 of its JSON text (:func:`_checkpoint_line`); a blank line is
+    skipped.  A crash mid-append leaves the last line without its newline or
+    its CRC; that line is cut from the file, so later appends start on a fresh
+    line, and its record is recomputed.  A bad line anywhere else, a record
+    that is not one of the plan's, or a record that repeats an earlier one's
+    key, even on the last line, is corruption and raises ``ValueError``: a run
+    appends each record once, and a crash tears at most its last line.  A
+    file of none of the plan's records is emptied and given the header.  The
+    lock lasts until the returned binary handle is closed.
     """
     fh = open(path, "a+b")
     try:
@@ -615,7 +638,7 @@ def _resume(path: str, plan: SweepPlan):
                 if not line.endswith(b"\n"):
                     raise ValueError("no line end")
                 if line.strip():
-                    entries.append(json.loads(line))
+                    entries.append(_checkpoint_entry(line))
             except ValueError as exc:
                 if number < len(lines):
                     raise ValueError(f"{path}: corrupt checkpoint line {number}: {exc}") from None
@@ -732,8 +755,8 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
                         records[(idx, t)] = LevelRecord(mean, se)
                         if appending:
                             try:
-                                entry = _entry(plan, (idx, t), mean.tolist(), se.tolist())
-                                ckpt.write(json.dumps(entry).encode() + b"\n")
+                                ckpt.write(_checkpoint_line(
+                                    _entry(plan, (idx, t), mean.tolist(), se.tolist())))
                                 ckpt.flush()
                             except OSError as exc:
                                 io_errors.append(f"level {idx}: checkpoint write failed: {exc}")

@@ -1,8 +1,6 @@
-import ctypes
 import os
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,27 +129,18 @@ def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-class LaidOutPCG64:
-    """A stand-in for ``PCG64`` whose state struct keeps its words in a given layout.
+def split_fields(spec: MeshSpec, fields: np.ndarray):
+    """A (cells, count) draw as static (count, num_modes) and dynamic (count, num_modes, depth).
 
-    Word ``k`` of the 32-byte struct holds column ``layout[k]`` of
-    (state high, state low, inc high, inc low), or 0 where it is ``None``;
-    ``ctypes.state_address`` points at a pointer to it, as numpy's does.
+    The dynamic cells outside the packed layout read 0.0.
     """
+    m = spec.num_modes
+    return fields[:m].T, unpack(spec, fields[m:]).transpose(2, 0, 1)
 
-    def __init__(self, layout):
-        self.layout = layout
-        self.words = (ctypes.c_uint64 * 4)()
-        self._pointer = ctypes.c_void_p(ctypes.addressof(self.words))
-        self.ctypes = SimpleNamespace(state_address=ctypes.addressof(self._pointer))
 
-    @property
-    def state(self):
-        raise NotImplementedError
+def join_fields(spec: MeshSpec, static: np.ndarray, dynamic: np.ndarray) -> np.ndarray:
+    """Static (count, num_modes) and dynamic (count, num_modes, depth) fields as one draw.
 
-    @state.setter
-    def state(self, value):
-        state, inc = value["state"]["state"], value["state"]["inc"]
-        columns = (state >> 64, state & (1 << 64) - 1, inc >> 64, inc & (1 << 64) - 1)
-        for k, column in enumerate(self.layout):
-            self.words[k] = 0 if column is None else columns[column]
+    The draw is (cells, count), as ``programs.draw_block`` returns it.
+    """
+    return np.concatenate([static.T, pack(spec, dynamic.transpose(1, 2, 0))])

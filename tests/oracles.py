@@ -6,7 +6,9 @@ unitary multiplies whole num_modes x num_modes layer matrices instead of
 running the batched kernel, the tomography program reads a layer by wire
 routing instead of stopping the kernel early, the reduction sums each row
 with ``math.fsum`` element by element, and the KS statistic is computed
-directly from its definition.  A program is a pair (settings,
+directly from its definition.  The disorder fields are rebuilt cell by cell
+from numpy's documented ``jumped`` streams, not through the package's draw.
+A program is a pair (settings,
 screens): ``settings[t - 1]`` lists the cells of layer ``t`` top to bottom,
 and cell ``k`` (0-based) of layer ``t`` couples the 0-based modes
 ``num_modes // 2 - t + 2k`` and one below; ``screens`` is (num_modes, depth).
@@ -19,6 +21,45 @@ import numpy as np
 from meshwalk.lattice import RbsSetting, cell_unitary
 
 BAR = RbsSetting(np.pi, 0.0)  # bar state: straight-through routing
+# Realization ranges that start beyond this are reached by advance, not drawn.
+DRAWN_PREFIX = 1 << 16
+
+
+def cell_stream_fields(seed: int, level: int, lo: int, hi: int, spec):
+    """Drawn static and dynamic fields of realizations lo..hi-1 of one level.
+
+    Realization ``r``'s value in cell ``c`` is
+    ``Generator(PCG64DXSM(SeedSequence((seed, level))).jumped(c))
+    .random(r + 1)[r]``, as ``uniform(-pi, pi)``.  Cell ``c < num_modes`` is
+    the static field of mode ``c``; the cells after them are the live (mode,
+    layer) cells of the dynamic field, layer 1 first and each layer's live
+    rows in order.  Layer ``t``'s live rows are its cells' modes ``m/2 - t``
+    to ``m/2 + t - 1`` (0-based) and the injection mode's row.  A range that
+    starts beyond ``DRAWN_PREFIX`` skips its first ``lo`` draws by
+    ``advance(lo)``, which numpy documents as those draws.  Cells no layer
+    reads hold 0.0.  Returns static (count, num_modes) and dynamic
+    (count, num_modes, depth).
+    """
+    m, count, inject = spec.num_modes, hi - lo, spec.injection_mode - 1
+    static, dynamic = np.zeros((count, m)), np.zeros((count, m, spec.depth))
+
+    def draws(cell):
+        bits = np.random.PCG64DXSM(np.random.SeedSequence((seed, level))).jumped(cell)
+        if lo > DRAWN_PREFIX:
+            return np.random.Generator(bits.advance(lo)).uniform(-np.pi, np.pi, count)
+        return np.random.Generator(bits).uniform(-np.pi, np.pi, hi)[lo:]
+
+    def live(t):
+        return range(min(m // 2 - t, inject), max(m // 2 + t, inject + 1))
+
+    for mode in live(spec.depth):
+        static[:, mode] = draws(mode)
+    cell = m
+    for t in range(1, spec.depth + 1):
+        for mode in live(t):
+            dynamic[:, mode, t - 1] = draws(cell)
+            cell += 1
+    return static, dynamic
 
 
 def galton_distribution(num_modes: int, upto: int, inject: int) -> np.ndarray:

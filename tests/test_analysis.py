@@ -6,7 +6,7 @@ from meshwalk.analysis import (DegenerateDistributionError, FitFamily, _rounding
 from meshwalk.ensemble import SweepPlan, run_sweep
 from meshwalk.lattice import MeshSpec, intensities
 from meshwalk.programs import DisorderSpec, draw_block
-from conftest import propagate
+from conftest import propagate, split_fields
 from oracles import extended_walk_intensities, galton_distribution, galton_sigma
 
 
@@ -238,7 +238,7 @@ def test_rounding_bound_holds_in_extended_precision():
         m, layers = spec.num_modes, tuple(range(1, spec.depth + 1))
         result = run_sweep(SweepPlan(spec, grid, 200, 11, read_layers=layers), workers=1)
         for i, level in enumerate(grid):
-            fields = draw_block(11, i, 0, 200, m, spec.depth)
+            fields = split_fields(spec, draw_block(11, i, 0, 200, spec))
             exact = extended_walk_intensities(spec, level, *fields, layers)
             for t in layers:
                 mean, exact_mean = result.record(i, t).mean, exact[t].mean(axis=0)

@@ -33,8 +33,8 @@ from meshwalk.ensemble import (
 from meshwalk.lattice import MeshSpec, cell_unitary, evolve, intensities, live_rows
 from meshwalk.programs import DisorderSpec, compose_screens, mode_signs
 from conftest import (CPUS, bits, cell_matrices, fake_cpus, mod_wrap, pack, propagate,
-                      random_program, subprocess_env, walk_program)
-from oracles import fsum_reduce, full_unitary, galton_distribution
+                      random_program, split_fields, subprocess_env, walk_program)
+from oracles import cell_stream_fields, fsum_reduce, full_unitary, galton_distribution
 
 
 def live_stacks(spec, read_layers, n):
@@ -112,7 +112,7 @@ class TestConeKernel:
         level, n = DisorderSpec(0.842, 0.5), 300
         for spec in self.SPECS:
             layers = tuple(range(1, spec.depth + 1))
-            static, dynamic = _sample_block(17, 2, 0, n, spec.num_modes, spec.depth)
+            static, dynamic = split_fields(spec, _sample_block(17, 2, 0, n, spec))
             plan = SweepPlan(spec, (level,) * 3, n, 17)
             screens = full_array_screens(level, static, dynamic)
             for settings, _ in self.programs(spec, rng):
@@ -143,18 +143,17 @@ class TestConeKernel:
         # bits.  Injection modes 1, 3 and 14 take live rows outside the cone.
         level = DisorderSpec(0.3, 0.9)
         for spec in self.SPECS:
-            static, dynamic = _sample_block(4, 0, 0, 600, spec.num_modes, spec.depth)
-            drawn = static.copy(), dynamic.copy()
-            total = compose_screens(spec, level.c_tid, level.c_td, static, dynamic)
+            fields = _sample_block(4, 0, 0, 600, spec)
+            drawn = fields.copy()
+            total = compose_screens(spec, level.c_tid, level.c_td, fields)
             live = [live_rows(spec, t) for t in range(1, spec.depth + 1)]
             assert total.shape == (sum(stop - start for start, stop in live), 600), spec
             assert total.flags.c_contiguous, spec
-            expected = full_array_screens(level, *drawn)
+            expected = full_array_screens(level, *split_fields(spec, drawn))
             packed = pack(spec, expected.transpose(1, 2, 0))
             assert np.array_equal(bits(total), bits(packed)), spec
             # The drawn fields are read, never written.
-            assert np.array_equal(bits(static), bits(drawn[0])), spec
-            assert np.array_equal(bits(dynamic), bits(drawn[1])), spec
+            assert np.array_equal(bits(fields), bits(drawn)), spec
 
     def test_live_rows(self):
         # Layer t's cells and the injection mode, 0-based: the cone's 2t rows
@@ -169,8 +168,7 @@ class TestConeKernel:
 def test_propagate_rejects_realization_major_phases(spec14):
     # The kernel reads packed (live cells, walkers); a (walkers, live cells)
     # array would otherwise run as walkers of garbage phases.
-    static, dynamic = _sample_block(1, 0, 0, 5, 14, 7)
-    phases = compose_screens(spec14, 0.5, 0.5, static, dynamic)
+    phases = compose_screens(spec14, 0.5, 0.5, _sample_block(1, 0, 0, 5, spec14))
     mats = _layer_matrices(spec14)
     with pytest.raises(ValueError, match="phases shaped"):
         _propagate_block(spec14, mats, phases.T, (7,))
@@ -180,7 +178,7 @@ def test_propagate_rejects_realization_major_phases(spec14):
 def test_kernel_rejects_a_chunk_of_depth_realizations(spec14):
     # A realization-major chunk of exactly depth realizations, (7, 14, 7) at
     # 14x7, once had the kernel layout's shape; no 3-D array has it now.
-    _, dynamic = _sample_block(1, 0, 0, 7, 14, 7)
+    _, dynamic = split_fields(spec14, _sample_block(1, 0, 0, 7, spec14))
     mats = _layer_matrices(spec14)
     with pytest.raises(ValueError, match=r"phases shaped \(7, 14, 7\)"):
         evolve(spec14, mats, dynamic, 7)
@@ -190,8 +188,7 @@ def test_kernel_rejects_a_chunk_of_depth_realizations(spec14):
 
 def test_evolve_checks_phases_when_called(spec14):
     # The shape error comes from the call itself, before any layer is asked for.
-    static, dynamic = _sample_block(1, 0, 0, 5, 14, 7)
-    phases = compose_screens(spec14, 0.5, 0.5, static, dynamic)
+    phases = compose_screens(spec14, 0.5, 0.5, _sample_block(1, 0, 0, 5, spec14))
     with pytest.raises(ValueError, match=r"phases shaped \(5, 56\)"):
         evolve(spec14, _layer_matrices(spec14), phases.T, 7)
 
@@ -214,7 +211,8 @@ class TestRunLevel:
     def test_kernel_matches_single_realization_path(self):
         # Each stack row against the dense oracle's injection column, with
         # the disorder model spelled out here from its documentation: the
-        # stream of GENERATOR_IDENTITY, scaled, summed per waveguide, and
+        # cell streams of GENERATOR_IDENTITY, rebuilt cell by cell
+        # (oracles.cell_stream_fields), scaled, summed per waveguide, and
         # negated on modes 8..14, as the whole screen of the program's cells.
         # Wrapping by 2 pi changes no amplitude, so the oracle leaves it out.
         # Rows outside the stored live rows are +0.0, and the oracle's are
@@ -228,10 +226,10 @@ class TestRunLevel:
             signs = np.ones(14)
             signs[7:] = -1.0
             stacks = level_stacks(spec14, cell_matrices(settings), level, n, 555, 3, layers)
+            drawn = cell_stream_fields(555, 3, 0, n, spec14)
             for r in range(n):
-                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((555, 3, r))))
-                static = level.c_tid * rng.uniform(-np.pi, np.pi, 14)
-                dynamic = level.c_td * rng.uniform(-np.pi, np.pi, (14, 7))
+                static = level.c_tid * drawn[0][r]
+                dynamic = level.c_td * drawn[1][r]
                 applied = signs[:, None] * (static[:, None] + dynamic)
                 for layer in layers:
                     column = full_unitary(spec14, settings, applied, up_to_layer=layer)[
@@ -856,8 +854,11 @@ class TestRunSweep:
         run_sweep(plan, out_path=str(out), workers=1)
         ckpt = tmp_path / "a.json.ckpt"
         lines = ckpt.read_text().splitlines(keepends=True)
+        # A line cut short fails its CRC-32; a line with its CRC-32 holds a
+        # record, which is checked against the plan.
         for bad, message in ((lines[2][:30] + "\n", "corrupt checkpoint line 3"),
-                             ('{"n": 10}\n', "malformed checkpoint record")):
+                             (ensemble._checkpoint_line({"n": 10}).decode(),
+                              "malformed checkpoint record")):
             ckpt.write_text("".join(lines[:2] + [bad] + lines[3:]))
             with pytest.raises(ValueError, match=message):
                 run_sweep(plan, out_path=str(out), workers=1)
@@ -1023,9 +1024,10 @@ class TestRunSweep:
 
         ckpt = tmp_path / "doc.json.ckpt"
         lines = ckpt.read_text().splitlines(keepends=True)
-        entry = json.loads(lines[2])
+        entry = json.loads(lines[2].split(" ", 1)[1])
         entry.update(edit)
-        ckpt.write_text("".join(lines[:2] + [json.dumps(entry) + "\n"] + lines[3:]))
+        line = ensemble._checkpoint_line(entry).decode()
+        ckpt.write_text("".join(lines[:2] + [line] + lines[3:]))
         with pytest.raises(ValueError, match="malformed checkpoint record"):
             run_sweep(plan, out_path=str(out), workers=1)
 
@@ -1132,24 +1134,23 @@ class TestThroughput:
         # Performance target for the propagation machinery on the default
         # 14x7 cone, amortized per realization in the batched kernel.
         n = 20000
-        static, dynamic = _sample_block(1, 0, 0, n, 14, 7)
-        screens = (0.6 * static[:, :, None] + 0.8 * dynamic).transpose(1, 2, 0)
+        phases = compose_screens(spec14, 0.6, 0.8, _sample_block(1, 0, 0, n, spec14))
         mats = _layer_matrices(spec14)
-        _propagate_block(spec14, mats, pack(spec14, screens[:, :, :100]), (7,))  # warm up
+        _propagate_block(spec14, mats, phases[:, :100], (7,))  # warm up
         start = time.perf_counter()
-        _propagate_block(spec14, mats, pack(spec14, screens), (7,))
+        _propagate_block(spec14, mats, phases, (7,))
         per_prop = (time.perf_counter() - start) / n
         assert per_prop < 10e-6, f"{per_prop * 1e6:.2f} us per propagation"
 
     def test_sample_block_under_ten_microseconds(self):
-        # Performance target for rebuilding the per-realization streams (the
-        # *sample* stage) on the default 14x7 cone, one full chunk, best of 3.
-        n = 8192
-        _sample_block(1, 0, 0, 100, 14, 7)  # warm up
+        # Performance target for drawing the disorder fields (the *sample*
+        # stage) on the default 14x7 cone, one full chunk, best of 3.
+        n, spec = 8192, MeshSpec()
+        _sample_block(1, 0, 0, 100, spec)  # warm up
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            _sample_block(1, 0, 0, n, 14, 7)
+            _sample_block(1, 0, 0, n, spec)
             best = min(best, time.perf_counter() - start)
         per_real = best / n
         assert per_real < 10e-6, f"{per_real * 1e6:.2f} us per realization"
@@ -1161,11 +1162,10 @@ class TestThroughput:
         mats = _layer_matrices(spec)
         level = DisorderSpec(0.842, 0.5)
         n = 2000
-        static, dynamic = _sample_block(1, 0, 0, n, 30, 15)
+        fields = _sample_block(1, 0, 0, n, spec)
 
         def screens_and_propagate(count):
-            total = compose_screens(spec, level.c_tid, level.c_td, static[:count],
-                                    dynamic[:count])
+            total = compose_screens(spec, level.c_tid, level.c_td, fields[:, :count])
             _propagate_block(spec, mats, total, (15,))
 
         screens_and_propagate(100)  # warm up
