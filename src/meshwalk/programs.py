@@ -113,9 +113,9 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, spec: MeshSpec) 
     levels = [level_index] if np.ndim(level_index) == 0 else list(level_index)
     if not 0 <= lo <= hi <= 1 << 64:
         raise ValueError(f"realization range [{lo}, {hi}) not within [0, 2**64)")
-    m, count = spec.num_modes, hi - lo
+    m, count, n_cells = spec.num_modes, hi - lo, field_cells(spec)
     first, last = live_rows(spec, spec.depth)
-    cells = [*range(first, last), *range(m, field_cells(spec))]
+    cells = [*range(first, last), *range(m, n_cells)]
     # The advance before each drawn cell, the same in every level's stream:
     # to draw lo of the first cell, then from draw hi of a cell to draw lo of
     # the next.
@@ -123,7 +123,7 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, spec: MeshSpec) 
     for c in cells:
         steps.append((c * _JUMP + lo - position) % _PERIOD)
         position = c * _JUMP + hi
-    fields = np.empty((field_cells(spec), len(levels) * count))
+    fields = np.empty((n_cells, len(levels) * count))
     for j, level in enumerate(levels):
         bits = np.random.PCG64DXSM(np.random.SeedSequence((master_seed, level)))
         random = np.random.Generator(bits).random
@@ -155,10 +155,10 @@ def compose_screens(spec: MeshSpec, c_tid, c_td, fields: np.ndarray) -> np.ndarr
     :func:`~meshwalk.lattice.packed_layout` (the kernel's layout,
     :mod:`~meshwalk.lattice`).
     """
-    m, cells = spec.num_modes, field_cells(spec)
-    if fields.ndim != 2 or fields.shape[0] != cells:
+    m, n_cells = spec.num_modes, field_cells(spec)
+    if fields.ndim != 2 or fields.shape[0] != n_cells:
         raise ValueError(f"fields shaped {fields.shape} do not match the mesh: "
-                         f"expected ({cells}, count)")
+                         f"expected ({n_cells}, count)")
     layout = packed_layout(spec)
     total = np.multiply(fields[m:], c_td)
     scaled = np.multiply(fields[:m], c_tid)

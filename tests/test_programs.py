@@ -1,15 +1,11 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from meshwalk import ensemble
-from meshwalk.ensemble import SweepPlan, _layer_matrices, make_grid, run_sweep
+from meshwalk.ensemble import SweepPlan, _layer_matrices, run_sweep
 from meshwalk.lattice import HADAMARD, INPUT_SPLITTER, MeshSpec, cell_unitary, intensities
 from meshwalk.programs import (_JUMP, DisorderSpec, compose_screens, draw_block, field_cells,
                                mode_signs)
-from conftest import (bits, fake_cpus, join_fields, pack, propagate, split_fields, unpack,
-                      walk_program)
+from conftest import bits, join_fields, pack, propagate, split_fields, unpack, walk_program
 from oracles import BAR, build_tomography_program, cell_stream_fields, ks_uniform_statistic
 
 
@@ -195,20 +191,6 @@ class TestDrawBlock:
                      (1, (3, -1), 0, 1), (1, 0, 0, 2**64 + 1)):
             with pytest.raises(ValueError):
                 draw_block(*args, spec)
-
-
-def test_documents_do_not_depend_on_chunk_pack_or_workers(spec14, tmp_path, monkeypatch):
-    # Packs of whole levels, split levels, one-realization chunks, and one
-    # or two workers: every run writes the same document.
-    fake_cpus(monkeypatch, 2)
-    plan = SweepPlan(spec14, tuple(make_grid(2, 3)), 30, 8, read_layers=(3, 7))
-    documents = set()
-    for chunk, workers in itertools.product((1, 4, 7, 2048), (1, 2)):
-        monkeypatch.setattr(ensemble, "_CHUNK", chunk)
-        out = tmp_path / f"c{chunk}w{workers}.json"
-        run_sweep(plan, out_path=str(out), workers=workers)
-        documents.add(out.read_bytes())
-    assert len(documents) == 1
 
 
 class TestApplyDisorder:
