@@ -323,6 +323,23 @@ def test_broken_worker_pool_exits_two(outdir, capsys, monkeypatch):
     assert "terminated abruptly" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_unloadable_generator_state_exits_two(outdir, capsys, monkeypatch, workers):
+    # A bit generator that cannot be advanced to a cell's substream, in the
+    # run's process or in its forked workers.
+    class Unloadable(np.random.PCG64DXSM):
+        def advance(self, delta):
+            raise RuntimeError(f"PCG64DXSM cannot advance its state by {delta}")
+
+    monkeypatch.setattr(np.random, "PCG64DXSM", Unloadable)
+    assert main(["sweep", "--grid", "2x2", "--n", "5", "--workers", workers,
+                 "--out", "bad.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PCG64DXSM cannot advance its state by ")
+    assert err.count("\n") == 1
+    assert not (outdir / "bad.json").exists()
+
+
 def test_degenerate_fit_exits_three(outdir):
     spec = MeshSpec()
     plan = SweepPlan(spec, (DisorderSpec(0, 0),), 1, 1)

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,256 @@ class TestDrawBlock:
                      (1, (3, -1), 0, 1), (1, 0, 0, 2**64 + 1)):
             with pytest.raises(ValueError):
                 draw_block(*args, spec)
+
+
+# PCG64DXSM's LCG multiplier; one double is one step of its 128-bit state.
+CHEAP_MULT = 0xDA942042E4DD58B5
+PERIOD = 1 << 128
+# The alignment the allocator is shifted against below: a cache line.
+ALIGN = 64
+
+
+def lcg_jump(state, inc, delta):
+    """The 128-bit LCG state ``delta`` steps on, in Python ints (Brown, 1994)."""
+    mult, plus, acc_mult, acc_plus = CHEAP_MULT, inc, 1, 0
+    while delta:
+        if delta & 1:
+            acc_mult, acc_plus = acc_mult * mult % PERIOD, (acc_plus * mult + plus) % PERIOD
+        mult, plus = mult * mult % PERIOD, (mult + 1) * plus % PERIOD
+        delta >>= 1
+    return (acc_mult * state + acc_plus) % PERIOD
+
+
+def cell_state(seed, level, cell, position):
+    """The words of the level's stream at draw ``position`` of cell ``cell``'s substream."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence((seed, level))).jumped(cell)
+    return bits.advance(position).state["state"]
+
+
+@contextlib.contextmanager
+def recorded_draws(monkeypatch, fail_at=None):
+    """Record every ``random`` call made through numpy's Generator while inside.
+
+    Yields the list of calls, each ``(words before, row address, words
+    after)`` of the bit generator's state; call ``fail_at`` raises
+    KeyboardInterrupt in place of drawing.
+    """
+    calls = []
+
+    class Recording(np.random.Generator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            if len(calls) == fail_at:
+                raise KeyboardInterrupt
+            before = self.bit_generator.state["state"]
+            drawn = super().random(size, dtype, out)
+            calls.append((before, out.ctypes.data, self.bit_generator.state["state"]))
+            return drawn
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "Generator", Recording)
+        yield calls
+
+
+def written_cells(fields, calls, count):
+    """``(level position, row)`` that each recorded call wrote, in call order."""
+    base, stride = fields.ctypes.data, fields.strides[0]
+    return [((address - base) % stride // (8 * count), (address - base) // stride)
+            for _, address, _ in calls]
+
+
+def expected_cells(spec):
+    """The drawn cells in stream order, from the live rows stated in oracles.cell_stream_fields."""
+    m, inject = spec.num_modes, spec.injection_mode - 1
+    live = [range(min(m // 2 - t, inject), max(m // 2 + t, inject + 1))
+            for t in range(1, spec.depth + 1)]
+    return [*live[-1], *range(m, m + sum(map(len, live)))]
+
+
+def nan_filled_empty(monkeypatch, shift=0):
+    """Make np.empty return NaN-filled float64 buffers ``shift`` bytes past an ALIGN boundary.
+
+    Buffers of other types (numpy's seeding allocates some) are left as they are.
+    """
+    empty = np.empty
+
+    def shifted(shape, dtype=float, **kwargs):
+        if np.dtype(dtype) != np.float64 or kwargs:
+            return empty(shape, dtype, **kwargs)
+        size = int(np.prod(shape))
+        raw = empty(size + ALIGN // 8, dtype=dtype)
+        skip = (shift - raw.ctypes.data) % ALIGN // 8
+        out = raw[skip:skip + size].reshape(shape)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", shifted)
+
+
+class TestSeeding:
+    """How draw_block seeds and positions each level's stream, cell by cell.
+
+    The names are those of the tests of the earlier one-stream-per-realization
+    seeding; each checks the counterpart guarantee of the per-cell layout.
+    A stream is seeded once per level, advanced to draw ``lo`` of each drawn
+    cell's substream, and draws that cell's run of realizations into its row.
+    """
+
+    EDGES = (0, 1, 2**32 - 1, 2**63, 2**64 - 1)
+    # Realization ranges of one and of two SeedSequence-sized words, and the
+    # last ones a range can reach.
+    REALIZATIONS = ((0, 3), (2**32 - 1, 2**32 + 1), (2**64 - 2, 2**64))
+
+    def test_limb_set_seed_matches_python_ints(self, monkeypatch):
+        # Each cell is drawn from c * _JUMP + lo steps into its level's
+        # stream, mod 2**128, and leaves it at c * _JUMP + hi: the advances
+        # taken between cells match the LCG jumped on Python ints, also where
+        # c * _JUMP + lo wraps past 2**128.
+        spec = MeshSpec(4, 2)
+        wrapped = set()
+        for seed in (0, 1, 2**64 - 1, 10**30):
+            for level in (0, 2**33):
+                words = np.random.PCG64DXSM(np.random.SeedSequence((seed, level))).state["state"]
+                state, inc = words["state"], words["inc"]
+                for lo in self.EDGES:
+                    hi = lo + 1
+                    with recorded_draws(monkeypatch) as calls:
+                        fields = draw_block(seed, level, lo, hi, spec)
+                    rows = [row for _, row in written_cells(fields, calls, 1)]
+                    assert rows == expected_cells(spec)
+                    for (before, _, after), c in zip(calls, rows):
+                        assert before == {"state": lcg_jump(state, inc, c * _JUMP + lo),
+                                          "inc": inc}, (seed, level, lo, c)
+                        assert after == {"state": lcg_jump(state, inc, c * _JUMP + hi),
+                                         "inc": inc}, (seed, level, lo, c)
+                        wrapped.add(c * _JUMP + lo >= PERIOD)
+        assert wrapped == {False, True}
+
+    @pytest.mark.parametrize("seed", TestDrawBlock.SEEDS)
+    def test_memmove_load_gives_the_reference_state(self, monkeypatch, seed):
+        # Before drawing a cell, the level's stream holds numpy's jumped(c)
+        # state advanced by lo, for every drawn cell of every level.
+        spec = MeshSpec()
+        for level in TestDrawBlock.LEVELS:
+            for lo, hi in self.REALIZATIONS:
+                with recorded_draws(monkeypatch) as calls:
+                    fields = draw_block(seed, level, lo, hi, spec)
+                cells = written_cells(fields, calls, hi - lo)
+                assert [row for _, row in cells] == expected_cells(spec)
+                for (before, _, _), (_, c) in zip(calls, cells):
+                    assert before == cell_state(seed, level, c, lo), (seed, level, lo, c)
+
+    @pytest.mark.parametrize("seed", TestDrawBlock.SEEDS)
+    def test_pointer_load_gives_the_reference_stream(self, monkeypatch, seed):
+        # Levels drawn together each draw their cells' reference streams into
+        # their own columns, and leave each substream at draw hi.
+        spec, levels = MeshSpec(), TestDrawBlock.LEVELS
+        for lo, hi in self.REALIZATIONS:
+            count = hi - lo
+            with recorded_draws(monkeypatch) as calls:
+                fields = draw_block(seed, levels, lo, hi, spec)
+            cells = written_cells(fields, calls, count)
+            assert cells == [(j, c) for j in range(len(levels)) for c in expected_cells(spec)]
+            for (_, _, after), (j, c) in zip(calls, cells):
+                assert after == cell_state(seed, levels[j], c, hi), (seed, levels[j], lo, c)
+            for j, level in enumerate(levels):
+                want = join_fields(spec, *cell_stream_fields(seed, level, lo, hi, spec))
+                assert np.array_equal(bits(fields[:, j * count:(j + 1) * count]), bits(want))
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    @pytest.mark.parametrize("shift", [0, 8])
+    def test_seed_rows_are_aligned_copies_in_the_generators_order(self, monkeypatch, count,
+                                                                   shift):
+        # Whatever the allocator's alignment (here every buffer starts
+        # ``shift`` bytes past a boundary and holds NaN), the block is the
+        # buffer allocated, written in place row by row in the streams'
+        # order: static modes, then packed rows, level after level.
+        spec, levels = MeshSpec(), (0, 5)
+        with monkeypatch.context() as patch:
+            nan_filled_empty(patch, shift)
+            with recorded_draws(monkeypatch) as calls:
+                fields = draw_block(3, levels, 10, 10 + count, spec)
+        assert fields.ctypes.data % ALIGN == shift
+        assert fields.flags.c_contiguous and fields.dtype == np.float64
+        assert fields.shape == (field_cells(spec), len(levels) * count)
+        assert written_cells(fields, calls, count) == [(j, c) for j in range(len(levels))
+                                                       for c in expected_cells(spec)]
+        want = np.concatenate([join_fields(spec, *cell_stream_fields(3, level, 10, 10 + count,
+                                                                     spec))
+                               for level in levels], axis=1)
+        assert np.array_equal(bits(fields), bits(want))
+
+    def test_unaligned_or_misshapen_seed_rows_raise_and_leave_the_generator(self, monkeypatch):
+        # A range outside [0, 2**64) raises before any stream is seeded, and
+        # fields of another shape are rejected by compose_screens unread.
+        spec = MeshSpec()
+        seeded = []
+        real = np.random.PCG64DXSM
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "PCG64DXSM", lambda seq: seeded.append(seq) or real(seq))
+            for lo, hi in ((-1, 1), (3, 2), (0, 2**64 + 1), (2**64, 2**64 + 1)):
+                with pytest.raises(ValueError, match=r"not within \[0, 2\*\*64\)"):
+                    draw_block(1, (0, 1), lo, hi, spec)
+            assert not seeded
+        cells = field_cells(spec)
+        for shape in ((cells - 1, 3), (cells + 1, 3), (cells,), (cells, 3, 1)):
+            fields = np.full(shape, 0.25)
+            with pytest.raises(ValueError, match="do not match the mesh"):
+                compose_screens(spec, 0.5, 0.5, fields)
+            assert (fields == 0.25).all()
+
+    @pytest.mark.parametrize("fail_at", [None, 0, 3])
+    def test_row_loop_restores_the_generators_own_struct(self, monkeypatch, fail_at):
+        # However the cell loop ends, nothing outlives it: numpy's global
+        # state is untouched, and the next draw is the reference.
+        spec, levels, (lo, hi) = MeshSpec(), (0, 2**32), (2**32 - 2, 2**32 + 1)
+        legacy = np.random.get_state()
+        with recorded_draws(monkeypatch, fail_at) as calls:
+            if fail_at is None:
+                fields = draw_block(5, levels, lo, hi, spec)
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    draw_block(5, levels, lo, hi, spec)
+        assert len(calls) == (2 * len(expected_cells(spec)) if fail_at is None else fail_at)
+        if fail_at is not None:
+            fields = draw_block(5, levels, lo, hi, spec)
+        want = np.concatenate([join_fields(spec, *cell_stream_fields(5, level, lo, hi, spec))
+                               for level in levels], axis=1)
+        assert np.array_equal(bits(fields), bits(want))
+        after = np.random.get_state()
+        assert after[0] == legacy[0] and np.array_equal(after[1], legacy[1])
+        assert after[2:] == legacy[2:]
+
+    @pytest.mark.parametrize("layout", [MeshSpec(), MeshSpec(14, 7, 1), MeshSpec(20, 4, 2)])
+    def test_state_layout_reads_the_word_order(self, monkeypatch, layout):
+        # Row c of the block is cell c of GENERATOR_IDENTITY: it is drawn
+        # from the substream jumped(c), the cells in increasing order, the
+        # live static modes first and then every packed row.
+        with recorded_draws(monkeypatch) as calls:
+            fields = draw_block(8, 2, 4, 9, layout)
+        cells = [row for _, row in written_cells(fields, calls, 5)]
+        assert cells == expected_cells(layout) == sorted(cells)
+        assert cells[-1] == field_cells(layout) - 1
+        for (before, _, _), c in zip(calls, cells):
+            assert before == cell_state(8, 2, c, 4), c
+
+    @pytest.mark.parametrize("layout", [MeshSpec(14, 3), MeshSpec(20, 4, 2), MeshSpec(30, 5)])
+    def test_state_layout_rejects_words_it_did_not_write(self, monkeypatch, layout):
+        # The static modes no layer reads are neither drawn nor left as the
+        # allocator gave them: their rows hold +0.0, and no substream of
+        # theirs is touched.  Every drawn row is finite.
+        m = layout.num_modes
+        with monkeypatch.context() as patch:
+            nan_filled_empty(patch)
+            with recorded_draws(monkeypatch) as calls:
+                fields = draw_block(8, 2, 4, 9, layout)
+        drawn = set(expected_cells(layout))
+        unread = [c for c in range(m) if c not in drawn]
+        assert unread
+        assert not bits(fields[unread]).any()
+        assert np.isfinite(fields).all()
+        assert {row for _, row in written_cells(fields, calls, 5)} == drawn
+        starts = {cell_state(8, 2, c, 4)["state"] for c in unread}
+        assert not starts & {before["state"] for before, _, _ in calls}
 
 
 class TestApplyDisorder:
