@@ -81,7 +81,7 @@ import numpy as np
 
 from .lattice import (HADAMARD, INPUT_SPLITTER, MeshSpec, cell_unitary, evolve, intensities,
                       live_rows, packed_layout)
-from .programs import GENERATOR_IDENTITY, DisorderSpec, compose_screens
+from .programs import GENERATOR_IDENTITY, SCREEN_POLICY, DisorderSpec, compose_screens
 # The sample stage under a name of its own, which the benchmark's tracer wraps.
 from .programs import draw_block as _sample_block
 
@@ -106,8 +106,6 @@ _SPLIT = 1.5 * 2.0**26
 # Tables are written this many lines to a write call: few calls, and a bounded
 # string at a time whatever the table's length.
 _LINES = 1024
-# The plan document's name for the one sign pattern, programs.mode_signs.
-_SIGNS = "mirrored-sign"
 # What follows a path's name in the name of each of its temporaries:
 # tempfile.mkstemp's eight random characters, then _replacing's suffix.
 _TEMPORARY = r"\.[a-z0-9_]{8}\.tmp"
@@ -241,14 +239,14 @@ class SweepPlan:
             "realizations_per_level": self.realizations_per_level,
             "master_seed": self.master_seed,
             "read_layers": list(self.read_layers),
-            "policy": _SIGNS,
+            "policy": SCREEN_POLICY,
             "generator": GENERATOR_IDENTITY,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepPlan":
-        if data["policy"] != _SIGNS:
-            raise ValueError(f"policy {data['policy']!r} is not {_SIGNS!r}")
+        if data["policy"] != SCREEN_POLICY:
+            raise ValueError(f"policy {data['policy']!r} is not {SCREEN_POLICY!r}")
         if data["generator"] != GENERATOR_IDENTITY:
             raise ValueError(f"generator {data['generator']!r} is not {GENERATOR_IDENTITY!r}")
         return cls(
@@ -663,7 +661,8 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     """Run every (level, read_layer) of the plan's symmetric walk and persist the result.
 
     ``workers`` > 1 runs levels in at most that many processes, never more
-    than the CPUs this process may run on, nor than the tasks.  With fewer
+    than the CPUs this process may run on, nor than the tasks; ``workers``
+    < 1 raises ``ValueError`` before the checkpoint is opened.  With fewer
     levels to run than that, each level is cut into enough equal contiguous
     realization ranges to occupy every worker, each of at least four chunks,
     since a smaller level's fill saves less than the pool and the reduce
@@ -697,6 +696,8 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
     ``io_errors`` warning and ends checkpointing; the document is still written.
     """
     global _run
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     mats = _layer_matrices(plan.spec)
     io_errors: list[str] = []
 

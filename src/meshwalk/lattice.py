@@ -34,40 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
-
-
-def wrap_angle(x, out=None):
-    """Wrap an angle (scalar or array) to the interval (-pi, pi].
-
-    The value is ``pi - mod(pi - x, 2 pi)`` bit for bit; ``out`` (which may
-    be ``x`` itself) receives an array result.  When every ``y = pi - x``
-    lies in [-pi, 3 pi], the mod is one conditional step of 2 pi: ``y - 2 pi``
-    is exact there (Sterbenz), and numpy's mod of a negative ``y`` is
-    ``y + 2 pi``.  A zero ``y`` may keep its sign where the mod gives +0, which
-    ``pi - y`` does not see.  Other arrays, and scalars, take ``np.mod``.
-    """
-    y = np.subtract(np.pi, x, out=out)
-    if not isinstance(y, np.ndarray):
-        return np.pi - np.mod(y, TWO_PI)
-    if y.size and -np.pi <= y.min() and y.max() <= 3 * np.pi:
-        np.subtract(y, TWO_PI, out=y, where=y >= TWO_PI)
-        np.add(y, TWO_PI, out=y, where=y < 0)
-    else:
-        np.mod(y, TWO_PI, out=y)
-    return np.subtract(np.pi, y, out=y)
-
 
 @dataclass(frozen=True)
 class RbsSetting:
-    """Differential phases of one RBS cell, stored wrapped to (-pi, pi]."""
+    """Differential phases of one RBS cell, stored as given.
+
+    A phase enters only through its sine, cosine and exponential, so any
+    real value is a setting; the walk's two lie in (-pi, pi].
+    """
 
     theta: float
     phi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(wrap_angle(self.theta)))
-        object.__setattr__(self, "phi", float(wrap_angle(self.phi)))
 
 
 # The walk's two cell settings: the layer-1 input splitter, Hadamards after it.

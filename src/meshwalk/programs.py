@@ -5,8 +5,12 @@ Hadamards everywhere else (:func:`~meshwalk.ensemble._layer_matrices`).
 Disorder enters only through the phase screens, which it fills alone.  A
 realization draws one uniform phase per mode (static, constant across
 layers) and one per (mode, layer) (dynamic, uncorrelated in space-time),
-each scaled by its strength coefficient in [0, 1].  The wrapped sum is
-applied with the per-mode sign of :func:`mode_signs`.
+each scaled by its strength coefficient in [0, 1].  Their sum on each
+waveguide is applied unwrapped, with the per-mode sign of :func:`mode_signs`:
+a phase enters the walk only as ``exp(i phi)``, so wrapping it into
+(-pi, pi] would follow a chip's phase-shifter range and add no physics
+(Schreiber et al., PRL 106, 180403 (2011)).  :data:`SCREEN_POLICY` names
+this composition in every plan.
 
 Every realization is a pure function of ``(master_seed, level_index,
 realization_index)``.  Level ``i`` has one stream,
@@ -27,8 +31,8 @@ same stream for a fixed seed across numpy versions, and ``SeedSequence``
 hashes a fixed entropy tuple to the same state (NEP 19).
 
 The disorder model is stated once: :func:`draw_block` is the stream layout,
-and :func:`compose_screens` the scaling, sign and wrapping that turn a
-chunk's drawn fields into its phase screens.
+and :func:`compose_screens` the scaling and sign that turn a chunk's drawn
+fields into its phase screens.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import MeshSpec, live_rows, packed_layout, wrap_angle
+from .lattice import MeshSpec, live_rows, packed_layout
 
 #: How the disorder fields are drawn; part of every plan, so of its hash.
 GENERATOR_IDENTITY = (
@@ -46,6 +50,9 @@ GENERATOR_IDENTITY = (
     "of the dynamic field (meshwalk.lattice.packed_layout); realization r's uniform(-pi, pi) "
     "in a cell is draw r of the cell's substream, -pi + 2 pi * random()"
 )
+#: How the drawn fields make the phase screens (compose_screens); part of
+#: every plan, so of its hash.
+SCREEN_POLICY = "mirrored-sign, unwrapped sum"
 
 # The step of numpy's BitGenerator.jumped for PCG64 and PCG64DXSM, 2**128
 # divided by the golden ratio: jumped(c) is advance(c * _JUMP).
@@ -62,10 +69,12 @@ def mode_signs(num_modes: int) -> np.ndarray:
     The mesh is exactly mirror symmetric on the *applied* screens: reversing
     every screen column mirrors the output, realization by realization.  With
     these antisymmetric signs the mirror of a drawn realization is therefore
-    its drawn fields reversed *and negated*.  The drawn law is i.i.d. per mode
-    and symmetric under negation, so disorder-averaged distributions are
-    mirror symmetric about the injection pair; the sign flip is not what
-    makes them so.
+    its drawn fields reversed *and negated*, and it is exact on the screens:
+    :func:`compose_screens` of those fields is the screens reversed, bit for
+    bit, since negation and a sign of +-1 round nothing.  The drawn law is
+    i.i.d. per mode and symmetric under negation, so disorder-averaged
+    distributions are mirror symmetric about the injection pair; the sign
+    flip is not what makes them so.
     """
     signs = np.ones(num_modes)
     signs[(num_modes + 1) // 2 :] = -1.0
@@ -146,11 +155,10 @@ def compose_screens(spec: MeshSpec, c_tid, c_td, fields: np.ndarray) -> np.ndarr
     static rows, one per mode, then the dynamic rows, already in the packed
     layout.  They are scaled here by the strengths ``c_tid`` and ``c_td``:
     scalars, or (count,) arrays that give each realization its level's.  They
-    add on each waveguide; their wrapped sum enters with the
-    :func:`mode_signs` sign, and the signed sum is wrapped again into
-    (-pi, pi].  Every element takes the float steps of
-    ``wrap(sign * wrap(c_tid * static + c_td * dynamic))`` in that order, in
-    a new array returned; ``fields`` is read, never written.  The result is
+    add on each waveguide, and their sum enters with the :func:`mode_signs`
+    sign, unwrapped (:data:`SCREEN_POLICY`): every element is
+    ``sign * (c_tid * static + c_td * dynamic)`` bit for bit, in a new array
+    returned; ``fields`` is read, never written.  The result is
     C-contiguous (sum of the layers' live rows, count), laid out by
     :func:`~meshwalk.lattice.packed_layout` (the kernel's layout,
     :mod:`~meshwalk.lattice`).
@@ -164,7 +172,6 @@ def compose_screens(spec: MeshSpec, c_tid, c_td, fields: np.ndarray) -> np.ndarr
     scaled = np.multiply(fields[:m], c_tid)
     for offset, start, stop in layout:
         total[offset:offset + stop - start] += scaled[start:stop]
-    wrap_angle(total, out=total)
     rows = np.concatenate([np.arange(start, stop) for _, start, stop in layout])
     total *= mode_signs(m)[rows, None]
-    return wrap_angle(total, out=total)
+    return total

@@ -119,11 +119,6 @@ def propagate(spec: MeshSpec, settings, screens, up_to_layer: int | None = None)
     return state[:, 0]
 
 
-def mod_wrap(x):
-    """The angle wrap written out with numpy's mod on every element."""
-    return np.pi - np.mod(np.pi - x, 2 * np.pi)
-
-
 def bits(values) -> np.ndarray:
     """Float64 values as their bit patterns, so -0.0 and +0.0 differ."""
     return np.asarray(values, dtype=float).view(np.uint64)

@@ -258,10 +258,12 @@ def test_document_of_another_plan_exits_two(outdir, capsys):
         return edit
 
     # Records no longer belong to the plan, or were drawn by another generator
-    # or with other signs.
+    # or composed by another screen policy: other signs, or the wrapped sum
+    # that an earlier composition named "mirrored-sign".
     for key, edit in (("plan_hash", lambda doc: doc["plan"].update(master_seed=4)),
                       ("generator", foreign("generator", "another")),
-                      ("policy", foreign("policy", "uniform-sign"))):
+                      ("policy", foreign("policy", "uniform-sign")),
+                      ("policy", foreign("policy", "mirrored-sign"))):
         doc = json.loads(json.dumps(original))
         edit(doc)
         path.write_text(json.dumps(doc))
@@ -617,15 +619,19 @@ def test_killed_runs_resume_to_a_fresh_runs_files(outdir, monkeypatch, workers):
 def test_second_process_on_one_output_exits_two(outdir, monkeypatch):
     # Two processes on one output: the second exits 2 before any level runs,
     # naming the checkpoint, and the first completes with a fresh run's files.
+    # The first is stopped, holding its lock, from its checkpoint's header
+    # until the second has exited, so it cannot end first however fast it is.
     argv = ["slice", "--points", "4", "--n", "20000", "--workers", "1"]
     ckpt = outdir / "held" / "slice_ctid0.842_n20000.json.result.json.ckpt"
     with reaped(cli_process(argv, outdir / "held", stdout=subprocess.DEVNULL,
                             stderr=subprocess.PIPE, text=True)) as first:
         wait_for_lines(first, ckpt, 1)
+        os.killpg(first.pid, signal.SIGSTOP)
         second = cli_process(argv, outdir / "held", stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True)
         out, err = second.communicate(timeout=60)
         assert first.poll() is None, "the first run ended before the second met its lock"
+        os.killpg(first.pid, signal.SIGCONT)
         assert second.returncode == 2 and out == ""
         assert err.splitlines() == [
             f"error: [Errno {errno.EAGAIN}] checkpoint in use by another run: '{ckpt}'"]
@@ -874,28 +880,28 @@ def test_threshold_must_be_positive_and_finite(outdir, capsys):
 # ranges.  A change that moves any bit of a result, or of its layout, shows
 # here.  The floats come from numpy's cos and sin, so other numpy builds may differ.
 DIGESTS = {
-    "slice.json": "14ffe30ad3ccc50f4be0e0641399264ca467bb4c9d33753aea64298406587dcb",
-    "slice.json.csv": "c91a6f8f591358ee08c325e4e471cfd1047937a3a61d6f383b8393a520f74cf5",
-    "slice.json.result.json": "6d5dbcbe422b439deaa21279ff2aa5db2ad6456466ed1aaba7f8a7fa33476e17",
+    "slice.json": "18e5d752b41125055b5c0d86f13798339721c0daf5c34ddf1b668c7fa2755702",
+    "slice.json.csv": "03164371ee2c45493cc4a4e95a9230e261ee5e7272a56d771b0eb830bfd4d5fc",
+    "slice.json.result.json": "6e06acf5041836b9c8b85a484f463a7338fcee74527efc9b6c3f2c3a07e585e8",
     "slice.json.result.json.ckpt":
-        "f3a808b6a6f5f8fa149a9ae71b8e9f13da19c68a73da4cabd3833983ea415a4c",
-    "split.json": "aa2e7aeda45f74c35e8952827067e81ef0c5e3e587474722bc28b4c2bc611589",
-    "split.json.ckpt": "5558711b974a8f2cbc699b8c10997fece09010d3277a335b212cf80eb5768227",
-    "split.json.csv": "8e2ad0196f260e188d7ae432287c67a0589525de92edba625393f131470b7387",
-    "sweep.json": "30e652d4721c68b2de6a8b043506d0c2403073064d76861536da16736833fd46",
-    "sweep.json.ckpt": "1a2245137274c75a3d83c34b9490e4f77e5577c3919fb31bd2ed98584f7a6b10",
-    "sweep.json.csv": "053bb36de2d70e80d876578e9234b1445fd72756c83a304507bef8b2c2e64646",
-    "sweep.json.mode3.csv": "b241e44f0b259026a8495eb3b95340be6ef2e1f81ba418e7189fd6498dfe2bab",
-    "sweep.json.mode4.csv": "1fe6f84298c967845dbd0ce19b6f9597422728c79917125825500b81297ff025",
-    "sweep.json.mode5.csv": "b920ad8ba059e16d7fb42fe0a22761a4867b969cf4661a7ca46521aa617a3c65",
-    "sweep.json.mode6.csv": "94e47f44d44d5c4f419e96dd2b21c36172e9c1ab6bb6fcef4fd58d592277c7d9",
-    "sweep.json.mode7.csv": "4de76dbbd656a94ba3c135f9fb7c0ab63869a54be3d6c9027b88c4c87e218b0e",
-    "tomo.json": "ba464c47d99d41c261055658673a45949a7b78d5cad74878a68f328dbdb927ed",
-    "tomo.json.ckpt": "a8220018d3ec4dc218b6047ad44b51913657f95df810e360dd98cd351b336341",
-    "tomo.json.csv": "ccb24bd2efa890dde9220a4b5046b9804f8bfc087f1feb9126eb9605616961f5",
-    "walk.json": "c382ddd91684859c09f4ae69034da249b9c3a4ff014e12844718065e6092748e",
-    "walk.json.ckpt": "f43b9736e7fa3c11ab798c14c94089b36196c27af89198e3d70e5bc5ea2dd2ca",
-    "walk.json.csv": "363600d92d98bf636831f6f12cb71cd1b4a800e2fbb035183e40be81ef0042ae",
+        "a1aabac2ec1fd051187a32f9242b5ce10f6371a0b8392c25b927323c4e94c903",
+    "split.json": "4bfd9d5e3b855e0842185179d6c9c18654122bc57c6d30749d8da89f51024d71",
+    "split.json.ckpt": "18e0c3af90e3ca174f5b4de9887e73704ce6832f5d5ac005df201ffac5eb3c3f",
+    "split.json.csv": "148453c4a3f9564dd414c7ab67f4c376ec398436eaa7d330790336b5908327c1",
+    "sweep.json": "52cf582b131402b3c1badc29b665e6adfa16103fa2e7db0977c549ee744fabb6",
+    "sweep.json.ckpt": "07d557a72919dfb288302ccb077f875018ea1bb163eee77e7229aab4e9643045",
+    "sweep.json.csv": "0c30e025efc36d846fb3d0dbcfe19a7dc64faa802fb13306564b8c056b3b9e94",
+    "sweep.json.mode3.csv": "42e403abb3fc2b8eeafb3f56c6695e583f9699b886b6110db8700e93778e779e",
+    "sweep.json.mode4.csv": "1bd004b5f2b24fc48c1a4fed811420721f0c5c54bc5d57fead8335d1c5f1beeb",
+    "sweep.json.mode5.csv": "9e1e0005e8788ae9cbbd8fa9d9681c1078802b8b407e5895eed8f4c05ea72415",
+    "sweep.json.mode6.csv": "b63643ef4a27a61195621fcf8eacba3911452e6a466b9bcc71ee4fb7e27068ea",
+    "sweep.json.mode7.csv": "1c71d64ace5a933658608adcb83b5d1b8678a40ac447f828bb069efafc0e6fd0",
+    "tomo.json": "76b7cfe13ecfdf604a82678fdb32aec67717c833f16152438dfc287d774032fc",
+    "tomo.json.ckpt": "bd8e0a8efb1b033e91ac798af9de92d253f30df484457608501ba2e162f20b68",
+    "tomo.json.csv": "023a00524f66df2f58bee5104730600dbf7edf671f37824433c40c4629a1264b",
+    "walk.json": "a0f438d0389430bf85a79421ccfccb4973ba572f331e934ffd73b1c2a03c6059",
+    "walk.json.ckpt": "81834c04d5e9d023fa90642dda64cab18e753636d075c39b5b5ad6cac112b31a",
+    "walk.json.csv": "ca8942c7611d3751cf926438e6d9a61ee828f9aaea181a716ec306aa9995109d",
 }
 
 

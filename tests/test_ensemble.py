@@ -32,7 +32,7 @@ from meshwalk.ensemble import (
 )
 from meshwalk.lattice import MeshSpec, cell_unitary, evolve, intensities, live_rows
 from meshwalk.programs import DisorderSpec, compose_screens, mode_signs
-from conftest import (CPUS, bits, cell_matrices, fake_cpus, mod_wrap, pack, propagate,
+from conftest import (CPUS, bits, cell_matrices, fake_cpus, pack, propagate,
                       random_program, split_fields, subprocess_env, walk_program)
 from oracles import cell_stream_fields, fsum_reduce, full_unitary, galton_distribution
 
@@ -85,10 +85,9 @@ def full_array_stacks(spec, settings, screens, read_layers):
 
 
 def full_array_screens(level, static, dynamic):
-    """The disorder model with numpy's mod in both wraps."""
+    """The disorder model on every cell: the signed sum, unwrapped."""
     signs = mode_signs(dynamic.shape[-2])
-    return mod_wrap(signs[:, None]
-                    * mod_wrap((level.c_tid * static)[..., None] + level.c_td * dynamic))
+    return signs[:, None] * ((level.c_tid * static)[..., None] + level.c_td * dynamic)
 
 
 class TestConeKernel:
@@ -214,7 +213,7 @@ class TestRunLevel:
         # cell streams of GENERATOR_IDENTITY, rebuilt cell by cell
         # (oracles.cell_stream_fields), scaled, summed per waveguide, and
         # negated on modes 8..14, as the whole screen of the program's cells.
-        # Wrapping by 2 pi changes no amplitude, so the oracle leaves it out.
+        # The sum is applied unwrapped, as compose_screens applies it.
         # Rows outside the stored live rows are +0.0, and the oracle's are
         # zero there too.  Injection modes 1, 3 and 14 reach outside the cone.
         for inject in (8, 1, 3, 14):
@@ -501,6 +500,14 @@ class TestRunSweep:
         run_sweep(plan, out_path=str(p1), workers=1)
         run_sweep(plan, out_path=str(p2), workers=2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, spec14, tmp_path, workers):
+        # Rejected before the checkpoint is opened, so no file is written.
+        plan = SweepPlan(spec14, tuple(make_grid(2, 2)), 50, 424242)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_sweep(plan, out_path=str(tmp_path / "w.json"), workers=workers)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods()
                         or CPUS < 2,

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshwalk.ensemble import _layer_matrices
-from meshwalk.lattice import MeshSpec, RbsSetting, cell_unitary, intensities, wrap_angle
-from conftest import bits, mod_wrap, propagate, random_program
+from meshwalk.lattice import MeshSpec, RbsSetting, cell_unitary, intensities
+from conftest import propagate, random_program
 from oracles import full_unitary
 
 ANGLES = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -32,44 +32,6 @@ def one_layer_transfer(num_modes, setting, screen=None):
     screens = np.asarray(screen, dtype=float)[:, None]
     return np.column_stack([propagate(MeshSpec(num_modes, 1, j), [[setting]], screens)
                             for j in range(1, num_modes + 1)])
-
-
-class TestWrapAngle:
-    # Multiples of pi up to 3 pi, both signs (0 gives +0 and -0), with their
-    # neighbouring floats; those beyond +-2 pi lie outside the branch range.
-    EDGES = np.array([s * k * np.pi for k in range(4) for s in (1.0, -1.0)])
-    EDGES = np.concatenate([EDGES, np.nextafter(EDGES, np.inf), np.nextafter(EDGES, -np.inf)])
-    OUTSIDE = np.array([7.0, -7.0, 50.0, -50.0, 1e6, -1e6, 1e300, -1e300])
-
-    def test_branch_form_is_mod_bit_for_bit(self, monkeypatch):
-        # x in [-2 pi, 2 pi] puts pi - x in the branch range [-pi, 3 pi].
-        rng = np.random.default_rng(5)
-        edges = self.EDGES[np.abs(self.EDGES) <= 2 * np.pi]
-        dense = np.concatenate([edges, rng.uniform(-2 * np.pi, 2 * np.pi, 100_000)])
-        expected_edges, expected_dense = mod_wrap(edges), mod_wrap(dense)
-        # The branch form must not fall back to np.mod on these values.
-        monkeypatch.setattr(np, "mod", None)
-        assert np.array_equal(bits(wrap_angle(dense)), bits(expected_dense))
-        for value, want in zip(edges, expected_edges):
-            assert bits(wrap_angle(np.array([value]))) == bits(want)
-
-    def test_every_value_matches_mod_bit_for_bit(self):
-        values = np.concatenate([self.EDGES, self.OUTSIDE])
-        expected = mod_wrap(values)
-        assert np.array_equal(bits(wrap_angle(values)), bits(expected))
-        for value, want in zip(values, expected):
-            assert bits(wrap_angle(value)) == bits(want)  # scalar
-            assert bits(wrap_angle(np.array([value]))) == bits(want)
-
-    def test_writes_into_its_input(self):
-        values = np.concatenate([self.EDGES, self.OUTSIDE])
-        inside = values[np.abs(values) <= 2 * np.pi]
-        # Contiguous in range, two-dimensional with a fallback, and strided.
-        for x in (inside.copy(), values.reshape(4, -1).copy(), np.repeat(values, 2)[::2]):
-            expected = mod_wrap(x)
-            result = wrap_angle(x, out=x)
-            assert result is x
-            assert np.array_equal(bits(x), bits(expected))
 
 
 class TestMeshSpec:
@@ -116,12 +78,6 @@ class TestCellUnitary:
     def test_always_unitary(self, theta, phi):
         u = cell_unitary(RbsSetting(theta, phi))
         assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
-
-    def test_angles_stored_wrapped(self):
-        s = RbsSetting(3 * np.pi, -np.pi)
-        assert abs(s.theta - np.pi) < 1e-12
-        assert abs(s.phi - np.pi) < 1e-12  # -pi wraps to the closed end
-        assert wrap_angle(np.pi) == pytest.approx(np.pi)
 
 
 class TestApplyCell:

@@ -482,11 +482,24 @@ class TestApplyDisorder:
             with pytest.raises(ValueError, match="do not match the mesh"):
                 compose_screens(MeshSpec(), level.c_tid, level.c_td, fields)
 
+    @pytest.mark.parametrize("c_tid, c_td", [(1.0, 0.0), (0.0, 1.0), (0.842, 0.5)])
+    def test_mirrored_fields_compose_the_mirrored_screens(self, c_tid, c_td):
+        # The drawn fields reversed and negated compose the screens reversed,
+        # bit for bit: the signs are antisymmetric, and neither a negation
+        # nor a sign of +-1 rounds.  A wide mesh's static rows outside the
+        # cone are never read.
+        for spec in (MeshSpec(), MeshSpec(30, 15), MeshSpec(20, 4)):
+            static, dynamic = split_fields(spec, draw_block(41, 3, 0, 500, spec))
+            screens, flipped = (
+                unpack(spec, compose_screens(spec, c_tid, c_td, join_fields(spec, *fields)))
+                for fields in ((static, dynamic), (-static[:, ::-1], -dynamic[:, ::-1])))
+            assert np.array_equal(bits(flipped), bits(screens[::-1])), spec
+
     def test_mirrored_realization_mirrors_output(self, spec14, qw_program):
         # Reflecting the *applied* phase field about the cone axis reflects
         # the output distribution exactly, realization by realization.  The
-        # applied screen is signs * wrap(static + dynamic), so its mirror is
-        # drawn from signs * (signs * field)[::-1]; the signs are
+        # applied screen is signs * (static + dynamic), unwrapped, so its
+        # mirror is drawn from signs * (signs * field)[::-1]; the signs are
         # antisymmetric, so that is the drawn fields reversed and negated.
         level = DisorderSpec(0.8, 0.6)
         static, dynamic = split_fields(spec14, draw_block(33, 0, 0, 10, spec14))
