@@ -11,9 +11,12 @@ dispatch level.  The streams rest on numpy's fixed-seed stream guarantee for
 ``PCG64DXSM`` and on ``SeedSequence`` (NEP 19).  The bytes are tested on
 x86-64 under numpy's AVX-512 and AVX2 dispatch; at the SSE baseline the
 kernel's complex multiply still rounds otherwise (README, *Determinism*).
-Documents are format ``meshwalk-sweep-result/2``, and their plan names the
-stream layout; ``fit`` on a document of another format, such as a ``/1``
-document of the one-stream-per-realization layout, exits 2.  Output
+Documents are format ``meshwalk-sweep-result/3``, and their plan names the
+stream layout; a record holds its level index, read layer, mean and standard
+error, and the plan holds everything else.  ``fit`` on a document of another
+format, such as a ``/1`` document of the one-stream-per-realization layout or
+a ``/2`` one whose records repeat their level's strengths and realization
+count, exits 2.  Output
 documents are JSON, flat tables are CSV (comma separator, header row, LF
 endings); heatmaps are plain numeric CSV grids with an optional ASCII
 rendering.  Every number in a CSV is

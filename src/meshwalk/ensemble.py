@@ -37,23 +37,26 @@ once every range is filled.  :func:`run_sweep` states which levels are split
 and which are packed.
 
 A record is a measured per-mode mean and standard error, keyed by
-``(level_index, read_layer)``; the plan writes every other field of its stored
-form.  Persistence is one JSON document per sweep (plan echo, the generator
-identity among it, one record per level and read layer) plus an optional flat
-CSV table.  Each output format is stated here once: documents go through
-:func:`write_json`, tables are :func:`csv_row` lines written by
-:func:`write_lines`.  A running sweep opens ``<out>.ckpt`` once, locks it and
-appends each record through that one handle, as one line that carries the
-CRC-32 of its JSON text (:func:`_checkpoint_line`).  The level is the unit of
-resume: a rerun of the plan runs again, whole, each level that lacks a record
-there, and appends only the records it lacks; loading a document or a
-checkpoint checks every record against what the plan writes.  Documents and
-tables are written to a uniquely named temporary sibling, synced to disk and
-renamed into place, so a crash of the process or of the machine leaves the
-old file or the new one, never half of one; the next write of that path
-removes a temporary that a killed process left.
-Checkpoint appends are not synced, so a machine crash can cost a checkpoint
-its last records (see :func:`run_sweep`).
+``(level_index, read_layer)``, and its stored form holds that key and that
+measurement alone (:func:`_entry`): the plan, stored once, holds every level's
+strengths and realization count.  Persistence is one JSON document per sweep
+(its format, the plan, the generator identity among it, and one record per
+level and read layer) plus an optional flat CSV table.  Each output format is
+stated here once: documents go through :func:`write_json`, tables are
+:func:`csv_row` lines written by :func:`write_lines`.  A running sweep opens
+``<out>.ckpt`` once, locks it and appends each record through that one handle,
+after a header naming the document format and the plan hash, as one line that
+carries the CRC-32 of its JSON text (:func:`_checkpoint_line`).  The level is
+the unit of resume: a rerun of the plan runs again, whole, each level that
+lacks a record there, and appends only the records it lacks; loading a
+document or a checkpoint checks every record against the plan
+(:func:`_records`), and a document holds one per level and read layer.
+Documents and tables are written to a uniquely named temporary sibling, synced
+to disk and renamed into place, so a crash of the process or of the machine
+leaves the old file or the new one, never half of one; the next write of that
+path removes a temporary that a killed process left.  Checkpoint appends are
+not synced, so a machine crash can cost a checkpoint its last records (see
+:func:`run_sweep`).
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ from .programs import GENERATOR_IDENTITY, SCREEN_POLICY, DisorderSpec, compose_s
 # The sample stage under a name of its own, which the benchmark's tracer wraps.
 from .programs import draw_block as _sample_block
 
-DOCUMENT_FORMAT = "meshwalk-sweep-result/2"
+DOCUMENT_FORMAT = "meshwalk-sweep-result/3"
 CSV_HEADER = "c_tid,c_td,layer,mode,mean,std_error"
 
 # Realizations are processed in chunks of at most this many: a range of one
@@ -270,17 +273,16 @@ class LevelRecord:
     std_error: np.ndarray
 
 
-def _entry(plan: SweepPlan, key: tuple[int, int], mean, std_error) -> dict:
-    """The document and checkpoint form of ``key``'s record.
+# The fields of a stored record, in the order of a checkpoint line.
+_RECORD_FIELDS = ("level_index", "read_layer", "mean", "std_error")
 
-    The plan names every field but the measured ``mean`` and ``std_error``.
+
+def _entry(key: tuple[int, int], mean, std_error) -> dict:
+    """The document and checkpoint form of ``key``'s record: the key and the measurement.
+
     The checkpoint is dumped without ``sort_keys``, so its lines keep this order.
     """
-    level_index, read_layer = key
-    level = plan.grid[level_index]
-    return {"level_index": level_index, "read_layer": read_layer, "c_tid": level.c_tid,
-            "c_td": level.c_td, "n": plan.realizations_per_level, "mean": mean,
-            "std_error": std_error}
+    return dict(zip(_RECORD_FIELDS, (*key, mean, std_error)))
 
 
 @dataclass
@@ -300,7 +302,7 @@ class EnsembleResult:
             "format": DOCUMENT_FORMAT,
             "plan": self.plan.to_dict(),
             "plan_hash": self.plan.hash(),
-            "records": [_entry(self.plan, key, rec.mean.tolist(), rec.std_error.tolist())
+            "records": [_entry(key, rec.mean.tolist(), rec.std_error.tolist())
                         for key, rec in sorted(self.records.items())],
         }
 
@@ -309,6 +311,7 @@ class EnsembleResult:
 
     @classmethod
     def load(cls, path: str) -> "EnsembleResult":
+        """The result stored at ``path``, which holds one record per level and read layer."""
         with open(path) as fh:
             doc = json.load(fh)
         found = doc.get("format") if isinstance(doc, dict) else None
@@ -318,7 +321,10 @@ class EnsembleResult:
             plan = SweepPlan.from_dict(doc["plan"])
             if doc["plan_hash"] != plan.hash():
                 raise ValueError(f"plan_hash {doc['plan_hash']!r} is not the plan's hash")
-            return cls(plan, _records(plan, doc["records"]))
+            records = _records(plan, doc["records"])
+            if len(records) != len(plan.grid) * len(plan.read_layers):
+                raise ValueError(f"{len(records)} records, not one per level and read layer")
+            return cls(plan, records)
 
     def to_rows(self) -> list[tuple[float, float, int, int, float, float]]:
         """Flat (c_tid, c_td, layer, mode, mean, std_error) rows, one per mode."""
@@ -345,12 +351,14 @@ def _malformed(what: str):
 def _records(plan: SweepPlan, entries) -> dict[tuple[int, int], LevelRecord]:
     """``plan``'s records parsed from their dict forms, each checked against it.
 
-    An entry's key is checked before it indexes the plan; its other fields
-    must then encode exactly as :func:`_entry` writes them, so a resumed
-    document is byte for byte the fresh one: ``true`` and ``10.0`` are not
-    the integers ``1`` and ``10``, nor ``1`` the float ``1.0``.  Means and
-    standard errors must be finite and standard errors non-negative, as every
-    run writes them.  A run writes each key once, so a repeated key is rejected.
+    An entry's key must be one of the plan's, as :func:`_entry` writes it, so
+    a resumed document is byte for byte the fresh one: ``true`` and ``7.0``
+    are not the integers ``1`` and ``7``.  A run writes each key once, so a
+    repeated key is rejected.  The entry must then hold exactly the fields
+    :func:`_entry` writes; one that holds a field the plan holds, such as a
+    level's ``c_tid``, is rejected.  Means and standard errors must be finite
+    and standard errors non-negative, as every run writes them.  A subset of
+    the plan's records is accepted, as a checkpoint holds.
     """
     records = {}
     for entry in entries:
@@ -363,10 +371,8 @@ def _records(plan: SweepPlan, entries) -> dict[tuple[int, int], LevelRecord]:
         if key in records:
             raise ValueError(f"record level_index {level_index}, read_layer {read_layer} "
                              "repeats an earlier record")
-        fields = json.dumps({**entry, "mean": None, "std_error": None}, sort_keys=True)
-        planned = json.dumps(_entry(plan, key, None, None), sort_keys=True)
-        if fields != planned:
-            raise ValueError(f"record fields {fields} are not the plan's {planned}")
+        if set(entry) != set(_RECORD_FIELDS):
+            raise ValueError(f"record {key}: fields {sorted(entry)} are not {list(_RECORD_FIELDS)}")
         rec = LevelRecord(*(np.asarray(entry[k], dtype=float) for k in ("mean", "std_error")))
         if rec.mean.shape != (plan.spec.num_modes,) or rec.std_error.shape != rec.mean.shape:
             raise ValueError(f"record {key}: arrays are not {plan.spec.num_modes} modes long")
@@ -613,22 +619,24 @@ def _resume(path: str, plan: SweepPlan):
     ``path`` is opened without truncating and takes an exclusive ``flock``
     before it is read, without waiting: a file that another run holds raises
     ``BlockingIOError`` naming ``path``.  A file that does not start with the
-    plan's header holds none of its records.  Each record line carries the
-    CRC-32 of its JSON text (:func:`_checkpoint_line`); a blank line is
-    skipped.  A crash mid-append leaves the last line without its newline or
-    its CRC; that line is cut from the file, so later appends start on a fresh
-    line, and its record is recomputed.  A bad line anywhere else, a record
-    that is not one of the plan's, or a record that repeats an earlier one's
-    key, even on the last line, is corruption and raises ``ValueError``: a run
-    appends each record once, and a crash tears at most its last line.  A
-    file of none of the plan's records is emptied and given the header.  The
-    lock lasts until the returned binary handle is closed.
+    header, which names :data:`DOCUMENT_FORMAT` and the plan hash, holds none
+    of the plan's records: a checkpoint of another plan or record form is
+    replaced.  Each record line carries the CRC-32 of its JSON text
+    (:func:`_checkpoint_line`); a blank line is skipped.  A crash mid-append
+    leaves the last line without its newline or its CRC; that line is cut from
+    the file, so later appends start on a fresh line, and its record is
+    recomputed.  A bad line anywhere else, a record that is not one of the
+    plan's, or a record that repeats an earlier one's key, even on the last
+    line, is corruption and raises ``ValueError``: a run appends each record
+    once, and a crash tears at most its last line.  A file of none of the
+    plan's records is emptied and given the header.  The lock lasts until the
+    returned binary handle is closed.
     """
     fh = open(path, "a+b")
     try:
         fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         fh.seek(0)
-        header = json.dumps({"plan_hash": plan.hash()}).encode() + b"\n"
+        header = json.dumps({"format": DOCUMENT_FORMAT, "plan_hash": plan.hash()}).encode() + b"\n"
         lines = fh.readlines()
         entries = []
         for number, line in enumerate(lines[1:] if lines[:1] == [header] else [], start=2):
@@ -757,7 +765,7 @@ def run_sweep(plan: SweepPlan, out_path: str | None = None, workers: int | None 
                         if appending:
                             try:
                                 ckpt.write(_checkpoint_line(
-                                    _entry(plan, (idx, t), mean.tolist(), se.tolist())))
+                                    _entry((idx, t), mean.tolist(), se.tolist())))
                                 ckpt.flush()
                             except OSError as exc:
                                 io_errors.append(f"level {idx}: checkpoint write failed: {exc}")

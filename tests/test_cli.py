@@ -234,14 +234,26 @@ def test_runtime_error_exits_two(outdir):
 
 
 def test_malformed_document_exits_two(outdir, capsys):
+    # A plan without its depth; a tomography document without its layer-7
+    # record, read at that layer and at another, or without any record: a
+    # document holds one record per level and read layer of its plan.
     plan = SweepPlan(MeshSpec(), (DisorderSpec(0, 0),), 1, 1)
-    doc = EnsembleResult(plan, {}).to_document()
-    del doc["plan"]["depth"]
-    path = outdir / "nodepth.json"
-    path.write_text(json.dumps(doc))
-    assert main(["fit", "--in", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "malformed" in err and "depth" in err and err.count("\n") == 1
+    nodepth = EnsembleResult(plan, {}).to_document()
+    del nodepth["plan"]["depth"]
+    assert main(["tomography", "--n", "20", "--out", "tomo.json", "--workers", "1"]) == 0
+    tomo = json.loads((outdir / "tomo.json").read_text())
+    assert tomo["records"][-1]["read_layer"] == 7
+    path = outdir / "bad.json"
+    for doc, flags, named in ((nodepth, [], "depth"),
+                              ({**tomo, "records": tomo["records"][:-1]}, [], "6 records"),
+                              ({**tomo, "records": tomo["records"][:-1]}, ["--layer", "3"],
+                               "6 records"),
+                              ({**tomo, "records": []}, [], "0 records")):
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["fit", "--in", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "malformed" in err and named in err and err.count("\n") == 1, err
 
 
 def test_document_of_another_plan_exits_two(outdir, capsys):
@@ -275,20 +287,26 @@ def test_document_of_another_plan_exits_two(outdir, capsys):
 
 def test_fit_on_a_format_1_document_exits_two(outdir, capsys):
     # A document of the realization-major stream layout: format /1, its
-    # generator a top-level field beside a plan that does not name one.
+    # generator a top-level field beside a plan that does not name one.  And
+    # a /2 document, whose records repeat their level's c_tid, c_td and n.
     assert main(["walk", "--n", "3", "--out", "w.json", "--workers", "1"]) == 0
     path = outdir / "w.json"
-    doc = json.loads(path.read_text())
-    doc["format"] = "meshwalk-sweep-result/1"
-    doc["generator"] = doc["plan"].pop("generator")
-    blob = json.dumps(doc["plan"], sort_keys=True, separators=(",", ":"))
-    doc["plan_hash"] = hashlib.sha256(blob.encode()).hexdigest()
-    path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["fit", "--in", str(path)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {path}: not a meshwalk-sweep-result/2 document "
-        "(format 'meshwalk-sweep-result/1')"]
+    written = json.loads(path.read_text())
+    format_1 = json.loads(json.dumps(written))
+    format_1["format"] = "meshwalk-sweep-result/1"
+    format_1["generator"] = format_1["plan"].pop("generator")
+    blob = json.dumps(format_1["plan"], sort_keys=True, separators=(",", ":"))
+    format_1["plan_hash"] = hashlib.sha256(blob.encode()).hexdigest()
+    (c_tid, c_td), = written["plan"]["grid"]
+    format_2 = {**written, "format": "meshwalk-sweep-result/2", "records": [
+        {**record, "c_tid": c_tid, "c_td": c_td, "n": 3} for record in written["records"]]}
+    for doc in (format_1, format_2):
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["fit", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: not a {ensemble.DOCUMENT_FORMAT} document "
+            f"(format {doc['format']!r})"]
 
 
 def test_document_with_a_record_of_another_plan_exits_two(outdir, capsys):
@@ -882,25 +900,25 @@ def test_threshold_must_be_positive_and_finite(outdir, capsys):
 DIGESTS = {
     "slice.json": "18e5d752b41125055b5c0d86f13798339721c0daf5c34ddf1b668c7fa2755702",
     "slice.json.csv": "03164371ee2c45493cc4a4e95a9230e261ee5e7272a56d771b0eb830bfd4d5fc",
-    "slice.json.result.json": "6e06acf5041836b9c8b85a484f463a7338fcee74527efc9b6c3f2c3a07e585e8",
+    "slice.json.result.json": "405e21cb8a8c86f16841896f8242fad79690c36affc31b7625a01fb47af20c49",
     "slice.json.result.json.ckpt":
-        "a1aabac2ec1fd051187a32f9242b5ce10f6371a0b8392c25b927323c4e94c903",
-    "split.json": "4bfd9d5e3b855e0842185179d6c9c18654122bc57c6d30749d8da89f51024d71",
-    "split.json.ckpt": "18e0c3af90e3ca174f5b4de9887e73704ce6832f5d5ac005df201ffac5eb3c3f",
+        "4f4a26a74d495f87028db094609170b789a80c23ab16e0ae5810cb400061dac1",
+    "split.json": "929a13196bececa89d25ae42f13f783c5652c6837bafbdef99fcb0ea5599c68c",
+    "split.json.ckpt": "0efe44035d66e1e52807740c797f423bc628c399ff24df21de10a9c4afe278cd",
     "split.json.csv": "148453c4a3f9564dd414c7ab67f4c376ec398436eaa7d330790336b5908327c1",
-    "sweep.json": "52cf582b131402b3c1badc29b665e6adfa16103fa2e7db0977c549ee744fabb6",
-    "sweep.json.ckpt": "07d557a72919dfb288302ccb077f875018ea1bb163eee77e7229aab4e9643045",
+    "sweep.json": "403cb24cbb262d65f482034bab18ecc5a217f5cb1cd52ea27c9c0004929d4f80",
+    "sweep.json.ckpt": "a1fc272e9f7b6c2a2e859032e133b8c57cd5410368f92f9918ee0c199d4d9afd",
     "sweep.json.csv": "0c30e025efc36d846fb3d0dbcfe19a7dc64faa802fb13306564b8c056b3b9e94",
     "sweep.json.mode3.csv": "42e403abb3fc2b8eeafb3f56c6695e583f9699b886b6110db8700e93778e779e",
     "sweep.json.mode4.csv": "1bd004b5f2b24fc48c1a4fed811420721f0c5c54bc5d57fead8335d1c5f1beeb",
     "sweep.json.mode5.csv": "9e1e0005e8788ae9cbbd8fa9d9681c1078802b8b407e5895eed8f4c05ea72415",
     "sweep.json.mode6.csv": "b63643ef4a27a61195621fcf8eacba3911452e6a466b9bcc71ee4fb7e27068ea",
     "sweep.json.mode7.csv": "1c71d64ace5a933658608adcb83b5d1b8678a40ac447f828bb069efafc0e6fd0",
-    "tomo.json": "76b7cfe13ecfdf604a82678fdb32aec67717c833f16152438dfc287d774032fc",
-    "tomo.json.ckpt": "bd8e0a8efb1b033e91ac798af9de92d253f30df484457608501ba2e162f20b68",
+    "tomo.json": "90c786b26e4ef3da9fe48526918b6cb125d1a7c2664895b9468dae87ecf169ab",
+    "tomo.json.ckpt": "9a892e7de041cbc398c9a12a0e360ff3a936e754e07cfdc9f003d045928cef9a",
     "tomo.json.csv": "023a00524f66df2f58bee5104730600dbf7edf671f37824433c40c4629a1264b",
-    "walk.json": "a0f438d0389430bf85a79421ccfccb4973ba572f331e934ffd73b1c2a03c6059",
-    "walk.json.ckpt": "81834c04d5e9d023fa90642dda64cab18e753636d075c39b5b5ad6cac112b31a",
+    "walk.json": "1eba804194337cbb2f9b2ef2c4c1273e0fd363e12ec4d461330cff6f59fb686a",
+    "walk.json.ckpt": "e8bead1a0dabc62e8414d7ba86659a7d7c9e68eebbed8786398b08a7e23e50fa",
     "walk.json.csv": "ca8942c7611d3751cf926438e6d9a61ee828f9aaea181a716ec306aa9995109d",
 }
 

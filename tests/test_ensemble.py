@@ -873,7 +873,9 @@ class TestRunSweep:
     def test_resume_replaces_foreign_checkpoint(self, spec14, tmp_path, level_tasks):
         # A file without the plan's header holds none of its records, even
         # when the lines after the header are the plan's own: the run replaces
-        # it as a fresh run writes it.
+        # it as a fresh run writes it.  So is a /2 checkpoint of the plan: its
+        # header names the plan hash alone, and its lines repeat each level's
+        # c_tid, c_td and n.
         plan_a = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 1)
         plan_b = SweepPlan(spec14, tuple(make_grid(2, 2)), 10, 2)
         fresh, out = tmp_path / "fresh.json", tmp_path / "a.json"
@@ -882,7 +884,15 @@ class TestRunSweep:
         run_sweep(plan_b, out_path=str(out), workers=1)
         ckpt = tmp_path / "a.json.ckpt"
         records = "".join(fresh_ckpt.splitlines(keepends=True)[1:])
-        for text in (ckpt.read_text(), "5\n" + records, "[1, 2]\n" + records, ""):
+        format_2 = json.dumps({"plan_hash": plan_a.hash()}) + "\n"
+        for line in records.splitlines(keepends=True):
+            entry = json.loads(line.split(" ", 1)[1])
+            level = plan_a.grid[entry["level_index"]]
+            format_2 += ensemble._checkpoint_line(
+                {"level_index": entry["level_index"], "read_layer": entry["read_layer"],
+                 "c_tid": level.c_tid, "c_td": level.c_td, "n": 10, "mean": entry["mean"],
+                 "std_error": entry["std_error"]}).decode()
+        for text in (ckpt.read_text(), "5\n" + records, "[1, 2]\n" + records, "", format_2):
             ckpt.write_text(text)
             level_tasks.clear()
             run_sweep(plan_a, out_path=str(out), workers=1)
@@ -1010,9 +1020,11 @@ class TestRunSweep:
     @pytest.mark.parametrize("edit", [
         {"level_index": 5}, {"c_tid": 0.3}, {"n": 7}, {"read_layer": 3},
         {"mean": [0.5, 0.5]}, {"std_error": [0.0] * 15},
-        # Equal values of another type would change a resumed document's bytes.
+        # A key of another type would change a resumed document's bytes; n and
+        # c_td, which the plan holds, are fields a record does not have.
         {"level_index": True}, {"n": 10.0}, {"c_td": 1},
-        # A key is checked before it indexes the plan; a signed zero is another field.
+        # A key is checked before it indexes the plan; c_tid is a field a
+        # record does not have, whatever its value.
         {"level_index": -1}, {"read_layer": 7.0}, {"c_tid": -0.0},
         # No run writes a non-finite value or a negative standard error.
         {"mean": [float("nan")] * 14}, {"std_error": [-1.0] * 14},

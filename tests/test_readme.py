@@ -37,3 +37,8 @@ def test_readme_split_and_pack_sizes_follow_the_chunk(capsys):
     with pytest.raises(SystemExit):
         main(["walk", "--help"])
     assert f"ranges of at least {4 * ensemble._CHUNK};" in " ".join(capsys.readouterr().out.split())
+
+
+def test_readme_names_the_document_format():
+    # A change of the document format names itself in the README too.
+    assert f"`{ensemble.DOCUMENT_FORMAT}`" in README.read_text()
