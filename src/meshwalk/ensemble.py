@@ -10,9 +10,10 @@ packed layout, its phase screens from
 screen), and the whole chunk goes through the one propagation kernel,
 :func:`~meshwalk.lattice.evolve`, at once, with the walk's layer matrices
 (:func:`_layer_matrices`) built once per run.  The layout is cone-packed end
-to end: the phases are composed, and the intensities propagated and stored,
-for each layer's :func:`~meshwalk.lattice.live_rows` alone.  Every other row
-is exactly zero, and its record reads mean and standard error +0.0.
+to end: the phases are composed for each screen's, and the intensities
+propagated and stored for each layer's, :func:`~meshwalk.lattice.live_rows`
+alone; no screen follows the mesh's last layer.  Every other row is exactly
+zero, and its record reads mean and standard error +0.0.
 Every realization's fields are a function of
 ``(master_seed, level_index, realization_index)`` alone, each row's sums are
 exact bucketed sums rounded once, equal to ``math.fsum`` of its row in

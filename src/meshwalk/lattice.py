@@ -6,7 +6,11 @@ injection contains exactly ``t`` cells; a walker leaving the top port of a
 cell enters the bottom port of a cell in the next layer.  Each cell applies
 an SU(2) rotation parametrized by an internal differential phase ``theta``
 (splitting ratio) and an external differential phase ``phi``; between cell
-layers a per-mode phase screen acts on every waveguide.
+layers a per-mode phase screen acts on every waveguide.  A depth-``d`` mesh
+has ``d - 1`` screens, one after each layer but the last
+(:func:`screen_layout`): the walk is read from output intensities, and a
+phase after the last layer reaches none of them (Schreiber et al., PRL 106,
+180403 (2011)).
 
 :func:`evolve` is the one propagation kernel: it pushes a batch of walkers
 through the cone layer by layer, in a mode-major (num_modes, walkers)
@@ -15,9 +19,10 @@ cone's ``2t`` modes plus the injection mode, can carry amplitude, so the
 phase screen's factors are computed and applied there alone; the rows
 outside stay exactly zero.  The disorder ensembles run it over thousands of
 realizations at once.  The kernel's phases are cone-packed: one float array
-of (sum of every layer's live rows, walkers), layer 1's live rows first,
-then layer 2's, each layer's rows one block of memory, at the offsets
-:func:`packed_layout` gives.
+of (sum of every screen's live rows, walkers), screen 1's live rows first,
+then screen 2's, each screen's rows one block of memory, at the offsets
+:func:`screen_layout` gives.  The intensities a run stores are packed the
+same way over every layer, the last one too (:func:`packed_layout`).
 :func:`~meshwalk.programs.compose_screens` writes a chunk's phases so,
 :func:`evolve` reads them as given, and a read layer's live rows reach the
 reduction as (live rows, walkers).
@@ -118,10 +123,12 @@ def live_rows(spec: MeshSpec, t: int) -> tuple[int, int]:
 def packed_layout(spec: MeshSpec) -> list[tuple[int, int, int]]:
     """Each layer's ``(offset, start, stop)`` in the cone-packed layout, layer ``t`` at ``t - 1``.
 
-    Layer ``t``'s phases are its :func:`live_rows` ``[start, stop)``, at packed
+    Layer ``t``'s rows are its :func:`live_rows` ``[start, stop)``, at packed
     rows ``offset`` to ``offset + stop - start``, right after layer
     ``t - 1``'s.  It is the one statement of the packing order; the last
-    layer's rows end the packed array.
+    layer's rows end the packed array.  A read layer's intensities are its
+    rows here; the phases hold every layer's but the last
+    (:func:`screen_layout`).
     """
     layout, offset = [], 0
     for t in range(1, spec.depth + 1):
@@ -131,38 +138,52 @@ def packed_layout(spec: MeshSpec) -> list[tuple[int, int, int]]:
     return layout
 
 
+def screen_layout(spec: MeshSpec) -> list[tuple[int, int, int]]:
+    """Each phase screen's packed ``(offset, start, stop)``, screen ``t`` at ``t - 1``.
+
+    Screen ``t`` acts after layer ``t`` on its :func:`live_rows`, at that
+    layer's :func:`packed_layout` place: a depth-``d`` mesh has the screens of
+    layers 1..``d - 1``.  No screen follows the last layer, since a phase
+    there leaves every output intensity as it is.  It is the one statement of
+    which screens exist.
+    """
+    return packed_layout(spec)[:-1]
+
+
 def evolve(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int):
     """Propagate a batch of walkers through layers 1..``last``.
 
     Every walker starts in ``spec.injection_mode``.  ``mats`` holds each
     layer's stacked cell unitaries, top to bottom, and ``phases`` the total
-    phase of every walker at every live (mode, layer) cell, cone-packed:
-    (sum over layers of their :func:`live_rows`, walkers), laid out by
-    :func:`packed_layout`.
-    Each layer applies its cells, then its phase screen, and yields
-    ``(t, state)``: ``state`` is the mode-major (num_modes, walkers)
-    amplitude array, which the next layer updates in place, so read it before
-    resuming.  Phase factors are computed and applied on the live rows alone;
-    every other row stays exactly +0.  The phases' shape is checked when
-    ``evolve`` is called, before the first layer is asked for.
+    phase of every walker at every live (mode, layer) cell of a screen,
+    cone-packed: (sum over screens of their :func:`live_rows`, walkers), laid
+    out by :func:`screen_layout`.
+    Each layer applies its cells, then its phase screen, if it has one (every
+    layer but the mesh's last), and yields ``(t, state)``: ``state`` is the
+    mode-major (num_modes, walkers) amplitude array, which the next layer
+    updates in place, so read it before resuming.  Phase factors are computed
+    and applied on the live rows alone; every other row stays exactly +0.
+    The phases' shape is checked when ``evolve`` is called, before the first
+    layer is asked for: phases that also hold the last layer's rows are
+    refused, not read in part.
     """
-    layout = packed_layout(spec)
-    offset, start, stop = layout[-1]
-    packed = offset + stop - start
-    if phases.ndim != 2 or phases.shape[0] != packed:
-        raise ValueError(f"phases shaped {phases.shape}, expected ({packed}, walkers)")
-    return _layers(spec, mats, phases, layout[:last])
+    screens = screen_layout(spec)
+    rows = sum(stop - start for _, start, stop in screens)
+    if phases.ndim != 2 or phases.shape[0] != rows:
+        raise ValueError(f"phases shaped {phases.shape}, expected ({rows}, walkers)")
+    return _layers(spec, mats, phases, screens, last)
 
 
-def _layers(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, layout: list):
-    """The layers of :func:`evolve` in ``layout``, for phases already checked."""
+def _layers(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, screens: list,
+            last: int):
+    """The layers 1..``last`` of :func:`evolve`, for phases already checked."""
     m = spec.num_modes
     count = phases.shape[1]
     factor = np.empty((m, count), dtype=complex)
 
     state = np.zeros((m, count), dtype=complex)
     state[spec.injection_mode - 1] = 1.0
-    for t, (offset, start, stop) in enumerate(layout, 1):
+    for t in range(1, last + 1):
         first = m // 2 - t  # 0-based top mode of the layer's first cell
         cells = mats[t - 1]
         for k in range(t):
@@ -171,9 +192,11 @@ def _layers(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, layout: 
             top = u[0, 0] * state[i] + u[0, 1] * state[i + 1]
             state[i + 1] = u[1, 0] * state[i] + u[1, 1] * state[i + 1]
             state[i] = top
-        rows = phases[offset:offset + stop - start]
-        live = factor[:stop - start]
-        np.cos(rows, out=live.real)
-        np.sin(rows, out=live.imag)
-        state[start:stop] *= live
+        if t <= len(screens):
+            offset, start, stop = screens[t - 1]
+            rows = phases[offset:offset + stop - start]
+            live = factor[:stop - start]
+            np.cos(rows, out=live.real)
+            np.sin(rows, out=live.imag)
+            state[start:stop] *= live
         yield t, state

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # expose tests/oracles.py
 
 from meshwalk import ensemble
 from meshwalk.lattice import (HADAMARD, INPUT_SPLITTER, MeshSpec, RbsSetting, cell_unitary, evolve,
-                              packed_layout)
+                              screen_layout)
 
 
 def subprocess_env(out_dir=None) -> dict[str, str]:
@@ -88,19 +89,25 @@ def cell_matrices(settings) -> list[np.ndarray]:
 def pack(spec: MeshSpec, screens: np.ndarray) -> np.ndarray:
     """(num_modes, depth, ...) screens as the kernel's cone-packed phases.
 
-    Layer t's live rows of column t, placed by ``lattice.packed_layout``:
-    a C-contiguous (live cells, ...) array.  Every other cell is dropped.
+    Screen t's live rows of column t, placed by ``lattice.screen_layout``:
+    a C-contiguous (live cells, ...) array.  Every other cell is dropped, and
+    so is the last column: no screen follows the mesh's last layer, and a
+    one-layer mesh packs to no rows.
     """
-    return np.concatenate([screens[start:stop, t]
-                           for t, (_, start, stop) in enumerate(packed_layout(spec))])
+    return np.concatenate([screens[:0, 0], *(screens[start:stop, t] for t, (_, start, stop)
+                                             in enumerate(screen_layout(spec)))])
 
 
 def unpack(spec: MeshSpec, phases: np.ndarray) -> np.ndarray:
-    """Cone-packed phases as (num_modes, depth, ...) screens, 0.0 on every other cell."""
+    """Cone-packed phases as (num_modes, depth, ...) screens, 0.0 on every other cell.
+
+    The last column, the layer no screen follows, is 0.0 throughout.
+    """
+    layout = screen_layout(spec)
+    assert len(phases) == sum(stop - start for _, start, stop in layout)
     screens = np.zeros((spec.num_modes, spec.depth) + phases.shape[1:])
-    for t, (offset, start, stop) in enumerate(packed_layout(spec)):
+    for t, (offset, start, stop) in enumerate(layout):
         screens[start:stop, t] = phases[offset:offset + stop - start]
-    assert offset + stop - start == len(phases)
     return screens
 
 
@@ -109,8 +116,9 @@ def propagate(spec: MeshSpec, settings, screens, up_to_layer: int | None = None)
 
     Runs the package's kernel, ``lattice.evolve``, as a batch of one, on the
     (num_modes, depth) screens' live cells (:func:`pack`); the others cannot
-    move an amplitude.  Returns the complex state after the last layer
-    (default: full depth).
+    move an amplitude, and the last column, which no screen of the kernel
+    takes, moves no intensity.  Returns the complex state after the last
+    layer (default: full depth).
     """
     last = spec.depth if up_to_layer is None else up_to_layer
     phases = pack(spec, np.asarray(screens, dtype=float)[:, :, None])
@@ -127,7 +135,8 @@ def bits(values) -> np.ndarray:
 def split_fields(spec: MeshSpec, fields: np.ndarray):
     """A (cells, count) draw as static (count, num_modes) and dynamic (count, num_modes, depth).
 
-    The dynamic cells outside the packed layout read 0.0.
+    The dynamic cells outside the screens' packed layout read 0.0, the last
+    layer's among them.
     """
     m = spec.num_modes
     return fields[:m].T, unpack(spec, fields[m:]).transpose(2, 0, 1)
@@ -139,3 +148,27 @@ def join_fields(spec: MeshSpec, static: np.ndarray, dynamic: np.ndarray) -> np.n
     The draw is (cells, count), as ``programs.draw_block`` returns it.
     """
     return np.concatenate([static.T, pack(spec, dynamic.transpose(1, 2, 0))])
+
+
+@contextlib.contextmanager
+def recorded_draws(monkeypatch, fail_at=None):
+    """Record every ``random`` call made through numpy's Generator while inside.
+
+    Yields the list of calls, each ``(words before, row address, words
+    after)`` of the bit generator's state; call ``fail_at`` raises
+    KeyboardInterrupt in place of drawing.
+    """
+    calls = []
+
+    class Recording(np.random.Generator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            if len(calls) == fail_at:
+                raise KeyboardInterrupt
+            before = self.bit_generator.state["state"]
+            drawn = super().random(size, dtype, out)
+            calls.append((before, out.ctypes.data, self.bit_generator.state["state"]))
+            return drawn
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "Generator", Recording)
+        yield calls

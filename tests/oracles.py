@@ -33,12 +33,13 @@ def cell_stream_fields(seed: int, level: int, lo: int, hi: int, spec):
     .random(r + 1)[r]``, as ``uniform(-pi, pi)``.  Cell ``c < num_modes`` is
     the static field of mode ``c``; the cells after them are the live (mode,
     layer) cells of the dynamic field, layer 1 first and each layer's live
-    rows in order.  Layer ``t``'s live rows are its cells' modes ``m/2 - t``
-    to ``m/2 + t - 1`` (0-based) and the injection mode's row.  A range that
-    starts beyond ``DRAWN_PREFIX`` skips its first ``lo`` draws by
-    ``advance(lo)``, which numpy documents as those draws.  Cells no layer
-    reads hold 0.0.  Returns static (count, num_modes) and dynamic
-    (count, num_modes, depth).
+    rows in order, for every layer but the last: a phase screen follows
+    each of layers 1..depth-1 alone.  Layer ``t``'s live rows are its
+    cells' modes ``m/2 - t`` to ``m/2 + t - 1`` (0-based) and the injection
+    mode's row.  A range that starts beyond ``DRAWN_PREFIX`` skips its first
+    ``lo`` draws by ``advance(lo)``, which numpy documents as those draws.
+    Cells no screen reads hold 0.0, the last layer's column among them.
+    Returns static (count, num_modes) and dynamic (count, num_modes, depth).
     """
     m, count, inject = spec.num_modes, hi - lo, spec.injection_mode - 1
     static, dynamic = np.zeros((count, m)), np.zeros((count, m, spec.depth))
@@ -52,10 +53,10 @@ def cell_stream_fields(seed: int, level: int, lo: int, hi: int, spec):
     def live(t):
         return range(min(m // 2 - t, inject), max(m // 2 + t, inject + 1))
 
-    for mode in live(spec.depth):
+    for mode in sorted({mode for t in range(1, spec.depth) for mode in live(t)}):
         static[:, mode] = draws(mode)
     cell = m
-    for t in range(1, spec.depth + 1):
+    for t in range(1, spec.depth):
         for mode in live(t):
             dynamic[:, mode, t - 1] = draws(cell)
             cell += 1

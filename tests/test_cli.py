@@ -25,7 +25,7 @@ from meshwalk import cli, ensemble
 from meshwalk.cli import main
 from meshwalk.ensemble import EnsembleResult, LevelRecord, SweepPlan
 from meshwalk.lattice import MeshSpec
-from meshwalk.programs import DisorderSpec
+from meshwalk.programs import SCREEN_POLICY, DisorderSpec
 from conftest import CPUS, fake_cpus, subprocess_env
 
 
@@ -270,12 +270,14 @@ def test_document_of_another_plan_exits_two(outdir, capsys):
         return edit
 
     # Records no longer belong to the plan, or were drawn by another generator
-    # or composed by another screen policy: other signs, or the wrapped sum
-    # that an earlier composition named "mirrored-sign".
+    # or composed by another screen policy: other signs, the wrapped sum that
+    # an earlier composition named "mirrored-sign", or the unwrapped sum with
+    # a screen after the last layer too.  A policy error names both policies.
     for key, edit in (("plan_hash", lambda doc: doc["plan"].update(master_seed=4)),
                       ("generator", foreign("generator", "another")),
                       ("policy", foreign("policy", "uniform-sign")),
-                      ("policy", foreign("policy", "mirrored-sign"))):
+                      ("policy", foreign("policy", "mirrored-sign")),
+                      ("policy", foreign("policy", "mirrored-sign, unwrapped sum"))):
         doc = json.loads(json.dumps(original))
         edit(doc)
         path.write_text(json.dumps(doc))
@@ -283,6 +285,8 @@ def test_document_of_another_plan_exits_two(outdir, capsys):
         assert main(["fit", "--in", str(path)]) == 2
         err = capsys.readouterr().err
         assert "malformed" in err and key in err and err.count("\n") == 1
+        if key == "policy":
+            assert f"{doc['plan']['policy']!r} is not {SCREEN_POLICY!r}" in err
 
 
 def test_fit_on_a_format_1_document_exits_two(outdir, capsys):
@@ -896,30 +900,32 @@ def test_threshold_must_be_positive_and_finite(outdir, capsys):
 # sha256 of every file small walk, tomography, sweep and slice runs write, and
 # of a tomography of 16384 realizations, which a pool of two splits into two
 # ranges.  A change that moves any bit of a result, or of its layout, shows
-# here.  The floats come from numpy's cos and sin, so other numpy builds may differ.
+# here, and so does a change of the plan's screen policy, which every
+# document and checkpoint names.  The floats come from numpy's cos and sin, so
+# other numpy builds may differ.
 DIGESTS = {
-    "slice.json": "18e5d752b41125055b5c0d86f13798339721c0daf5c34ddf1b668c7fa2755702",
-    "slice.json.csv": "03164371ee2c45493cc4a4e95a9230e261ee5e7272a56d771b0eb830bfd4d5fc",
-    "slice.json.result.json": "405e21cb8a8c86f16841896f8242fad79690c36affc31b7625a01fb47af20c49",
+    "slice.json": "eddf78e5db607e0abe7a65f882a00063949f9abec96c8323147b34f457b99e80",
+    "slice.json.csv": "94e65077dfc625f8ca29cb09d193cb9a2cff61f7bda2e79d0c6c24db2cdf84da",
+    "slice.json.result.json": "7d79794fe5027749edc1c5fd7c20bc30c44602f8b9e2add03b0a980ac55f235f",
     "slice.json.result.json.ckpt":
-        "4f4a26a74d495f87028db094609170b789a80c23ab16e0ae5810cb400061dac1",
-    "split.json": "929a13196bececa89d25ae42f13f783c5652c6837bafbdef99fcb0ea5599c68c",
-    "split.json.ckpt": "0efe44035d66e1e52807740c797f423bc628c399ff24df21de10a9c4afe278cd",
-    "split.json.csv": "148453c4a3f9564dd414c7ab67f4c376ec398436eaa7d330790336b5908327c1",
-    "sweep.json": "403cb24cbb262d65f482034bab18ecc5a217f5cb1cd52ea27c9c0004929d4f80",
-    "sweep.json.ckpt": "a1fc272e9f7b6c2a2e859032e133b8c57cd5410368f92f9918ee0c199d4d9afd",
-    "sweep.json.csv": "0c30e025efc36d846fb3d0dbcfe19a7dc64faa802fb13306564b8c056b3b9e94",
-    "sweep.json.mode3.csv": "42e403abb3fc2b8eeafb3f56c6695e583f9699b886b6110db8700e93778e779e",
+        "bbd8a7eeacb6c07232391d3e91af2335ef31577660cb0adf157c8fc125240dca",
+    "split.json": "aee66bae90cc5d53d3d023ceb4da015b0010b20e4a2291a5d0ba203958823fec",
+    "split.json.ckpt": "d4ce6ab71115a71b331939ea039e92b943b4cf7b2614fcc2c062381120d62ae8",
+    "split.json.csv": "5d01bce21f08278356742a5ca41766679771e3417f62ff25e50a589d41854b7b",
+    "sweep.json": "7314356c5e26470e7d7f26f18ec692b2ede5384f3594de767690c2b294904886",
+    "sweep.json.ckpt": "cd0bc09d787489e2f7d1f28a13f6e175900c7dde695d5a991df691f6111e6dab",
+    "sweep.json.csv": "c09e877b87139f6dbb64d73fa5d02e9756f6314002d3ead7602296db6f38f706",
+    "sweep.json.mode3.csv": "7c65909c009c45d4fe6a747829a3220754007e48a0c0733bbd0448cf19e9f733",
     "sweep.json.mode4.csv": "1bd004b5f2b24fc48c1a4fed811420721f0c5c54bc5d57fead8335d1c5f1beeb",
-    "sweep.json.mode5.csv": "9e1e0005e8788ae9cbbd8fa9d9681c1078802b8b407e5895eed8f4c05ea72415",
-    "sweep.json.mode6.csv": "b63643ef4a27a61195621fcf8eacba3911452e6a466b9bcc71ee4fb7e27068ea",
-    "sweep.json.mode7.csv": "1c71d64ace5a933658608adcb83b5d1b8678a40ac447f828bb069efafc0e6fd0",
-    "tomo.json": "90c786b26e4ef3da9fe48526918b6cb125d1a7c2664895b9468dae87ecf169ab",
-    "tomo.json.ckpt": "9a892e7de041cbc398c9a12a0e360ff3a936e754e07cfdc9f003d045928cef9a",
-    "tomo.json.csv": "023a00524f66df2f58bee5104730600dbf7edf671f37824433c40c4629a1264b",
-    "walk.json": "1eba804194337cbb2f9b2ef2c4c1273e0fd363e12ec4d461330cff6f59fb686a",
-    "walk.json.ckpt": "e8bead1a0dabc62e8414d7ba86659a7d7c9e68eebbed8786398b08a7e23e50fa",
-    "walk.json.csv": "ca8942c7611d3751cf926438e6d9a61ee828f9aaea181a716ec306aa9995109d",
+    "sweep.json.mode5.csv": "56e2aa5ae9f2e3c7234c2e79f16f0cae5a3cde3ed71d0579053b7593cf07cc6e",
+    "sweep.json.mode6.csv": "2dc82015fc44bfb3e6e9228f3ab89b376e4766ad5e34c862fc36f59e4dd0418d",
+    "sweep.json.mode7.csv": "deddbe158b6ed97508eba925d33159a76916b99dfb67ce312aaafb29888964fb",
+    "tomo.json": "7bec37c528fc1c1e853eda200d62cd2824b0795ae00c896ac9d4447505088541",
+    "tomo.json.ckpt": "9167e7abdf71672d00ecf225c1475b06187d53baedf7914efae41f64d4c4f012",
+    "tomo.json.csv": "73f3ff9efd46ad9a77be3cbae73ccf59ec7dabfdf0be427826a44ab86804b723",
+    "walk.json": "3cff4c385fbab5b08cc61147a8220d165f00966d4585bfdb1b639b1949b64b01",
+    "walk.json.ckpt": "2faf89bf0e9295751e6facd97b65b1618b5e03413451e847c55c6d1f8cb69d20",
+    "walk.json.csv": "c783c6f6e4b9395729feef53fc7c82d532ecda80b69e7313def574ba5a72c351",
 }
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from meshwalk import ensemble
+from meshwalk.cli import main
 from meshwalk.ensemble import (
     CSV_HEADER,
     EnsembleResult,
@@ -31,8 +32,8 @@ from meshwalk.ensemble import (
     write_lines,
 )
 from meshwalk.lattice import MeshSpec, cell_unitary, evolve, intensities, live_rows
-from meshwalk.programs import DisorderSpec, compose_screens, mode_signs
-from conftest import (CPUS, bits, cell_matrices, fake_cpus, pack, propagate,
+from meshwalk.programs import DisorderSpec, compose_screens, field_cells, mode_signs
+from conftest import (CPUS, bits, cell_matrices, fake_cpus, pack, propagate, recorded_draws,
                       random_program, split_fields, subprocess_env, walk_program)
 from oracles import cell_stream_fields, fsum_reduce, full_unitary, galton_distribution
 
@@ -62,7 +63,8 @@ def full_array_stacks(spec, settings, screens, read_layers):
 
     ``settings`` are a program's cells, ``screens`` is (walkers, num_modes,
     depth) and each stack (num_modes, walkers).  Every mode takes its phase
-    factor, cos and sin of every (mode, layer) cell, after each layer.
+    factor, cos and sin of every (mode, layer) cell, after each layer but
+    the mesh's last, which no screen follows.
     """
     m = spec.num_modes
     phases = np.ascontiguousarray(np.transpose(screens, (2, 1, 0)))
@@ -78,7 +80,8 @@ def full_array_stacks(spec, settings, screens, read_layers):
             top = u[0, 0] * state[i] + u[0, 1] * state[i + 1]
             state[i + 1] = u[1, 0] * state[i] + u[1, 1] * state[i + 1]
             state[i] = top
-        state *= factors[t - 1]
+        if t < spec.depth:
+            state *= factors[t - 1]
         if t in read_layers:
             stacks[t] = state.real**2 + state.imag**2
     return stacks
@@ -138,14 +141,15 @@ class TestConeKernel:
 
     def test_compose_screens_layout(self):
         # The result is one C-contiguous (live cell, realization) array, each
-        # layer's live rows after the last's, with the full-array model's
-        # bits.  Injection modes 1, 3 and 14 take live rows outside the cone.
+        # screen's live rows after the last's, with the full-array model's
+        # bits; the mesh's last layer has no screen.  Injection modes 1, 3
+        # and 14 take live rows outside the cone.
         level = DisorderSpec(0.3, 0.9)
         for spec in self.SPECS:
             fields = _sample_block(4, 0, 0, 600, spec)
             drawn = fields.copy()
             total = compose_screens(spec, level.c_tid, level.c_td, fields)
-            live = [live_rows(spec, t) for t in range(1, spec.depth + 1)]
+            live = [live_rows(spec, t) for t in range(1, spec.depth)]
             assert total.shape == (sum(stop - start for start, stop in live), 600), spec
             assert total.flags.c_contiguous, spec
             expected = full_array_screens(level, *split_fields(spec, drawn))
@@ -188,8 +192,16 @@ def test_kernel_rejects_a_chunk_of_depth_realizations(spec14):
 def test_evolve_checks_phases_when_called(spec14):
     # The shape error comes from the call itself, before any layer is asked for.
     phases = compose_screens(spec14, 0.5, 0.5, _sample_block(1, 0, 0, 5, spec14))
-    with pytest.raises(ValueError, match=r"phases shaped \(5, 56\)"):
+    assert phases.shape == (42, 5)
+    with pytest.raises(ValueError, match=r"phases shaped \(5, 42\)"):
         evolve(spec14, _layer_matrices(spec14), phases.T, 7)
+    # Phases that still carry the last layer's 14 rows, and fields of that
+    # layout (14 static and 56 dynamic rows), are refused, not read in part.
+    stale = np.concatenate([phases, np.zeros((14, 5))])
+    with pytest.raises(ValueError, match=r"phases shaped \(56, 5\), expected \(42, walkers\)"):
+        evolve(spec14, _layer_matrices(spec14), stale, 7)
+    with pytest.raises(ValueError, match="do not match the mesh"):
+        compose_screens(spec14, 0.5, 0.5, np.zeros((70, 5)))
 
 
 class TestRunLevel:
@@ -500,6 +512,24 @@ class TestRunSweep:
         run_sweep(plan, out_path=str(p1), workers=1)
         run_sweep(plan, out_path=str(p2), workers=2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_one_layer_mesh_has_no_screen(self, tmp_path, monkeypatch):
+        # A one-layer mesh is read after its only layer, which no screen
+        # follows: no field is drawn, and every disorder level gives the
+        # records of no disorder, bit for bit.
+        grid = tuple(DisorderSpec(*c) for c in ((0, 0), (1, 0), (0, 1), (1, 1)))
+        for spec in (MeshSpec(2, 1), MeshSpec(14, 1)):
+            assert field_cells(spec) == spec.num_modes
+            with recorded_draws(monkeypatch) as calls:
+                result = run_sweep(SweepPlan(spec, grid, 50, 3), workers=1)
+            assert not calls
+            clean = result.record(0)
+            for i in range(1, len(grid)):
+                assert np.array_equal(bits(result.record(i).mean), bits(clean.mean)), (spec, i)
+                assert np.array_equal(bits(result.record(i).std_error),
+                                      bits(clean.std_error)), (spec, i)
+        monkeypatch.setenv("MESHWALK_OUT_DIR", str(tmp_path))
+        assert main(["walk", "--modes", "2", "--depth", "1", "--n", "5", "--workers", "1"]) == 0
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_fewer_than_one_worker(self, spec14, tmp_path, workers):

@@ -22,16 +22,31 @@ def assert_up_to_global_phase(a, b, tol=1e-12):
 
 
 def one_layer_transfer(num_modes, setting, screen=None):
-    """Transfer matrix of a depth-1 mesh, one propagation per input mode.
+    """Transfer matrix of a mesh's first layer and its screen, one propagation per input mode.
 
-    The single cell couples modes ``num_modes/2`` and ``num_modes/2 + 1``;
-    ``screen`` (default zeros) is the phase screen after it.
+    The layer's single cell couples modes ``num_modes/2`` and
+    ``num_modes/2 + 1``; ``screen`` (default zeros) is the phase screen after
+    it.  The mesh is two layers deep and read after layer 1, since a
+    one-layer mesh has no screen.
     """
     if screen is None:
         screen = np.zeros(num_modes)
-    screens = np.asarray(screen, dtype=float)[:, None]
-    return np.column_stack([propagate(MeshSpec(num_modes, 1, j), [[setting]], screens)
+    screens = np.column_stack([np.asarray(screen, dtype=float), np.zeros(num_modes)])
+    program = [[setting], [setting, setting]]
+    return np.column_stack([propagate(MeshSpec(num_modes, 2, j), program, screens, up_to_layer=1)
                             for j in range(1, num_modes + 1)])
+
+
+def without_last_screen(screens):
+    """(num_modes, depth) screens with the last layer's column zeroed.
+
+    The kernel applies no screen after the mesh's last layer, so its
+    amplitudes are the dense oracle's of these screens; intensities are the
+    same either way.
+    """
+    screens = np.array(screens, dtype=float)
+    screens[:, -1] = 0.0
+    return screens
 
 
 class TestMeshSpec:
@@ -146,11 +161,15 @@ class TestPropagate:
             assert abs(out[mode - 1] - 1.0) < 1e-12
 
     def test_ballistic_peaks_and_oracle(self, spec14, qw_program):
-        psi = propagate(spec14, *qw_program)
+        settings, screens = qw_program
+        psi = propagate(spec14, settings, screens)
         dist = intensities(psi)
         assert set(np.argsort(dist)[-2:] + 1) == {3, 12}
-        column = full_unitary(spec14, *qw_program)[:, spec14.injection_mode - 1]
+        column = full_unitary(spec14, settings, without_last_screen(screens))[
+            :, spec14.injection_mode - 1]
         assert np.abs(column - psi).max() < 1e-12
+        column = full_unitary(spec14, settings, screens)[:, spec14.injection_mode - 1]
+        assert np.abs(intensities(column) - dist).max() < 1e-12
 
     def test_edge_mode_pinning_for_any_screens(self, spec14, qw_program):
         rng = np.random.default_rng(11)
@@ -180,12 +199,14 @@ class TestFullUnitary:
         rng = np.random.default_rng(42)
         eye = np.eye(14)
         for _ in range(100):
-            program = random_program(spec14, rng)
-            u = full_unitary(spec14, *program)
+            settings, screens = random_program(spec14, rng)
+            u = full_unitary(spec14, settings, screens)
             assert np.abs(u.conj().T @ u - eye).max() < 1e-12
             mode = int(rng.integers(1, 15))
-            psi = propagate(MeshSpec(14, 7, mode), *program)
-            assert np.abs(u[:, mode - 1] - psi).max() < 1e-12
+            psi = propagate(MeshSpec(14, 7, mode), settings, screens)
+            zeroed = full_unitary(spec14, settings, without_last_screen(screens))
+            assert np.abs(zeroed[:, mode - 1] - psi).max() < 1e-12
+            assert np.abs(intensities(u[:, mode - 1]) - intensities(psi)).max() < 1e-12
 
     def test_partial_depth_matches(self, spec14):
         program = random_program(spec14, np.random.default_rng(9))

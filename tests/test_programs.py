@@ -1,13 +1,13 @@
-import contextlib
-
 import numpy as np
 import pytest
 
 from meshwalk.ensemble import SweepPlan, _layer_matrices, run_sweep
-from meshwalk.lattice import HADAMARD, INPUT_SPLITTER, MeshSpec, cell_unitary, intensities
+from meshwalk.lattice import (HADAMARD, INPUT_SPLITTER, MeshSpec, cell_unitary, intensities,
+                              live_rows)
 from meshwalk.programs import (_JUMP, DisorderSpec, compose_screens, draw_block, field_cells,
                                mode_signs)
-from conftest import bits, join_fields, pack, propagate, split_fields, unpack, walk_program
+from conftest import (bits, join_fields, pack, propagate, recorded_draws, split_fields, unpack,
+                      walk_program)
 from oracles import BAR, build_tomography_program, cell_stream_fields, ks_uniform_statistic
 
 
@@ -99,10 +99,12 @@ class TestSampleRealization:
         assert np.abs(d_half - 0.25 * d_full).max() < 1e-15
 
     def test_marginal_is_uniform(self, spec14):
-        # 1e5 pooled static draws at full strength vs U[-pi, pi].
+        # 1e5 pooled static draws at full strength vs U[-pi, pi], from the
+        # modes a screen reads: the last screen's live rows, 1..12.
         need = 100_000
-        fields = draw_block(2024, 0, 0, need // spec14.num_modes + 1, spec14)
-        assert ks_uniform_statistic(fields[:14].T.ravel()[:need], -np.pi, np.pi) < 0.01
+        first, last = live_rows(spec14, spec14.depth - 1)
+        fields = draw_block(2024, 0, 0, need // (last - first) + 1, spec14)
+        assert ks_uniform_statistic(fields[first:last].T.ravel()[:need], -np.pi, np.pi) < 0.01
 
 
 class TestDrawBlock:
@@ -130,14 +132,14 @@ class TestDrawBlock:
                 self.assert_block_matches(seed, level, 397, 399, spec)
 
     def test_other_injections_and_wide_meshes(self):
-        # Every live row of every layer is a cell, and the static rows of
-        # modes no layer reads hold 0.0 (cell_stream_fields leaves them so).
+        # Every live row of every screen is a cell, and the static rows of
+        # modes no screen reads hold 0.0 (cell_stream_fields leaves them so).
         for spec in self.SPECS:
             self.assert_block_matches(7, 3, 5, 40, spec)
         fields = draw_block(7, 3, 5, 40, MeshSpec(20, 4, 2))
-        # Its last layer's live rows are 1..13, from the injection mode on.
-        assert not fields[:1].any() and not fields[14:20].any()
-        assert fields[1:14].all()
+        # Its last screen's live rows are 1..12, from the injection mode on.
+        assert not fields[:1].any() and not fields[13:20].any()
+        assert fields[1:13].all()
 
     def test_chunk_straddling_two_word_realization_index(self):
         # A range far into every cell's substream, across 2**32.
@@ -185,6 +187,31 @@ class TestDrawBlock:
         closest = min(min(d * _JUMP % period, -d * _JUMP % period) for d in range(1, cells))
         assert closest >= 1 << 64, closest
 
+    @pytest.mark.parametrize("num_modes, depth, cells, drawn",
+                             [(14, 7, 56, 54), (30, 15, 240, 238)], ids=["14-7", "30-15"])
+    def test_last_layer_cells_are_not_drawn(self, monkeypatch, num_modes, depth, cells, drawn):
+        # No screen follows the last layer, so its live (mode, layer) rows,
+        # which ended the cells, are not cells, nor are the static modes
+        # outside the last screen's live rows: the cone's two edge modes.
+        # Each kept cell keeps the index, so the substream and the values,
+        # it had while the last layer's rows were cells too.
+        spec = MeshSpec(num_modes, depth)
+        assert field_cells(spec) == cells
+        with recorded_draws(monkeypatch) as calls:
+            fields = draw_block(3, 1, 10, 15, spec)
+        rows = [row for _, row in written_cells(fields, calls, 5)]
+        assert len(calls) == len(set(rows)) == drawn
+        m, inject = spec.num_modes, spec.injection_mode - 1
+        live = [range(min(m // 2 - t, inject), max(m // 2 + t, inject + 1))
+                for t in range(1, depth + 1)]
+        # The cells while every layer had a screen: live static modes, then packed rows.
+        every_layer = [*live[-1], *range(m, m + sum(map(len, live)))]
+        edges, last_layer = {*live[-1]} - {*live[-2]}, range(cells, m + sum(map(len, live)))
+        assert edges == {0, m - 1} and len(last_layer) == m
+        assert rows == [c for c in every_layer if c not in edges and c not in last_layer]
+        assert np.array_equal(bits(fields), bits(join_fields(
+            spec, *cell_stream_fields(3, 1, 10, 15, spec))))
+
     def test_empty_and_invalid_ranges(self):
         spec = MeshSpec()
         assert draw_block(1, 0, 4, 4, spec).shape == (field_cells(spec), 0)
@@ -219,30 +246,6 @@ def cell_state(seed, level, cell, position):
     return bits.advance(position).state["state"]
 
 
-@contextlib.contextmanager
-def recorded_draws(monkeypatch, fail_at=None):
-    """Record every ``random`` call made through numpy's Generator while inside.
-
-    Yields the list of calls, each ``(words before, row address, words
-    after)`` of the bit generator's state; call ``fail_at`` raises
-    KeyboardInterrupt in place of drawing.
-    """
-    calls = []
-
-    class Recording(np.random.Generator):
-        def random(self, size=None, dtype=np.float64, out=None):
-            if len(calls) == fail_at:
-                raise KeyboardInterrupt
-            before = self.bit_generator.state["state"]
-            drawn = super().random(size, dtype, out)
-            calls.append((before, out.ctypes.data, self.bit_generator.state["state"]))
-            return drawn
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np.random, "Generator", Recording)
-        yield calls
-
-
 def written_cells(fields, calls, count):
     """``(level position, row)`` that each recorded call wrote, in call order."""
     base, stride = fields.ctypes.data, fields.strides[0]
@@ -251,11 +254,14 @@ def written_cells(fields, calls, count):
 
 
 def expected_cells(spec):
-    """The drawn cells in stream order, from the live rows stated in oracles.cell_stream_fields."""
+    """The drawn cells in stream order, from the live rows stated in oracles.cell_stream_fields.
+
+    A screen follows each layer but the last, so the last layer's rows are not cells.
+    """
     m, inject = spec.num_modes, spec.injection_mode - 1
     live = [range(min(m // 2 - t, inject), max(m // 2 + t, inject + 1))
-            for t in range(1, spec.depth + 1)]
-    return [*live[-1], *range(m, m + sum(map(len, live)))]
+            for t in range(1, spec.depth)]
+    return [*sorted(set().union(*live)), *range(m, m + sum(map(len, live)))]
 
 
 def nan_filled_empty(monkeypatch, shift=0):
@@ -456,10 +462,11 @@ class TestApplyDisorder:
 
     def test_static_only_constant_across_layers(self, spec14, qw_program):
         _, screens = disordered(qw_program, DisorderSpec(1.0, 0.0), *one_realization(6, 0, 0))
-        # Every mode is live at the last layer; each of its live cells holds that phase.
+        # Every mode a screen reads is live at the last screen, after layer
+        # 6; each of its live cells holds that phase.  No screen follows layer 7.
         live = live_cells(spec14)
-        assert live[:, -1].all()
-        assert np.abs(screens - screens[:, -1:])[live].max() < 1e-15
+        assert live[1:13, -2].all() and not live[[0, 13]].any() and not live[:, -1].any()
+        assert np.abs(screens - screens[:, -2:-1])[live].max() < 1e-15
 
     def test_mirrored_sign_pattern(self, spec14, qw_program):
         signs = mode_signs(14)
@@ -472,13 +479,16 @@ class TestApplyDisorder:
         assert np.abs(applied[7:] + 0.4 * static[7:, None])[live[7:]].max() < 1e-15
 
     def test_dimension_mismatch(self):
-        # The fields are (cells, count), 14 static and 56 packed dynamic rows
-        # at 14x7: a single realization's fields are a batch of one, and a
-        # realization-major or another mesh's draw is rejected.
+        # The fields are (cells, count), 14 static and 42 packed dynamic rows
+        # at 14x7, one per live cell of the six screens: a single
+        # realization's fields are a batch of one, and a realization-major
+        # or another mesh's draw is rejected.  So is a draw that still holds
+        # the last layer's 14 rows, 70 in all, as the mesh once had.
         level = DisorderSpec(0.5, 0.5)
-        assert field_cells(MeshSpec()) == 70
-        for fields in (np.zeros(70), np.zeros((5, 70)), np.zeros((69, 5)), np.zeros((14, 7)),
-                       np.zeros((70, 5, 1)), np.zeros((field_cells(MeshSpec(16, 7)), 5))):
+        assert field_cells(MeshSpec()) == 56
+        for fields in (np.zeros(56), np.zeros((5, 56)), np.zeros((55, 5)), np.zeros((14, 7)),
+                       np.zeros((56, 5, 1)), np.zeros((field_cells(MeshSpec(16, 7)), 5)),
+                       np.zeros((70, 5))):
             with pytest.raises(ValueError, match="do not match the mesh"):
                 compose_screens(MeshSpec(), level.c_tid, level.c_td, fields)
 

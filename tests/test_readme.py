@@ -12,6 +12,7 @@ import pytest
 
 from meshwalk import ensemble
 from meshwalk.cli import main
+from meshwalk.programs import SCREEN_POLICY
 
 README = Path(__file__).parents[1] / "README.md"
 COMMAND = re.compile(r"^\s*python -m meshwalk\.cli (.*?)\s+# exit (\d+)\s*$")
@@ -42,3 +43,9 @@ def test_readme_split_and_pack_sizes_follow_the_chunk(capsys):
 def test_readme_names_the_document_format():
     # A change of the document format names itself in the README too.
     assert f"`{ensemble.DOCUMENT_FORMAT}`" in README.read_text()
+
+
+def test_readme_quotes_the_screen_policy():
+    # The screen policy every plan names, which a change of the composition
+    # or of the screens' layout changes, is quoted in the README as it is.
+    assert f"`{SCREEN_POLICY}`" in README.read_text()
