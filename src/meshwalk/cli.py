@@ -14,14 +14,10 @@ kernel's complex multiply still rounds otherwise (README, *Determinism*).
 Documents are format ``meshwalk-sweep-result/3``, and their plan names the
 stream layout; a record holds its level index, read layer, mean and standard
 error, and the plan holds everything else.  ``fit`` on a document of another
-format, such as a ``/1`` document of the one-stream-per-realization layout or
-a ``/2`` one whose records repeat their level's strengths and realization
-count, exits 2.  Output
-documents are JSON, flat tables are CSV (comma separator, header row, LF
-endings); heatmaps are plain numeric CSV grids with an optional ASCII
-rendering.  Every number in a CSV is
-Python's shortest round-trip ``repr`` of its value, the same under numpy 1.x
-and 2.x.
+format exits 2.  Output documents are JSON, flat tables are CSV (comma
+separator, header row, LF endings); heatmaps are plain numeric CSV grids with
+an optional ASCII rendering.  Every number in a CSV is Python's shortest
+round-trip ``repr`` of its value, the same under numpy 1.x and 2.x.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/IO error, 3 degenerate
 analysis input.

@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (HADAMARD, INPUT_SPLITTER, MeshSpec, cell_unitary, evolve, intensities,
-                      live_rows, packed_layout)
+                      live_rows)
 from .programs import GENERATOR_IDENTITY, SCREEN_POLICY, DisorderSpec, compose_screens
 # The sample stage under a name of its own, which the benchmark's tracer wraps.
 from .programs import draw_block as _sample_block
@@ -456,40 +456,27 @@ def _bucket_terms(block: np.ndarray) -> np.ndarray | None:
     return terms
 
 
-def _row_sums(stack: np.ndarray, mean: np.ndarray | None = None) -> list[float]:
-    """``math.fsum`` of each row of ``stack``, or of its squared deviations from ``mean``.
+def _group_sums(group: np.ndarray, values) -> list[float]:
+    """``math.fsum`` of each row of ``values(group)``, bit for bit (see :func:`_reduce`).
 
-    Bit for bit (see :func:`_reduce`).  A block is a group of whole rows or,
-    for long rows, one row's segment.  Each group is summed before the next
-    starts.  Its blocks' bucket terms stay arrays until its last block; then
-    one mask gathers the group's non-zero terms, row after row, into one
-    list, and each row's run of it takes one ``math.fsum``.  So temporaries
-    are the size of a block, held terms number at most two per (row,
-    exponent) bucket of each block, and a group that takes ``math.fsum``
-    itself holds a block, or a row.
+    ``values`` maps a block of the group's columns to the values to sum, the
+    same shape.  A block is the whole group of whole rows or, for long rows,
+    one row's segment.  The blocks' bucket terms stay arrays until the last
+    block; then one mask gathers the group's non-zero terms, row after row,
+    into one list, and each row's run of it takes one ``math.fsum``.  A block
+    that cannot be bucketed sends the group to ``math.fsum`` of each row of
+    ``values(group)``.
     """
-    m, n = stack.shape
-    rows = max(1, _BLOCK // n)
-    sums: list[float] = []
-    with np.errstate(invalid="ignore"):  # inf - inf in a block that takes math.fsum
-        for r in range(0, m, rows):
-            group = stack[r:r + rows]
-            mu = None if mean is None else mean[r:r + rows, None]
-            blocks = []
-            for c in range(0, n, _BLOCK):
-                block = group[:, c:c + _BLOCK]
-                terms = _bucket_terms(block if mu is None else (block - mu) ** 2)
-                if terms is None:  # the group takes math.fsum itself
-                    sums += map(math.fsum, group if mu is None else (group - mu) ** 2)
-                    break
-                blocks.append(terms)
-            else:
-                terms = np.concatenate(blocks, axis=1)
-                nonzero = terms != 0  # the empty buckets' zeros are dropped
-                values = iter(terms[nonzero].tolist())
-                sums += [math.fsum(itertools.islice(values, k))
-                         for k in nonzero.sum(axis=1).tolist()]
-    return sums
+    blocks = []
+    for c in range(0, group.shape[1], _BLOCK):
+        terms = _bucket_terms(values(group[:, c:c + _BLOCK]))
+        if terms is None:  # the group takes math.fsum itself
+            return list(map(math.fsum, values(group)))
+        blocks.append(terms)
+    terms = np.concatenate(blocks, axis=1)
+    nonzero = terms != 0  # the empty buckets' zeros are dropped
+    flat = iter(terms[nonzero].tolist())
+    return [math.fsum(itertools.islice(flat, k)) for k in nonzero.sum(axis=1).tolist()]
 
 
 def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -501,13 +488,23 @@ def _reduce(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scales the totals back exactly for normal ``e``.  One ``math.fsum`` over a
     row's terms rounds their exact sum correctly, as ``math.fsum`` of the row
     does; a block with a subnormal, non-finite or huge value takes ``math.fsum``.
+
+    The stack is walked once, in groups of whole rows that fill a ``_BLOCK``
+    (one row when rows are longer): a group's sums give its means, then its
+    squared deviations from them are summed (:func:`_group_sums`), before the
+    next group starts.  So temporaries stay the size of one block, and held
+    terms number at most two per (row, exponent) bucket of each block; a
+    group that takes ``math.fsum`` itself holds one group's values.
     """
     m, n = stack.shape
-    mean = np.array(_row_sums(stack)) / n
-    if n < 2:
-        return mean, np.zeros(m)
-    var = np.array(_row_sums(stack, mean)) / (n - 1)
-    return mean, np.sqrt(var / n)
+    rows = max(1, _BLOCK // n)
+    mean, deviations = np.empty(m), np.empty(m)
+    with np.errstate(invalid="ignore"):  # inf - inf in a block that takes math.fsum
+        for r in range(0, m, rows):
+            group = stack[r:r + rows]
+            mu = mean[r:r + rows] = np.array(_group_sums(group, lambda block: block)) / n
+            deviations[r:r + rows] = _group_sums(group, lambda block: (block - mu[:, None]) ** 2)
+    return mean, np.sqrt(deviations / (n - 1) / n) if n > 1 else np.zeros(m)
 
 
 # The run in progress (see run_sweep): plan, layer matrices, the anonymous
@@ -519,8 +516,8 @@ _run: tuple = ()
 
 def _live_counts(plan: SweepPlan) -> dict[int, int]:
     """The number of live rows of each read layer, the rows its stacks hold."""
-    layout = packed_layout(plan.spec)
-    return {t: layout[t - 1][2] - layout[t - 1][1] for t in plan.read_layers}
+    return {t: stop - start for t in plan.read_layers
+            for start, stop in [live_rows(plan.spec, t)]}
 
 
 def _stacks(first: int, last: int) -> dict[int, np.ndarray]:

@@ -8,7 +8,7 @@ an SU(2) rotation parametrized by an internal differential phase ``theta``
 (splitting ratio) and an external differential phase ``phi``; between cell
 layers a per-mode phase screen acts on every waveguide.  A depth-``d`` mesh
 has ``d - 1`` screens, one after each layer but the last
-(:func:`screen_layout`): the walk is read from output intensities, and a
+(:func:`packed_layout`): the walk is read from output intensities, and a
 phase after the last layer reaches none of them (Schreiber et al., PRL 106,
 180403 (2011)).
 
@@ -21,11 +21,12 @@ outside stay exactly zero.  The disorder ensembles run it over thousands of
 realizations at once.  The kernel's phases are cone-packed: one float array
 of (sum of every screen's live rows, walkers), screen 1's live rows first,
 then screen 2's, each screen's rows one block of memory, at the offsets
-:func:`screen_layout` gives.  The intensities a run stores are packed the
-same way over every layer, the last one too (:func:`packed_layout`).
-:func:`~meshwalk.programs.compose_screens` writes a chunk's phases so,
-:func:`evolve` reads them as given, and a read layer's live rows reach the
-reduction as (live rows, walkers).
+:func:`packed_layout` gives.  :func:`~meshwalk.programs.compose_screens`
+writes a chunk's phases so, and :func:`evolve` reads them as given.  The
+intensities are not packed that way: a read layer's live rows reach the
+reduction as (live rows, walkers), a stack holds one read layer's live rows
+of each of its levels, and a split level's shared mapping holds that level's
+read layers' stacks back to back (:mod:`~meshwalk.ensemble`).
 
 A single walker's state is a complex vector of length ``num_modes`` (unit
 norm in this lossless model); intensity distributions are the squared
@@ -113,41 +114,30 @@ def live_rows(spec: MeshSpec, t: int) -> tuple[int, int]:
     and the injection mode keeps its amplitude where no cell has reached it
     yet, so the range is ``[min(m/2 - t, inj), max(m/2 + t, inj + 1))``.
     Every row outside it is exactly zero after layer ``t``.  Layer ``t``'s
-    phases and intensity rows are these rows, in order; :func:`packed_layout`
-    places them after every earlier layer's.
+    phase screen, if it has one, acts on these rows, at its
+    :func:`packed_layout` place, and a stack of read layer ``t``'s
+    intensities holds these rows alone, in order.
     """
     m, inject = spec.num_modes, spec.injection_mode - 1
     return min(m // 2 - t, inject), max(m // 2 + t, inject + 1)
 
 
 def packed_layout(spec: MeshSpec) -> list[tuple[int, int, int]]:
-    """Each layer's ``(offset, start, stop)`` in the cone-packed layout, layer ``t`` at ``t - 1``.
+    """Each phase screen's cone-packed ``(offset, start, stop)``, screen ``t`` at ``t - 1``.
 
-    Layer ``t``'s rows are its :func:`live_rows` ``[start, stop)``, at packed
-    rows ``offset`` to ``offset + stop - start``, right after layer
-    ``t - 1``'s.  It is the one statement of the packing order; the last
-    layer's rows end the packed array.  A read layer's intensities are its
-    rows here; the phases hold every layer's but the last
-    (:func:`screen_layout`).
+    Screen ``t`` acts after layer ``t`` on its :func:`live_rows` ``[start,
+    stop)``, at packed rows ``offset`` to ``offset + stop - start``, right
+    after screen ``t - 1``'s.  A depth-``d`` mesh has the screens of layers
+    1..``d - 1``: no screen follows the last layer, since a phase there leaves
+    every output intensity as it is, and a one-layer mesh has none.  It is the
+    one statement of which screens exist and of their packing order.
     """
     layout, offset = [], 0
-    for t in range(1, spec.depth + 1):
+    for t in range(1, spec.depth):
         start, stop = live_rows(spec, t)
         layout.append((offset, start, stop))
         offset += stop - start
     return layout
-
-
-def screen_layout(spec: MeshSpec) -> list[tuple[int, int, int]]:
-    """Each phase screen's packed ``(offset, start, stop)``, screen ``t`` at ``t - 1``.
-
-    Screen ``t`` acts after layer ``t`` on its :func:`live_rows`, at that
-    layer's :func:`packed_layout` place: a depth-``d`` mesh has the screens of
-    layers 1..``d - 1``.  No screen follows the last layer, since a phase
-    there leaves every output intensity as it is.  It is the one statement of
-    which screens exist.
-    """
-    return packed_layout(spec)[:-1]
 
 
 def evolve(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int):
@@ -157,7 +147,7 @@ def evolve(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int
     layer's stacked cell unitaries, top to bottom, and ``phases`` the total
     phase of every walker at every live (mode, layer) cell of a screen,
     cone-packed: (sum over screens of their :func:`live_rows`, walkers), laid
-    out by :func:`screen_layout`.
+    out by :func:`packed_layout`.
     Each layer applies its cells, then its phase screen, if it has one (every
     layer but the mesh's last), and yields ``(t, state)``: ``state`` is the
     mode-major (num_modes, walkers) amplitude array, which the next layer
@@ -167,7 +157,7 @@ def evolve(spec: MeshSpec, mats: list[np.ndarray], phases: np.ndarray, last: int
     layer is asked for: phases that also hold the last layer's rows are
     refused, not read in part.
     """
-    screens = screen_layout(spec)
+    screens = packed_layout(spec)
     rows = sum(stop - start for _, start, stop in screens)
     if phases.ndim != 2 or phases.shape[0] != rows:
         raise ValueError(f"phases shaped {phases.shape}, expected ({rows}, walkers)")

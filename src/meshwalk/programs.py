@@ -4,7 +4,7 @@ The walk's cells are fixed: the input splitter on the layer-1 cell and
 Hadamards everywhere else (:func:`~meshwalk.ensemble._layer_matrices`).
 Disorder enters only through the phase screens, which it fills alone: a
 depth-``d`` mesh has ``d - 1`` of them, after every layer but the last
-(:func:`~meshwalk.lattice.screen_layout`), since a phase after the last
+(:func:`~meshwalk.lattice.packed_layout`), since a phase after the last
 layer reaches no output intensity.  A realization draws one uniform phase
 per mode (static, constant across screens) and one per (mode, screen)
 (dynamic, uncorrelated in space-time), each scaled by its strength
@@ -23,8 +23,8 @@ static mode ``c`` for ``c < num_modes``, and packed row ``c - num_modes`` of
 :func:`~meshwalk.lattice.packed_layout` otherwise, one (mode, layer) cell of
 the dynamic field; realization ``r``'s value in a cell is draw ``r`` of the
 cell's substream.  Only the cells a screen reads are drawn: the static modes
-of the last screen's live rows and the packed rows of layers 1..``d - 1``;
-the last layer's rows, which end the packed layout, are never cells.  So a
+of the last screen's live rows and the packed rows of the screens, those of
+layers 1..``d - 1``; the last layer's (mode, layer) rows are never cells.  So a
 chunk of realizations is one contiguous run of draws per cell, written
 straight into the row of the cell, in the kernel's packed layout, and any
 realization range is reached by ``advance`` alone (Salmon et al., SC'11;
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import MeshSpec, screen_layout
+from .lattice import MeshSpec, packed_layout
 
 #: How the disorder fields are drawn; part of every plan, so of its hash.
 GENERATOR_IDENTITY = (
@@ -103,10 +103,10 @@ def field_cells(spec: MeshSpec) -> int:
     """The number of cells of ``spec``'s mesh: its modes, then its screens' packed rows.
 
     The screens are those of layers 1..``d - 1``
-    (:func:`~meshwalk.lattice.screen_layout`); a one-layer mesh has its modes
+    (:func:`~meshwalk.lattice.packed_layout`); a one-layer mesh has its modes
     alone, none of which is drawn.
     """
-    return spec.num_modes + sum(stop - start for _, start, stop in screen_layout(spec))
+    return spec.num_modes + sum(stop - start for _, start, stop in packed_layout(spec))
 
 
 def draw_block(master_seed: int, level_index, lo: int, hi: int, spec: MeshSpec) -> np.ndarray:
@@ -115,7 +115,7 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, spec: MeshSpec) 
     ``level_index`` is one level or a sequence of levels.  Returns a
     C-contiguous (:func:`field_cells`, levels * (hi - lo)) array: row ``c``
     is cell ``c`` of ``GENERATOR_IDENTITY``, the static field of each mode
-    and then the dynamic field in :func:`~meshwalk.lattice.screen_layout`
+    and then the dynamic field in :func:`~meshwalk.lattice.packed_layout`
     order, and the columns are level-major, each level's realizations
     lo..hi-1 in turn.  Only the cells that a screen reads are drawn: the
     static rows of modes outside the last screen's
@@ -136,7 +136,7 @@ def draw_block(master_seed: int, level_index, lo: int, hi: int, spec: MeshSpec) 
         raise ValueError(f"realization range [{lo}, {hi}) not within [0, 2**64)")
     m, count, n_cells = spec.num_modes, hi - lo, field_cells(spec)
     # The last screen's live rows hold every earlier screen's.
-    screens = screen_layout(spec)
+    screens = packed_layout(spec)
     _, first, last = screens[-1] if screens else (0, 0, 0)
     cells = [*range(first, last), *range(m, n_cells)]
     # The advance before each drawn cell, the same in every level's stream:
@@ -176,7 +176,7 @@ def compose_screens(spec: MeshSpec, c_tid, c_td, fields: np.ndarray) -> np.ndarr
     is ``sign * (c_tid * static + c_td * dynamic)`` bit for bit, in a new
     array returned; ``fields`` is read, never written.  The result is
     C-contiguous (sum of the screens' live rows, count), laid out by
-    :func:`~meshwalk.lattice.screen_layout` (the kernel's layout,
+    :func:`~meshwalk.lattice.packed_layout` (the kernel's layout,
     :mod:`~meshwalk.lattice`): layers 1..``d - 1`` of a depth-``d`` mesh.
     Fields of another shape, such as a draw that still holds the last
     layer's rows, are refused, not read in part.
@@ -188,7 +188,7 @@ def compose_screens(spec: MeshSpec, c_tid, c_td, fields: np.ndarray) -> np.ndarr
     signs = mode_signs(m)[:, None]
     total = np.multiply(fields[m:], c_td)
     scaled = np.multiply(fields[:m], c_tid)
-    for offset, start, stop in screen_layout(spec):
+    for offset, start, stop in packed_layout(spec):
         rows = total[offset:offset + stop - start]
         rows += scaled[start:stop]
         rows *= signs[start:stop]

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # expose tests/oracles.py
 
 from meshwalk import ensemble
 from meshwalk.lattice import (HADAMARD, INPUT_SPLITTER, MeshSpec, RbsSetting, cell_unitary, evolve,
-                              screen_layout)
+                              packed_layout)
 
 
 def subprocess_env(out_dir=None) -> dict[str, str]:
@@ -89,13 +89,13 @@ def cell_matrices(settings) -> list[np.ndarray]:
 def pack(spec: MeshSpec, screens: np.ndarray) -> np.ndarray:
     """(num_modes, depth, ...) screens as the kernel's cone-packed phases.
 
-    Screen t's live rows of column t, placed by ``lattice.screen_layout``:
+    Screen t's live rows of column t, placed by ``lattice.packed_layout``:
     a C-contiguous (live cells, ...) array.  Every other cell is dropped, and
     so is the last column: no screen follows the mesh's last layer, and a
     one-layer mesh packs to no rows.
     """
     return np.concatenate([screens[:0, 0], *(screens[start:stop, t] for t, (_, start, stop)
-                                             in enumerate(screen_layout(spec)))])
+                                             in enumerate(packed_layout(spec)))])
 
 
 def unpack(spec: MeshSpec, phases: np.ndarray) -> np.ndarray:
@@ -103,7 +103,7 @@ def unpack(spec: MeshSpec, phases: np.ndarray) -> np.ndarray:
 
     The last column, the layer no screen follows, is 0.0 throughout.
     """
-    layout = screen_layout(spec)
+    layout = packed_layout(spec)
     assert len(phases) == sum(stop - start for _, start, stop in layout)
     screens = np.zeros((spec.num_modes, spec.depth) + phases.shape[1:])
     for t, (offset, start, stop) in enumerate(layout):

@@ -381,6 +381,36 @@ class TestReduce:
             self.assert_same(stack)
             assert any(b is None for b in outcomes) and any(b is not None for b in outcomes)
 
+    def test_groups_take_their_own_paths(self, monkeypatch):
+        # One stack's groups go different ways.  Intensities are bucketed in
+        # both sums.  Values between 2**-540 and 2**-530 are bucketed in their
+        # sum, but their squared deviations are subnormal, so only the
+        # deviation sum takes math.fsum.  A group holding one inf takes
+        # math.fsum in both.  With rows longer than a block, each row is a
+        # group, and the inf sits in a later block, after a block whose terms
+        # were already made.
+        taken = []
+        bucket_terms = ensemble._bucket_terms
+
+        def recording(block):
+            terms = bucket_terms(block)
+            taken.append((float(np.abs(block).max()), terms is not None))
+            return terms
+
+        monkeypatch.setattr(ensemble, "_bucket_terms", recording)
+        rng = np.random.default_rng(41)
+        block = ensemble._BLOCK
+        for rows, n in ((block // 200, 200), (1, block + 7)):
+            stack = rng.random((3 * rows, n))
+            stack[rows:2 * rows] = 2.0**-540 * (1.0 + 1023.0 * stack[rows:2 * rows])
+            stack[-1, n - 3] = np.inf
+            taken.clear()
+            self.assert_same(stack)
+            assert (np.inf, False) in taken
+            assert any(bucketed for top, bucketed in taken if 2.0**-500 < top <= 1.0)
+            tiny = {bucketed for top, bucketed in taken if 0.0 < top < 2.0**-500}
+            assert tiny == {True, False}
+
 
 class TestTables:
     """The table writers' bytes: ``csv_row``'s cells, ``write_lines`` and ``write_csv``."""

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshwalk.ensemble import _layer_matrices
-from meshwalk.lattice import MeshSpec, RbsSetting, cell_unitary, intensities
+from meshwalk.lattice import (MeshSpec, RbsSetting, cell_unitary, intensities, live_rows,
+                              packed_layout)
 from conftest import propagate, random_program
 from oracles import full_unitary
 
@@ -71,6 +72,31 @@ class TestMeshSpec:
     def test_bad_injection(self):
         with pytest.raises(ValueError):
             MeshSpec(injection_mode=15)
+
+
+class TestPackedLayout:
+    """``packed_layout`` is the ``d - 1`` screens, each at its live rows, packed in order."""
+
+    # The cone kernel's meshes (test_ensemble.TestConeKernel.SPECS).
+    SPECS = (MeshSpec(), MeshSpec(14, 7, 1), MeshSpec(14, 7, 14), MeshSpec(14, 7, 3),
+             MeshSpec(20, 4, 2), MeshSpec(30, 15))
+
+    def test_one_entry_per_screen(self):
+        for spec in self.SPECS:
+            layout, offset = packed_layout(spec), 0
+            assert len(layout) == spec.depth - 1, spec
+            for t, entry in enumerate(layout, start=1):
+                assert entry == (offset, *live_rows(spec, t)), (spec, t)
+                offset += entry[2] - entry[1]
+
+    def test_default_mesh(self):
+        # The 2t modes of each cone layer, the last layer's none.
+        assert packed_layout(MeshSpec()) == [(0, 6, 8), (2, 5, 9), (6, 4, 10), (12, 3, 11),
+                                             (20, 2, 12), (30, 1, 13)]
+
+    def test_one_layer_mesh_has_no_screen(self):
+        assert packed_layout(MeshSpec(4, 1)) == []
+        assert packed_layout(MeshSpec(14, 1, 1)) == []
 
 
 class TestCellUnitary:
